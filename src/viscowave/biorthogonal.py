@@ -21,16 +21,16 @@ zeros), and the transform's support claim rests on entirety.  "fitted" mode
 therefore fits the envelope exponent over the working index range and takes
 the next integer above 1.25x the fit.
 
-Half of the work in a family build is shared: the product's pair sums only
-depend on m through one excluded index, and the multiplier factors from
+Only the multiplier work is shared across a family build: its factors from
 node 1 are computed once on the grid, with the per-m starting node handled
-by subtracting the short prefix of factor logs.
+by subtracting the short prefix of factor logs.  The product's pair sums
+depend on conj(lambda_m) and are recomputed in full for every m.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -316,13 +316,6 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
                               omega=omega, omega_hats=omega_hats, meta=meta)
 
 
-def theta_eval(m: int, cfg: ProblemConfig, quad=None) -> BiorthogonalFamily:
-    """Single-index family build (same pipeline, one member)."""
-    if quad is not None:
-        cfg = replace(cfg, quad=quad)
-    return build_theta_family(cfg, [m])
-
-
 def smoothing_kernel(a: float, x) -> np.ndarray:
     """Triangle kernel sqrt(2pi) (a - |x|)/a^2 on [-a, a]; integral sqrt(2pi)."""
     x = np.asarray(x, dtype=float)
@@ -391,8 +384,11 @@ def _cut_integral(tg: np.ndarray, th: np.ndarray, dt: float, lam_c: complex) -> 
     The transform's noise floor, multiplied by a growing exponential, would
     otherwise dominate the tails; cutting each side where the integrand is
     smallest is a stationary (first-order insensitive) truncation choice.
+    Magnitudes are maxima over 5 neighbours: a lone, quantized noise sample
+    can be exactly 0 and would win the minimum where e^{Re lam_c t} is huge.
     """
     mag = np.abs(th) * np.exp(lam_c.real * tg)
+    mag = np.lib.stride_tricks.sliding_window_view(np.pad(mag, 2, mode="edge"), 5).max(axis=1)
     c = len(tg) // 2
     ip = c + int(np.argmin(mag[c:]))
     im_ = int(np.argmin(mag[:c + 1]))

@@ -315,21 +315,23 @@ def gauss_legendre_01(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def log1p_c(w: np.ndarray) -> np.ndarray:
-    """Complex log(1+w) that keeps tiny w.
-
-    numpy's complex log1p evaluates log(1+w) naively, so w below machine
-    epsilon vanishes; here |w| < 1/4 goes through a 24-term alternating
-    series (remainder < 0.25^25) and larger w through the plain log.
+    """Complex log(1+w) that keeps tiny w, in closed form (w = x + iy):
+    log(1+w) = 1/2 log1p(x(2+x) + y^2) + i atan2(y, 1+x) never adds 1 to a
+    tiny w, unlike numpy's naive log(1+w).  Where |1+w| < 1/2 (the log1p
+    argument has lost its leading digits near -1) or |w|^2 overflows, the
+    real part is log|1+w| instead; near w = -1, 1+x is exact.
     """
     w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < 0.25
-    ws = np.where(small, w, 0.0)
-    acc = np.zeros_like(w)
-    for k in range(24, 0, -1):
-        acc = acc * ws + ((-1.0) ** (k + 1)) / k
-    big = np.where(small, 0.0, w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(small, acc * ws, np.log(1.0 + big))
+    x, y = w.real, w.imag
+    out = np.empty_like(w)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = x * (x + 2.0) + y * y
+        re = np.log1p(s, out=out.real)
+        re *= 0.5
+        np.arctan2(y, x + 1.0, out=out.imag)
+        far = (s < -0.75) | (s == np.inf)
+        re[far] = np.log(np.abs(1.0 + w[far]))
+    return out
 
 
 def sinhc(w: np.ndarray) -> np.ndarray:

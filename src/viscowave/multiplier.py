@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import zeta as _hurwitz
 
-from .core import ConfigError
+from .core import ALPHA_DEGENERACY_TOL, ConfigError
 from .spectrum import (E, gamma_eps, lambda_vals, node_start, node_sum_bound,
                        node_tail_sq_constant, phi_eps, phi_eps_inverse)
 
@@ -61,15 +61,13 @@ class MultiplierEvaluator:
     tail power sums; grows itself if asked about larger |z|.
     """
 
-    def __init__(self, eps: float, alpha: float, z_max: float = 1.0,
-                 tail_tol: float = 1e-12):
+    def __init__(self, eps: float, alpha: float, z_max: float = 1.0):
         if eps <= 0 or alpha <= 0:
             raise ConfigError("multiplier needs eps > 0 and alpha > 0")
-        if alpha == 0.5:
+        if abs(alpha - 0.5) < ALPHA_DEGENERACY_TOL:
             raise ConfigError("alpha = 1/2 weight is spectrally degenerate")
         self.eps = eps
         self.alpha = alpha
-        self.tail_tol = tail_tol
         self.z_max = 0.0
         self._grow(max(z_max, 1.0))
 

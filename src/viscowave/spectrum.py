@@ -66,12 +66,13 @@ def eigenvalue(family: str, n: int, eps: float, alpha: float) -> complex:
 # ---------------------------------------------------------------------------
 
 def gamma_eps(eps: float, alpha: float) -> float:
-    """Branch point of the weight for alpha > 1/2: (1/eps)^{1/(2a-1)}."""
+    """Branch point of the weight for alpha > 1/2: (1/eps)^{1/(2a-1)}, inf on overflow."""
     if alpha <= 0.5:
         raise ConfigError("gamma_eps only defined for alpha > 1/2")
     if eps <= 0:
         raise ConfigError("gamma_eps needs eps > 0")
-    return (1.0 / eps) ** (1.0 / (2.0 * alpha - 1.0))
+    with np.errstate(over="ignore"):
+        return float(np.float_power(1.0 / eps, 1.0 / (2.0 * alpha - 1.0)))
 
 
 def phi_eps(x, eps: float, alpha: float) -> np.ndarray:

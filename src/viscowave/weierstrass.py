@@ -25,8 +25,8 @@ Numerical care in the paired term (the accuracy here was measured against
     of ((b+iz)^2 + t^2) - ((b-lm)^2 + t^2), never by subtracting the two
     quadratics; at large t the cross terms of the naive form fall below one
     ulp of b^2 and the difference loses everything.
-  * log(1+w) for small w uses a series; numpy's complex log1p is a naive
-    log(1+w) and silently drops w below machine epsilon.
+  * log(1+w) is core.log1p_c's closed form, which keeps tiny w; numpy's
+    complex log1p is a naive log(1+w) and drops w below machine epsilon.
   * near a zero of the paired factor the identity 1 + w =
     ((b+iz)^2 + t^2)/den is used directly: when z is a node computed from
     the same eigenvalue expression, b + iz reproduces i*t exactly in floats
@@ -54,12 +54,11 @@ def _pair_log(t, z, lam_c_m: complex, eps: float, alpha: float) -> np.ndarray:
     c = 1j * z + lam_c_m
     den = (b - lam_c_m) ** 2 + t * t
     w = c * (2.0 * b + 1j * z - lam_c_m) / den
-    near = np.abs(1.0 + w) < 0.25
-    out = log1p_c(np.where(near, 0.0, w))
-    if np.any(near):
-        with np.errstate(divide="ignore"):
-            u = ((b + 1j * z) ** 2 + t * t) / den
-            out = np.where(near, np.log(np.where(near, u, 1.0)), out)
+    out = log1p_c(w)
+    near = np.nonzero(out.real < np.log(0.25))  # |1+w| < 1/4
+    b, z, t, den = (np.broadcast_to(a, w.shape)[near] for a in (b, z, t, den))
+    with np.errstate(divide="ignore"):
+        out[near] = np.log(((b + 1j * z) ** 2 + t * t) / den)
     return out
 
 
@@ -89,12 +88,10 @@ class ProductEvaluator:
     """Evaluator for the interpolation product at fixed (eps, alpha).
 
     n_min: floor for the direct paired summation cutoff.
-    tail_tol: target for the declared tail bound, relative to 1 + |z|.
     """
     eps: float
     alpha: float
     n_min: int = 512
-    tail_tol: float = 1e-10
 
     ROUNDING_FLOOR = 1e-10
 

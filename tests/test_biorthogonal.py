@@ -113,6 +113,22 @@ def test_theta_eval_time_interpolates(theta_family):
     assert complex(theta_family.eval_time(1, np.array([far]))[0]) == 0.0
 
 
+def test_cut_integral_ignores_exact_zero_in_noise_floor():
+    # a transform's noise floor is quantized near one ulp of its peak, so a
+    # lone tail sample can be exactly 0; the cut must not move out there,
+    # where e^{Re lam t} multiplies the noise by e^75
+    tg = np.linspace(-60.0, 60.0, 6001)
+    rng = np.random.default_rng(2)
+    quantum = 1.6e-16
+    th = np.exp(-tg ** 2) + quantum * (rng.integers(-10, 11, tg.size)
+                                       + 1j * rng.integers(-10, 11, tg.size))
+    th[np.argmin(np.abs(tg - 50.0))] = 0.0
+    lam_c = 1.5 - 3.0j
+    exact = math.sqrt(math.pi) * np.exp(lam_c ** 2 / 4.0)
+    got = bio._cut_integral(tg, th, tg[1] - tg[0], lam_c)
+    assert abs(got - exact) < 1e-8 * abs(exact)
+
+
 def test_theta_conjugate_symmetry(theta_family):
     # real data synthesis relies on theta_{-m}(t) = conj(theta_m(t))
     a = theta_family.member(1)

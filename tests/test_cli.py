@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -26,6 +27,22 @@ def test_spectrum_dump_csv(runner, tmp_path):
     meta = json.loads((tmp_path / "out.json").read_text())
     assert meta["config"]["alpha"] == 0.25
     assert meta["config"]["epsilon"] == 0.1
+
+
+@pytest.mark.parametrize("delta", [-1e-3, -1e-4, -1e-7, 1e-7, 1e-4, 1e-3])
+def test_spectrum_dump_near_half_alpha(runner, tmp_path, delta):
+    # just above 1/2 the weight's branch point (1/eps)^{1/(2a-1)} overflows;
+    # it must saturate, not raise
+    res = runner.invoke(main, ["spectrum", "dump", "--alpha", repr(0.5 + delta),
+                               "--epsilon", "0.1", "--out", str(tmp_path / "out.csv")])
+    assert "Traceback" not in res.output
+    assert res.exit_code in (0, 2), repr(res.exception)
+    if res.exit_code == 2:
+        assert "invalid input" in res.output
+        return
+    rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+    vals = np.array([[float(v) for v in r.split(",")] for r in rows])
+    assert len(rows) == 8 and np.all(np.isfinite(vals))
 
 
 def test_missing_parameters_is_invalid_input(runner, tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,47 @@ def test_log1p_matches_real_log1p(re, im):
     got = complex(log1p_c(w))
     want = complex(np.log1p(re) if im == 0 else np.log(1 + w))
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def _log1p_rel_err_mp(w) -> float:
+    """Largest |log1p_c(w) - log(1+w)| / |log(1+w)| against 40-digit mpmath."""
+    got = log1p_c(w)
+    worst = 0.0
+    with mp.workdps(40):
+        for wi, gi in zip(w, got):
+            ref = mp.log(1 + mp.mpc(wi.real, wi.imag))
+            worst = max(worst, float(abs(mp.mpc(gi.real, gi.imag) - ref) / abs(ref)))
+    return worst
+
+
+def _log1p_points(region: str) -> np.ndarray:
+    rng = np.random.default_rng(11)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, 600))
+    if region == "random":
+        # |w| log-uniform over 1e-20 .. 1e2, uniform phase
+        return 10.0 ** rng.uniform(-20.0, 2.0, 600) * phase
+    if region == "cancellation_band":
+        # |1 + w| = 1 with |w| = 2 |sin(theta/2)| not small: the log1p
+        # argument x(2+x) + y^2 cancels to ~0 while the phase stays O(|w|)
+        theta = rng.uniform(0.05, np.pi, 600) * rng.choice([-1.0, 1.0], 600)
+        return -1.0 + np.exp(1j * theta)
+    # |1 + w| < 1/4, down to 1e-12: the log|1+w| branch
+    return -1.0 + 10.0 ** rng.uniform(-12.0, np.log10(0.25), 600) * phase
+
+
+@pytest.mark.parametrize("region", ["random", "cancellation_band", "near_minus_one"])
+def test_log1p_closed_form_matches_mpmath(region):
+    worst = _log1p_rel_err_mp(_log1p_points(region))
+    print(f"log1p_c {region}: max relative error {worst:.2e} vs 40-digit mpmath")
+    assert worst < 1e-15
+
+
+def test_log1p_saturating_inputs():
+    got = log1p_c(np.array([-1.0 + 0j, 1e200 + 1e200j, -2.0 + 0j]))
+    assert got[0] == -np.inf
+    assert got[1] == pytest.approx(complex(math.log(math.hypot(1e200, 1e200)), math.pi / 4),
+                                   rel=1e-15)
+    assert got[2] == pytest.approx(1j * math.pi, rel=1e-15)
 
 
 def test_sinhc_and_sinc():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from viscowave.core import ConfigError
 from viscowave.spectrum import lambda_conj_vals
-from viscowave.weierstrass import (ProductEvaluator, envelope_fit,
+from viscowave.weierstrass import (ProductEvaluator, _pair_log, envelope_fit,
                                    growth_bound_check, interpolation_check,
                                    product_eps0, product_eval)
 
@@ -49,6 +50,46 @@ def test_small_viscosity_continuity():
     want = np.array([product_eps0(2, zz) for zz in z])
     got = product_eval(2, z, ev)
     assert np.max(np.abs(got - want)) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# paired term against a 40-digit reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_pair_log_matches_mpmath(alpha):
+    # log(((b+iz)^2 + t^2) / ((b - conj(lambda_m))^2 + t^2)), b = eps t^{2a},
+    # in 40 digits from the same double inputs.  Real z never hits a node
+    # (nodes have Im = eps n^{2a} > 0); z = t puts the factor near its zero
+    # at b + iz = it, which takes the |1+w| < 1/4 path.  t = |m| is the
+    # excluded pair (den = 0) and never reaches _pair_log.
+    eps = 0.1
+    rng = np.random.default_rng(5)
+    ts = np.concatenate([np.unique(np.round(np.geomspace(1.0, 1e4, 30))),
+                         rng.uniform(1.0, 1e4, 10)])
+    zs = np.concatenate([rng.uniform(-2000.0, 2000.0, 24), [0.0, 1.0, 7.0, 250.0, 2000.0]])
+    worst, near, count = 0.0, 0, 0
+    with mp.workdps(40):
+        for m in (1, -4):
+            ts_m = ts[ts != abs(m)]
+            lam = complex(lambda_conj_vals(m, eps, alpha))
+            lam_mp = mp.mpc(lam.real, lam.imag)
+            got = _pair_log(ts_m[:, None], zs[None, :].astype(complex), lam, eps, alpha)
+            count += got.size
+            for i, t in enumerate(ts_m):
+                t_mp = mp.mpf(t)
+                b = mp.mpf(eps) * t_mp ** (2 * mp.mpf(alpha))
+                den = (b - lam_mp) ** 2 + t_mp ** 2
+                for j, z in enumerate(zs):
+                    u = ((b + 1j * mp.mpf(z)) ** 2 + t_mp ** 2) / den
+                    ref = mp.log(u)
+                    g = got[i, j]
+                    worst = max(worst, float(abs(mp.mpc(g.real, g.imag) - ref) / abs(ref)))
+                    near += abs(u) < 0.25
+    print(f"_pair_log alpha={alpha}: max relative error {worst:.2e} vs 40-digit mpmath "
+          f"({near} of {count} points on the |1+w| < 1/4 path)")
+    assert near > 0
+    assert worst < 1e-12
 
 
 # ---------------------------------------------------------------------------
