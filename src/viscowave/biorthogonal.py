@@ -13,7 +13,8 @@ with node_m = i conj(lambda_m).  The sign convention e^{+ixt} makes
 an identity, i.e. the biorthogonality matrix is exactly the interpolation
 value matrix; all quadrature error lives in the transform.  The eps = 0
 family has the closed form e^{imt}/(2pi) on (-pi, pi) and doubles as the
-end-to-end oracle for the transform path.
+end-to-end oracle for the transform path; its biorthogonality matrix comes
+from the shared exponential-sum integral `core.exp_integral`.
 
 The multiplier power omega must be an integer: the multiplier ratio is an
 entire function, but a non-integer power of it is not (branch points at its
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ConfigError, ProblemConfig, next_pow2, sinc_c, sinhc,
+from .core import (ConfigError, ProblemConfig, exp_integral, next_pow2, sinc_c,
                    validate_config)
 from .multiplier import MultiplierEvaluator
 from .spectrum import lambda_conj_vals, node_start, node_sum_bound
@@ -94,12 +95,6 @@ def make_interpolant(m: int, cfg: ProblemConfig, omega: int,
                              decay_boost=cfg.decay_boost, omega=omega,
                              product=product, mult=mult, node=node,
                              log_mult_node=log_node)
-
-
-def psi_eval(interp: EntireInterpolant, z):
-    """Interpolant value at complex z: 1 at its own node, 0 at the others."""
-    res = np.exp(interp.log_psi(z))
-    return complex(res[0]) if np.ndim(z) == 0 else res
 
 
 def resolve_omega(cfg: ProblemConfig, m_range, product: ProductEvaluator,
@@ -228,6 +223,20 @@ def _probe_half_width(interps, lo: float = 100.0, hi: float = 2000.0,
                       "increase the quadrature budget explicitly")
 
 
+def _norm_fit(norms: dict, eps: float, alpha: float) -> tuple[float, float]:
+    """(beta_hat, c_hat) of the fit log ||family_m|| ~ log c_hat +
+    beta_hat eps m^{2a} over m > 0; beta_hat = 0 with the largest norm when
+    fewer than two distinct rates are available."""
+    pos = [m for m in norms if m > 0]
+    re_l = np.array([eps * m ** (2.0 * alpha) for m in pos])
+    log_n = np.array([np.log(norms[m]) for m in pos])
+    if len(pos) >= 2 and np.ptp(re_l) > 0:
+        beta_hat, log_c = np.polyfit(re_l, log_n, 1)
+    else:
+        beta_hat, log_c = 0.0, float(np.max(log_n))
+    return float(beta_hat), float(np.exp(log_c))
+
+
 def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     """Assemble interpolants for every index and transform them to time.
 
@@ -300,19 +309,13 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
         raise ConfigError(f"quadrature budget insufficient: |psi| = {edge_worst:.2e} "
                           "at the grid edge")
 
-    pos = [m for m in ms if m > 0]
-    re_l = np.array([eps * m ** (2.0 * alpha) for m in pos])
-    log_n = np.array([np.log(norms[m]) for m in pos])
-    if len(pos) >= 2 and np.ptp(re_l) > 0:
-        beta_hat, log_c = np.polyfit(re_l, log_n, 1)
-    else:
-        beta_hat, log_c = 0.0, float(np.max(log_n))
+    beta_hat, c_hat = _norm_fit(norms, eps, alpha)
     meta = {"half_width": half, "dx": dx, "n_fft": n, "psi_edge": edge_worst,
             "outside_mass": outside_mass, "points_per_unit": cfg.quad.points_per_unit}
     return BiorthogonalFamily(kind="theta", eps=eps, alpha=alpha, indices=ms,
                               t_grid=tg_kept, values=values, norms=norms,
                               support_half=support_half,
-                              beta_hat=float(beta_hat), c_hat=float(np.exp(log_c)),
+                              beta_hat=beta_hat, c_hat=c_hat,
                               omega=omega, omega_hats=omega_hats, meta=meta)
 
 
@@ -355,13 +358,7 @@ def zeta_eval(theta_family: BiorthogonalFamily, a: float) -> BiorthogonalFamily:
         values[m] = np.convolve(fam.member(m), rho, mode="same") * dt / normalizer
         norms[m] = float(np.sqrt(np.sum(np.abs(values[m]) ** 2) * dt))
         normalizers[m] = normalizer
-    pos = [m for m in fam.indices if m > 0]
-    re_l = np.array([fam.eps * m ** (2.0 * fam.alpha) for m in pos])
-    log_n = np.array([np.log(norms[m]) for m in pos])
-    if len(pos) >= 2 and np.ptp(re_l) > 0:
-        beta_hat, log_c = np.polyfit(re_l, log_n, 1)
-    else:
-        beta_hat, log_c = 0.0, float(np.max(log_n))
+    beta_hat, c_hat = _norm_fit(norms, fam.eps, fam.alpha)
     meta = dict(fam.meta)
     meta["kernel_half_width"] = a
     meta["normalizers"] = normalizers
@@ -369,7 +366,7 @@ def zeta_eval(theta_family: BiorthogonalFamily, a: float) -> BiorthogonalFamily:
                               indices=fam.indices, t_grid=fam.t_grid,
                               values=values, norms=norms,
                               support_half=fam.support_half + a,
-                              beta_hat=float(beta_hat), c_hat=float(np.exp(log_c)),
+                              beta_hat=beta_hat, c_hat=c_hat,
                               omega=fam.omega, omega_hats=fam.omega_hats, meta=meta)
 
 
@@ -399,25 +396,20 @@ def biorthogonality_matrix(family: BiorthogonalFamily, m_range, n_range,
                            t_int: float | None = None):
     """B_{mn} = int family_m(t) e^{conj(lambda_n) t} dt and max |B - I|.
 
-    Exponential-sum members integrate in closed form; sampled members by
-    Riemann sum with per-entry stationary cuts (or hard cuts at t_int).
+    Exponential-sum members integrate in closed form through
+    `core.exp_integral`; sampled members by Riemann sum with per-entry
+    stationary cuts (or hard cuts at t_int).
     """
     ms = [m for m in m_range if m != 0]
     ns = [n for n in n_range if n != 0]
-    lam_cs = [complex(lambda_conj_vals(n, family.eps, family.alpha)) for n in ns]
+    lam_cs = lambda_conj_vals(np.asarray(ns), family.eps, family.alpha)
     out = np.empty((len(ms), len(ns)), dtype=complex)
     for i, m in enumerate(ms):
         rep = family.exp_rep(m)
         if rep is not None:
             ws, rs, (lo, hi) = rep
-            length = hi - lo
-            mid = 0.5 * (lo + hi)
-            for j, lc in enumerate(lam_cs):
-                acc = 0.0 + 0.0j
-                for w_k, r_k in zip(ws, rs):
-                    acc += w_k * length * np.exp((lc + r_k) * mid) \
-                        * sinhc(0.5 * (lc + r_k) * length)
-                out[i, j] = acc
+            out[i] = exp_integral(lam_cs[:, None], 0.0, np.asarray(rs, dtype=complex),
+                                  0.0, lo, hi) @ np.asarray(ws, dtype=complex)
         else:
             th = family.member(m)
             tg = family.t_grid

@@ -14,7 +14,9 @@ independent routes are implemented:
 
 The Gram matrix has the closed form G_{nk} = T sinhc((conj(lambda_n) +
 lambda_k) T/2), diagonal-limit entry T included, so no quadrature enters
-the oracle; its eigenvalue solve is also where spectral degeneracy (the
+the oracle.  It, the exact moment check of exponential-sum controls and the
+Ingham numerator all come from the shared kernel `core.exp_integral`.  The
+Gram eigenvalue solve is also where spectral degeneracy (the
 alpha = 1/2 collision) becomes visible as condition-number blowup, which is
 reported and never regularized away.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .core import ConfigError, ControlSignal, ModalState, h0_norm_sq, sinhc
+from .core import ConfigError, ControlSignal, ModalState, exp_integral, h0_norm_sq
 from .spectrum import lambda_vals
 
 
@@ -88,8 +90,8 @@ def gram_matrix(indices, eps: float, alpha: float, T: float) -> np.ndarray:
     """G_{nk} = int_{-T/2}^{T/2} e^{conj(lambda_n) t} e^{lambda_k t} dt,
     closed form T sinhc(s T/2) with s the eigenvalue pair sum."""
     lams = lambda_vals(np.asarray(indices), eps, alpha)
-    s = np.conj(lams)[:, None] + lams[None, :]
-    return T * sinhc(s * T / 2.0)
+    return exp_integral(np.conj(lams)[:, None], 0.0, lams[None, :], 0.0,
+                        -T / 2.0, T / 2.0)
 
 
 @dataclass(frozen=True)
@@ -197,20 +199,10 @@ def moment_verification(control: ControlSignal, system: MomentSystem) -> float:
     lams = system.lambdas
     if control.exp_terms is not None:
         ws, rs = control.exp_terms
-        ws = np.asarray(ws, dtype=complex)
-        rs = np.asarray(rs, dtype=complex)
         lo, hi = control.exp_support if control.exp_support is not None \
             else (control.t0, control.t1)
-        out = np.empty(len(lams), dtype=complex)
-        for j, ln in enumerate(np.conj(lams)):
-            # int_lo^hi e^{ln (s - T/2)} e^{r (s - center)} ds, per term
-            length = hi - lo
-            mid = 0.5 * (lo + hi)
-            q = ln + rs
-            vals = ws * length * np.exp(ln * (mid - T / 2.0)
-                                        + rs * (mid - control.exp_center)) \
-                * sinhc(0.5 * q * length)
-            out[j] = np.sum(vals)
+        out = exp_integral(np.conj(lams)[:, None], T / 2.0, np.asarray(rs, dtype=complex),
+                           control.exp_center, lo, hi) @ np.asarray(ws, dtype=complex)
     else:
         grid = control.grid()
         v = np.asarray(control.samples)
@@ -235,8 +227,7 @@ def ingham_ratio(indices, coeffs, eps: float, alpha: float, T: float,
         raise ConfigError("all-zero coefficient sequence")
     lams = lambda_vals(idx, eps, alpha)
     if method == "gram":
-        s = np.conj(lams)[:, None] + lams[None, :]
-        g2 = 2.0 * T * sinhc(s * T)
+        g2 = exp_integral(np.conj(lams)[:, None], 0.0, lams[None, :], 0.0, -T, T)
         num = float(np.real(np.vdot(b, g2 @ b)))
     elif method == "quad":
         tg = np.linspace(-T, T, 40001)

@@ -9,12 +9,11 @@ Evaluation: factors with a_n <= 2|z| are multiplied directly (there are
 K = floor(phi(2e|z|)) of them); the remaining log-tail, where |z/a_n| < 1/2,
 is resummed through the series log sinc w = -sum_j zeta(2j)/(j pi^{2j}) w^{2j}
 with the node power sums S_{2j} = sum_{n>K} a_n^{-2j} evaluated in closed
-form via Hurwitz zeta (plus a short directly-summed middle range when the
-weight changes branch inside the tail).  Eleven series terms leave a
-remainder below c_12 |z|^24 S_24, measured around 1e-19; the declared bound
-reported to callers is the coarser |z|^2/6 * S_2 form, which dominates the
-entire post-truncation tail and is the same integral comparison that proves
-the product converges.
+form via Hurwitz zeta (a difference of two below the weight's branch point
+gamma_eps).  Eleven series terms leave a remainder below c_12 |z|^24 S_24,
+measured around 1e-19; the declared bound reported to callers is the
+coarser |z|^2/6 * S_2 form, which dominates the entire post-truncation tail
+and is the same integral comparison that proves the product converges.
 
 The node bulk (a_n table and the power sums) depends only on (eps, alpha)
 and the largest |z| requested, so one evaluator instance serves a whole
@@ -36,22 +35,37 @@ _SER_J = np.arange(1, 12)
 _SER_C = np.array([float(_hurwitz(2 * j, 1)) / (j * np.pi ** (2 * j)) for j in _SER_J])
 
 
+# most terms of a directly summed p = 1 range below gamma_eps (8 MB of nodes)
+_DIRECT_MAX = 1 << 20
+
+
 def node_power_sum(k_cut: int, eps: float, alpha: float, power: float) -> float:
-    """sum_{n > k_cut} a_n^{-power} in closed form, a_n = phi_inv(n)/e."""
+    """sum_{n > k_cut} a_n^{-power} in closed form, a_n = phi_inv(n)/e.
+
+    Up to ng = floor(gamma_eps) the nodes are (n/eps)^{1/2a}/e, a Hurwitz
+    difference E^p eps^s (zeta(s, k+1) - zeta(s, ng+1)), s = p/(2a), with
+    zeta(s, inf) = 0.  Hurwitz zeta needs s > 1; the p = 1 type sum above
+    alpha = 1/2 has s < 1 and is summed directly, up to 2^20 terms.
+    """
     if eps == 0 or alpha == 0:
         raise ConfigError("node sequence requires eps > 0 and alpha > 0")
+    s = power / (2.0 * alpha)
     if alpha < 0.5:
-        s = power / (2.0 * alpha)
         return E ** power * eps ** s * float(_hurwitz(s, k_cut + 1))
-    g = gamma_eps(eps, alpha)
-    ng = int(np.floor(g))
+    ng = np.floor(gamma_eps(eps, alpha))
     out = 0.0
     if k_cut < ng:
-        mid = np.arange(k_cut + 1, ng + 1, dtype=float)
-        out += float(np.sum((phi_eps_inverse(mid, eps, alpha) / E) ** (-power)))
+        if s > 1.0:
+            out = E ** power * eps ** s * float(_hurwitz(s, k_cut + 1) - _hurwitz(s, ng + 1))
+        elif ng - k_cut <= _DIRECT_MAX:
+            mid = np.arange(k_cut + 1, ng + 1, dtype=float)
+            out = float(np.sum((phi_eps_inverse(mid, eps, alpha) / E) ** (-power)))
+        else:
+            raise ConfigError(
+                f"gamma_eps = {ng:.3e} at alpha = {alpha}: the node sum of power "
+                f"{power:g} below it has {ng - k_cut:.3e} terms and no closed form")
         k_cut = ng
-    s = 2.0 * alpha * power
-    return out + (E / eps) ** power * float(_hurwitz(s, k_cut + 1))
+    return out + (E / eps) ** power * float(_hurwitz(2.0 * alpha * power, k_cut + 1))
 
 
 class MultiplierEvaluator:
@@ -152,11 +166,6 @@ class MultiplierEvaluator:
         s2 = (self.pow_sums[2] if n_from <= self.k_cut
               else node_power_sum(n_from - 1, self.eps, self.alpha, 2.0))
         return az * az / 6.0 * s2
-
-
-def multiplier_eval(m: int, z, ev: MultiplierEvaluator):
-    """Multiplier value at z; sinc(0) = 1 removable point included."""
-    return ev.eval(m, z)
 
 
 class PropertyReport(dict):

@@ -15,31 +15,61 @@ and the three systems differ only in those two coefficients:
                exceeds n, which happens for distant modes when a > 1/2.
   "wave"       eps = 0 limit, undamped.
 
-There is no time discretization of the dynamics.  The homogeneous flow is
-the closed-form 2x2 propagator built from the roots, and the forcing enters
-through exact integrals of e^{r t} against the control: piecewise-linear
-between samples (the only approximation in the pipeline, quadratic in the
-control's curvature), or fully closed-form when the control carries its
-exponential-sum representation.
+There is no time discretization of the dynamics.  Each mode splits into
+z' = r z + f_n v(t), one equation per characteristic root r, and all roots
+of all modes are propagated together as arrays.  Free motion and
+exponential-sum controls are evaluated in closed form directly from t = 0
+at every record time,
+
+    z(t) = e^{rt} z(0) + f_n sum_k w_k int_lo^{min(t,hi)} e^{r(t-s)} e^{rho_k(s-c)} ds,
+
+each integral being the shared kernel `core.exp_integral`, so nothing
+accumulates from step to step.  Sampled controls enter through exact
+integrals of e^{r(t-s)} against the piecewise-linear reconstruction between
+samples, formed for all roots and sample intervals in one pass and carried
+along the record times by z_k = e^{r(t_k - t_{k-1})} z_{k-1} + f_n inc_k.
+That reconstruction is the only approximation (quadratic in the control's
+curvature).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
-from .core import ConfigError, ControlSignal, ModalState, sinhc
+from .core import ConfigError, ControlSignal, ModalState, exp_integral
 
 SYSTEMS = ("corrected", "viscous", "wave")
+
+# J1/h^2 = sum_{j>=0} (rh)^j / (j+2)!, highest power first; 24 terms are far
+# below rounding where it is used, |rh| < 1/2
+_J1_SERIES = np.array([1.0 / factorial(j + 2) for j in range(23, -1, -1)])
+_BLOCK = 1 << 18
+
+
+def mode_roots(system: str, n, eps: float, alpha: float):
+    """Characteristic roots (r_plus, r_minus) of modes n (array ok)."""
+    if system not in SYSTEMS:
+        raise ConfigError(f"unknown system '{system}'")
+    n = np.asarray(n, dtype=float)
+    b = eps * n ** (2.0 * alpha)
+    if system == "wave" or eps == 0:
+        return 1j * n, -1j * n
+    if system == "corrected":
+        # roots set literally, not through a discriminant
+        return -b + 1j * n, -b - 1j * n
+    sq = np.sqrt(np.asarray(b * b - n ** 2, dtype=complex))
+    if np.any(np.abs(sq) < 1e-12 * np.maximum(1.0, b)):
+        raise ConfigError("degenerate double root; propagator not defined")
+    return -b + sq, -b - sq
 
 
 @dataclass(frozen=True)
 class ModeDynamics:
-    """Coefficients and characteristic roots of one modal oscillator."""
+    """Characteristic roots and profile coefficient of one modal oscillator."""
     n: int
-    stiffness: float
-    damping: float
     root_plus: complex
     root_minus: complex
     f_coef: complex = 1.0
@@ -49,112 +79,97 @@ class ModeDynamics:
                    f_coef: complex = 1.0) -> "ModeDynamics":
         if n < 1:
             raise ConfigError("mode index must be a positive integer")
-        if system not in SYSTEMS:
-            raise ConfigError(f"unknown system '{system}'")
-        b = eps * float(n) ** (2.0 * alpha)
-        if system == "wave" or eps == 0:
-            return cls(n=n, stiffness=float(n) ** 2, damping=0.0,
-                       root_plus=1j * n, root_minus=-1j * n, f_coef=f_coef)
-        if system == "corrected":
-            # roots set literally, not through a discriminant
-            return cls(n=n, stiffness=float(n) ** 2 + b * b, damping=2.0 * b,
-                       root_plus=complex(-b, n), root_minus=complex(-b, -n),
-                       f_coef=f_coef)
-        disc = complex(b * b - float(n) ** 2)
-        sq = np.sqrt(disc)
-        if abs(sq) < 1e-12 * max(1.0, b):
-            raise ConfigError("degenerate double root; propagator not defined")
-        return cls(n=n, stiffness=float(n) ** 2, damping=2.0 * b,
-                   root_plus=-b + sq, root_minus=-b - sq, f_coef=f_coef)
+        r_plus, r_minus = mode_roots(system, n, eps, alpha)
+        return cls(n=n, root_plus=complex(r_plus), root_minus=complex(r_minus),
+                   f_coef=f_coef)
 
 
-def _step_integrals(r: complex, h: float) -> tuple[complex, complex]:
-    """J0 = int_0^h e^{r(h-s)} ds and J1 = same with an extra factor s."""
+def _step_integrals(r: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """J0 = int_0^h e^{r(h-s)} ds and J1 = same with an extra factor s, per root."""
     rh = r * h
-    j0 = h * np.exp(0.5 * rh) * sinhc(0.5 * rh)
-    if abs(rh) < 0.5:
-        # J1/h^2 = sum_{j>=0} (rh)^j / (j+2)!, the k=1 case of
-        # int_0^h e^{r(h-s)} s^k ds = h^{k+1} sum_j (rh)^j k!/(k+j+1)!
-        out = 0.0 + 0.0j
-        p = 1.0 + 0.0j
-        fact = 2.0
-        for j in range(0, 24):
-            if j > 0:
-                p *= rh
-                fact *= (j + 2)
-            out += p / fact
-            if abs(p) / fact < 1e-22:
-                break
-        j1 = h * h * out
-    else:
-        # recursion J1 = (J0 - h)/r, safe once rh is away from 0
-        j1 = (j0 - h) / r
+    j0 = exp_integral(-r, h, 0.0, 0.0, 0.0, h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the recursion J1 = (J0 - h)/r is safe once rh is away from 0
+        j1 = np.where(np.abs(rh) < 0.5, h * h * np.polyval(_J1_SERIES, rh), (j0 - h) / r)
     return j0, j1
 
 
-def _forcing_increment(r: complex, t_a: float, t_b: float,
-                       control: ControlSignal) -> complex:
-    """int_{t_a}^{t_b} e^{r (t_b - s)} v(s) ds, exactly per representation."""
-    if control.exp_terms is not None:
-        weights, rates = control.exp_terms
-        lo0, hi0 = control.exp_support if control.exp_support is not None \
-            else (control.t0, control.t1)
-        lo, hi = max(t_a, lo0), min(t_b, hi0)
-        if hi <= lo:
-            return 0.0 + 0.0j
-        length = hi - lo
-        mid = 0.5 * (lo + hi)
-        out = 0.0 + 0.0j
-        for w_k, rho in zip(weights, rates):
-            expo = r * (t_b - mid) + rho * (mid - control.exp_center)
-            out += w_k * length * np.exp(expo) * sinhc(0.5 * (rho - r) * length)
-        return out
-
-    # piecewise-linear reconstruction on the sample grid
+def _sampled_increments(r: np.ndarray, control: ControlSignal, t_a: float,
+                        times: np.ndarray) -> np.ndarray:
+    """int_{t_{k-1}}^{t_k} e^{r(t_k - s)} v(s) ds of the piecewise-linear
+    reconstruction (zero off the sample grid), t_{-1} = t_a, for a column of
+    roots r: shape (roots, times)."""
     grid = control.grid()
     dt = control.dt
-    lo, hi = max(t_a, grid[0]), min(t_b, grid[-1])
-    if hi <= lo + 1e-15:
-        return 0.0 + 0.0j
-    ia = int(round((lo - grid[0]) / dt))
-    ib = int(round((hi - grid[0]) / dt))
-    if abs(grid[ia] - lo) > 1e-9 * max(dt, 1.0) or abs(grid[ib] - hi) > 1e-9 * max(dt, 1.0):
+    edges = np.clip(np.concatenate(([t_a], times)), grid[0], grid[-1])
+    idx = np.rint((edges - grid[0]) / dt).astype(int)
+    if np.any(np.abs(grid[idx] - edges) > 1e-9 * max(dt, 1.0)):
         raise ConfigError("span endpoints must sit on the control sample grid")
-    if ib <= ia:
-        return 0.0 + 0.0j
-    v = np.asarray(control.samples)
-    j0, j1 = _step_integrals(r, dt)
-    pref = np.exp(r * (t_b - grid[ia + 1:ib + 1]))
-    vj = v[ia:ib]
-    slope = (v[ia + 1:ib + 1] - vj) / dt
-    return j0 * np.sum(pref * vj) + j1 * np.sum(pref * slope)
+    inc = np.zeros((len(r), len(times)), dtype=complex)
+    steps = np.flatnonzero(np.diff(idx))    # record steps that hold samples
+    if steps.size:
+        j = np.arange(idx[0], idx[-1])      # sample intervals, each used once
+        owner = np.searchsorted(idx, j, side="right") - 1
+        v = control.samples
+        j0, j1 = _step_integrals(r, dt)
+        per_interval = np.exp(r * (times[owner] - grid[j + 1])) \
+            * (j0 * v[j] + j1 * ((v[j + 1] - v[j]) / dt))
+        inc[:, steps] = np.add.reduceat(per_interval, idx[steps] - idx[0], axis=1)
+    return inc
+
+
+def _propagate(r1, r2, f, u0, v0, control: ControlSignal | None, t_a: float,
+               times: np.ndarray):
+    """(u, u') of every mode at ascending times >= t_a, each (modes, times).
+
+    A mode decouples into y = u' - r2 u and w = u' - r1 u, which obey
+    z' = r z + f v with r = r1 and r = r2; both are rows of one array.
+    """
+    r = np.concatenate([r1, r2])[:, None]
+    f = np.concatenate([f, f])[:, None]
+    z0 = np.concatenate([v0 - r2 * u0, v0 - r1 * u0])
+    if control is not None and control.exp_terms is None:
+        inc = f * _sampled_increments(r, control, t_a, times)
+        decay = np.exp(r * np.diff(times, prepend=t_a))
+        z = np.empty_like(inc)
+        prev = z0
+        for k in range(len(times)):
+            prev = z[:, k] = decay[:, k] * prev + inc[:, k]
+    else:
+        z = np.exp(r * (times - t_a)) * z0[:, None]
+        if control is not None:
+            weights, rates = (np.asarray(x, dtype=complex) for x in control.exp_terms)
+            lo, hi = control.exp_support if control.exp_support is not None \
+                else (control.t0, control.t1)
+            # blocks of record times bound the (roots, times, terms) arrays by
+            # about _BLOCK elements; one block took an N = 64 solve to 606 MB
+            step = max(1, _BLOCK // (len(r) * len(rates)))
+            for k in range(0, len(times), step):
+                t = times[k:k + step, None]
+                z[:, k:k + step] += f * (exp_integral(-r[..., None], t, rates, control.exp_center,
+                                                      max(lo, t_a), np.minimum(t, hi)) @ weights)
+    y, w = np.split(z, 2)
+    r1, r2 = r1[:, None], r2[:, None]
+    return (y - w) / (r1 - r2), (r1 * y - r2 * w) / (r1 - r2)
 
 
 def mode_propagate(dyn: ModeDynamics, state, control: ControlSignal | None,
                    t_span) -> tuple[complex, complex]:
-    """Advance (u, u') over t_span with the exact exponential integrator.
+    """Advance (u, u') of one mode over t_span with the exact propagator.
 
-    Decouples through y = u' - r2 u and w = u' - r1 u, each first order;
-    u and u' are recovered from the pair.  No stability constraint; piecewise
-    control spans must have endpoints on the sample grid.
+    No stability constraint; piecewise control spans must have endpoints on
+    the sample grid.
     """
     t_a, t_b = float(t_span[0]), float(t_span[1])
     if t_b < t_a:
         raise ConfigError("reversed time span")
-    r1, r2 = dyn.root_plus, dyn.root_minus
-    if r1 == r2:
+    if dyn.root_plus == dyn.root_minus:
         raise ConfigError("degenerate double root; propagator not defined")
-    u0, v0 = complex(state[0]), complex(state[1])
-    y = v0 - r2 * u0
-    w = v0 - r1 * u0
-    dt_span = t_b - t_a
-    y = np.exp(r1 * dt_span) * y
-    w = np.exp(r2 * dt_span) * w
-    if control is not None:
-        y += dyn.f_coef * _forcing_increment(r1, t_a, t_b, control)
-        w += dyn.f_coef * _forcing_increment(r2, t_a, t_b, control)
-    den = r1 - r2
-    return complex((y - w) / den), complex((r1 * y - r2 * w) / den)
+    one = np.ones(1, dtype=complex)
+    u, v = _propagate(dyn.root_plus * one, dyn.root_minus * one, dyn.f_coef * one,
+                      complex(state[0]) * one, complex(state[1]) * one, control,
+                      t_a, np.array([t_b]))
+    return complex(u[0, 0]), complex(v[0, 0])
 
 
 def stiffness_for(system: str, n, eps: float, alpha: float):
@@ -194,14 +209,11 @@ def simulate(cfg, data: ModalState, control: ControlSignal | None,
     The dissipation channel is 2 pi eps sum n^{2a} |u'_n|^2, which is -dE/dt
     for all three systems (identically zero for "wave").
     """
-    if system not in SYSTEMS:
-        raise ConfigError(f"unknown system '{system}'")
     horizon = cfg.horizon_T
+    n_rec = record_points if record_points is not None else cfg.time_grid
     if control is not None and control.exp_terms is None:
         if control.t0 > 1e-12 or control.t1 < horizon - 1e-9:
             raise ConfigError("control is not defined on the full horizon")
-    n_rec = record_points if record_points is not None else cfg.time_grid
-    if control is not None and control.exp_terms is None:
         grid = control.grid()
         stride = max(1, len(grid) // max(n_rec, 1))
         idx = np.arange(0, len(grid), stride)
@@ -215,34 +227,22 @@ def simulate(cfg, data: ModalState, control: ControlSignal | None,
         times = np.linspace(0.0, horizon, n_rec + 1)
 
     eps, alpha = cfg.epsilon, cfg.alpha
-    dyns = [ModeDynamics.for_system(system, int(n), eps, alpha,
-                                    f_coef=data.profile_for(int(n)))
-            for n in data.indices]
-    cur = [(complex(u), complex(v)) for u, v in zip(data.u0, data.u1)]
-    n_modes = len(dyns)
-    mode_abs = np.empty((len(times), n_modes))
-    energy = np.empty(len(times))
-    diss = np.empty(len(times))
     ns = np.asarray(data.indices, dtype=float)
+    r1, r2 = mode_roots(system, ns, eps, alpha)
+    uu, vv = _propagate(r1, r2, np.asarray(data.profile, dtype=complex),
+                        np.asarray(data.u0, dtype=complex),
+                        np.asarray(data.u1, dtype=complex), control, 0.0, times)
     stiff = stiffness_for(system, ns, eps, alpha)
-
-    for k, t in enumerate(times):
-        if k > 0:
-            span = (times[k - 1], t)
-            cur = [mode_propagate(d, st, control, span) for d, st in zip(dyns, cur)]
-        uu = np.array([c[0] for c in cur])
-        vv = np.array([c[1] for c in cur])
-        mode_abs[k] = np.abs(uu)
-        energy[k] = np.pi / 2.0 * np.sum(stiff * np.abs(uu) ** 2 + np.abs(vv) ** 2)
-        diss[k] = 2.0 * np.pi * eps * np.sum(ns ** (2.0 * alpha) * np.abs(vv) ** 2) \
-            if system != "wave" and eps > 0 else 0.0
-
-    final = ModalState(indices=tuple(int(n) for n in data.indices),
-                       u0=tuple(c[0] for c in cur),
-                       u1=tuple(c[1] for c in cur),
-                       profile=tuple(data.profile))
+    energy = np.pi / 2.0 * np.sum(stiff[:, None] * np.abs(uu) ** 2 + np.abs(vv) ** 2,
+                                  axis=0)
+    if system != "wave" and eps > 0:
+        diss = 2.0 * np.pi * eps * np.sum(ns[:, None] ** (2.0 * alpha) * np.abs(vv) ** 2,
+                                          axis=0)
+    else:
+        diss = np.zeros(len(times))
+    final = ModalState.from_arrays(data.indices, uu[:, -1], vv[:, -1], data.profile)
     return Trajectory(times=times, energy=energy, dissipation=diss,
-                      mode_abs=mode_abs, final=final)
+                      mode_abs=np.abs(uu).T, final=final)
 
 
 def final_residual(final: ModalState, initial: ModalState, eps: float,
@@ -253,15 +253,3 @@ def final_residual(final: ModalState, initial: ModalState, eps: float,
     if e0 == 0.0:
         return 0.0
     return e1 / e0
-
-
-def viscous_root_ratio(n: int, eps: float, alpha: float) -> float:
-    """|slow root| / |fast root| for the viscous variant, defined once the
-    discriminant is positive; decreases toward 0 in |n| for alpha > 1/2,
-    which is the sense in which distant slow roots accumulate."""
-    b = eps * float(n) ** (2.0 * alpha)
-    disc = b * b - float(n) ** 2
-    if disc <= 0:
-        raise ConfigError("roots are complex; no slow/fast split")
-    sq = np.sqrt(disc)
-    return (b - sq) / (b + sq)

@@ -77,8 +77,15 @@ def _tail_integral(m_cut: float, z, lam_c_m, eps, alpha, nodes) -> np.ndarray:
     p = _tail_exponent(eps, alpha)
     q = 1.0 / (p - 1.0)
     s, w = nodes
-    t = m_cut * s ** (-q)
-    jac = m_cut * q * s ** (-q - 1.0)
+    with np.errstate(over="ignore"):
+        t = m_cut * s ** (-q)
+        jac = m_cut * q * s ** (-q - 1.0)
+        if not np.isfinite(t[0] * t[0]):
+            # p -> 1 as alpha -> 1/2: the substitution sends the first node
+            # past the float range, where the paired term can no longer be
+            # formed (it squares t)
+            raise ConfigError(f"alpha = {alpha} is too close to 1/2: the product "
+                              f"tail decays like t^-{p:.4g}, too slowly for its quadrature")
     return np.sum((w * jac)[:, None] * _pair_log(t[:, None], z[None, :], lam_c_m, eps, alpha),
                   axis=0)
 
@@ -163,15 +170,6 @@ class ProductEvaluator:
                   - _pair_log(m_cut - 2 * h3, z, lam_c_m, eps, alpha)) / (2.0 * h3 ** 3)
             bound = np.abs(tail64 - tail32) + 7.0 / 5760.0 * np.abs(f3)
         return out, bound
-
-
-# ---------------------------------------------------------------------------
-# convenience wrappers over the evaluator
-# ---------------------------------------------------------------------------
-
-def product_eval(m: int, z, ev: ProductEvaluator):
-    """Product value at z (complex scalar or array)."""
-    return ev.eval(m, z)
 
 
 def product_eps0(m: int, z) -> complex:

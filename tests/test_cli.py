@@ -45,6 +45,25 @@ def test_spectrum_dump_near_half_alpha(runner, tmp_path, delta):
     assert len(rows) == 8 and np.all(np.isfinite(vals))
 
 
+@pytest.mark.parametrize("alpha", [0.5000001, 0.51, 0.55])
+@pytest.mark.parametrize("command", [["multiplier", "check"], ["biorth", "build"]],
+                         ids=["multiplier_check", "biorth_build"])
+def test_near_half_alpha_finite_or_invalid(runner, tmp_path, command, alpha):
+    # just above 1/2 the branch point gamma_eps is huge or inf: the node sums
+    # below it and the product tail must give finite values or exit 2
+    res = runner.invoke(main, command + ["--alpha", repr(alpha), "--epsilon", "0.1",
+                                         "--modes", "1", "--out", str(tmp_path / "out.csv")])
+    assert "Traceback" not in res.output
+    assert res.exit_code in (0, 2), repr(res.exception)
+    if res.exit_code == 2:
+        assert "invalid input" in res.output
+        return
+    rows = [r.split(",") for r in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+    numeric = [r[:-1] if command[0] == "multiplier" else r for r in rows]  # drop status
+    vals = [float(v) for r in numeric for v in r]
+    assert rows and np.all(np.isfinite(vals))
+
+
 def test_missing_parameters_is_invalid_input(runner, tmp_path):
     res = _run(runner, ["spectrum", "dump", "--alpha", "0.25"], tmp_path)
     assert res.exit_code == 2

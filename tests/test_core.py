@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscowave.core import (ConfigError, ControlSignal, DegenerateAlphaError,
-                            ModalState, ProblemConfig, QuadBudget, h0_norm_sq,
-                            load_config, log1p_c, next_pow2, project_profile,
-                            sinc_c, sinhc, validate_config)
+                            ModalState, ProblemConfig, QuadBudget, exp_integral,
+                            h0_norm_sq, load_config, log1p_c, next_pow2,
+                            project_profile, sinc_c, sinhc, validate_config)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +221,60 @@ def test_sinhc_and_sinc():
     # series/direct switch is continuous
     lo, hi = complex(sinhc(0.999e-3)), complex(sinhc(1.001e-3))
     assert abs(lo - hi) < 1e-9
+
+
+def _exp_integral_points(region: str):
+    """Inputs (p, a, rho, c, lo, hi) with q = p + rho set through y = qL/2.
+
+    Endpoints and centres sit on a 1/64 grid, so L, mid and the offsets are
+    exact; c stays within 1/8 of mid and a within 3 of it, which keeps the
+    exponents (and so the rounding of the float inputs themselves) moderate.
+    """
+    rng = np.random.default_rng({"sinhc_switch": 1, "large_re": 2, "complex": 3}[region])
+    n = 300
+    lo = rng.integers(-192, 64, n) / 64.0
+    length = rng.integers(16, 128, n) / 64.0
+    hi = lo + length
+    mid = 0.5 * (lo + hi)
+    a = mid + rng.integers(-192, 193, n) / 64.0
+    c = mid + rng.integers(-8, 9, n) / 64.0
+    p = rng.normal(size=n) + 1j * rng.normal(size=n)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    if region == "sinhc_switch":
+        # |qL/2| log-uniform over 1e-6 .. 1, across sinhc's series switch at 1e-3
+        y = 10.0 ** rng.uniform(-6.0, 0.0, n) * phase
+    elif region == "large_re":
+        # Re(qL/2) = +-(5 .. 20): |Re q| up to 160, growing and decaying
+        y = rng.choice([-1.0, 1.0], n) * rng.uniform(5.0, 20.0, n) + 1j * rng.normal(size=n)
+    else:
+        y = 10.0 ** rng.uniform(-1.0, np.log10(20.0), n) * phase
+    rho = 2.0 * y / length - p
+    return p, a, rho, c, lo, hi
+
+
+@pytest.mark.parametrize("region", ["sinhc_switch", "large_re", "complex"])
+def test_exp_integral_matches_mpmath(region):
+    # reference: the antiderivative difference (e^{q hi} - e^{q lo})/q
+    # e^{-pa - rho c} at 40 digits, a form the kernel does not use
+    args = _exp_integral_points(region)
+    got = exp_integral(*args)
+    worst = 0.0
+    with mp.workdps(40):
+        for g, (p, a, rho, c, lo, hi) in zip(got, zip(*args)):
+            pm, rm = mp.mpc(p.real, p.imag), mp.mpc(rho.real, rho.imag)
+            q = pm + rm
+            ref = (mp.exp(q * hi) - mp.exp(q * lo)) / q * mp.exp(-pm * a - rm * c)
+            worst = max(worst, float(abs(mp.mpc(g.real, g.imag) - ref) / abs(ref)))
+    print(f"exp_integral {region}: max relative error {worst:.2e} vs 40-digit mpmath")
+    assert worst < 1e-14
+
+
+def test_exp_integral_empty_interval_is_zero():
+    p = np.array([1.0 + 2.0j, 800.0, -800.0 + 1j])
+    got = exp_integral(p, -5.0, 0.5j, 3.0, np.array([1.0, 2.0, 2.0]), np.array([1.0, 1.0, -4.0]))
+    assert np.all(got == 0.0)
+    # broadcasting keeps every term: (2, 1) x (3,) -> (2, 3), nothing summed
+    assert exp_integral(np.ones((2, 1)), 0.0, np.zeros(3), 0.0, 0.0, 1.0).shape == (2, 3)
 
 
 def test_next_pow2():

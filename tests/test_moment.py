@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import seeded_data
-from viscowave.core import ConfigError, ModalState
+from viscowave import biorthogonal as bio
+from viscowave import pde
+from viscowave.core import ConfigError, ModalState, ProblemConfig, validate_config
 from viscowave.moment import (MomentSystem, SingularGramError, gram_matrix,
                               ingham_ratio, ingham_trials, minnorm_control,
                               moment_rhs, moment_verification,
@@ -143,6 +145,33 @@ def test_series_requires_family_coverage(resonant_data):
 
     with pytest.raises(ConfigError):
         synthesize_control_series(resonant_data, TinyFamily(), TWO_PI, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_series_route_end_to_end_damped(alpha):
+    # damped family -> series control -> exact propagation of the corrected
+    # system, at the horizon `control solve --series` picks by default
+    eps, n = 0.1, 3
+    cfg = validate_config(ProblemConfig(alpha=alpha, epsilon=eps, n_modes=n),
+                          for_synthesis=True)
+    ms = [m for m in range(-n, n + 1) if m != 0]
+    fam = bio.zeta_eval(bio.build_theta_family(cfg, ms), cfg.smoothing_a)
+    T = float(2.0 * np.ceil(fam.support_half + 0.5))
+    cfg = validate_config(ProblemConfig(alpha=alpha, epsilon=eps, n_modes=n,
+                                        horizon_T=T), for_synthesis=True)
+    data = seeded_data(n=n)
+    res = synthesize_control_series(data, fam, T, eps, alpha)
+    assert res.control.exp_terms is None     # the sampled propagation path
+    traj = pde.simulate(cfg, data, res.control)
+    resid = pde.final_residual(traj.final, data, eps, alpha)
+    sys_ = MomentSystem.build(data, T, eps, alpha)
+    moment_err = moment_verification(res.control, sys_) / np.max(np.abs(sys_.rhs))
+    print(f"series route eps={eps} alpha={alpha} N={n} T={T:g}: final residual "
+          f"{resid:.3e} (tol 1e-9), relative moment error {moment_err:.2e} (tol 1e-2)")
+    # piecewise-linear reconstruction floor: 5.3e-10 (T = 14), 6.8e-20 (T = 122)
+    assert resid <= 1e-9
+    # the trapezoid check's own O(h^2 |lambda|^2) error: 3.3e-4 and 6.3e-3
+    assert moment_err <= 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscowave.core import ConfigError
-from viscowave.multiplier import (MultiplierEvaluator, multiplier_eval,
-                                  multiplier_property_check, node_power_sum)
+from viscowave.multiplier import (MultiplierEvaluator, multiplier_property_check,
+                                  node_power_sum)
 from viscowave.spectrum import E, lambda_vals, multiplier_nodes, phi_eps_inverse
 
 
@@ -31,6 +31,23 @@ def test_power_sum_matches_direct():
             assert closed <= (direct + hi) * (1 + 1e-9)
 
 
+def test_power_sum_just_above_half_alpha():
+    # gamma_eps = inf at alpha = 0.5000001, eps = 0.1, so every node is on the
+    # inner branch; the same direct sum and integral bracket pin the closed form
+    eps, alpha, k, big = 0.1, 0.5000001, 20, 3_000_000
+    ns = np.arange(k + 1, big + 1, dtype=float)
+    for power in (2.0, 4.0):
+        direct = float(np.sum((phi_eps_inverse(ns, eps, alpha) / E) ** (-power)))
+        s = power / (2.0 * alpha)
+        c = E ** power * eps ** s
+        closed = node_power_sum(k, eps, alpha, power)
+        assert direct + c * (big + 1.0) ** (1.0 - s) / (s - 1.0) <= closed * (1 + 1e-12)
+        assert closed <= (direct + c * float(big) ** (1.0 - s) / (s - 1.0)) * (1 + 1e-9)
+    # p = 1 has s < 1 (no Hurwitz form) and 1e10 terms below gamma_eps at 0.55
+    with pytest.raises(ConfigError, match="gamma_eps"):
+        node_power_sum(k, eps, 0.55, 1.0)
+
+
 def test_power_sum_requires_nodes():
     with pytest.raises(ConfigError):
         node_power_sum(10, 0.0, 0.25, 2.0)
@@ -38,7 +55,7 @@ def test_power_sum_requires_nodes():
 
 def test_value_at_origin_and_symmetry():
     ev = MultiplierEvaluator(0.1, 0.25, z_max=50.0)
-    assert multiplier_eval(1, 0.0 + 0j, ev) == pytest.approx(1.0, rel=1e-14)
+    assert ev.eval(1, 0.0 + 0j) == pytest.approx(1.0, rel=1e-14)
     x = np.array([0.5, 3.7, 24.0], dtype=complex)
     left = ev.eval(2, -x)
     right = ev.eval(2, x)
@@ -49,7 +66,7 @@ def test_value_at_origin_and_symmetry():
 @settings(max_examples=60, deadline=None)
 def test_unit_modulus_on_real_axis(x, m):
     ev = MultiplierEvaluator(0.1, 0.75, z_max=256.0)
-    val = abs(multiplier_eval(m, complex(x), ev))
+    val = abs(ev.eval(m, complex(x)))
     assert val <= 1.0 + 1e-12
 
 

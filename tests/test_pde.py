@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from viscowave.core import (ConfigError, ControlSignal, ModalState,
                             ProblemConfig, validate_config)
 from viscowave.pde import (SYSTEMS, ModeDynamics, final_residual, modal_energy,
-                           mode_propagate, simulate, stiffness_for,
-                           viscous_root_ratio)
+                           mode_propagate, simulate, stiffness_for)
 
 
 def _cfg(alpha=0.25, eps=0.1, **kw):
@@ -37,14 +36,6 @@ def test_viscous_roots_satisfy_characteristic():
     b = 0.1 * 5 ** 1.5
     for r in (dyn.root_plus, dyn.root_minus):
         assert r * r + 2 * b * r + 25.0 == pytest.approx(0.0, abs=1e-10)
-
-
-def test_viscous_root_ratio():
-    # overdamped regime: both roots real, ratio in (0, 1]
-    ratio = viscous_root_ratio(2, 0.9, 0.75)
-    assert 0 < ratio <= 1
-    with pytest.raises(ConfigError):
-        viscous_root_ratio(50, 0.01, 0.25)    # underdamped: no real splitting
 
 
 def test_stiffness_values():
@@ -125,6 +116,19 @@ def test_exponential_terms_match_samples():
     u_e, ud_e = mode_propagate(dyn, state, exact, (0.0, 2.0))
     assert u_s == pytest.approx(u_e, rel=1e-7)
     assert ud_s == pytest.approx(ud_e, rel=1e-7)
+    # whole trajectories of three modes: the sampled recurrence against the
+    # closed form from t = 0, on the same 257 record times
+    data = ModalState.from_arrays([1, 2, 3], [0.2, -0.3, 0.1], [-0.1, 0.4, 0.2],
+                                  [1.0, 0.7, -0.5])
+    cfg = _cfg(horizon_T=2.0)
+    traj_s = simulate(cfg, data, sampled)
+    traj_e = simulate(cfg, data, exact)
+    assert np.max(np.abs(traj_s.times - traj_e.times)) < 1e-15
+    assert np.max(np.abs(traj_s.energy / traj_e.energy - 1.0)) < 1e-7
+    scale = np.max(traj_e.mode_abs)
+    assert np.max(np.abs(traj_s.mode_abs - traj_e.mode_abs)) < 1e-7 * scale
+    for got, want in ((traj_s.final.u0, traj_e.final.u0), (traj_s.final.u1, traj_e.final.u1)):
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-7 * np.max(np.abs(want))
 
 
 def test_span_must_align_with_sample_grid():

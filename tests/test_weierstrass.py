@@ -10,7 +10,7 @@ from viscowave.core import ConfigError
 from viscowave.spectrum import lambda_conj_vals
 from viscowave.weierstrass import (ProductEvaluator, _pair_log, envelope_fit,
                                    growth_bound_check, interpolation_check,
-                                   product_eps0, product_eval)
+                                   product_eps0)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ def test_engine_matches_eps0_closed_form():
     x = np.linspace(-20, 20, 1601)
     for m in (1, 2, 5):
         keep = (np.abs(x) > 1e-3) & (np.abs(x - m) > 1e-3)
-        got = product_eval(m, x[keep].astype(complex), ev)
+        got = ev.eval(m, x[keep].astype(complex))
         want = (-1.0) ** m * m * np.sin(np.pi * x[keep]) / (
             np.pi * x[keep] * (x[keep] - m))
         assert np.max(np.abs(got - want)) < 1e-10
@@ -48,7 +48,7 @@ def test_small_viscosity_continuity():
     ev = ProductEvaluator(1e-8, 0.25)
     z = np.array([0.3, 2.7, -5.2, 10.1], dtype=complex)
     want = np.array([product_eps0(2, zz) for zz in z])
-    got = product_eval(2, z, ev)
+    got = ev.eval(2, z)
     assert np.max(np.abs(got - want)) < 1e-5
 
 
@@ -151,8 +151,8 @@ def test_mirror_conjugation_identity(m, x, y):
     # relation is P_{-m}(-z) = conj(P_m(conj z))
     ev = ProductEvaluator(0.1, 0.25)
     z = complex(x, y)
-    lhs = complex(product_eval(-m, -z, ev))
-    rhs = complex(product_eval(m, np.conjugate(z), ev)).conjugate()
+    lhs = complex(ev.eval(-m, -z))
+    rhs = complex(ev.eval(m, np.conjugate(z))).conjugate()
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
 
