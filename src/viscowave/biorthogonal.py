@@ -65,11 +65,14 @@ class EntireInterpolant:
         l2 = node_sum_bound(self.eps, self.alpha) if self.mult is not None else 0.0
         return LATTICE_TYPE + self.omega * l2 + (1 + self.decay_boost) * self.delta
 
-    def log_psi(self, z) -> np.ndarray:
+    def log_psi(self, z, log_mult=None) -> np.ndarray:
+        """log psi_m(z); log_mult is log M_m(z) if the caller already has it."""
         z = np.asarray(z, dtype=complex)
         out = self.product.log_eval(self.m, z)
         if self.mult is not None:
-            out = out + self.omega * self.mult.log_eval(self.m, z) - self.log_mult_node
+            if log_mult is None:
+                log_mult = self.mult.log_eval(self.m, z)
+            out = out + self.omega * log_mult - self.log_mult_node
         w = self.delta * (z - self.node)
         with np.errstate(divide="ignore"):
             out = out + (1 + self.decay_boost) * np.log(sinc_c(w))
@@ -82,11 +85,10 @@ def make_interpolant(m: int, cfg: ProblemConfig, omega: int,
     eps, alpha = cfg.epsilon, cfg.alpha
     if product is None:
         product = ProductEvaluator(eps, alpha)
-    need_mult = eps > 0 and alpha > 0
-    if need_mult and mult is None:
-        mult = MultiplierEvaluator(eps, alpha)
-    if not need_mult:
+    if not (eps > 0 and alpha > 0):
         mult = None
+    elif mult is None:
+        mult = MultiplierEvaluator(eps, alpha)
     node = 1j * complex(lambda_conj_vals(m, eps, alpha))
     log_node = 0.0 + 0.0j
     if mult is not None:
@@ -284,15 +286,9 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     outside_mass = {}
     tg_kept = None
     for m in ms:
-        it = interps[m]
-        logpsi = product.log_eval(m, zg)
-        if mult is not None:
-            prefix = mult.log_factor_range(1, node_start(m, eps, alpha) - 1, zg)
-            logpsi = logpsi + omega * (base_mult - prefix) - it.log_mult_node
-        w = cfg.delta * (zg - it.node)
-        with np.errstate(divide="ignore"):
-            logpsi = logpsi + (1 + cfg.decay_boost) * np.log(sinc_c(w))
-        psi = np.exp(logpsi)
+        log_mult = None if mult is None else \
+            base_mult - mult.log_factor_range(1, node_start(m, eps, alpha) - 1, zg)
+        psi = np.exp(interps[m].log_psi(zg, log_mult))
         edge_worst = max(edge_worst, float(abs(psi[0])), float(abs(psi[-1])))
         tg, th = fourier_to_time(psi, half, dx)
         dt = tg[1] - tg[0]

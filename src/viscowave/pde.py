@@ -142,12 +142,15 @@ def _propagate(r1, r2, f, u0, v0, control: ControlSignal | None, t_a: float,
             lo, hi = control.exp_support if control.exp_support is not None \
                 else (control.t0, control.t1)
             # blocks of record times bound the (roots, times, terms) arrays by
-            # about _BLOCK elements; one block took an N = 64 solve to 606 MB
+            # about _BLOCK elements; one block took an N = 64 solve to 606 MB.
+            # The terms are contracted by a sum, not a stacked matmul, which
+            # makes one BLAS call per (root, time) and ran 100x slower
             step = max(1, _BLOCK // (len(r) * len(rates)))
             for k in range(0, len(times), step):
                 t = times[k:k + step, None]
-                z[:, k:k + step] += f * (exp_integral(-r[..., None], t, rates, control.exp_center,
-                                                      max(lo, t_a), np.minimum(t, hi)) @ weights)
+                z[:, k:k + step] += f * np.sum(
+                    exp_integral(-r[..., None], t, rates, control.exp_center,
+                                 max(lo, t_a), np.minimum(t, hi)) * weights, axis=-1)
     y, w = np.split(z, 2)
     r1, r2 = r1[:, None], r2[:, None]
     return (y - w) / (r1 - r2), (r1 * y - r2 * w) / (r1 - r2)

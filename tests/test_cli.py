@@ -64,6 +64,18 @@ def test_near_half_alpha_finite_or_invalid(runner, tmp_path, command, alpha):
     assert rows and np.all(np.isfinite(vals))
 
 
+def test_multiplier_check_small_eps(runner, tmp_path):
+    # at alpha = 3/4, eps = 5e-4 the branch point gamma_eps = eps^-2 puts 4e6
+    # nodes below it; the type sum over them has a closed form, so the
+    # eps -> 0 regime stays computable
+    res = runner.invoke(main, ["multiplier", "check", "--alpha", "0.75", "--epsilon",
+                               "5e-4", "--modes", "1", "--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == 0, res.output
+    rows = [r.split(",") for r in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+    assert rows and np.all(np.isfinite([float(v) for r in rows for v in r[:-1]]))
+    assert all(r[-1] == "ok" for r in rows)
+
+
 def test_missing_parameters_is_invalid_input(runner, tmp_path):
     res = _run(runner, ["spectrum", "dump", "--alpha", "0.25"], tmp_path)
     assert res.exit_code == 2

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 from viscowave.core import ConfigError
 from viscowave.multiplier import (MultiplierEvaluator, multiplier_property_check,
                                   node_power_sum)
-from viscowave.spectrum import E, lambda_vals, multiplier_nodes, phi_eps_inverse
+from viscowave.spectrum import E, gamma_eps, lambda_vals, multiplier_nodes, phi_eps_inverse
 
 
 def test_power_sum_matches_direct():
@@ -43,9 +44,32 @@ def test_power_sum_just_above_half_alpha():
         closed = node_power_sum(k, eps, alpha, power)
         assert direct + c * (big + 1.0) ** (1.0 - s) / (s - 1.0) <= closed * (1 + 1e-12)
         assert closed <= (direct + c * float(big) ** (1.0 - s) / (s - 1.0)) * (1 + 1e-9)
-    # p = 1 has s < 1 (no Hurwitz form) and 1e10 terms below gamma_eps at 0.55
+    # p = 1 has s < 1, so the sum over all n diverges when gamma_eps is inf
     with pytest.raises(ConfigError, match="gamma_eps"):
-        node_power_sum(k, eps, 0.55, 1.0)
+        node_power_sum(k, eps, alpha, 1.0)
+
+
+def test_power_sum_below_branch_point_matches_mpmath():
+    # below gamma_eps the sum is E^p eps^s (zeta(s, k+1) - zeta(s, ng+1)) with
+    # s = p/2a, which mpmath continues to s < 1; past it, a zeta of order 2ap.
+    # Covers ranges of 1e3 to 1e10 terms, the p = 1 type sum included
+    mp.mp.dps = 40
+    worst = 0.0
+    for eps, alpha in [(0.1, 0.51), (0.1, 0.55), (0.1, 0.75), (5e-4, 0.75),
+                       (0.01, 0.9), (0.5, 0.75)]:
+        ng = mp.mpf(np.floor(gamma_eps(eps, alpha)))
+        for power in (1.0, 2.0, 4.0):
+            for k in (0, 20, 500):
+                s = power / (2 * mp.mpf(alpha))
+                outer = (mp.e / eps) ** power * mp.zeta(2 * mp.mpf(alpha) * power,
+                                                        max(ng, k) + 1)
+                inner = (mp.e ** power * mp.mpf(eps) ** s
+                         * (mp.zeta(s, k + 1) - mp.zeta(s, ng + 1)) if k < ng else 0)
+                ref = inner + outer
+                rel = abs(node_power_sum(k, eps, alpha, power) - ref) / ref
+                worst = max(worst, float(rel))
+    print(f"node_power_sum vs mpmath: max rel err {worst:.2e}")
+    assert worst <= 1e-13
 
 
 def test_power_sum_requires_nodes():
