@@ -22,10 +22,15 @@ zeros), and the transform's support claim rests on entirety.  "fitted" mode
 therefore fits the envelope exponent over the working index range and takes
 the next integer above 1.25x the fit.
 
-Only the multiplier work is shared across a family build: its factors from
-node 1 are computed once on the grid, with the per-m starting node handled
-by subtracting the short prefix of factor logs.  The product's pair sums
-depend on conj(lambda_m) and are recomputed in full for every m.
+A family build does its per-member work once per |m|.  The lattice is
+mirror-symmetric, lambda_{-m} = conj(lambda_m), so node_{-m} = -conj(node_m)
+and P_{-m}(z) = conj(P_m(-conj z)); the multiplier is even with real Taylor
+coefficients.  Hence psi_{-m}(x) = conj(psi_m(-x)) on the real axis and
+theta_{-m} = conj(theta_m): the product's pair sums, which depend on
+conj(lambda_m), run in full only for m > 0, and the m < 0 members are
+conjugates.  The multiplier's factors from node 1 are computed once on |x|
+over half the grid, with the per-m starting node handled by subtracting
+the short prefix of factor logs.
 """
 
 from __future__ import annotations
@@ -240,17 +245,22 @@ def _norm_fit(norms: dict, eps: float, alpha: float) -> tuple[float, float]:
 
 
 def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
-    """Assemble interpolants for every index and transform them to time.
+    """Assemble interpolants for every |m| and transform them to time.
 
-    One shared x grid serves the whole family; the per-m product is the only
-    O(N) work, the multiplier bulk is computed once from node 1 and per-m
-    prefixes are subtracted.
+    One shared x grid serves the whole family.  The product runs once per
+    |m| on it; member -m is the conjugate of member m.  On the periodic DFT
+    grid x_j = -half + j dx that is exact up to one sample: the reflection
+    of x_0 = -half is its periodic partner +half (half t_k = pi k), so the
+    edge check also reads psi_m[1], the mirrored member's last sample.  The
+    multiplier bulk and the per-m prefixes are evaluated on |x| = j dx,
+    j = 0..n/2, and gathered onto the grid.
     """
     cfg = validate_config(cfg, for_synthesis=True)
     eps, alpha = cfg.epsilon, cfg.alpha
     ms = tuple(sorted(m for m in m_range if m != 0))
     if not ms:
         raise ConfigError("empty index range")
+    ks = sorted({abs(m) for m in ms})
 
     product = ProductEvaluator(eps, alpha)
     need_mult = eps > 0 and alpha > 0
@@ -263,48 +273,51 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     if half is None:
         # probe with a throwaway multiplier: probing visits large |x| and
         # would otherwise inflate the evaluator's direct-factor range far
-        # beyond what the final grid needs
+        # beyond what the final grid needs; the probe points are
+        # mirror-closed, so the m > 0 members speak for the m < 0 ones
         probe_mult = MultiplierEvaluator(eps, alpha) if need_mult else None
-        probe = [make_interpolant(m, cfg, omega, product=product, mult=probe_mult)
-                 for m in ms]
+        probe = [make_interpolant(k, cfg, omega, product=product, mult=probe_mult)
+                 for k in ks]
         half = _probe_half_width(probe)
     mult = MultiplierEvaluator(eps, alpha, z_max=half) if need_mult else None
-    interps = {m: make_interpolant(m, cfg, omega, product=product, mult=mult)
-               for m in ms}
+    interps = {k: make_interpolant(k, cfg, omega, product=product, mult=mult)
+               for k in ks}
 
     n = next_pow2(int(2.0 * half * cfg.quad.points_per_unit))
     dx = 2.0 * half / n
-    xg = -half + dx * np.arange(n)
-    zg = xg.astype(complex)
+    zg = (-half + dx * np.arange(n)).astype(complex)
+    fold = np.abs(np.arange(n) - n // 2)  # |x_j| = dx * fold[j]
+    z_abs = dx * np.arange(n // 2 + 1, dtype=complex)
 
-    base_mult = mult.log_eval_start(1, zg) if mult is not None else None
+    base_mult = mult.log_eval_start(1, z_abs) if mult is not None else None
 
-    support_half = interps[ms[0]].declared_type
-    values = {}
-    norms = {}
+    support_half = interps[ks[0]].declared_type
+    members = {}
     edge_worst = 0.0
-    outside_mass = {}
     tg_kept = None
-    for m in ms:
+    for k in ks:
         log_mult = None if mult is None else \
-            base_mult - mult.log_factor_range(1, node_start(m, eps, alpha) - 1, zg)
-        psi = np.exp(interps[m].log_psi(zg, log_mult))
-        edge_worst = max(edge_worst, float(abs(psi[0])), float(abs(psi[-1])))
+            (base_mult - mult.log_factor_range(1, node_start(k, eps, alpha) - 1, z_abs))[fold]
+        psi = np.exp(interps[k].log_psi(zg, log_mult))
+        edge_worst = max(edge_worst, float(np.max(np.abs(psi[[0, 1, -1]]))))
         tg, th = fourier_to_time(psi, half, dx)
         dt = tg[1] - tg[0]
         total = float(np.sum(np.abs(th) ** 2) * dt)
         inside = np.abs(tg) <= support_half
-        outside_mass[m] = float(np.sum(np.abs(th[~inside]) ** 2) * dt / total) \
+        outside = float(np.sum(np.abs(th[~inside]) ** 2) * dt / total) \
             if total > 0 else 0.0
         keep = np.abs(tg) <= min(tg[-1], support_half + 2.0 * cfg.smoothing_a + 4.0)
         if tg_kept is None:
             tg_kept = tg[keep]
-        values[m] = th[keep]
-        norms[m] = float(np.sqrt(np.sum(np.abs(values[m]) ** 2) * dt))
+        th = th[keep]
+        members[k] = (th, float(np.sqrt(np.sum(np.abs(th) ** 2) * dt)), outside)
     if edge_worst > 1e-8:
         raise ConfigError(f"quadrature budget insufficient: |psi| = {edge_worst:.2e} "
                           "at the grid edge")
 
+    values = {m: members[m][0] if m > 0 else np.conj(members[-m][0]) for m in ms}
+    norms = {m: members[abs(m)][1] for m in ms}
+    outside_mass = {m: members[abs(m)][2] for m in ms}
     beta_hat, c_hat = _norm_fit(norms, eps, alpha)
     meta = {"half_width": half, "dx": dx, "n_fft": n, "psi_edge": edge_worst,
             "outside_mass": outside_mass, "points_per_unit": cfg.quad.points_per_unit}

@@ -530,6 +530,8 @@ def verify(config, out, seed, alpha, epsilon, modes, horizon) -> None:
         def check(name, fn):
             try:
                 ok, detail = fn()
+            except (ConfigError, DegenerateAlphaError):
+                raise                         # refused input, not a failed check
             except Exception as exc:          # noqa: BLE001 - report, not crash
                 ok, detail = False, f"error: {exc}"
             checks.append((name, ok, detail))

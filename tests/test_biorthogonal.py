@@ -6,6 +6,7 @@ import pytest
 from viscowave import biorthogonal as bio
 from viscowave.core import (ConfigError, ProblemConfig, sinhc,
                             validate_config)
+from viscowave.multiplier import MultiplierEvaluator
 from viscowave.spectrum import node_sum_bound
 from viscowave.weierstrass import ProductEvaluator
 
@@ -134,6 +135,64 @@ def test_theta_conjugate_symmetry(theta_family):
     a = theta_family.member(1)
     b = theta_family.member(-1)
     assert np.max(np.abs(b - np.conjugate(a))) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def theta_family_075():
+    cfg = validate_config(ProblemConfig(alpha=0.75, epsilon=0.1, n_modes=2),
+                          for_synthesis=True)
+    return cfg, bio.build_theta_family(cfg, MS)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_theta_mirror_members_match_direct_evaluation(alpha, theta_family,
+                                                      theta_family_075):
+    # the family builds member -m as conj(theta_m); transform the directly
+    # evaluated psi_{-m} on the family's own x grid instead, with fresh
+    # evaluators, and compare
+    cfg, fam = (CFG, theta_family) if alpha == 0.25 else theta_family_075
+    half, dx, n = fam.meta["half_width"], fam.meta["dx"], fam.meta["n_fft"]
+    zg = (-half + dx * np.arange(n)).astype(complex)
+    worst = 0.0
+    for m in (1, 2):
+        interp = bio.make_interpolant(-m, cfg, fam.omega)
+        tg, th = bio.fourier_to_time(np.exp(interp.log_psi(zg)), half, dx)
+        th = th[(tg >= fam.t_grid[0]) & (tg <= fam.t_grid[-1])]
+        scale = np.max(np.abs(fam.member(m)))
+        worst = max(worst, float(np.max(np.abs(th - fam.member(-m))) / scale))
+    print(f"alpha {alpha}: direct theta_-m vs conj(theta_m), max rel dev {worst:.2e}")
+    assert worst < 1e-11       # observed 1e-13 .. 5e-13
+
+
+def test_family_build_work_counts(monkeypatch):
+    # the product runs on the FFT grid once per |m|, and the even multiplier
+    # (bulk and per-m prefixes) on the n/2 + 1 points |x| = j dx only
+    grid_calls, bulk_sizes, prefix_sizes = [], [], []
+    log_eval = ProductEvaluator.log_eval
+    log_eval_start = MultiplierEvaluator.log_eval_start
+    log_factor_range = MultiplierEvaluator.log_factor_range
+
+    def count_product(self, m, z):
+        grid_calls.append((m, np.size(z)))
+        return log_eval(self, m, z)
+
+    def count_bulk(self, n_from, z):
+        bulk_sizes.append(np.size(z))
+        return log_eval_start(self, n_from, z)
+
+    def count_prefix(self, lo, hi, z):
+        prefix_sizes.append(np.size(z))
+        return log_factor_range(self, lo, hi, z)
+
+    monkeypatch.setattr(ProductEvaluator, "log_eval", count_product)
+    monkeypatch.setattr(MultiplierEvaluator, "log_eval_start", count_bulk)
+    monkeypatch.setattr(MultiplierEvaluator, "log_factor_range", count_prefix)
+    fam = bio.build_theta_family(CFG, MS)
+    n = fam.meta["n_fft"]
+    assert sorted(m for m, size in grid_calls if size == n) == [1, 2]
+    assert max(bulk_sizes) == n // 2 + 1
+    assert bulk_sizes.count(n // 2 + 1) == 1
+    assert max(prefix_sizes) <= n // 2 + 1
 
 
 def test_stacked_norm_bounded(theta_family):

@@ -45,12 +45,24 @@ def test_spectrum_dump_near_half_alpha(runner, tmp_path, delta):
     assert len(rows) == 8 and np.all(np.isfinite(vals))
 
 
+# (argv, CSV columns that must be finite): multiplier check ends in a status
+# word, verify writes only words, and the series row's gram_cond is nan by
+# design (no Gram matrix on that route)
+NEAR_HALF_COMMANDS = {
+    "multiplier_check": (["multiplier", "check"], slice(0, -1)),
+    "biorth_build": (["biorth", "build"], slice(None)),
+    "biorth_verify": (["biorth", "verify"], slice(None)),
+    "verify": (["verify"], slice(0, 0)),
+    "control_solve_series": (["control", "solve", "--series"], [0, 1, 2, 3, 4, 6]),
+}
+
+
 @pytest.mark.parametrize("alpha", [0.5000001, 0.51, 0.55])
-@pytest.mark.parametrize("command", [["multiplier", "check"], ["biorth", "build"]],
-                         ids=["multiplier_check", "biorth_build"])
-def test_near_half_alpha_finite_or_invalid(runner, tmp_path, command, alpha):
+@pytest.mark.parametrize("name", list(NEAR_HALF_COMMANDS))
+def test_near_half_alpha_finite_or_invalid(runner, tmp_path, name, alpha):
     # just above 1/2 the branch point gamma_eps is huge or inf: the node sums
     # below it and the product tail must give finite values or exit 2
+    command, cols = NEAR_HALF_COMMANDS[name]
     res = runner.invoke(main, command + ["--alpha", repr(alpha), "--epsilon", "0.1",
                                          "--modes", "1", "--out", str(tmp_path / "out.csv")])
     assert "Traceback" not in res.output
@@ -58,9 +70,9 @@ def test_near_half_alpha_finite_or_invalid(runner, tmp_path, command, alpha):
     if res.exit_code == 2:
         assert "invalid input" in res.output
         return
-    rows = [r.split(",") for r in (tmp_path / "out.csv").read_text().splitlines()[1:]]
-    numeric = [r[:-1] if command[0] == "multiplier" else r for r in rows]  # drop status
-    vals = [float(v) for r in numeric for v in r]
+    rows = [np.array(r.split(","))
+            for r in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+    vals = [float(v) for r in rows for v in r[cols]]
     assert rows and np.all(np.isfinite(vals))
 
 

@@ -170,7 +170,8 @@ def test_series_route_end_to_end_damped(alpha):
           f"{resid:.3e} (tol 1e-9), relative moment error {moment_err:.2e} (tol 1e-2)")
     # piecewise-linear reconstruction floor: 5.3e-10 (T = 14), 6.8e-20 (T = 122)
     assert resid <= 1e-9
-    # the trapezoid check's own O(h^2 |lambda|^2) error: 3.3e-4 and 6.3e-3
+    # the controls' own moment error, not the trapezoid rule's: integrating
+    # their piecewise-linear reconstruction exactly gives 3.4e-4 and 5.8e-3
     assert moment_err <= 1e-2
 
 

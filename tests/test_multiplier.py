@@ -84,6 +84,15 @@ def test_value_at_origin_and_symmetry():
     left = ev.eval(2, -x)
     right = ev.eval(2, x)
     assert np.allclose(left, right, rtol=1e-13)
+    # the FFT-style grid -half + j dx of a family build, against its fold
+    # onto |x| = dx |j - n/2|, at alpha = 0.75 where the bulk is heaviest
+    half, n = 150.0, 4096
+    dx = 2.0 * half / n
+    ev = MultiplierEvaluator(0.1, 0.75, z_max=half)
+    grid = ev.log_eval(1, -half + dx * np.arange(n) + 0j)
+    folded = ev.log_eval(1, dx * np.arange(n // 2 + 1) + 0j)[np.abs(np.arange(n) - n // 2)]
+    assert np.max(np.abs(grid.real - folded.real)) <= 1e-12   # |M| down to e^-436
+    assert np.max(np.abs(np.exp(grid) - np.exp(folded))) <= 1e-13
 
 
 @given(x=st.floats(-200.0, 200.0), m=st.integers(1, 8))
