@@ -66,7 +66,10 @@ class ProblemConfig:
     decay_boost: extra sinc powers multiplied into the interpolant; each one
         adds delta to the declared exponential type and one power of 1/|x|
         decay on the real axis.
-    time_grid: samples per unit time for sampled controls and trajectories.
+    time_grid: number of record intervals over [0, T] in pde.simulate (with
+        a sampled control, about that many record points snapped onto its
+        sample grid); sampled controls themselves use a separate, fixed
+        4097 samples (moment.minnorm_control, synthesize_control_series).
     smoothing_a: half-width a of the triangle smoothing kernel.
     gamma_eps: branch point of the weight (filled by validate_config when
         alpha > 1/2 and epsilon > 0; derived, do not set by hand).

@@ -5,20 +5,26 @@ a_n = phi_inv(n)/e.  On the real axis every factor has modulus <= 1, so the
 product trades polynomial growth of an interpolation product for decay like
 exp(-phi(x)), at the price of an exponential type set by sum 1/a_n.
 
-Evaluation: factors with a_n <= 2|z| are multiplied directly (there are
-K = floor(phi(2e|z|)) of them); the remaining log-tail, where |z/a_n| < 1/2,
-is resummed through the series log sinc w = -sum_j zeta(2j)/(j pi^{2j}) w^{2j}
-with the node power sums S_{2j} = sum_{n>K} a_n^{-2j} evaluated in closed
-form: Hurwitz zeta past the weight's branch point gamma_eps, and an
-Euler-Maclaurin sum of n^-s for the finite range below it.  Eleven series
-terms leave a remainder below c_12 |z|^24 S_24, measured around 1e-19; the
-declared bound reported to callers is the coarser |z|^2/6 * S_2 form, which
-dominates the entire post-truncation tail and is the same integral
-comparison that proves the product converges.
+Evaluation is per point.  A point z multiplies the factors with a_n <= 2|z|
+directly: K = floor(phi(2e|z|)) of them, or n_m - 1 if that is more, rounded
+up to the end of its 256-node block and capped at the evaluator's cutoff
+k_cut (the K of the largest |z| seen).  Its remaining log-tail, where
+|z/a_n| <= 1/2, is resummed through the series
+log sinc w = -sum_j zeta(2j)/(j pi^{2j}) w^{2j} with the node power sums
+S_{2j}(K) = sum_{n>K} a_n^{-2j}.  S_{2j}(k_cut) has a closed form: Hurwitz
+zeta past the weight's branch point gamma_eps, and an Euler-Maclaurin sum of
+n^-s for the finite range below it; S_{2j} at the block ends below k_cut add
+the per-block sums of a_n^{-2j}.  Eleven series terms leave a remainder below
+c_12 |z|^24 S_24, measured around 1e-19; the declared bound reported to
+callers is the coarser |z|^2/6 * S_2(K) form, which dominates the entire
+post-truncation tail and is the same integral comparison that proves the
+product converges.  On the real axis the direct factors are summed in real
+arithmetic: log|sinc| plus i pi for each negative factor.
 
-The node bulk (a_n table and the power sums) depends only on (eps, alpha)
-and the largest |z| requested, so one evaluator instance serves a whole
-family of indices m; per-m evaluation just chooses the starting node n_m.
+The node bulk (a_n table and the tail sums at the block ends) depends only on
+(eps, alpha) and the largest |z| requested, so one evaluator instance serves
+a whole family of indices m; per-m evaluation just chooses the starting node
+n_m.
 """
 
 from __future__ import annotations
@@ -34,6 +40,11 @@ from .spectrum import (E, gamma_eps, lambda_vals, node_start, node_sum_bound,
 # used only where |w| <= 1/2 so eleven terms reach ~1e-19
 _SER_J = np.arange(1, 12)
 _SER_C = np.array([float(_hurwitz(2 * j, 1)) / (j * np.pi ** (2 * j)) for j in _SER_J])
+
+# direct factors are summed in chunks of this many nodes; tail sums are
+# tabulated at the ends of the blocks n = 256 b + 1 .. 256 b + 256, so a point's
+# direct range is rounded up to one of them
+_BLOCK = 256
 
 
 # B_2j/(2j)! for Euler-Maclaurin past 32 directly summed terms (from n = 33
@@ -91,8 +102,9 @@ def node_power_sum(k_cut: int, eps: float, alpha: float, power: float) -> float:
 class MultiplierEvaluator:
     """Shared-bulk evaluator at fixed (eps, alpha).
 
-    Holds the direct-factor node table up to the current z range and the
-    tail power sums; grows itself if asked about larger |z|.
+    Holds the node table up to the direct cutoff k_cut of the largest |z|
+    seen, and the tail power sums S_2j(K) at every block end K below it;
+    grows itself if asked about larger |z|.
     """
 
     def __init__(self, eps: float, alpha: float, z_max: float = 1.0):
@@ -111,20 +123,43 @@ class MultiplierEvaluator:
         self.k_cut = max(1, int(np.floor(phi_eps(2.0 * E * z_max, self.eps, self.alpha))))
         ns = np.arange(1, self.k_cut + 1, dtype=float)
         self.nodes = phi_eps_inverse(ns, self.eps, self.alpha) / E
-        self.pow_sums = {int(2 * j): node_power_sum(self.k_cut, self.eps, self.alpha, 2.0 * j)
-                         for j in _SER_J}
+        # column c of _tail_sums is S_2j(c * _BLOCK), the last one S_2j(k_cut):
+        # the closed form at k_cut plus the block sums of a_n^-2j from the far end
+        at_cut = [node_power_sum(self.k_cut, self.eps, self.alpha, 2.0 * j) for j in _SER_J]
+        inv_sq = self.nodes ** -2.0
+        power = np.ones_like(inv_sq)
+        blocks = np.empty((len(_SER_J), -(-self.k_cut // _BLOCK)))
+        for row in blocks:
+            power *= inv_sq
+            row[:] = np.add.reduceat(power, np.arange(0, self.k_cut, _BLOCK))
+        self._tail_sums = np.cumsum(np.column_stack([at_cut, blocks[:, ::-1]]),
+                                    axis=1)[:, ::-1]
 
     def _ensure(self, z_max: float) -> None:
         if z_max > self.z_max:
             self._grow(1.5 * z_max)
 
     def _ensure_start(self, n_from: int) -> None:
-        # the series tail always starts at k_cut + 1, so a product starting
-        # past the cutoff needs the direct range extended up to its n_m
+        # a point's tail starts at K_p + 1 >= n_from, and the tail sums are
+        # tabulated only up to k_cut, so a product starting past the cutoff
+        # needs the direct range extended up to its n_m
         if n_from - 1 > self.k_cut:
             z_need = float(phi_eps_inverse(float(n_from - 1), self.eps, self.alpha)) \
                 / (2.0 * E) * 1.01
             self._grow(max(z_need, self.z_max))
+
+    def _cutoffs(self, n_from: int, az: np.ndarray):
+        """Per-point direct cutoff K_p and its column in the tail-sum table.
+
+        K_p = max(n_from - 1, floor(phi(2e|z_p|))), rounded up to the end of
+        its _BLOCK-node block and capped at k_cut; the nodes past it keep
+        |z_p / a_n| <= 1/2.
+        """
+        self._ensure(float(np.max(az, initial=0.0)))
+        self._ensure_start(n_from)
+        k = np.minimum(np.floor(phi_eps(2.0 * E * az, self.eps, self.alpha)), self.k_cut)
+        col = -(-np.maximum(k.astype(np.int64), n_from - 1) // _BLOCK)
+        return np.minimum(col * _BLOCK, self.k_cut), col
 
     def start_index(self, m: int) -> int:
         return node_start(m, self.eps, self.alpha)
@@ -132,37 +167,69 @@ class MultiplierEvaluator:
     def log_factor_range(self, lo: int, hi: int, z) -> np.ndarray:
         """sum of log sinc(z / a_n) for n in [lo, hi] by direct evaluation.
 
-        Requires hi <= the current direct cutoff.  Summing factor logs keeps
-        the result branch-consistent with any other range of the same nodes,
-        so ranges can be subtracted freely.
+        Requires hi <= the current direct cutoff.  A real z (every imag == 0)
+        is summed in real arithmetic, log|sinc| plus i pi times the number of
+        negative factors; complex z sums the complex factor logs.  Either way
+        the result is branch-consistent with any other range of the same
+        nodes, so ranges can be added and subtracted freely.
         """
         z = np.asarray(z, dtype=complex)
         if hi < lo:
             return np.zeros_like(z)
         if hi > self.k_cut:
             raise ConfigError("factor range beyond the direct cutoff")
+        real = not np.any(z.imag)
+        if real:
+            z = z.real
+            negative = np.zeros(z.shape, dtype=np.int64)
         out = np.zeros_like(z)
         # chunked so grid * node-count temporaries stay modest
-        for blk in range(lo, hi + 1, 256):
-            a_n = self.nodes[blk - 1:min(blk + 255, hi)]
-            w = z[..., None] / a_n
-            small = np.abs(w) < 1e-8
-            sw = np.where(small, 1.0 - w * w / 6.0,
-                          np.sin(w) / np.where(small, 1.0, w))
-            out = out + np.sum(np.log(sw), axis=-1)
-        return out
+        for blk in range(lo, hi + 1, _BLOCK):
+            w = z[..., None] / self.nodes[blk - 1:min(blk + _BLOCK - 1, hi)]
+            if real:
+                with np.errstate(invalid="ignore"):   # 0/0 at z = 0, reset below
+                    sw = np.sin(w) / w
+                negative += np.count_nonzero(sw < 0.0, axis=-1)
+                out += np.sum(np.log(np.abs(sw, out=sw), out=sw), axis=-1)
+            else:
+                small = np.abs(w) < 1e-8
+                sw = np.where(small, 1.0 - w * w / 6.0,
+                              np.sin(w) / np.where(small, 1.0, w))
+                out += np.sum(np.log(sw), axis=-1)
+        if not real:
+            return out
+        out[z == 0.0] = 0.0
+        return out + 1j * np.pi * negative
 
     def log_eval_start(self, n_from: int, z) -> np.ndarray:
-        """log prod_{n >= n_from} sinc(z / a_n) for complex z (array ok)."""
+        """log prod_{n >= n_from} sinc(z / a_n) for complex z (array ok).
+
+        Each point z_p gets its own direct range [n_from, K_p] (see
+        _cutoffs) and its own tail from K_p + 1, resummed as
+        -sum_j C_j z^2j S_2j(K_p).  The points are sorted by K_p once; each
+        stretch of nodes between consecutive cutoffs is summed over only
+        the points that still need it.
+        """
         z = np.asarray(z, dtype=complex)
-        self._ensure(float(np.max(np.abs(z), initial=0.0)))
-        self._ensure_start(n_from)
-        out = np.zeros_like(z)
-        if n_from <= self.k_cut:
-            out = out + self.log_factor_range(n_from, self.k_cut, z)
-        for j, c in zip(_SER_J, _SER_C):
-            out = out - c * z ** (2 * j) * self.pow_sums[int(2 * j)]
-        return out
+        flat = z.ravel()
+        k_p, col = self._cutoffs(n_from, np.abs(flat))
+        out = np.zeros_like(flat)
+        order = np.argsort(k_p, kind="stable")
+        k_sorted = k_p[order]
+        lo = n_from
+        for k in np.unique(k_sorted[k_sorted >= n_from]):
+            active = order[np.searchsorted(k_sorted, k):]
+            out[active] += self.log_factor_range(lo, int(k), flat[active])
+            lo = int(k) + 1
+        # Horner in z^2, real on the real axis
+        zt = flat.real if not np.any(flat.imag) else flat
+        z2 = zt * zt
+        sums = self._tail_sums[:, col]
+        acc = _SER_C[-1] * sums[-1]
+        for c, s in zip(_SER_C[-2::-1], sums[-2::-1]):
+            acc = c * s + z2 * acc
+        out -= z2 * acc
+        return out.reshape(z.shape)
 
     def log_eval(self, m: int, z) -> np.ndarray:
         """log M for index m: the product starting at node n_m."""
@@ -173,23 +240,29 @@ class MultiplierEvaluator:
         return complex(res) if np.ndim(z) == 0 else res
 
     def tail_log_bound(self, m: int, z) -> float:
-        """Declared bound on the post-truncation log tail: |z|^2/6 * S_2.
+        """Declared bound on the post-truncation log tail: max over the points
+        of |z_p|^2/6 * S_2(K_p), at the cutoff K_p that log_eval gives z_p.
 
         Loose on purpose: the series resummation actually carries the tail
         to ~1e-19, but this is the certified integral-comparison bound.
+        Direct factors carry no truncation error, so it covers n > K_p only.
         """
-        az = float(np.max(np.abs(z), initial=0.0))
-        self._ensure(az)
-        n_from = self.start_index(m)
-        # direct factors carry no truncation error, so the bound covers
-        # n > k_cut, or the whole product when n_m already sits past it
-        s2 = (self.pow_sums[2] if n_from <= self.k_cut
-              else node_power_sum(n_from - 1, self.eps, self.alpha, 2.0))
-        return az * az / 6.0 * s2
+        az = np.abs(np.asarray(z, dtype=complex)).ravel()
+        _, col = self._cutoffs(self.start_index(m), az)
+        return float(np.max(az * az / 6.0 * self._tail_sums[0, col], initial=0.0))
 
 
 class PropertyReport(dict):
-    """Per-check booleans plus the measured margins."""
+    """Per-check booleans plus the measured margins.
+
+    `log_abs[m]` holds log|M| for index m on the checked grid; it is an
+    attribute, not an entry, so the entries stay the checks alone.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.log_abs: dict[int, np.ndarray] = {}
+
     @property
     def ok(self) -> bool:
         return all(v["ok"] for v in self.values())
@@ -205,6 +278,8 @@ def multiplier_property_check(m_range, eps: float, alpha: float, x_grid,
     node_weight: phi(e |lambda_m|) <= 2 e^2 |Re lambda_m|
     type: exponential type sum(1/a_n) from n_m, against the constant L2
     unit_modulus: |M(x)| <= 1 on the reals
+
+    The per-m values log|M| on the grid are kept in the report's `log_abs`.
     """
     x = np.asarray(x_grid, dtype=float)
     xc = x.astype(complex)
@@ -227,7 +302,7 @@ def multiplier_property_check(m_range, eps: float, alpha: float, x_grid,
         lam = complex(lambda_vals(m, eps, alpha))
         rl = abs(lam.real)
         prefix = ev.log_factor_range(1, ev.start_index(m) - 1, xc)
-        log_m = (base - prefix).real
+        log_m = rep.log_abs[m] = (base - prefix).real
         up_margin = min(up_margin, float(np.min(-phi_x + 2.0 * E ** 2 * rl + 1.0 - log_m)))
         unit_worst = max(unit_worst, float(np.max(log_m)))
         node = 1j * np.conj(lam)

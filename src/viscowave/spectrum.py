@@ -1,4 +1,4 @@
-"""Eigenvalue families, the spectral weight, its root map, and multiplier nodes.
+"""Eigenvalue families, the spectral weight, its root map, and the multiplier's first node.
 
 Three families over nonzero integer index n:
 
@@ -146,27 +146,6 @@ def node_start(m: int, eps: float, alpha: float) -> int:
     """First node index n_m = floor(phi(e |lambda_m|)) + 1."""
     lm = eigenvalue("lambda", m, eps, alpha)
     return int(np.floor(float(phi_eps(E * abs(lm), eps, alpha)))) + 1
-
-
-def multiplier_nodes(m: int, eps: float, alpha: float, count: int):
-    """Node sequence a_n = phi^{-1}(n)/e for n = n_m .. n_m + count - 1.
-
-    Verifies a_{n_m} >= |lambda_m| (all nodes clear the eigenvalue radius,
-    which the multiplier's lower bound at the node needs).
-    """
-    if alpha == 0:
-        raise ConfigError("no multiplier nodes at alpha = 0 (no multiplier needed)")
-    _check_alpha(alpha)
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    nm = node_start(m, eps, alpha)
-    ns = np.arange(nm, nm + count, dtype=float)
-    an = np.asarray(phi_eps_inverse(ns, eps, alpha)) / E
-    lm_abs = abs(eigenvalue("lambda", m, eps, alpha))
-    if an[0] < lm_abs * (1.0 - 1e-12):
-        raise ConfigError(
-            f"first node a_{nm} = {an[0]:.6g} below |lambda_{m}| = {lm_abs:.6g}")
-    return nm, an
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from viscowave.core import ConfigError
 from viscowave.multiplier import (MultiplierEvaluator, multiplier_property_check,
                                   node_power_sum)
-from viscowave.spectrum import E, gamma_eps, lambda_vals, multiplier_nodes, phi_eps_inverse
+from viscowave.spectrum import (E, gamma_eps, lambda_vals, node_start, phi_eps,
+                                phi_eps_inverse)
 
 
 def test_power_sum_matches_direct():
@@ -106,10 +107,12 @@ def test_unit_modulus_on_real_axis(x, m):
 def test_start_index_agreement():
     ev = MultiplierEvaluator(0.1, 0.75, z_max=30.0)
     assert ev.start_index(4) == 4
-    start, an = multiplier_nodes(4, 0.1, 0.75, 1)
+    start = node_start(4, 0.1, 0.75)
     assert start == 4
+    an = ev.nodes[start - 1]
+    assert an == float(phi_eps_inverse(float(start), 0.1, 0.75)) / E
     lam = abs(complex(lambda_vals(4, 0.1, 0.75)))
-    assert an[0] >= lam * (1 - 1e-12)
+    assert an >= lam * (1 - 1e-12)
 
 
 def test_series_direct_consistency():
@@ -123,6 +126,112 @@ def test_series_direct_consistency():
             a = small.log_eval(m, z)
             b = big.log_eval(m, z)
             assert np.max(np.abs(a - b)) < 1e-11
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_point_alone_matches_grid(alpha):
+    # each point's direct range and tail depend on that point alone, not on
+    # the grid around it or on the evaluator's size: the grid value against
+    # the point evaluated by itself on a fresh evaluator
+    xg = np.logspace(-2, 5, 200)
+    ev = MultiplierEvaluator(0.1, alpha, z_max=float(xg[-1]))
+    worst = 0.0
+    for m in (1, 3):
+        grid = ev.log_eval(m, xg.astype(complex))
+        for x, g in zip(xg, grid):
+            alone = complex(MultiplierEvaluator(0.1, alpha).log_eval(m, complex(x)))
+            worst = max(worst, abs(alone - g) / max(1.0, abs(g)))
+    print(f"alpha {alpha}: point alone vs in grid, max rel dev {worst:.2e}")
+    assert worst <= 1e-14          # observed 7.8e-16 (0.25), 2.3e-15 (0.75)
+
+
+def test_direct_terms_follow_point_cutoffs(monkeypatch):
+    # direct factors are summed only up to each point's own block-rounded
+    # cutoff floor(phi(2e|x|)), not up to the evaluator's k_cut for every point
+    eps, alpha = 0.1, 0.75
+    xg = np.logspace(-2, 5, 200)
+    ev = MultiplierEvaluator(eps, alpha, z_max=float(xg[-1]))
+    terms = []
+    log_factor_range = MultiplierEvaluator.log_factor_range
+
+    def count(self, lo, hi, z):
+        terms.append(np.size(z) * max(0, hi - lo + 1))
+        return log_factor_range(self, lo, hi, z)
+
+    monkeypatch.setattr(MultiplierEvaluator, "log_factor_range", count)
+    ev.log_eval_start(1, xg.astype(complex))
+    cut = np.minimum(np.ceil(np.floor(phi_eps(2.0 * E * xg, eps, alpha)) / 256) * 256,
+                     ev.k_cut)
+    assert sum(terms) <= np.sum(cut)
+    assert 8 * sum(terms) <= xg.size * ev.k_cut     # 609,478 against 6,183,600
+
+
+def _phi_mp(x, eps, alpha):
+    # the weight from its definition: eps x^{2a}, and past the branch point
+    # gamma = (1/eps)^{1/(2a-1)} (alpha > 1/2) the branch (x/eps)^{1/2a}
+    if alpha < 0.5 or x <= (1 / eps) ** (1 / (2 * alpha - 1)):
+        return eps * x ** (2 * alpha)
+    return (x / eps) ** (1 / (2 * alpha))
+
+
+def _node_mp(n, eps, alpha):
+    # a_n = phi^{-1}(n)/e: invert the inner branch, and the outer one where
+    # the inner root lies past gamma; phi of the root must give n back
+    x = (n / eps) ** (1 / (2 * alpha))
+    if alpha > 0.5 and x > (1 / eps) ** (1 / (2 * alpha - 1)):
+        x = eps * mp.mpf(n) ** (2 * alpha)
+    assert abs(_phi_mp(x, eps, alpha) - n) <= mp.mpf(10) ** -35 * n
+    return x / mp.e
+
+
+def _log_multiplier_mp(m, z, eps, alpha):
+    """log M_m(z) at the working precision: direct factors until
+    |z/a_n| <= 1/8 and past the branch point, then the tail
+    -sum_j zeta(2j)/(j pi^2j) z^2j sum_{n>k} a_n^-2j, each node sum a
+    Hurwitz zeta of the outer branch a_n = c n^p."""
+    eps, alpha, z = mp.mpf(eps), mp.mpf(alpha), mp.mpc(z)
+    lam = mp.mpc(eps * abs(m) ** (2 * alpha), m)
+    k = int(mp.floor(_phi_mp(mp.e * abs(lam), eps, alpha)))
+    g = (1 / eps) ** (1 / (2 * alpha - 1)) if alpha > 0.5 else 0
+    out = mp.mpc(0)
+    while True:
+        k += 1
+        w = z / _node_mp(k, eps, alpha)
+        out += mp.log(mp.sin(w) / w)
+        if abs(w) <= mp.mpf(1) / 8 and k >= g:
+            break
+    if alpha < 0.5:
+        c, p = eps ** (-1 / (2 * alpha)) / mp.e, 1 / (2 * alpha)
+    else:
+        c, p = eps / mp.e, 2 * alpha
+    j = 0
+    while True:
+        j += 1
+        term = (mp.zeta(2 * j) / (j * mp.pi ** (2 * j)) * (z / c) ** (2 * j)
+                * mp.zeta(2 * j * p, k + 1))
+        out -= term
+        if abs(term) < mp.mpf(10) ** -45:
+            return out
+
+
+def test_multiplier_matches_mpmath():
+    # 40-digit reference sharing no code with the evaluator; the error in
+    # log M is taken modulo 2 pi i and scaled by max(1, |log M|)
+    mp.mp.dps = 40
+    worst = 0.0
+    for alpha in (0.25, 0.75):
+        ev = MultiplierEvaluator(0.1, alpha)
+        for m in (1, 3):
+            node = 1j * np.conj(complex(lambda_vals(m, 0.1, alpha)))
+            for z in (0.37, 12.5, 950.0, node):
+                ref = complex(_log_multiplier_mp(m, z, 0.1, alpha))
+                d = complex(ev.log_eval(m, complex(z))) - ref
+                d -= 2j * np.pi * round(d.imag / (2 * np.pi))
+                err = abs(d) / max(1.0, abs(ref))
+                print(f"alpha {alpha} m {m} z {z:.4g}: log M {ref.real:.6g}, "
+                      f"scaled error {err:.2e}")
+                worst = max(worst, err)
+    assert worst <= 5e-14          # about 10x the 5.2e-15 measured before per-point cutoffs
 
 
 def test_tail_bound_dominates_refinement():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from viscowave.core import ConfigError, DegenerateAlphaError
 from viscowave.spectrum import (E, eigenvalue, gamma_eps, lambda_conj_vals,
-                                lambda_vals, multiplier_nodes, node_start,
+                                lambda_vals, node_start,
                                 node_sum_bound, node_tail_sq_constant, phi_eps,
                                 phi_eps_inverse, xi_eps)
 
@@ -132,9 +132,16 @@ def test_xi_near_integer_lattice(n, eps, alpha):
 # node sequence and proof constants
 # ---------------------------------------------------------------------------
 
+def _nodes(m, eps, alpha, count):
+    # multiplier nodes a_n = phi^{-1}(n)/e for n = n_m .. n_m + count - 1
+    start = node_start(m, eps, alpha)
+    ns = np.arange(start, start + count, dtype=float)
+    return start, np.asarray(phi_eps_inverse(ns, eps, alpha)) / E
+
+
 def test_first_node_small_viscosity():
     # phi^{-1}(1)/e with eps = 0.01, alpha = 1/4: (1/0.01)^2 / e
-    start, an = multiplier_nodes(1, 0.01, 0.25, 1)
+    start, an = _nodes(1, 0.01, 0.25, 1)
     assert start == 1
     assert an[0] == pytest.approx(10000.0 / E, rel=1e-13)
 
@@ -142,12 +149,12 @@ def test_first_node_small_viscosity():
 def test_node_start_clears_eigenvalue():
     assert node_start(4, 0.1, 0.75) == 4
     lam = abs(complex(lambda_vals(4, 0.1, 0.75)))
-    _, an = multiplier_nodes(4, 0.1, 0.75, 3)
+    _, an = _nodes(4, 0.1, 0.75, 3)
     assert an[0] >= lam * (1 - 1e-12)
 
 
 def test_node_fifty():
-    _, an = multiplier_nodes(1, 0.1, 0.75, 50)
+    _, an = _nodes(1, 0.1, 0.75, 50)
     assert an[-1] == pytest.approx(23.17495, rel=1e-5)
     assert np.all(np.diff(an) > 0)
 
@@ -175,6 +182,6 @@ def test_node_tail_sq_constant():
 def test_alpha_degeneracy_raises():
     for fn in (lambda: phi_eps(2.0, 0.1, 0.5),
                lambda: xi_eps(2.0, 0.1, 0.5),
-               lambda: multiplier_nodes(1, 0.1, 0.5, 4)):
+               lambda: phi_eps_inverse(1.0, 0.1, 0.5)):
         with pytest.raises(DegenerateAlphaError):
             fn()
