@@ -22,15 +22,17 @@ zeros), and the transform's support claim rests on entirety.  "fitted" mode
 therefore fits the envelope exponent over the working index range and takes
 the next integer above 1.25x the fit.
 
-A family build does its per-member work once per |m|.  The lattice is
-mirror-symmetric, lambda_{-m} = conj(lambda_m), so node_{-m} = -conj(node_m)
-and P_{-m}(z) = conj(P_m(-conj z)); the multiplier is even with real Taylor
-coefficients.  Hence psi_{-m}(x) = conj(psi_m(-x)) on the real axis and
-theta_{-m} = conj(theta_m): the product's pair sums, which depend on
-conj(lambda_m), run in full only for m > 0, and the m < 0 members are
-conjugates.  The multiplier's factors from node 1 are computed once on |x|
-over half the grid, with the per-m starting node handled by subtracting
-the short prefix of factor logs.
+A family build shares its lattice work.  Every member's product is the
+Lagrange basis of one generating function F (see `weierstrass`), so each
+point set (envelope-fit grid, probe points, FFT grid) gets one log F pass for
+the whole family; per m only a linear factor and a constant remain.  The
+lattice is mirror-symmetric, lambda_{-m} = conj(lambda_m), so node_{-m} =
+-conj(node_m), F(-x) = conj F(x) on the real axis and the multiplier is even
+with real Taylor coefficients.  Hence F and the multiplier are evaluated
+once on |x| over half the grid (the multiplier's per-m starting node handled
+by subtracting the short prefix of factor logs), psi_{-m}(x) =
+conj(psi_m(-x)) and theta_{-m} = conj(theta_m): members are assembled for
+m > 0 only, and the m < 0 members are conjugates.
 """
 
 from __future__ import annotations
@@ -70,10 +72,11 @@ class EntireInterpolant:
         l2 = node_sum_bound(self.eps, self.alpha) if self.mult is not None else 0.0
         return LATTICE_TYPE + self.omega * l2 + (1 + self.decay_boost) * self.delta
 
-    def log_psi(self, z, log_mult=None) -> np.ndarray:
-        """log psi_m(z); log_mult is log M_m(z) if the caller already has it."""
+    def log_psi(self, z, log_mult=None, log_f=None) -> np.ndarray:
+        """log psi_m(z); log_mult is log M_m(z) and log_f the generating
+        function's log F(z), if the caller already has them."""
         z = np.asarray(z, dtype=complex)
-        out = self.product.log_eval(self.m, z)
+        out = self.product.log_eval(self.m, z, log_f)
         if self.mult is not None:
             if log_mult is None:
                 log_mult = self.mult.log_eval(self.m, z)
@@ -106,7 +109,8 @@ def make_interpolant(m: int, cfg: ProblemConfig, omega: int,
 
 def resolve_omega(cfg: ProblemConfig, m_range, product: ProductEvaluator,
                   fit_half_width: float = 400.0):
-    """Multiplier power: fixed integer from config, or envelope-fitted.
+    """Multiplier power: fixed integer from config, or envelope-fitted
+    (one log F pass on the fit grid for every |m|).
 
     Returns (omega, omega_hats); omega_hats is empty in fixed mode.
     """
@@ -117,10 +121,9 @@ def resolve_omega(cfg: ProblemConfig, m_range, product: ProductEvaluator,
                               "interpolant requires whole multiplier powers)")
         return int(val), ()
     xs = np.linspace(0.0, fit_half_width, 3000)
-    hats = []
-    for m in sorted({abs(m) for m in m_range}):
-        fit = envelope_fit(m, cfg.epsilon, cfg.alpha, xs, product)
-        hats.append(fit.omega_hat)
+    log_f = product.log_generating(xs)
+    hats = [envelope_fit(m, cfg.epsilon, cfg.alpha, xs, product, log_f).omega_hat
+            for m in sorted({abs(m) for m in m_range})]
     omega = max(1, int(np.ceil(1.25 * max(hats))))
     return omega, tuple(hats)
 
@@ -216,13 +219,16 @@ def _probe_half_width(interps, lo: float = 100.0, hi: float = 2000.0,
     """Smallest probe radius where every interpolant is below tol.
 
     Two slightly offset probes per side guard against landing on a sinc zero.
+    The interpolants share one product evaluator, so one log F pass per
+    radius serves them all.
     """
     x = lo
     while x <= hi:
         pts = np.array([-x - 0.37, -x, x, x + 0.37], dtype=complex)
+        log_f = interps[0].product.log_generating(pts)
         worst = 0.0
         for it in interps:
-            worst = max(worst, float(np.max(np.abs(np.exp(it.log_psi(pts))))))
+            worst = max(worst, float(np.max(np.abs(np.exp(it.log_psi(pts, log_f=log_f))))))
         if worst < tol:
             return x + step  # one step of margin
         x += step
@@ -247,13 +253,15 @@ def _norm_fit(norms: dict, eps: float, alpha: float) -> tuple[float, float]:
 def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     """Assemble interpolants for every |m| and transform them to time.
 
-    One shared x grid serves the whole family.  The product runs once per
-    |m| on it; member -m is the conjugate of member m.  On the periodic DFT
-    grid x_j = -half + j dx that is exact up to one sample: the reflection
-    of x_0 = -half is its periodic partner +half (half t_k = pi k), so the
-    edge check also reads psi_m[1], the mirrored member's last sample.  The
-    multiplier bulk and the per-m prefixes are evaluated on |x| = j dx,
-    j = 0..n/2, and gathered onto the grid.
+    One shared x grid serves the whole family.  log F, the multiplier bulk
+    and the per-m prefixes are evaluated on |x| = j dx, j = 0..n/2, and
+    gathered onto the grid x_j = (j - n/2) dx (F conjugated at x < 0); per
+    |m| only the product's linear factor and constant, the multiplier
+    prefix and the sinc factor remain.  Member -m is the conjugate of member
+    m.  On the periodic DFT grid that is exact up to one sample: the
+    reflection of x_0 = -half is its periodic partner +half (half t_k = pi
+    k), so the edge check also reads psi_m[1], the mirrored member's last
+    sample.
     """
     cfg = validate_config(cfg, for_synthesis=True)
     eps, alpha = cfg.epsilon, cfg.alpha
@@ -285,9 +293,11 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
 
     n = next_pow2(int(2.0 * half * cfg.quad.points_per_unit))
     dx = 2.0 * half / n
-    zg = (-half + dx * np.arange(n)).astype(complex)
     fold = np.abs(np.arange(n) - n // 2)  # |x_j| = dx * fold[j]
     z_abs = dx * np.arange(n // 2 + 1, dtype=complex)
+    zg = np.where(np.arange(n) < n // 2, -z_abs[fold], z_abs[fold])
+    log_f = product.log_generating(z_abs)[fold]
+    log_f[:n // 2] = log_f[:n // 2].conj()  # F(-x) = conj F(x)
 
     base_mult = mult.log_eval_start(1, z_abs) if mult is not None else None
 
@@ -298,7 +308,7 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     for k in ks:
         log_mult = None if mult is None else \
             (base_mult - mult.log_factor_range(1, node_start(k, eps, alpha) - 1, z_abs))[fold]
-        psi = np.exp(interps[k].log_psi(zg, log_mult))
+        psi = np.exp(interps[k].log_psi(zg, log_mult, log_f))
         edge_worst = max(edge_worst, float(np.max(np.abs(psi[[0, 1, -1]]))))
         tg, th = fourier_to_time(psi, half, dx)
         dt = tg[1] - tg[0]

@@ -187,8 +187,9 @@ class MultiplierEvaluator:
         for blk in range(lo, hi + 1, _BLOCK):
             w = z[..., None] / self.nodes[blk - 1:min(blk + _BLOCK - 1, hi)]
             if real:
-                with np.errstate(invalid="ignore"):   # 0/0 at z = 0, reset below
+                with np.errstate(invalid="ignore"):   # 0/0 where w is 0
                     sw = np.sin(w) / w
+                sw[w == 0.0] = 1.0  # z = 0, or a subnormal z / a_n underflowing
                 negative += np.count_nonzero(sw < 0.0, axis=-1)
                 out += np.sum(np.log(np.abs(sw, out=sw), out=sw), axis=-1)
             else:
@@ -198,7 +199,6 @@ class MultiplierEvaluator:
                 out += np.sum(np.log(sw), axis=-1)
         if not real:
             return out
-        out[z == 0.0] = 0.0
         return out + 1j * np.pi * negative
 
     def log_eval_start(self, n_from: int, z) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from viscowave import biorthogonal as bio
+from viscowave import weierstrass as wei
 from viscowave.core import (ConfigError, ProblemConfig, sinhc,
                             validate_config)
 from viscowave.multiplier import MultiplierEvaluator
@@ -164,17 +165,34 @@ def test_theta_mirror_members_match_direct_evaluation(alpha, theta_family,
     assert worst < 1e-11       # observed 1e-13 .. 5e-13
 
 
+def _count_pair_work(monkeypatch):
+    """Record the point count of every paired-term evaluation and of every
+    pair sum (log F pass or one-point constant) of the product."""
+    term_sizes, sum_sizes = [], []
+    pair_log = wei._pair_log
+    pair_sum = ProductEvaluator._pair_sum
+
+    def count_terms(t, z, *rest):
+        term_sizes.append(np.size(z))
+        return pair_log(t, z, *rest)
+
+    def count_sums(self, z, *rest, **kw):
+        sum_sizes.append(np.size(z))
+        return pair_sum(self, z, *rest, **kw)
+
+    monkeypatch.setattr(wei, "_pair_log", count_terms)
+    monkeypatch.setattr(ProductEvaluator, "_pair_sum", count_sums)
+    return term_sizes, sum_sizes
+
+
 def test_family_build_work_counts(monkeypatch):
-    # the product runs on the FFT grid once per |m|, and the even multiplier
-    # (bulk and per-m prefixes) on the n/2 + 1 points |x| = j dx only
-    grid_calls, bulk_sizes, prefix_sizes = [], [], []
-    log_eval = ProductEvaluator.log_eval
+    # one log F pass on the n/2 + 1 points |x| = j dx serves every member and
+    # no paired term is ever formed on the full n-point grid; the even
+    # multiplier (bulk and per-m prefixes) runs on the same n/2 + 1 points
+    term_sizes, sum_sizes = _count_pair_work(monkeypatch)
+    bulk_sizes, prefix_sizes = [], []
     log_eval_start = MultiplierEvaluator.log_eval_start
     log_factor_range = MultiplierEvaluator.log_factor_range
-
-    def count_product(self, m, z):
-        grid_calls.append((m, np.size(z)))
-        return log_eval(self, m, z)
 
     def count_bulk(self, n_from, z):
         bulk_sizes.append(np.size(z))
@@ -184,15 +202,27 @@ def test_family_build_work_counts(monkeypatch):
         prefix_sizes.append(np.size(z))
         return log_factor_range(self, lo, hi, z)
 
-    monkeypatch.setattr(ProductEvaluator, "log_eval", count_product)
     monkeypatch.setattr(MultiplierEvaluator, "log_eval_start", count_bulk)
     monkeypatch.setattr(MultiplierEvaluator, "log_factor_range", count_prefix)
     fam = bio.build_theta_family(CFG, MS)
     n = fam.meta["n_fft"]
-    assert sorted(m for m, size in grid_calls if size == n) == [1, 2]
+    assert sum_sizes.count(n // 2 + 1) == 1
+    assert max(term_sizes) == n // 2 + 1
     assert max(bulk_sizes) == n // 2 + 1
     assert bulk_sizes.count(n // 2 + 1) == 1
     assert max(prefix_sizes) <= n // 2 + 1
+
+
+def test_resolve_omega_work_counts(monkeypatch):
+    # the envelope fit over modes 1..4 makes one log F pass on its 3000
+    # points; per mode only the one-point constant C_m is summed
+    term_sizes, sum_sizes = _count_pair_work(monkeypatch)
+    cfg = validate_config(ProblemConfig(alpha=0.75, epsilon=0.1, n_modes=4),
+                          for_synthesis=True)
+    omega, hats = bio.resolve_omega(cfg, (1, 2, 3, 4), ProductEvaluator(0.1, 0.75))
+    assert len(hats) == 4 and omega >= 1
+    assert sorted(sum_sizes) == [1, 1, 1, 1, 3000]
+    assert max(term_sizes) == 3000
 
 
 def test_stacked_norm_bounded(theta_family):

@@ -1,7 +1,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viscowave.core import ConfigError
@@ -97,6 +97,7 @@ def test_value_at_origin_and_symmetry():
 
 
 @given(x=st.floats(-200.0, 200.0), m=st.integers(1, 8))
+@example(x=5e-324, m=2)  # z / a_n underflows to 0: sinc must read 1, not 0/0
 @settings(max_examples=60, deadline=None)
 def test_unit_modulus_on_real_axis(x, m):
     ev = MultiplierEvaluator(0.1, 0.75, z_max=256.0)

@@ -58,38 +58,133 @@ def test_small_viscosity_continuity():
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
 def test_pair_log_matches_mpmath(alpha):
-    # log(((b+iz)^2 + t^2) / ((b - conj(lambda_m))^2 + t^2)), b = eps t^{2a},
-    # in 40 digits from the same double inputs.  Real z never hits a node
-    # (nodes have Im = eps n^{2a} > 0); z = t puts the factor near its zero
-    # at b + iz = it, which takes the |1+w| < 1/4 path.  t = |m| is the
-    # excluded pair (den = 0) and never reaches _pair_log.
+    # log(((b+iz)^2 + t^2) / (b^2 + t^2)), the generating function's paired
+    # factor, in 40 digits from the same double inputs (t, z and b = eps
+    # t^{2a} as the code forms it).  Real z never hits a zero (they have
+    # Im = b > 0); z = t puts the factor near its zero at b + iz = it, and
+    # the points z = t + ib + d(1+i), d = 1e-4 and 1e-11, sit next to it:
+    # both take the factored |1+w| < 1/4 path, which must keep full relative
+    # accuracy there.  Compared modulo 2 pi i: the factored sum of logs may
+    # leave the principal branch, and only its exponential is ever used.
     eps = 0.1
     rng = np.random.default_rng(5)
     ts = np.concatenate([np.unique(np.round(np.geomspace(1.0, 1e4, 30))),
                          rng.uniform(1.0, 1e4, 10)])
     zs = np.concatenate([rng.uniform(-2000.0, 2000.0, 24), [0.0, 1.0, 7.0, 250.0, 2000.0]])
+    bs = eps * ts ** (2.0 * alpha)
+    cases = [(ts[:, None], zs[None, :].astype(complex))]
+    for d in (1e-4, 1e-11):
+        cases.append((ts, ts + 1j * bs + d * (1 + 1j)))
     worst, near, count = 0.0, 0, 0
+    two_pi = 2 * mp.pi
     with mp.workdps(40):
-        for m in (1, -4):
-            ts_m = ts[ts != abs(m)]
-            lam = complex(lambda_conj_vals(m, eps, alpha))
-            lam_mp = mp.mpc(lam.real, lam.imag)
-            got = _pair_log(ts_m[:, None], zs[None, :].astype(complex), lam, eps, alpha)
+        for t_arg, z_arg in cases:
+            t_b, z_b = np.broadcast_arrays(t_arg, z_arg)
+            got = _pair_log(t_arg, z_arg, eps, alpha)
+            b_b = eps * t_b ** (2.0 * alpha)
             count += got.size
-            for i, t in enumerate(ts_m):
-                t_mp = mp.mpf(t)
-                b = mp.mpf(eps) * t_mp ** (2 * mp.mpf(alpha))
-                den = (b - lam_mp) ** 2 + t_mp ** 2
-                for j, z in enumerate(zs):
-                    u = ((b + 1j * mp.mpf(z)) ** 2 + t_mp ** 2) / den
-                    ref = mp.log(u)
-                    g = got[i, j]
-                    worst = max(worst, float(abs(mp.mpc(g.real, g.imag) - ref) / abs(ref)))
-                    near += abs(u) < 0.25
+            for t, z, b, g in zip(t_b.ravel(), z_b.ravel(), b_b.ravel(), got.ravel()):
+                t_mp, b_mp = mp.mpf(t), mp.mpf(b)
+                z_mp = mp.mpc(z.real, z.imag)
+                u = ((b_mp + 1j * z_mp) ** 2 + t_mp ** 2) / (b_mp ** 2 + t_mp ** 2)
+                ref = mp.log(u)
+                diff = mp.mpc(g.real, g.imag) - ref
+                diff -= 1j * two_pi * mp.nint(diff.imag / two_pi)
+                # z = 0 gives u = 1 exactly: the error itself must be 0
+                worst = max(worst, float(abs(diff) / (abs(ref) or 1)))
+                near += abs(u) < 0.25
     print(f"_pair_log alpha={alpha}: max relative error {worst:.2e} vs 40-digit mpmath "
           f"({near} of {count} points on the |1+w| < 1/4 path)")
     assert near > 0
     assert worst < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# full product against a 40-digit reference
+# ---------------------------------------------------------------------------
+
+_MP_DIRECT = 801  # pairs summed directly: past 2|z| at every point below
+
+
+def _mp_tail(z, e, a2):
+    """sum over t > _MP_DIRECT of log(((b + iz)^2 + t^2) / (b^2 + t^2)),
+    b = e t^a2, by Euler-Maclaurin summation (mpmath.sumem, the routine
+    behind nsum's euler-maclaurin method, run once instead of nsum's
+    repeated tries).  Its integral is taken over s = (t / t0)^(-1/2) on
+    (0, 1], where the t^-1.5 decay of the term (alpha = 1/4 and 3/4)
+    becomes a smooth integrand, by Gauss-Legendre: tanh-sinh samples s so
+    close to 0 that the term's log of 1 + tiny loses the tiny part."""
+    t0 = _MP_DIRECT + 1
+
+    def term(t):
+        b = e * t ** a2
+        return mp.log(((b + 1j * z) ** 2 + t ** 2) / (b ** 2 + t ** 2))
+
+    integral = mp.quad(lambda s: term(t0 / s ** 2) * 2 * t0 / s ** 3, [0, 1],
+                       method="gauss-legendre")
+    return mp.sumem(term, [t0, mp.inf], integral=integral)
+
+
+def _mp_log_product(m, z, e, bs, tail):
+    """log P_m(z) for m > 0, modulo 2 pi i, in working precision from the
+    defining product over n != m of (conj(lambda_n) + iz) / (conj(lambda_n)
+    - conj(lambda_m)), conj(lambda_n) = bs[|n|] - i n: pairs (n, -n) up to
+    _MP_DIRECT and the lone partner -m multiplied out (mpmath numbers
+    cannot overflow), and the pairs beyond as tail(z) - tail(node_m)."""
+    lm, lone = bs[m] - 1j * m, bs[m] + 1j * m
+    prod = (lone + 1j * z) / (lone - lm)
+    for n in range(1, _MP_DIRECT + 1):
+        if n != m:
+            prod *= ((bs[n] + 1j * z) ** 2 + n ** 2) / ((bs[n] - lm) ** 2 + n ** 2)
+    return mp.log(prod) + tail(z) - tail(1j * lm)
+
+
+# per point kind: 10x the worst error of P_m summed directly per m, without
+# F (3.2e-11, 2.6e-13), but never looser than ROUNDING_FLOOR.  Next to node_m
+# that direct sum has nothing to divide out (4.9e-16); the Lagrange form
+# divides F by the linear factor, whose log ~ log(delta) costs a few ulps of
+# itself (measured 1.5e-14), so its bound is 1e-13, still 1e8 below the loss
+# of a near-zero branch that forms (b + iz)^2 + t^2 unfactored (~m eps/delta).
+_MP_BOUNDS = {"real": ProductEvaluator.ROUNDING_FLOOR, "complex": 2.6e-12,
+              "near node": 1e-13}
+
+
+def test_product_matches_mpmath():
+    # the evaluator against a reference that shares none of its code; the
+    # error is |log P - log P_ref| modulo 2 pi i, the relative error of P.
+    # Points: real x, one complex point, and two next to node_m, where the
+    # product is smooth but log F and the divided-out linear factor are not
+    eps = 0.1
+    worst = {"real": 0.0, "complex": 0.0, "near node": 0.0}
+    with mp.workdps(40):
+        e = mp.mpf(eps)
+        for alpha in (0.25, 0.75):
+            a2 = 2 * mp.mpf(alpha)
+            bs = [e * mp.mpf(n) ** a2 for n in range(_MP_DIRECT + 1)]
+            tails = {}
+
+            def tail(z):
+                if z not in tails:
+                    tails[z] = _mp_tail(z, e, a2)
+                return tails[z]
+
+            ev = ProductEvaluator(eps, alpha)
+            for m in (1, 3, 7):
+                node = 1j * complex(lambda_conj_vals(m, eps, alpha))
+                pts = np.array([0.37, 12.5, 150.0, 390.0, -5.2 + 1.3j,
+                                node + 1e-4 * (1 + 1j), node + 1e-11 * (1 + 1j)])
+                kinds = ["real"] * 4 + ["complex"] + ["near node"] * 2
+                got = ev.log_eval(m, pts)
+                for z, g, kind in zip(pts, got, kinds):
+                    ref = _mp_log_product(m, mp.mpc(z.real, z.imag), e, bs, tail)
+                    d = mp.mpc(g.real, g.imag) - ref
+                    d -= 2j * mp.pi * mp.nint(d.imag / (2 * mp.pi))
+                    err = float(abs(d))
+                    print(f"alpha={alpha} m={m} z={complex(z):.6g}: relative error {err:.2e}")
+                    worst[kind] = max(worst[kind], err)
+    print("worst relative error:", {k: f"{v:.2e}" for k, v in worst.items()})
+    for kind, err in worst.items():
+        assert err <= _MP_BOUNDS[kind], kind
 
 
 # ---------------------------------------------------------------------------
