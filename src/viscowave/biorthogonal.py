@@ -16,6 +16,14 @@ family has the closed form e^{imt}/(2pi) on (-pi, pi) and doubles as the
 end-to-end oracle for the transform path; its biorthogonality matrix comes
 from the shared exponential-sum integral `core.exp_integral`.
 
+Every member of every family is an exponential sum on rates the family's
+members share.  The FFT samples theta_m(t) = (dx/2pi) sum_j psi_m(x_j)
+e^{i x_j t}, the trigonometric interpolant of its DFT, so theta_m is that
+sum exactly, with rates i x_j on the x grid; the discrete convolution that
+makes zeta_m multiplies the weights by the kernel's discrete-time
+transform.  Member -m is the conjugate sum on the rates -i x_j = i x_{n-j},
+so the shared rates are the n + 1 points i x_j, j = 0..n, x_n = half.
+
 The multiplier power omega must be an integer: the multiplier ratio is an
 entire function, but a non-integer power of it is not (branch points at its
 zeros), and the transform's support claim rests on entirety.  "fitted" mode
@@ -143,11 +151,13 @@ def fourier_to_time(psi: np.ndarray, half_width: float, dx: float):
 
 @dataclass(frozen=True)
 class BiorthogonalFamily:
-    """Sampled family on a shared uniform time grid.
+    """Biorthogonal family, sampled and as exponential sums.
 
     kind: "theta" (raw transform), "zeta" (smoothed), "sinc_limit" (eps=0
-    closed form).  values maps index m to samples; support_half is the
-    declared half-support (T~/2, T0/2, or pi).
+    closed form).  values maps index m to samples on the uniform t_grid;
+    member m is also exactly sum_k weights[m][k] e^{rates[k] t} on window
+    and zero outside, with rates shared by every member.  support_half is
+    the declared half-support (T~/2, T0/2, or pi).
     """
     kind: str
     eps: float
@@ -155,6 +165,9 @@ class BiorthogonalFamily:
     indices: tuple
     t_grid: np.ndarray
     values: dict
+    rates: np.ndarray
+    weights: dict
+    window: tuple
     norms: dict
     support_half: float
     beta_hat: float
@@ -172,26 +185,6 @@ class BiorthogonalFamily:
             raise ConfigError(f"family has no index {m}")
         return self.values[m]
 
-    def eval_time(self, m: int, tau) -> np.ndarray:
-        """Linear interpolation of member m at times tau (0 outside)."""
-        if self.kind == "sinc_limit":
-            tau = np.asarray(tau, dtype=float)
-            out = np.where(np.abs(tau) < np.pi,
-                           np.exp(1j * m * tau) / (2.0 * np.pi), 0.0)
-            return out
-        v = self.member(m)
-        tau = np.asarray(tau, dtype=float)
-        re = np.interp(tau, self.t_grid, v.real, left=0.0, right=0.0)
-        im = np.interp(tau, self.t_grid, v.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
-    def exp_rep(self, m: int):
-        """(weights, rates, support) when the member is exactly a finite
-        exponential sum on its support; None otherwise."""
-        if self.kind == "sinc_limit":
-            return ((1.0 / (2.0 * np.pi),), (1j * m,), (-np.pi, np.pi))
-        return None
-
 
 def sinc_theta(m: int, t):
     """eps = 0 biorthogonal function on (-pi, pi): e^{imt}/(2pi)."""
@@ -207,9 +200,13 @@ def build_sinc_family(m_range, points_per_unit: float = 64.0) -> BiorthogonalFam
     n = next_pow2(int(2.0 * np.pi * points_per_unit)) + 1
     tg = np.linspace(-np.pi, np.pi, n)
     vals = {m: np.exp(1j * m * tg) / (2.0 * np.pi) for m in ms}
+    weights = {m: np.where(np.asarray(ms) == m, 1.0 / (2.0 * np.pi), 0.0) + 0j
+               for m in ms}
     nrm = 1.0 / np.sqrt(2.0 * np.pi)
     return BiorthogonalFamily(kind="sinc_limit", eps=0.0, alpha=0.0, indices=ms,
                               t_grid=tg, values=vals,
+                              rates=1j * np.asarray(ms, dtype=float),
+                              weights=weights, window=(-np.pi, np.pi),
                               norms={m: nrm for m in ms}, support_half=np.pi,
                               beta_hat=0.0, c_hat=nrm, omega=0)
 
@@ -257,8 +254,9 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     and the per-m prefixes are evaluated on |x| = j dx, j = 0..n/2, and
     gathered onto the grid x_j = (j - n/2) dx (F conjugated at x < 0); per
     |m| only the product's linear factor and constant, the multiplier
-    prefix and the sinc factor remain.  Member -m is the conjugate of member
-    m.  On the periodic DFT grid that is exact up to one sample: the
+    prefix and the sinc factor remain.  Member m > 0 keeps its weights
+    (dx/2pi) psi_m(x_j) on the shared rates; member -m is the conjugate of
+    member m.  On the periodic DFT grid that is exact up to one sample: the
     reflection of x_0 = -half is its periodic partner +half (half t_k = pi
     k), so the edge check also reads psi_m[1], the mirrored member's last
     sample.
@@ -320,19 +318,25 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
         if tg_kept is None:
             tg_kept = tg[keep]
         th = th[keep]
-        members[k] = (th, float(np.sqrt(np.sum(np.abs(th) ** 2) * dt)), outside)
+        members[k] = (th, float(np.sqrt(np.sum(np.abs(th) ** 2) * dt)), outside,
+                      np.append(psi * (dx / (2.0 * np.pi)), 0.0))
     if edge_worst > 1e-8:
         raise ConfigError(f"quadrature budget insufficient: |psi| = {edge_worst:.2e} "
                           "at the grid edge")
 
     values = {m: members[m][0] if m > 0 else np.conj(members[-m][0]) for m in ms}
+    # weight j of member -m sits on rate i x_{n-j} = -i x_j
+    weights = {m: members[m][3] if m > 0 else np.conj(members[-m][3][::-1]) for m in ms}
     norms = {m: members[abs(m)][1] for m in ms}
     outside_mass = {m: members[abs(m)][2] for m in ms}
     beta_hat, c_hat = _norm_fit(norms, eps, alpha)
     meta = {"half_width": half, "dx": dx, "n_fft": n, "psi_edge": edge_worst,
             "outside_mass": outside_mass, "points_per_unit": cfg.quad.points_per_unit}
     return BiorthogonalFamily(kind="theta", eps=eps, alpha=alpha, indices=ms,
-                              t_grid=tg_kept, values=values, norms=norms,
+                              t_grid=tg_kept, values=values,
+                              rates=1j * dx * (np.arange(n + 1) - n // 2),
+                              weights=weights,
+                              window=(float(tg_kept[0]), float(tg_kept[-1])), norms=norms,
                               support_half=support_half,
                               beta_hat=beta_hat, c_hat=c_hat,
                               omega=omega, omega_hats=omega_hats, meta=meta)
@@ -352,6 +356,11 @@ def zeta_eval(theta_family: BiorthogonalFamily, a: float) -> BiorthogonalFamily:
     convention as the biorthogonality quadrature, so the m-th moment stays
     exactly 1 at the discrete level (closed form sqrt(2pi) sinhc^2(Re
     lambda_m a/2) serves as its oracle, not its definition).
+
+    In frequency the convolution multiplies each weight of the theta member
+    by R_m(x_j) = (dt/normalizer) sum_l rho_m(u_l) e^{-i x_j u_l}; since
+    x_j u_l = 2pi (j - n/2) l / n that is one length-n DFT of (-1)^l rho_m(u_l),
+    and R_m(x_n) = R_m(x_0).
     """
     if a <= 0:
         raise ConfigError("kernel half-width must be positive")
@@ -362,9 +371,12 @@ def zeta_eval(theta_family: BiorthogonalFamily, a: float) -> BiorthogonalFamily:
     k = int(np.floor(a / dt))
     if k < 1:
         raise ConfigError("kernel narrower than the time grid spacing")
-    u = dt * np.arange(-k, k + 1)
+    ls = np.arange(-k, k + 1)
+    u = dt * ls
     tri = smoothing_kernel(a, u)
+    n = fam.meta["n_fft"]
     values = {}
+    weights = {}
     norms = {}
     normalizers = {}
     for m in fam.indices:
@@ -375,6 +387,10 @@ def zeta_eval(theta_family: BiorthogonalFamily, a: float) -> BiorthogonalFamily:
         if abs(normalizer) < 1e-300:
             raise ConfigError(f"smoothing normalizer vanished for m = {m}")
         values[m] = np.convolve(fam.member(m), rho, mode="same") * dt / normalizer
+        g = np.zeros(n, dtype=complex)
+        g[ls % n] = np.where(ls % 2 == 0, rho, -rho)
+        r_m = np.fft.fft(g) * (dt / normalizer)
+        weights[m] = fam.weights[m] * np.append(r_m, r_m[0])
         norms[m] = float(np.sqrt(np.sum(np.abs(values[m]) ** 2) * dt))
         normalizers[m] = normalizer
     beta_hat, c_hat = _norm_fit(norms, fam.eps, fam.alpha)
@@ -383,7 +399,8 @@ def zeta_eval(theta_family: BiorthogonalFamily, a: float) -> BiorthogonalFamily:
     meta["normalizers"] = normalizers
     return BiorthogonalFamily(kind="zeta", eps=fam.eps, alpha=fam.alpha,
                               indices=fam.indices, t_grid=fam.t_grid,
-                              values=values, norms=norms,
+                              values=values, rates=fam.rates, weights=weights,
+                              window=fam.window, norms=norms,
                               support_half=fam.support_half + a,
                               beta_hat=beta_hat, c_hat=c_hat,
                               omega=fam.omega, omega_hats=fam.omega_hats, meta=meta)
@@ -411,55 +428,27 @@ def _cut_integral(tg: np.ndarray, th: np.ndarray, dt: float, lam_c: complex) -> 
     return complex(np.sum(th[im_:ip + 1] * np.exp(lam_c * tg[im_:ip + 1])) * dt)
 
 
-def biorthogonality_matrix(family: BiorthogonalFamily, m_range, n_range,
-                           t_int: float | None = None):
+def biorthogonality_matrix(family: BiorthogonalFamily, m_range, n_range):
     """B_{mn} = int family_m(t) e^{conj(lambda_n) t} dt and max |B - I|.
 
-    Exponential-sum members integrate in closed form through
-    `core.exp_integral`; sampled members by Riemann sum with per-entry
-    stationary cuts (or hard cuts at t_int).
+    The eps = 0 family integrates its exponential sums in closed form through
+    `core.exp_integral`.  theta and zeta members are integrated from their
+    samples by Riemann sum with per-entry stationary cuts: their exact sums
+    carry the transform's noise floor over the whole kept window, where
+    e^{Re lambda t} amplifies it past the entries themselves.
     """
     ms = [m for m in m_range if m != 0]
     ns = [n for n in n_range if n != 0]
     lam_cs = lambda_conj_vals(np.asarray(ns), family.eps, family.alpha)
     out = np.empty((len(ms), len(ns)), dtype=complex)
-    for i, m in enumerate(ms):
-        rep = family.exp_rep(m)
-        if rep is not None:
-            ws, rs, (lo, hi) = rep
-            out[i] = exp_integral(lam_cs[:, None], 0.0, np.asarray(rs, dtype=complex),
-                                  0.0, lo, hi) @ np.asarray(ws, dtype=complex)
-        else:
-            th = family.member(m)
-            tg = family.t_grid
-            if t_int is not None:
-                keep = np.abs(tg) <= t_int
-                tg, th = tg[keep], th[keep]
+    if family.kind == "sinc_limit":
+        lo, hi = family.window
+        basis = exp_integral(lam_cs[:, None], 0.0, family.rates, 0.0, lo, hi)
+        for i, m in enumerate(ms):
+            out[i] = basis @ family.weights[m]
+    else:
+        for i, m in enumerate(ms):
             for j, lc in enumerate(lam_cs):
-                out[i, j] = _cut_integral(tg, th, family.dt, lc)
+                out[i, j] = _cut_integral(family.t_grid, family.member(m), family.dt, lc)
     target = np.equal.outer(ms, ns).astype(float)
     return out, float(np.max(np.abs(out - target)))
-
-
-def stacked_norm_check(family: BiorthogonalFamily, n_draws: int = 50,
-                       seed: int = 0):
-    """Random-coefficient check of the stacked norm bound.
-
-    For draws c ~ complex gaussian: ratio of int |sum c_m fam_m|^2 dt to
-    sum |c_m|^2 e^{2 beta |Re lambda_m|}, beta the family's recorded fit.
-    Returns (max ratio, all ratios); the bound holds with constant C(T0) =
-    the max ratio, which the caller freezes and monitors.
-    """
-    rng = np.random.default_rng(seed)
-    ms = list(family.indices)
-    re_l = np.array([family.eps * abs(m) ** (2.0 * family.alpha) for m in ms])
-    wgt = np.exp(2.0 * family.beta_hat * re_l)
-    stack = np.array([family.member(m) for m in ms])
-    dt = family.dt
-    ratios = np.empty(n_draws)
-    for k in range(n_draws):
-        c = rng.normal(size=len(ms)) + 1j * rng.normal(size=len(ms))
-        g = c @ stack
-        lhs = float(np.sum(np.abs(g) ** 2) * dt)
-        ratios[k] = lhs / float(np.sum(np.abs(c) ** 2 * wgt))
-    return float(np.max(ratios)), ratios

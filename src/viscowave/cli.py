@@ -369,7 +369,7 @@ def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
             meta["h0_norm_sq"] = sres.h0_norm_sq
         if T != cfg.horizon_T:
             cfg = validate_config(replace(cfg, horizon_T=T), for_synthesis=True)
-        traj = pde.simulate(cfg, data, ctrl, system="corrected")
+        traj = pde.simulate(cfg, data, ctrl, system="corrected", record_points=1)
         resid = pde.final_residual(traj.final, data, cfg.epsilon, cfg.alpha)
         _write_csv(out_path,
                    ("epsilon", "alpha", "n_modes", "horizon", "v_norm", "gram_cond",

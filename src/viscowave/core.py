@@ -66,10 +66,7 @@ class ProblemConfig:
     decay_boost: extra sinc powers multiplied into the interpolant; each one
         adds delta to the declared exponential type and one power of 1/|x|
         decay on the real axis.
-    time_grid: number of record intervals over [0, T] in pde.simulate (with
-        a sampled control, about that many record points snapped onto its
-        sample grid); sampled controls themselves use a separate, fixed
-        4097 samples (moment.minnorm_control, synthesize_control_series).
+    time_grid: number of record intervals over [0, T] in pde.simulate.
     smoothing_a: half-width a of the triangle smoothing kernel.
     gamma_eps: branch point of the weight (filled by validate_config when
         alpha > 1/2 and epsilon > 0; derived, do not set by hand).
@@ -222,47 +219,27 @@ class ModalState:
 
 @dataclass(frozen=True)
 class ControlSignal:
-    """Scalar control v(t) on a uniform grid over [t0, t1].
+    """Scalar control as an exact exponential sum
 
-    samples: complex values; is_real_expected marks controls synthesized
-    from conjugate-symmetric data, whose imaginary part must stay below the
-    declared tolerance.
-
-    exp_terms, when present, is an exact representation
         v(s) = sum_k weights[k] * exp(rates[k] * (s - center))
-    valid on [exp_support[0], exp_support[1]] and zero outside; propagation
-    can then integrate the forcing in closed form instead of reconstructing
-    from samples.
+
+    on support = (lo, hi), zero outside.  Propagation and the moment check
+    integrate it in closed form through `exp_integral`.
     """
-    t0: float
-    t1: float
-    samples: np.ndarray
-    is_real_expected: bool = False
-    exp_terms: tuple[np.ndarray, np.ndarray] | None = None   # (weights, rates)
-    exp_center: float = 0.0
-    exp_support: tuple[float, float] | None = None
+    weights: np.ndarray
+    rates: np.ndarray
+    center: float
+    support: tuple[float, float]
 
     def __post_init__(self):
-        if self.t1 <= self.t0:
-            raise ConfigError("control interval must have t1 > t0")
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
-        if self.samples.ndim != 1 or len(self.samples) < 2:
-            raise ConfigError("control needs at least two samples")
-
-    @property
-    def dt(self) -> float:
-        return (self.t1 - self.t0) / (len(self.samples) - 1)
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, len(self.samples))
-
-    def norm_l2(self) -> float:
-        """Trapezoid L2 norm of the samples."""
-        g = self.grid()
-        return float(np.sqrt(np.trapezoid(np.abs(self.samples) ** 2, g)))
-
-    def imag_residual(self) -> float:
-        return float(np.max(np.abs(self.samples.imag)))
+        if self.support[1] <= self.support[0]:
+            raise ConfigError("control support must have hi > lo")
+        w = np.asarray(self.weights, dtype=complex)
+        r = np.asarray(self.rates, dtype=complex)
+        if w.ndim != 1 or w.shape != r.shape:
+            raise ConfigError("control weights and rates must be 1-D and of equal length")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "rates", r)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ A null control for the truncated system is exactly an L^2 function v on
 independent routes are implemented:
 
   * series synthesis: v = sum_m c_m * family_m(t - T/2) with a biorthogonal
-    family, the constructive route;
+    family, the constructive route; every member is an exponential sum on
+    the family's shared rates, so v is one exponential sum on them;
   * minimal-norm synthesis: v = sum_k beta_k e^{lambda_k (t - T/2)} with
     beta solved from the Hermitian Gram matrix, a classical finite moment
     problem that knows nothing about the family and therefore serves as an
@@ -14,7 +15,7 @@ independent routes are implemented:
 
 The Gram matrix has the closed form G_{nk} = T sinhc((conj(lambda_n) +
 lambda_k) T/2), diagonal-limit entry T included, so no quadrature enters
-the oracle.  It, the exact moment check of exponential-sum controls and the
+the oracle.  It, the exact moment check of both routes' controls and the
 Ingham numerator all come from the shared kernel `core.exp_integral`.  The
 Gram eigenvalue solve is also where spectral degeneracy (the
 alpha = 1/2 collision) becomes visible as condition-number blowup, which is
@@ -103,34 +104,20 @@ class MinNormResult:
     moment_residual: float  # max |G beta - c|
 
 
-def minnorm_control(system: MomentSystem, n_samples: int = 4097,
-                    ridge: float = 0.0) -> MinNormResult:
-    """Minimal-norm exponential-sum control for the moment system.
-
-    ridge > 0 adds an exploratory Tikhonov term; it is never applied by
-    default and the condition number always refers to the raw Gram.
-    """
+def minnorm_control(system: MomentSystem) -> MinNormResult:
+    """Minimal-norm exponential-sum control for the moment system."""
     T = system.horizon
     G = gram_matrix(system.indices, system.eps, system.alpha, T)
     c = np.asarray(system.rhs, dtype=complex)
     w, V = eigh(G)
     cond = float(w[-1] / w[0]) if w[0] > 0 else np.inf
-    if ridge > 0.0:
-        w = w + ridge
-    elif w[0] <= 0 or not np.isfinite(cond):
+    if w[0] <= 0 or not np.isfinite(cond):
         raise SingularGramError(cond)
     beta = V @ ((V.conj().T @ c) / w)
     resid = float(np.max(np.abs(G @ beta - c)))
     vnorm = float(np.sqrt(max(np.real(np.vdot(beta, G @ beta)), 0.0)))
-
-    lams = system.lambdas
-    grid = np.linspace(0.0, T, n_samples)
-    v = np.sum(beta[:, None] * np.exp(lams[:, None] * (grid[None, :] - T / 2.0)), axis=0)
-    sym = system.conjugate_symmetry_residual() < 1e-10
-    ctrl = ControlSignal(t0=0.0, t1=T, samples=tuple(v),
-                         is_real_expected=sym,
-                         exp_terms=(tuple(beta), tuple(lams)),
-                         exp_center=T / 2.0, exp_support=(0.0, T))
+    ctrl = ControlSignal(weights=beta, rates=system.lambdas, center=T / 2.0,
+                         support=(0.0, T))
     return MinNormResult(control=ctrl, cond=cond, beta=beta, norm=vnorm,
                          moment_residual=resid)
 
@@ -144,15 +131,16 @@ class SeriesResult:
 
 
 def synthesize_control_series(data: ModalState, family, T: float,
-                              eps: float, alpha: float,
-                              n_samples: int = 4097) -> SeriesResult:
+                              eps: float, alpha: float) -> SeriesResult:
     """v(t) = sum_m c_m * family_m(t - T/2) on (0, T).
 
-    `family` provides indices, eval_time(m, tau) on recentered time, and
-    exp_rep(m) -> (weights, rates, support) or None; when every member has
-    an exponential representation on a common support the control carries
-    the exact representation too, so downstream propagation has no
-    interpolation error at all.
+    Every member of `family` is an exponential sum on the family's shared
+    `rates`, with weights `weights[m]`, valid on `window` (recentered time)
+    and zero outside; so the control is one exponential sum on those rates,
+    supported on the window shifted by T/2 and clipped to (0, T).  Its norm
+    and imaginary part (for conjugate-symmetric moments) come from the
+    family's own samples, combined the same way and integrated by the
+    trapezoid rule over |t| <= T/2.
     """
     sys = MomentSystem.build(data, T, eps, alpha)
     fam_idx = set(family.indices)
@@ -160,54 +148,30 @@ def synthesize_control_series(data: ModalState, family, T: float,
     if missing:
         raise ConfigError(f"family lacks indices {missing}")
 
-    grid = np.linspace(0.0, T, n_samples)
-    tau = grid - T / 2.0
-    v = np.zeros(n_samples, dtype=complex)
-    reps = []
+    weights = np.zeros(len(family.rates), dtype=complex)
+    v = np.zeros(len(family.t_grid), dtype=complex)
     for n, cn in zip(sys.indices, sys.rhs):
-        v += cn * family.eval_time(n, tau)
-        reps.append(family.exp_rep(n))
+        weights += cn * family.weights[n]
+        v += cn * family.member(n)
+    lo, hi = family.window
+    ctrl = ControlSignal(weights=weights, rates=family.rates, center=T / 2.0,
+                         support=(max(0.0, lo + T / 2.0), min(T, hi + T / 2.0)))
 
-    exp_terms = None
-    exp_support = None
-    if all(r is not None for r in reps):
-        supports = {tuple(np.round(r[2], 12)) for r in reps}
-        if len(supports) == 1:
-            ws, rs = [], []
-            for (wgt, rate, supp), cn in zip(reps, sys.rhs):
-                for w_k, r_k in zip(wgt, rate):
-                    ws.append(cn * w_k)
-                    rs.append(r_k)
-            lo, hi = reps[0][2]
-            exp_terms = (tuple(ws), tuple(rs))
-            exp_support = (lo + T / 2.0, hi + T / 2.0)
-
+    inside = np.abs(family.t_grid) <= T / 2.0
+    v = v[inside]
+    norm = float(np.sqrt(np.trapezoid(np.abs(v) ** 2, family.t_grid[inside])))
     sym = sys.conjugate_symmetry_residual() < 1e-10
     imag_res = float(np.max(np.abs(v.imag))) if sym else 0.0
-    ctrl = ControlSignal(t0=0.0, t1=T, samples=tuple(v), is_real_expected=sym,
-                         exp_terms=exp_terms, exp_center=T / 2.0,
-                         exp_support=exp_support)
-    norm = float(np.sqrt(np.trapezoid(np.abs(v) ** 2, grid)))
     return SeriesResult(control=ctrl, norm=norm, imag_residual=imag_res,
                         h0_norm_sq=h0_norm_sq(data))
 
 
 def moment_verification(control: ControlSignal, system: MomentSystem) -> float:
-    """max_n |int v(t+T/2) e^{conj(lambda_n) t} dt - c_n| by trapezoid (or
-    exactly through the Gram identity when the control is an exponential sum)."""
-    T = system.horizon
-    lams = system.lambdas
-    if control.exp_terms is not None:
-        ws, rs = control.exp_terms
-        lo, hi = control.exp_support if control.exp_support is not None \
-            else (control.t0, control.t1)
-        out = exp_integral(np.conj(lams)[:, None], T / 2.0, np.asarray(rs, dtype=complex),
-                           control.exp_center, lo, hi) @ np.asarray(ws, dtype=complex)
-    else:
-        grid = control.grid()
-        v = np.asarray(control.samples)
-        out = np.array([np.trapezoid(v * np.exp(ln * (grid - T / 2.0)), grid)
-                        for ln in np.conj(lams)])
+    """max_n |int v(t+T/2) e^{conj(lambda_n) t} dt - c_n|, exactly: the
+    control is an exponential sum, integrated through `exp_integral`."""
+    lo, hi = control.support
+    out = exp_integral(np.conj(system.lambdas)[:, None], system.horizon / 2.0,
+                       control.rates, control.center, lo, hi) @ control.weights
     return float(np.max(np.abs(out - np.asarray(system.rhs))))
 
 

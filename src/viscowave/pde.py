@@ -17,25 +17,19 @@ and the three systems differ only in those two coefficients:
 
 There is no time discretization of the dynamics.  Each mode splits into
 z' = r z + f_n v(t), one equation per characteristic root r, and all roots
-of all modes are propagated together as arrays.  Free motion and
-exponential-sum controls are evaluated in closed form directly from t = 0
-at every record time,
+of all modes are propagated together as arrays.  Free motion and the
+control, an exponential sum, are evaluated in closed form directly from
+t = 0 at every record time,
 
     z(t) = e^{rt} z(0) + f_n sum_k w_k int_lo^{min(t,hi)} e^{r(t-s)} e^{rho_k(s-c)} ds,
 
 each integral being the shared kernel `core.exp_integral`, so nothing
-accumulates from step to step.  Sampled controls enter through exact
-integrals of e^{r(t-s)} against the piecewise-linear reconstruction between
-samples, formed for all roots and sample intervals in one pass and carried
-along the record times by z_k = e^{r(t_k - t_{k-1})} z_{k-1} + f_n inc_k.
-That reconstruction is the only approximation (quadratic in the control's
-curvature).
+accumulates from step to step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -43,9 +37,6 @@ from .core import ConfigError, ControlSignal, ModalState, exp_integral
 
 SYSTEMS = ("corrected", "viscous", "wave")
 
-# J1/h^2 = sum_{j>=0} (rh)^j / (j+2)!, highest power first; 24 terms are far
-# below rounding where it is used, |rh| < 1/2
-_J1_SERIES = np.array([1.0 / factorial(j + 2) for j in range(23, -1, -1)])
 _BLOCK = 1 << 18
 
 
@@ -84,40 +75,6 @@ class ModeDynamics:
                    f_coef=f_coef)
 
 
-def _step_integrals(r: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """J0 = int_0^h e^{r(h-s)} ds and J1 = same with an extra factor s, per root."""
-    rh = r * h
-    j0 = exp_integral(-r, h, 0.0, 0.0, 0.0, h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the recursion J1 = (J0 - h)/r is safe once rh is away from 0
-        j1 = np.where(np.abs(rh) < 0.5, h * h * np.polyval(_J1_SERIES, rh), (j0 - h) / r)
-    return j0, j1
-
-
-def _sampled_increments(r: np.ndarray, control: ControlSignal, t_a: float,
-                        times: np.ndarray) -> np.ndarray:
-    """int_{t_{k-1}}^{t_k} e^{r(t_k - s)} v(s) ds of the piecewise-linear
-    reconstruction (zero off the sample grid), t_{-1} = t_a, for a column of
-    roots r: shape (roots, times)."""
-    grid = control.grid()
-    dt = control.dt
-    edges = np.clip(np.concatenate(([t_a], times)), grid[0], grid[-1])
-    idx = np.rint((edges - grid[0]) / dt).astype(int)
-    if np.any(np.abs(grid[idx] - edges) > 1e-9 * max(dt, 1.0)):
-        raise ConfigError("span endpoints must sit on the control sample grid")
-    inc = np.zeros((len(r), len(times)), dtype=complex)
-    steps = np.flatnonzero(np.diff(idx))    # record steps that hold samples
-    if steps.size:
-        j = np.arange(idx[0], idx[-1])      # sample intervals, each used once
-        owner = np.searchsorted(idx, j, side="right") - 1
-        v = control.samples
-        j0, j1 = _step_integrals(r, dt)
-        per_interval = np.exp(r * (times[owner] - grid[j + 1])) \
-            * (j0 * v[j] + j1 * ((v[j + 1] - v[j]) / dt))
-        inc[:, steps] = np.add.reduceat(per_interval, idx[steps] - idx[0], axis=1)
-    return inc
-
-
 def _propagate(r1, r2, f, u0, v0, control: ControlSignal | None, t_a: float,
                times: np.ndarray):
     """(u, u') of every mode at ascending times >= t_a, each (modes, times).
@@ -128,29 +85,19 @@ def _propagate(r1, r2, f, u0, v0, control: ControlSignal | None, t_a: float,
     r = np.concatenate([r1, r2])[:, None]
     f = np.concatenate([f, f])[:, None]
     z0 = np.concatenate([v0 - r2 * u0, v0 - r1 * u0])
-    if control is not None and control.exp_terms is None:
-        inc = f * _sampled_increments(r, control, t_a, times)
-        decay = np.exp(r * np.diff(times, prepend=t_a))
-        z = np.empty_like(inc)
-        prev = z0
-        for k in range(len(times)):
-            prev = z[:, k] = decay[:, k] * prev + inc[:, k]
-    else:
-        z = np.exp(r * (times - t_a)) * z0[:, None]
-        if control is not None:
-            weights, rates = (np.asarray(x, dtype=complex) for x in control.exp_terms)
-            lo, hi = control.exp_support if control.exp_support is not None \
-                else (control.t0, control.t1)
-            # blocks of record times bound the (roots, times, terms) arrays by
-            # about _BLOCK elements; one block took an N = 64 solve to 606 MB.
-            # The terms are contracted by a sum, not a stacked matmul, which
-            # makes one BLAS call per (root, time) and ran 100x slower
-            step = max(1, _BLOCK // (len(r) * len(rates)))
-            for k in range(0, len(times), step):
-                t = times[k:k + step, None]
-                z[:, k:k + step] += f * np.sum(
-                    exp_integral(-r[..., None], t, rates, control.exp_center,
-                                 max(lo, t_a), np.minimum(t, hi)) * weights, axis=-1)
+    z = np.exp(r * (times - t_a)) * z0[:, None]
+    if control is not None:
+        lo, hi = control.support
+        # blocks of record times bound the (roots, times, terms) arrays by
+        # about _BLOCK elements; one block took an N = 64 solve to 606 MB.
+        # The terms are contracted by a sum, not a stacked matmul, which
+        # makes one BLAS call per (root, time) and ran 100x slower
+        step = max(1, _BLOCK // (len(r) * len(control.rates)))
+        for k in range(0, len(times), step):
+            t = times[k:k + step, None]
+            z[:, k:k + step] += f * np.sum(
+                exp_integral(-r[..., None], t, control.rates, control.center,
+                             max(lo, t_a), np.minimum(t, hi)) * control.weights, axis=-1)
     y, w = np.split(z, 2)
     r1, r2 = r1[:, None], r2[:, None]
     return (y - w) / (r1 - r2), (r1 * y - r2 * w) / (r1 - r2)
@@ -158,11 +105,8 @@ def _propagate(r1, r2, f, u0, v0, control: ControlSignal | None, t_a: float,
 
 def mode_propagate(dyn: ModeDynamics, state, control: ControlSignal | None,
                    t_span) -> tuple[complex, complex]:
-    """Advance (u, u') of one mode over t_span with the exact propagator.
-
-    No stability constraint; piecewise control spans must have endpoints on
-    the sample grid.
-    """
+    """Advance (u, u') of one mode over t_span with the exact propagator
+    (no stability constraint)."""
     t_a, t_b = float(t_span[0]), float(t_span[1])
     if t_b < t_a:
         raise ConfigError("reversed time span")
@@ -205,29 +149,15 @@ class Trajectory:
 
 def simulate(cfg, data: ModalState, control: ControlSignal | None,
              system: str = "corrected", record_points: int | None = None) -> Trajectory:
-    """Propagate every mode of `data` over [0, T] and record the energy.
+    """Propagate every mode of `data` over [0, T] and record the energy at
+    record_points + 1 equally spaced times (cfg.time_grid intervals by
+    default; record_points=1 gives the initial and final states only).
 
-    With a sampled control the record times are snapped onto the control's
-    sample grid so each recording step integrates whole sample intervals.
     The dissipation channel is 2 pi eps sum n^{2a} |u'_n|^2, which is -dE/dt
     for all three systems (identically zero for "wave").
     """
-    horizon = cfg.horizon_T
     n_rec = record_points if record_points is not None else cfg.time_grid
-    if control is not None and control.exp_terms is None:
-        if control.t0 > 1e-12 or control.t1 < horizon - 1e-9:
-            raise ConfigError("control is not defined on the full horizon")
-        grid = control.grid()
-        stride = max(1, len(grid) // max(n_rec, 1))
-        idx = np.arange(0, len(grid), stride)
-        if idx[-1] != len(grid) - 1:
-            idx = np.append(idx, len(grid) - 1)
-        times = grid[idx]
-        times = times[(times >= 0.0) & (times <= horizon + 1e-12)]
-        if abs(times[-1] - horizon) > 1e-9:
-            raise ConfigError("control grid does not reach the horizon")
-    else:
-        times = np.linspace(0.0, horizon, n_rec + 1)
+    times = np.linspace(0.0, cfg.horizon_T, n_rec + 1)
 
     eps, alpha = cfg.epsilon, cfg.alpha
     ns = np.asarray(data.indices, dtype=float)

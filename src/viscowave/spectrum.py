@@ -1,16 +1,9 @@
-"""Eigenvalue families, the spectral weight, its root map, and the multiplier's first node.
+"""Eigenvalue families, the spectral weight, and the multiplier's first node.
 
-Three families over nonzero integer index n:
+Two families over nonzero integer index n:
 
     lambda_n = i n + eps |n|^{2 alpha}          damped-corrected system
     mu_n     = i n                              conservative limit
-    nu_n     = eps |n|^{2a} + sgn(n) sqrt(eps^2 |n|^{4a} - n^2)   diagnostic
-
-nu uses the complex square root so both regimes are representable: for
-eps^2 |n|^{4a} < n^2 the root is imaginary (oscillatory regime), beyond the
-branch index it is real.  The eps^2 factor under the root is what the
-characteristic equation r^2 + 2 eps |n|^{2a} r + n^2 = 0 produces; nu is a
-diagnostic family only and never enters synthesis.
 """
 
 from __future__ import annotations
@@ -18,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import ALPHA_DEGENERACY_TOL, ConfigError, DegenerateAlphaError
 
@@ -47,17 +39,13 @@ def lambda_conj_vals(ns, eps: float, alpha: float) -> np.ndarray:
 
 
 def eigenvalue(family: str, n: int, eps: float, alpha: float) -> complex:
-    """Single eigenvalue from one of the families 'lambda', 'mu', 'nu'."""
+    """Single eigenvalue from one of the families 'lambda', 'mu'."""
     if n == 0:
         raise ConfigError("mode index 0 is excluded")
     if family == "lambda":
         return complex(lambda_vals(n, eps, alpha))
     if family == "mu":
         return 1j * n
-    if family == "nu":
-        an = abs(n)
-        rad = complex(eps * eps * an ** (4.0 * alpha) - n * n)
-        return eps * an ** (2.0 * alpha) + math.copysign(1.0, n) * np.sqrt(rad)
     raise ConfigError(f"unknown eigenvalue family {family!r}")
 
 
@@ -110,32 +98,6 @@ def phi_eps_inverse(y, eps: float, alpha: float) -> np.ndarray:
     g = gamma_eps(eps, alpha)
     return np.where(y <= g, (y / eps) ** (1.0 / (2.0 * alpha)),
                     eps * y ** (2.0 * alpha))
-
-
-# ---------------------------------------------------------------------------
-# root map
-# ---------------------------------------------------------------------------
-
-def xi_eps(x: float, eps: float, alpha: float) -> float:
-    """Unique root xi >= 0 of x^2 = xi^2 + eps^2 xi^{4 alpha}.
-
-    The left side is fixed, the right side strictly increasing in xi, so a
-    bracketed solve on [0, x] converges; relative tolerance 1e-13.
-    """
-    _check_alpha(alpha)
-    x = float(x)
-    if x < 0:
-        raise ConfigError("xi_eps takes x >= 0")
-    if x == 0.0 or eps == 0.0:
-        return x
-
-    x2 = x * x
-
-    def g(xi: float) -> float:
-        return xi * xi + (eps * xi ** (2.0 * alpha)) ** 2 - x2
-
-    # g(0) = -x^2 < 0 and g(x) >= 0, monotone in between
-    return float(brentq(g, 0.0, x, rtol=8.9e-16, maxiter=200))
 
 
 # ---------------------------------------------------------------------------

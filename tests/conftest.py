@@ -17,6 +17,16 @@ def seeded_data(seed: int = 7, n: int = 8) -> ModalState:
     return ModalState.from_arrays(idx, u0, u1, fh)
 
 
+def control_values(ctrl, t) -> np.ndarray:
+    """The exponential-sum control sum_k w_k e^{r_k (t - center)} at times t,
+    zero outside its support, summed term by term."""
+    t = np.asarray(t, dtype=float)
+    lo, hi = ctrl.support
+    v = np.concatenate([np.exp(np.outer(tb - ctrl.center, ctrl.rates)) @ ctrl.weights
+                        for tb in np.array_split(t, max(1, t.size // 256))])
+    return np.where((t >= lo) & (t <= hi), v, 0.0)
+
+
 @pytest.fixture
 def eight_modes() -> ModalState:
     return seeded_data()

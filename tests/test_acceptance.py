@@ -11,6 +11,7 @@ import time
 import mpmath as mp
 import numpy as np
 
+from conftest import control_values
 from viscowave import biorthogonal as bio
 from viscowave import moment as mom
 from viscowave import multiplier as mul
@@ -41,14 +42,13 @@ def test_criterion_02_resonant_oracle(resonant_data):
     T = TWO_PI
     system = mom.MomentSystem.build(resonant_data, T, 0.0, 0.0)
     res = mom.minnorm_control(system)
-    grid = res.control.grid()
+    grid = np.linspace(0.0, T, 4097)
     ref = np.sin(grid) / np.pi
-    dev_min = float(np.max(np.abs(np.asarray(res.control.samples) - ref)))
+    dev_min = float(np.max(np.abs(control_values(res.control, grid) - ref)))
 
     fam = bio.build_sinc_family([-1, 1])
     sres = mom.synthesize_control_series(resonant_data, fam, T, 0.0, 0.0)
-    dev_ser = float(np.max(np.abs(np.asarray(sres.control.samples)
-                                  - np.sin(sres.control.grid()) / np.pi)))
+    dev_ser = float(np.max(np.abs(control_values(sres.control, grid) - ref)))
 
     cfg = validate_config(ProblemConfig(alpha=0.0, epsilon=0.0, n_modes=1))
     traj = pde.simulate(cfg, resonant_data, res.control, system="wave")
@@ -192,8 +192,8 @@ def test_criterion_08_uniform_control_bound(eight_modes):
             system = mom.MomentSystem.build(eight_modes, T, eps, alpha)
             res = mom.minnorm_control(system)
             norms.append(res.norm)
-            imag_max = max(imag_max, float(np.max(np.abs(
-                np.imag(np.asarray(res.control.samples))))))
+            imag_max = max(imag_max, float(np.max(np.abs(np.imag(
+                control_values(res.control, np.linspace(0.0, T, 4097)))))))
             cfg = validate_config(ProblemConfig(alpha=alpha, epsilon=eps,
                                                 n_modes=8), for_synthesis=True)
             traj = pde.simulate(cfg, eight_modes, res.control)

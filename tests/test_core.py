@@ -135,16 +135,14 @@ def test_project_profile_rules():
 
 
 def test_control_signal_basics():
-    t = np.linspace(0, 2, 201)
-    v = ControlSignal(0.0, 2.0, np.sin(t))
-    assert v.dt == pytest.approx(0.01)
-    assert v.norm_l2() == pytest.approx(
-        math.sqrt(1.0 - math.sin(4.0) / 4.0), rel=1e-4)
-    assert v.imag_residual() == 0.0
+    v = ControlSignal(weights=[0.5, 0.5], rates=[1j, -1j], center=1.0,
+                      support=(0.0, 2.0))
+    assert v.weights.dtype == complex and v.rates.dtype == complex
+    assert v.weights.shape == v.rates.shape == (2,)
     with pytest.raises(ConfigError):
-        ControlSignal(1.0, 1.0, [0.0, 1.0])
+        ControlSignal(weights=[1.0], rates=[1j], center=0.0, support=(1.0, 1.0))
     with pytest.raises(ConfigError):
-        ControlSignal(0.0, 1.0, [0.0])
+        ControlSignal(weights=[1.0, 2.0], rates=[1j], center=0.0, support=(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

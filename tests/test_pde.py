@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from viscowave.core import (ConfigError, ControlSignal, ModalState,
                             ProblemConfig, validate_config)
+from viscowave.moment import MomentSystem, minnorm_control
 from viscowave.pde import (SYSTEMS, ModeDynamics, final_residual, modal_energy,
                            mode_propagate, simulate, stiffness_for)
 
@@ -88,54 +89,32 @@ def test_decay_envelope_exact():
 
 
 def test_forced_resonant_wave_mode():
-    # wave mode n = 1 driven by v(s) = sin(s)/pi with f_hat = 1 from rest:
-    # u(t) = (sin t - t cos t) / (2 pi)
+    # wave mode n = 1 driven by v(s) = sin(s)/pi = (e^{is} - e^{-is})/(2 pi i)
+    # with f_hat = 1 from rest: u(t) = (sin t - t cos t) / (2 pi), at any t
     dyn = ModeDynamics.for_system("wave", 1, 0.0, 0.0)
-    t = np.linspace(0, 2 * math.pi, 2049)
-    v = ControlSignal(0.0, 2 * math.pi, np.sin(t) / math.pi)
-    # span ends must sit on the sample grid
-    for t_end in (float(t[333]), float(t[1024]), float(t[2048])):
+    w = 1.0 / (2j * math.pi)
+    v = ControlSignal(weights=[w, -w], rates=[1j, -1j], center=0.0,
+                      support=(0.0, 2 * math.pi))
+    for t_end in (1.0162, math.pi, 2 * math.pi, 7.5):
         u, ud = mode_propagate(dyn, (0.0 + 0j, 0.0 + 0j), v, (0.0, t_end))
-        want = (math.sin(t_end) - t_end * math.cos(t_end)) / (2 * math.pi)
-        assert u == pytest.approx(want, rel=1e-5, abs=1e-8)
+        s = min(t_end, 2 * math.pi)   # free motion after the support ends
+        u_s = (math.sin(s) - s * math.cos(s)) / (2 * math.pi)
+        ud_s = s * math.sin(s) / (2 * math.pi)
+        want = u_s * math.cos(t_end - s) + ud_s * math.sin(t_end - s)
+        assert u == pytest.approx(want, rel=1e-13)   # measured 1.4e-16
 
 
-def test_exponential_terms_match_samples():
-    # the exact exponential representation and the sampled piecewise-linear
-    # path integrate the same control up to the sampling error
-    dyn = ModeDynamics.for_system("corrected", 2, 0.1, 0.25)
-    t = np.linspace(0, 2.0, 4097)
-    rate = complex(-0.3, 1.7)
-    samples = 0.5 * np.exp(rate * (t - 1.0))
-    sampled = ControlSignal(0.0, 2.0, samples)
-    exact = ControlSignal(0.0, 2.0, samples,
-                          exp_terms=(np.array([0.5 + 0j]), np.array([rate])),
-                          exp_center=1.0, exp_support=(0.0, 2.0))
-    state = (0.2 + 0j, -0.1 + 0j)
-    u_s, ud_s = mode_propagate(dyn, state, sampled, (0.0, 2.0))
-    u_e, ud_e = mode_propagate(dyn, state, exact, (0.0, 2.0))
-    assert u_s == pytest.approx(u_e, rel=1e-7)
-    assert ud_s == pytest.approx(ud_e, rel=1e-7)
-    # whole trajectories of three modes: the sampled recurrence against the
-    # closed form from t = 0, on the same 257 record times
-    data = ModalState.from_arrays([1, 2, 3], [0.2, -0.3, 0.1], [-0.1, 0.4, 0.2],
-                                  [1.0, 0.7, -0.5])
-    cfg = _cfg(horizon_T=2.0)
-    traj_s = simulate(cfg, data, sampled)
-    traj_e = simulate(cfg, data, exact)
-    assert np.max(np.abs(traj_s.times - traj_e.times)) < 1e-15
-    assert np.max(np.abs(traj_s.energy / traj_e.energy - 1.0)) < 1e-7
-    scale = np.max(traj_e.mode_abs)
-    assert np.max(np.abs(traj_s.mode_abs - traj_e.mode_abs)) < 1e-7 * scale
-    for got, want in ((traj_s.final.u0, traj_e.final.u0), (traj_s.final.u1, traj_e.final.u1)):
-        assert np.max(np.abs(np.subtract(got, want))) < 1e-7 * np.max(np.abs(want))
-
-
-def test_span_must_align_with_sample_grid():
-    dyn = ModeDynamics.for_system("wave", 1, 0.0, 0.0)
-    v = ControlSignal(0.0, 1.0, np.ones(11))
-    with pytest.raises(ConfigError):
-        mode_propagate(dyn, (0j, 0j), v, (0.0, 0.55))
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_final_state_independent_of_record_points(alpha, eight_modes):
+    # the closed form runs from t = 0 at each record time, so the final
+    # state does not depend on how many record times precede it
+    T = 2 * math.pi
+    res = minnorm_control(MomentSystem.build(eight_modes, T, 0.1, alpha))
+    cfg = _cfg(alpha=alpha, eps=0.1, n_modes=8, horizon_T=T)
+    full = simulate(cfg, eight_modes, res.control)
+    last = simulate(cfg, eight_modes, res.control, record_points=1)
+    assert len(full.times) == cfg.time_grid + 1 and len(last.times) == 2
+    assert last.final == full.final
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +154,3 @@ def test_final_residual_zero_for_null_state():
     zero = ModalState.from_arrays([1], [0.0], [0.0], [1.0])
     assert final_residual(zero, data, 0.1, 0.25) == 0.0
     assert final_residual(data, data, 0.1, 0.25) == pytest.approx(1.0)
-
-
-def test_simulate_requires_covering_control():
-    data = ModalState.from_arrays([1], [1.0], [0.0], [1.0])
-    cfg = _cfg(horizon_T=4.0)
-    v = ControlSignal(0.0, 2.0, np.zeros(33))
-    with pytest.raises(ConfigError):
-        simulate(cfg, data, v)

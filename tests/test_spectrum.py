@@ -9,7 +9,7 @@ from viscowave.core import ConfigError, DegenerateAlphaError
 from viscowave.spectrum import (E, eigenvalue, gamma_eps, lambda_conj_vals,
                                 lambda_vals, node_start,
                                 node_sum_bound, node_tail_sq_constant, phi_eps,
-                                phi_eps_inverse, xi_eps)
+                                phi_eps_inverse)
 
 ALPHAS = (0.25, 0.75)
 
@@ -38,14 +38,12 @@ def test_eigenvalue_families():
     lam = eigenvalue("lambda", 4, 0.1, 0.25)
     assert lam == pytest.approx(complex(0.1 * 2.0, 4.0))
     assert eigenvalue("mu", 4, 0.1, 0.25) == 4j
-    nu = eigenvalue("nu", 4, 0.1, 0.25)
-    # nu solves nu^2 - 2 eps |n|^{2a} nu + n^2 = 0 (exact root relation)
-    b = 0.1 * 4 ** 0.5
-    assert nu ** 2 - 2 * b * nu + 16.0 == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ConfigError):
         eigenvalue("lambda", 0, 0.1, 0.25)
     with pytest.raises(ConfigError):
         eigenvalue("sigma", 1, 0.1, 0.25)
+    with pytest.raises(ConfigError):
+        eigenvalue("nu", 1, 0.1, 0.25)
 
 
 @given(n=st.integers(1, 400), eps=st.sampled_from([0.0, 0.01, 0.1, 0.5]),
@@ -101,33 +99,6 @@ def test_phi_inverse_rejects_flat_weight():
         phi_eps_inverse(1.0, 0.0, 0.25)
 
 
-def test_xi_defining_equation():
-    for eps, alpha in [(0.1, 0.25), (0.5, 0.75)]:
-        for x in (0.5, 3.0, 40.0):
-            xi = xi_eps(x, eps, alpha)
-            assert xi * xi + (eps * xi ** (2 * alpha)) ** 2 == pytest.approx(
-                x * x, rel=1e-12)
-            assert 0 < xi < x
-
-
-def test_xi_identity_cases():
-    assert xi_eps(0.0, 0.1, 0.25) == 0.0
-    assert xi_eps(5.0, 0.0, 0.25) == 5.0
-
-
-@given(n=st.integers(1, 60), eps=st.sampled_from([0.01, 0.1]),
-       alpha=st.sampled_from(ALPHAS))
-@settings(max_examples=60, deadline=None)
-def test_xi_near_integer_lattice(n, eps, alpha):
-    # the root map sends |lambda_n| back near n: |xi(|lambda_n|) - n| is
-    # controlled by |x - |lambda_n|| at x = n (distance comparison used by
-    # the counting argument); here just the containment xi <= |lambda_n|
-    # and the defining residual
-    x = abs(complex(lambda_vals(n, eps, alpha)))
-    xi = xi_eps(x, eps, alpha)
-    assert xi == pytest.approx(n, rel=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # node sequence and proof constants
 # ---------------------------------------------------------------------------
@@ -181,7 +152,6 @@ def test_node_tail_sq_constant():
 
 def test_alpha_degeneracy_raises():
     for fn in (lambda: phi_eps(2.0, 0.1, 0.5),
-               lambda: xi_eps(2.0, 0.1, 0.5),
                lambda: phi_eps_inverse(1.0, 0.1, 0.5)):
         with pytest.raises(DegenerateAlphaError):
             fn()
