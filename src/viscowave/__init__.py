@@ -16,7 +16,6 @@ from .core import (
     validate_config,
     load_config,
     h0_norm_sq,
-    project_profile,
 )
 
 __version__ = "0.1.0"
@@ -31,6 +30,5 @@ __all__ = [
     "validate_config",
     "load_config",
     "h0_norm_sq",
-    "project_profile",
     "__version__",
 ]

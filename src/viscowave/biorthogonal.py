@@ -186,15 +186,6 @@ class BiorthogonalFamily:
         return self.values[m]
 
 
-def sinc_theta(m: int, t):
-    """eps = 0 biorthogonal function on (-pi, pi): e^{imt}/(2pi)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) >= np.pi):
-        raise ConfigError("sinc_theta is defined for |t| < pi")
-    res = np.exp(1j * m * t) / (2.0 * np.pi)
-    return complex(res) if res.ndim == 0 else res
-
-
 def build_sinc_family(m_range, points_per_unit: float = 64.0) -> BiorthogonalFamily:
     ms = tuple(sorted(m for m in m_range if m != 0))
     n = next_pow2(int(2.0 * np.pi * points_per_unit)) + 1

@@ -152,7 +152,7 @@ def spectrum_dump(config, out, seed, alpha, epsilon, modes, horizon) -> None:
         have_nodes = cfg.epsilon > 0 and cfg.alpha not in (0.0,) \
             and not cfg.alpha_is_degenerate
         for n in range(1, cfg.n_modes + 1):
-            lam = sp.eigenvalue("lambda", n, cfg.epsilon, cfg.alpha)
+            lam = complex(sp.lambda_vals(n, cfg.epsilon, cfg.alpha))
             phi = float(sp.phi_eps(abs(lam), cfg.epsilon, cfg.alpha)) \
                 if not cfg.alpha_is_degenerate else float("nan")
             a_n = float(sp.phi_eps_inverse(float(n), cfg.epsilon, cfg.alpha)) / sp.E \
@@ -228,7 +228,7 @@ def multiplier_check(config, out, seed, alpha, epsilon, modes, horizon) -> None:
         rep = mul.multiplier_property_check(ms, cfg.epsilon, cfg.alpha, xg, ev)
         rows = []
         for m in ms:
-            lam = sp.eigenvalue("lambda", m, cfg.epsilon, cfg.alpha)
+            lam = complex(sp.lambda_vals(m, cfg.epsilon, cfg.alpha))
             log_m = rep.log_abs[m]
             bound = -np.asarray(sp.phi_eps(xg, cfg.epsilon, cfg.alpha)) \
                 + 2.0 * sp.E ** 2 * abs(lam.real) + 1.0
@@ -344,24 +344,20 @@ def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
             ctrl, cond, vnorm = res.control, res.cond, res.norm
             meta["moment_residual"] = res.moment_residual
         else:
-            if cfg.epsilon == 0:
-                fam = bio.build_sinc_family(
-                    [m for m in range(-cfg.n_modes, cfg.n_modes + 1) if m != 0])
-            else:
-                theta, zeta = _family_for(cfg)
-                fam = zeta if zeta is not None else theta
-                need = 2.0 * fam.support_half
-                if T < need:
-                    if horizon is None and config is None:
-                        # default horizon: stretch to fit the family support
-                        T = float(2.0 * np.ceil(need / 2.0 + 0.5))
-                        meta["horizon_auto"] = T
-                    else:
-                        raise ConfigError(
-                            f"horizon {T:.3f} below family support {need:.3f}; "
-                            "pass --horizon at least that large")
-                meta.update({"omega": fam.omega, "beta_hat": fam.beta_hat,
-                             "c_hat": fam.c_hat})
+            theta, zeta = _family_for(cfg)
+            fam = zeta if zeta is not None else theta
+            need = 2.0 * fam.support_half
+            if T < need:
+                if horizon is None and config is None:
+                    # default horizon: stretch to fit the family support
+                    T = float(2.0 * np.ceil(need / 2.0 + 0.5))
+                    meta["horizon_auto"] = T
+                else:
+                    raise ConfigError(
+                        f"horizon {T:.3f} below family support {need:.3f}; "
+                        "pass --horizon at least that large")
+            meta.update({"omega": fam.omega, "beta_hat": fam.beta_hat,
+                         "c_hat": fam.c_hat})
             sres = mom.synthesize_control_series(data, fam, T, cfg.epsilon, cfg.alpha)
             ctrl, vnorm = sres.control, sres.norm
             cond = float("nan")
@@ -369,7 +365,7 @@ def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
             meta["h0_norm_sq"] = sres.h0_norm_sq
         if T != cfg.horizon_T:
             cfg = validate_config(replace(cfg, horizon_T=T), for_synthesis=True)
-        traj = pde.simulate(cfg, data, ctrl, system="corrected", record_points=1)
+        traj = pde.simulate(cfg, data, ctrl, system="corrected")
         resid = pde.final_residual(traj.final, data, cfg.epsilon, cfg.alpha)
         _write_csv(out_path,
                    ("epsilon", "alpha", "n_modes", "horizon", "v_norm", "gram_cond",
@@ -578,7 +574,7 @@ def verify(config, out, seed, alpha, epsilon, modes, horizon) -> None:
             n = 8
             data = ModalState.from_arrays(range(1, n + 1), rng_.normal(size=n),
                                           rng_.normal(size=n), np.ones(n))
-            traj = pde.simulate(cfg, data, None, system="corrected")
+            traj = pde.simulate(cfg, data, None, system="corrected", record_points=256)
             drops = np.diff(traj.energy)
             return bool(np.all(drops <= 1e-12 * traj.energy[0])), \
                 f"max energy rise {float(np.max(drops, initial=0.0)):.2e}"

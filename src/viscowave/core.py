@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,10 +65,7 @@ class ProblemConfig:
     decay_boost: extra sinc powers multiplied into the interpolant; each one
         adds delta to the declared exponential type and one power of 1/|x|
         decay on the real axis.
-    time_grid: number of record intervals over [0, T] in pde.simulate.
     smoothing_a: half-width a of the triangle smoothing kernel.
-    gamma_eps: branch point of the weight (filled by validate_config when
-        alpha > 1/2 and epsilon > 0; derived, do not set by hand).
     """
     alpha: float
     epsilon: float
@@ -80,9 +76,7 @@ class ProblemConfig:
     omega_value: float | None = None
     decay_boost: int = 7
     quad: QuadBudget = field(default_factory=QuadBudget)
-    time_grid: int = 256
     smoothing_a: float = 0.5
-    gamma_eps: float | None = None
 
     @property
     def alpha_is_degenerate(self) -> bool:
@@ -90,7 +84,7 @@ class ProblemConfig:
 
 
 def validate_config(cfg: ProblemConfig, for_synthesis: bool = False) -> ProblemConfig:
-    """Normalize and check a config; idempotent.
+    """Check a config and return it unchanged.
 
     for_synthesis=True additionally rejects alpha = 1/2, which is only
     acceptable for degeneracy diagnostics (the modal moment equations are
@@ -108,8 +102,6 @@ def validate_config(cfg: ProblemConfig, for_synthesis: bool = False) -> ProblemC
         raise ConfigError("delta must be positive")
     if cfg.decay_boost < 0:
         raise ConfigError("decay_boost must be >= 0")
-    if cfg.time_grid < 1:
-        raise ConfigError("time_grid must be >= 1")
     if cfg.smoothing_a < 0:
         raise ConfigError("smoothing_a must be >= 0")
     if cfg.omega_mode not in ("fitted", "fixed"):
@@ -120,15 +112,6 @@ def validate_config(cfg: ProblemConfig, for_synthesis: bool = False) -> ProblemC
         raise DegenerateAlphaError(
             "alpha = 1/2 is spectrally degenerate; control synthesis refused "
             "(degeneracy diagnostics still run)")
-    gamma = None
-    if cfg.alpha > 0.5 and cfg.epsilon > 0:
-        # saturates to inf for denormal-scale epsilon; the outer weight
-        # branch then simply never activates
-        with np.errstate(over="ignore"):
-            gamma = float(np.float_power(1.0 / cfg.epsilon,
-                                         1.0 / (2.0 * cfg.alpha - 1.0)))
-    if gamma != cfg.gamma_eps:
-        cfg = replace(cfg, gamma_eps=gamma)
     return cfg
 
 
@@ -147,7 +130,7 @@ def load_config(path: str) -> ProblemConfig:
         sec = parser["problem"]
         for key, conv in (("alpha", float), ("epsilon", float), ("horizon_T", float),
                           ("n_modes", int), ("delta", float), ("omega_value", float),
-                          ("decay_boost", int), ("time_grid", int), ("smoothing_a", float)):
+                          ("decay_boost", int), ("smoothing_a", float)):
             if key in sec:
                 kw[key] = conv(sec[key])
         if "omega_mode" in sec:
@@ -203,19 +186,6 @@ class ModalState:
                    tuple(complex(v) for v in u1),
                    tuple(complex(v) for v in profile))
 
-    def profile_for(self, n: int) -> complex:
-        """f_hat for mode |n|; raises if absent."""
-        try:
-            pos = self.indices.index(abs(n))
-        except ValueError:
-            raise ConfigError(f"no profile coefficient for mode {abs(n)}") from None
-        return self.profile[pos]
-
-    def is_real(self, tol: float = 0.0) -> bool:
-        vals = np.concatenate([np.asarray(self.u0), np.asarray(self.u1),
-                               np.asarray(self.profile)])
-        return bool(np.max(np.abs(vals.imag), initial=0.0) <= tol)
-
 
 @dataclass(frozen=True)
 class ControlSignal:
@@ -243,7 +213,7 @@ class ControlSignal:
 
 
 # ---------------------------------------------------------------------------
-# norms and profiles
+# norms
 # ---------------------------------------------------------------------------
 
 def h0_norm_sq(data: ModalState) -> float:
@@ -252,36 +222,6 @@ def h0_norm_sq(data: ModalState) -> float:
     for n, u0, u1, fh in zip(data.indices, data.u0, data.u1, data.profile):
         total += (n * n * abs(u0) ** 2 + abs(u1) ** 2) / abs(fh) ** 2
     return total
-
-
-_PROFILE_RULES = {
-    "unit": lambda n: 1.0,
-    "inverse": lambda n: 1.0 / n,
-    "inverse_square": lambda n: 1.0 / (n * n),
-}
-
-
-def project_profile(rule, N: int) -> tuple[complex, ...]:
-    """Profile coefficients f_hat_1..f_hat_N from a named rule or explicit list.
-
-    Named rules: "unit", "inverse", "inverse_square". An explicit sequence is
-    validated for length and nonzero entries.
-    """
-    if N < 1:
-        raise ConfigError("N must be >= 1")
-    if isinstance(rule, str):
-        try:
-            fn = _PROFILE_RULES[rule]
-        except KeyError:
-            raise ConfigError(f"unknown profile rule {rule!r}; "
-                              f"choices: {sorted(_PROFILE_RULES)}") from None
-        return tuple(complex(fn(n)) for n in range(1, N + 1))
-    vals = tuple(complex(v) for v in rule)
-    if len(vals) != N:
-        raise ConfigError(f"explicit profile has {len(vals)} entries, expected {N}")
-    if any(v == 0 for v in vals):
-        raise ConfigError("explicit profile contains a zero coefficient")
-    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,8 @@ def ingham_ratio(indices, coeffs, eps: float, alpha: float, T: float,
     """int_{-T}^{T} |sum beta_n e^{lambda_n t}|^2 dt divided by the weighted
     coefficient mass sum |beta_n|^2 e^{-omega_weight eps |n|^{2a}}.
 
-    The integral runs over (-T, T), twice the moment interval; each formula
-    keeps its own interval convention.
+    The integral runs over (-T, T), twice the moment interval, so the "gram"
+    numerator is the Gram matrix at horizon 2T.
     """
     idx = np.asarray(indices)
     b = np.asarray(coeffs, dtype=complex)
@@ -189,11 +189,10 @@ def ingham_ratio(indices, coeffs, eps: float, alpha: float, T: float,
         raise ConfigError("indices and coefficients disagree in length")
     if not np.any(b):
         raise ConfigError("all-zero coefficient sequence")
-    lams = lambda_vals(idx, eps, alpha)
     if method == "gram":
-        g2 = exp_integral(np.conj(lams)[:, None], 0.0, lams[None, :], 0.0, -T, T)
-        num = float(np.real(np.vdot(b, g2 @ b)))
+        num = float(np.real(np.vdot(b, gram_matrix(idx, eps, alpha, 2.0 * T) @ b)))
     elif method == "quad":
+        lams = lambda_vals(idx, eps, alpha)
         tg = np.linspace(-T, T, 40001)
         f = np.sum(b[:, None] * np.exp(lams[:, None] * tg[None, :]), axis=0)
         from scipy.integrate import simpson

@@ -57,27 +57,8 @@ def mode_roots(system: str, n, eps: float, alpha: float):
     return -b + sq, -b - sq
 
 
-@dataclass(frozen=True)
-class ModeDynamics:
-    """Characteristic roots and profile coefficient of one modal oscillator."""
-    n: int
-    root_plus: complex
-    root_minus: complex
-    f_coef: complex = 1.0
-
-    @classmethod
-    def for_system(cls, system: str, n: int, eps: float, alpha: float,
-                   f_coef: complex = 1.0) -> "ModeDynamics":
-        if n < 1:
-            raise ConfigError("mode index must be a positive integer")
-        r_plus, r_minus = mode_roots(system, n, eps, alpha)
-        return cls(n=n, root_plus=complex(r_plus), root_minus=complex(r_minus),
-                   f_coef=f_coef)
-
-
-def _propagate(r1, r2, f, u0, v0, control: ControlSignal | None, t_a: float,
-               times: np.ndarray):
-    """(u, u') of every mode at ascending times >= t_a, each (modes, times).
+def _propagate(r1, r2, f, u0, v0, control: ControlSignal | None, times: np.ndarray):
+    """(u, u') of every mode at ascending times >= 0, each (modes, times).
 
     A mode decouples into y = u' - r2 u and w = u' - r1 u, which obey
     z' = r z + f v with r = r1 and r = r2; both are rows of one array.
@@ -85,38 +66,24 @@ def _propagate(r1, r2, f, u0, v0, control: ControlSignal | None, t_a: float,
     r = np.concatenate([r1, r2])[:, None]
     f = np.concatenate([f, f])[:, None]
     z0 = np.concatenate([v0 - r2 * u0, v0 - r1 * u0])
-    z = np.exp(r * (times - t_a)) * z0[:, None]
+    z = np.exp(r * times) * z0[:, None]
     if control is not None:
-        lo, hi = control.support
-        # blocks of record times bound the (roots, times, terms) arrays by
-        # about _BLOCK elements; one block took an N = 64 solve to 606 MB.
-        # The terms are contracted by a sum, not a stacked matmul, which
-        # makes one BLAS call per (root, time) and ran 100x slower
+        lo, hi = max(control.support[0], 0.0), control.support[1]
+        # record times up to lo see an empty control integral (an exact 0),
+        # so the loop starts past them.  Blocks of record times bound the
+        # (roots, times, terms) arrays by about _BLOCK elements; one block
+        # took an N = 64 solve to 606 MB.  The terms are contracted by a
+        # sum, not a stacked matmul, which makes one BLAS call per
+        # (root, time) and ran 100x slower
         step = max(1, _BLOCK // (len(r) * len(control.rates)))
-        for k in range(0, len(times), step):
+        for k in range(int(np.searchsorted(times, lo, side="right")), len(times), step):
             t = times[k:k + step, None]
             z[:, k:k + step] += f * np.sum(
                 exp_integral(-r[..., None], t, control.rates, control.center,
-                             max(lo, t_a), np.minimum(t, hi)) * control.weights, axis=-1)
+                             lo, np.minimum(t, hi)) * control.weights, axis=-1)
     y, w = np.split(z, 2)
     r1, r2 = r1[:, None], r2[:, None]
     return (y - w) / (r1 - r2), (r1 * y - r2 * w) / (r1 - r2)
-
-
-def mode_propagate(dyn: ModeDynamics, state, control: ControlSignal | None,
-                   t_span) -> tuple[complex, complex]:
-    """Advance (u, u') of one mode over t_span with the exact propagator
-    (no stability constraint)."""
-    t_a, t_b = float(t_span[0]), float(t_span[1])
-    if t_b < t_a:
-        raise ConfigError("reversed time span")
-    if dyn.root_plus == dyn.root_minus:
-        raise ConfigError("degenerate double root; propagator not defined")
-    one = np.ones(1, dtype=complex)
-    u, v = _propagate(dyn.root_plus * one, dyn.root_minus * one, dyn.f_coef * one,
-                      complex(state[0]) * one, complex(state[1]) * one, control,
-                      t_a, np.array([t_b]))
-    return complex(u[0, 0]), complex(v[0, 0])
 
 
 def stiffness_for(system: str, n, eps: float, alpha: float):
@@ -128,14 +95,17 @@ def stiffness_for(system: str, n, eps: float, alpha: float):
     return n ** 2
 
 
+def _energy(stiff, u, v):
+    """E = (pi/2) sum_n [ stiffness_n |u_n|^2 + |u'_n|^2 ], summed over modes
+    (axis 0)."""
+    return np.pi / 2.0 * np.sum(stiff * np.abs(u) ** 2 + np.abs(v) ** 2, axis=0)
+
+
 def modal_energy(state: ModalState, eps: float, alpha: float,
                  system: str = "corrected") -> float:
-    """E = (pi/2) sum_n [ stiffness_n |u_n|^2 + |u'_n|^2 ]."""
-    ns = np.asarray(state.indices, dtype=float)
-    s = stiffness_for(system, ns, eps, alpha)
-    u0 = np.asarray(state.u0)
-    u1 = np.asarray(state.u1)
-    return float(np.pi / 2.0 * np.sum(s * np.abs(u0) ** 2 + np.abs(u1) ** 2))
+    """Energy of one modal state (see `_energy`)."""
+    s = stiffness_for(system, np.asarray(state.indices, dtype=float), eps, alpha)
+    return float(_energy(s, np.asarray(state.u0), np.asarray(state.u1)))
 
 
 @dataclass(frozen=True)
@@ -143,39 +113,34 @@ class Trajectory:
     times: np.ndarray
     energy: np.ndarray
     dissipation: np.ndarray  # -dE/dt; trapezoid-integrates against energy
-    mode_abs: np.ndarray     # |u_n(t)|, shape (len(times), n_modes)
     final: ModalState
 
 
 def simulate(cfg, data: ModalState, control: ControlSignal | None,
-             system: str = "corrected", record_points: int | None = None) -> Trajectory:
+             system: str = "corrected", record_points: int = 1) -> Trajectory:
     """Propagate every mode of `data` over [0, T] and record the energy at
-    record_points + 1 equally spaced times (cfg.time_grid intervals by
-    default; record_points=1 gives the initial and final states only).
+    record_points + 1 equally spaced times; the default records the initial
+    and final states only.
 
     The dissipation channel is 2 pi eps sum n^{2a} |u'_n|^2, which is -dE/dt
     for all three systems (identically zero for "wave").
     """
-    n_rec = record_points if record_points is not None else cfg.time_grid
-    times = np.linspace(0.0, cfg.horizon_T, n_rec + 1)
+    times = np.linspace(0.0, cfg.horizon_T, record_points + 1)
 
     eps, alpha = cfg.epsilon, cfg.alpha
     ns = np.asarray(data.indices, dtype=float)
     r1, r2 = mode_roots(system, ns, eps, alpha)
     uu, vv = _propagate(r1, r2, np.asarray(data.profile, dtype=complex),
                         np.asarray(data.u0, dtype=complex),
-                        np.asarray(data.u1, dtype=complex), control, 0.0, times)
-    stiff = stiffness_for(system, ns, eps, alpha)
-    energy = np.pi / 2.0 * np.sum(stiff[:, None] * np.abs(uu) ** 2 + np.abs(vv) ** 2,
-                                  axis=0)
+                        np.asarray(data.u1, dtype=complex), control, times)
+    energy = _energy(stiffness_for(system, ns, eps, alpha)[:, None], uu, vv)
     if system != "wave" and eps > 0:
         diss = 2.0 * np.pi * eps * np.sum(ns[:, None] ** (2.0 * alpha) * np.abs(vv) ** 2,
                                           axis=0)
     else:
         diss = np.zeros(len(times))
     final = ModalState.from_arrays(data.indices, uu[:, -1], vv[:, -1], data.profile)
-    return Trajectory(times=times, energy=energy, dissipation=diss,
-                      mode_abs=np.abs(uu).T, final=final)
+    return Trajectory(times=times, energy=energy, dissipation=diss, final=final)
 
 
 def final_residual(final: ModalState, initial: ModalState, eps: float,

@@ -1,9 +1,10 @@
 """Eigenvalue families, the spectral weight, and the multiplier's first node.
 
-Two families over nonzero integer index n:
+Over nonzero integer index n, the damped-corrected system has
 
-    lambda_n = i n + eps |n|^{2 alpha}          damped-corrected system
-    mu_n     = i n                              conservative limit
+    lambda_n = i n + eps |n|^{2 alpha},
+
+and eps = 0 gives the conservative limit i n.
 """
 
 from __future__ import annotations
@@ -36,17 +37,6 @@ def lambda_conj_vals(ns, eps: float, alpha: float) -> np.ndarray:
     """conj(lambda_n) = eps |n|^{2 alpha} - i n."""
     ns = np.asarray(ns)
     return eps * np.abs(ns) ** (2.0 * alpha) - 1j * ns
-
-
-def eigenvalue(family: str, n: int, eps: float, alpha: float) -> complex:
-    """Single eigenvalue from one of the families 'lambda', 'mu'."""
-    if n == 0:
-        raise ConfigError("mode index 0 is excluded")
-    if family == "lambda":
-        return complex(lambda_vals(n, eps, alpha))
-    if family == "mu":
-        return 1j * n
-    raise ConfigError(f"unknown eigenvalue family {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +96,7 @@ def phi_eps_inverse(y, eps: float, alpha: float) -> np.ndarray:
 
 def node_start(m: int, eps: float, alpha: float) -> int:
     """First node index n_m = floor(phi(e |lambda_m|)) + 1."""
-    lm = eigenvalue("lambda", m, eps, alpha)
+    lm = complex(lambda_vals(m, eps, alpha))
     return int(np.floor(float(phi_eps(E * abs(lm), eps, alpha)))) + 1
 
 

@@ -31,11 +31,16 @@ def zeta_family(theta_family):
 # ---------------------------------------------------------------------------
 
 def test_sinc_theta_values():
-    t = np.array([0.0, 1.0, -2.0])
-    got = bio.sinc_theta(3, t)
-    assert np.allclose(got, np.exp(3j * t) / (2 * math.pi), rtol=1e-14)
+    # the eps = 0 member m is e^{imt}/(2pi) on (-pi, pi): as samples and as
+    # its one-term exponential sum
+    fam = bio.build_sinc_family([-1, 1, 3])
+    t = fam.t_grid
+    assert np.allclose(fam.member(3), np.exp(3j * t) / (2 * math.pi), rtol=1e-14)
+    assert fam.window == (-math.pi, math.pi) and t[0] == -math.pi and t[-1] == math.pi
+    assert np.allclose(np.exp(np.outer(t, fam.rates)) @ fam.weights[3],
+                       fam.member(3), rtol=1e-14)
     with pytest.raises(ConfigError):
-        bio.sinc_theta(1, np.array([3.2]))
+        fam.member(2)
 
 
 def test_sinc_family_exact_biorthogonality():

@@ -135,6 +135,23 @@ def test_control_solve_zero_data(runner, tmp_path):
     assert float(row[4]) == 0.0                # zero data, zero control
 
 
+def test_control_solve_series_eps0_checks_horizon(runner, tmp_path):
+    # eps = 0 takes the same family path as eps > 0: the sinc family's
+    # support is 2 pi, so a shorter explicit horizon is refused
+    args = ["control", "solve", "--series", "--epsilon", "0", "--alpha", "0.25",
+            "--modes", "2"]
+    res = _run(runner, args + ["--horizon", "5"], tmp_path)
+    assert res.exit_code == 2
+    assert "below family support" in res.output
+    # the default horizon (2 pi) meets the support; its row is pinned
+    assert _run(runner, args, tmp_path).exit_code == 0
+    assert (tmp_path / "out.csv").read_text() == (
+        "epsilon,alpha,n_modes,horizon,v_norm,gram_cond,final_residual\n"
+        "0,0.25,2,6.2831853071795862,0.32174666020248921,nan,1.2574350136561766e-32\n")
+    meta = json.loads((tmp_path / "out.json").read_text())
+    assert meta["omega"] == 0 and meta["beta_hat"] == 0.0
+
+
 def test_deterministic_bytes(runner, tmp_path):
     args = ["control", "solve", "--alpha", "0.25", "--epsilon", "0.1",
             "--modes", "4", "--seed", "11"]

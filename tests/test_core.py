@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from viscowave.core import (ConfigError, ControlSignal, DegenerateAlphaError,
                             ModalState, ProblemConfig, QuadBudget, exp_integral,
                             h0_norm_sq, load_config, log1p_c, next_pow2,
-                            project_profile, sinc_c, sinhc, validate_config)
+                            sinc_c, sinhc, validate_config)
+from viscowave.spectrum import gamma_eps
 
 
 # ---------------------------------------------------------------------------
@@ -18,11 +19,10 @@ from viscowave.core import (ConfigError, ControlSignal, DegenerateAlphaError,
 # ---------------------------------------------------------------------------
 
 def test_validate_fills_branch_point():
-    cfg = validate_config(ProblemConfig(alpha=0.75, epsilon=0.1))
-    assert cfg.gamma_eps == pytest.approx(10.0 ** 2.0)
+    assert gamma_eps(0.1, 0.75) == pytest.approx(10.0 ** 2.0)
     # below 1/2 there is no branch point
-    cfg = validate_config(ProblemConfig(alpha=0.25, epsilon=0.1))
-    assert cfg.gamma_eps is None
+    with pytest.raises(ConfigError):
+        gamma_eps(0.1, 0.25)
 
 
 def test_validate_idempotent():
@@ -77,7 +77,7 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.alpha == 0.75 and cfg.epsilon == 0.05
     assert cfg.n_modes == 12 and cfg.horizon_T == 9.0
     assert cfg.quad.half_width is None and cfg.quad.points_per_unit == 24.0
-    assert cfg.gamma_eps == pytest.approx(20.0 ** 2)
+    assert gamma_eps(cfg.epsilon, cfg.alpha) == pytest.approx(20.0 ** 2)
 
 
 def test_load_config_requires_alpha_epsilon(tmp_path):
@@ -100,12 +100,6 @@ def test_modal_state_validation():
         ModalState.from_arrays([2, 1], [0, 0], [0, 0], [1, 1])
     with pytest.raises(ConfigError):
         ModalState.from_arrays([1], [0], [0], [0])   # uncontrollable mode
-    data = ModalState.from_arrays([1, 3], [1, 2], [0, 1j], [1, 2])
-    assert data.profile_for(-3) == 2
-    with pytest.raises(ConfigError):
-        data.profile_for(2)
-    assert not data.is_real()
-    assert ModalState.from_arrays([1], [1], [2], [3]).is_real()
 
 
 def test_h0_norm_example():
@@ -119,19 +113,6 @@ def test_h0_norm_profile_homogeneity(eight_modes):
                                     eight_modes.u1,
                                     [3.0 * f for f in eight_modes.profile])
     assert h0_norm_sq(scaled) == pytest.approx(h0_norm_sq(eight_modes) / 9.0)
-
-
-def test_project_profile_rules():
-    assert project_profile("unit", 3) == (1, 1, 1)
-    assert project_profile("inverse", 3) == (1, 0.5, pytest.approx(1 / 3))
-    assert project_profile("inverse_square", 2) == (1, 0.25)
-    assert project_profile([1, 2j], 2) == (1, 2j)
-    with pytest.raises(ConfigError):
-        project_profile("cubic", 2)
-    with pytest.raises(ConfigError):
-        project_profile([1, 0], 2)
-    with pytest.raises(ConfigError):
-        project_profile([1], 2)
 
 
 def test_control_signal_basics():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from viscowave.core import (ConfigError, ControlSignal, ModalState,
                             ProblemConfig, validate_config)
 from viscowave.moment import MomentSystem, minnorm_control
-from viscowave.pde import (SYSTEMS, ModeDynamics, final_residual, modal_energy,
-                           mode_propagate, simulate, stiffness_for)
+from viscowave.pde import (SYSTEMS, final_residual, modal_energy, mode_roots,
+                           simulate, stiffness_for)
 
 
 def _cfg(alpha=0.25, eps=0.1, **kw):
@@ -21,21 +21,20 @@ def _cfg(alpha=0.25, eps=0.1, **kw):
 # ---------------------------------------------------------------------------
 
 def test_corrected_roots_literal():
-    dyn = ModeDynamics.for_system("corrected", 3, 0.1, 0.25)
+    r_plus, r_minus = mode_roots("corrected", 3, 0.1, 0.25)
     b = 0.1 * 3 ** 0.5
-    assert dyn.root_plus == complex(-b, 3.0)
-    assert dyn.root_minus == complex(-b, -3.0)
+    assert r_plus == complex(-b, 3.0)
+    assert r_minus == complex(-b, -3.0)
 
 
 def test_wave_roots():
-    dyn = ModeDynamics.for_system("wave", 2, 0.0, 0.0)
-    assert dyn.root_plus == 2j and dyn.root_minus == -2j
+    r_plus, r_minus = mode_roots("wave", 2, 0.0, 0.0)
+    assert r_plus == 2j and r_minus == -2j
 
 
 def test_viscous_roots_satisfy_characteristic():
-    dyn = ModeDynamics.for_system("viscous", 5, 0.1, 0.75)
     b = 0.1 * 5 ** 1.5
-    for r in (dyn.root_plus, dyn.root_minus):
+    for r in mode_roots("viscous", 5, 0.1, 0.75):
         assert r * r + 2 * b * r + 25.0 == pytest.approx(0.0, abs=1e-10)
 
 
@@ -53,37 +52,52 @@ def test_stiffness_values():
 # propagation
 # ---------------------------------------------------------------------------
 
+def _final(state, T, eps=0.1, alpha=0.25, control=None, system="corrected"):
+    """(u, u') of every mode of `state` at T, propagated from t = 0."""
+    final = simulate(_cfg(alpha=alpha, eps=eps, horizon_T=T), state, control,
+                     system=system).final
+    return np.asarray(final.u0), np.asarray(final.u1)
+
+
+def _one_mode(n, u0, u1):
+    return ModalState.from_arrays([n], [u0], [u1], [1.0])
+
+
 def test_free_decay_oracle():
     # n = 1: u(t) = e^{-b t} cos t from u0 = 1, u1 = -b; at t = pi this is
     # -e^{-0.1 pi} for eps = 0.1 (any alpha, since 1^{2a} = 1)
-    dyn = ModeDynamics.for_system("corrected", 1, 0.1, 0.25)
-    u, ud = mode_propagate(dyn, (1.0 + 0j, complex(-0.1)), None, (0.0, math.pi))
-    assert u == pytest.approx(-math.exp(-0.1 * math.pi), rel=1e-14)
-    assert ud == pytest.approx(0.1 * math.exp(-0.1 * math.pi), rel=1e-12)
+    u, ud = _final(_one_mode(1, 1.0, -0.1), math.pi)
+    assert u[0] == pytest.approx(-math.exp(-0.1 * math.pi), rel=1e-14)
+    assert ud[0] == pytest.approx(0.1 * math.exp(-0.1 * math.pi), rel=1e-12)
 
 
 @given(t_mid=st.floats(0.1, 6.0), u0re=st.floats(-2, 2), u1im=st.floats(-2, 2))
 @settings(max_examples=60, deadline=None)
 def test_propagator_group_property(t_mid, u0re, u1im):
-    dyn = ModeDynamics.for_system("corrected", 3, 0.1, 0.75)
-    state = (complex(u0re, 0.3), complex(0.1, u1im))
-    direct = mode_propagate(dyn, state, None, (0.0, 2 * math.pi))
-    mid = mode_propagate(dyn, state, None, (0.0, t_mid))
-    two_leg = mode_propagate(dyn, mid, None, (t_mid, 2 * math.pi))
-    assert abs(direct[0] - two_leg[0]) < 1e-13
-    assert abs(direct[1] - two_leg[1]) < 1e-13
+    # free motion over (0, 2 pi) equals free motion over (0, t_mid) followed
+    # by free motion over (0, 2 pi - t_mid) from the state reached at t_mid;
+    # several modes at once, so each leg is one many-mode propagation
+    state = ModalState.from_arrays([1, 3], [complex(u0re, 0.3), 0.5],
+                                   [complex(0.1, u1im), -0.2j], [1.0, 1.0])
+    kw = dict(eps=0.1, alpha=0.75)
+    direct = _final(state, 2 * math.pi, **kw)
+    mid = ModalState.from_arrays(state.indices, *_final(state, t_mid, **kw),
+                                 state.profile)
+    two_leg = _final(mid, 2 * math.pi - t_mid, **kw)
+    assert np.max(np.abs(direct[0] - two_leg[0])) < 1e-13
+    assert np.max(np.abs(direct[1] - two_leg[1])) < 1e-13
 
 
 def test_decay_envelope_exact():
     # the root-adapted variable y = u' - r_- u satisfies |y(t)| =
     # |y(0)| e^{-eps n^{2a} t} exactly for the corrected system
     for eps, alpha, n in [(0.1, 0.25, 4), (0.3, 0.75, 2)]:
-        dyn = ModeDynamics.for_system("corrected", n, eps, alpha)
-        state = (0.7 - 0.2j, 0.1 + 0.9j)
-        y0 = state[1] - dyn.root_minus * state[0]
+        _, r_minus = mode_roots("corrected", n, eps, alpha)
+        u0, u1 = 0.7 - 0.2j, 0.1 + 0.9j
+        y0 = u1 - r_minus * u0
         t = 3.7
-        u, ud = mode_propagate(dyn, state, None, (0.0, t))
-        y = ud - dyn.root_minus * u
+        u, ud = _final(_one_mode(n, u0, u1), t, eps=eps, alpha=alpha)
+        y = ud[0] - r_minus * u[0]
         assert abs(y) == pytest.approx(
             abs(y0) * math.exp(-eps * n ** (2 * alpha) * t), rel=1e-13)
 
@@ -91,17 +105,17 @@ def test_decay_envelope_exact():
 def test_forced_resonant_wave_mode():
     # wave mode n = 1 driven by v(s) = sin(s)/pi = (e^{is} - e^{-is})/(2 pi i)
     # with f_hat = 1 from rest: u(t) = (sin t - t cos t) / (2 pi), at any t
-    dyn = ModeDynamics.for_system("wave", 1, 0.0, 0.0)
     w = 1.0 / (2j * math.pi)
     v = ControlSignal(weights=[w, -w], rates=[1j, -1j], center=0.0,
                       support=(0.0, 2 * math.pi))
     for t_end in (1.0162, math.pi, 2 * math.pi, 7.5):
-        u, ud = mode_propagate(dyn, (0.0 + 0j, 0.0 + 0j), v, (0.0, t_end))
+        u, _ = _final(_one_mode(1, 0.0, 0.0), t_end, eps=0.0, alpha=0.0,
+                      control=v, system="wave")
         s = min(t_end, 2 * math.pi)   # free motion after the support ends
         u_s = (math.sin(s) - s * math.cos(s)) / (2 * math.pi)
         ud_s = s * math.sin(s) / (2 * math.pi)
         want = u_s * math.cos(t_end - s) + ud_s * math.sin(t_end - s)
-        assert u == pytest.approx(want, rel=1e-13)   # measured 1.4e-16
+        assert u[0] == pytest.approx(want, rel=1e-13)   # measured 1.4e-16
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
@@ -111,9 +125,10 @@ def test_final_state_independent_of_record_points(alpha, eight_modes):
     T = 2 * math.pi
     res = minnorm_control(MomentSystem.build(eight_modes, T, 0.1, alpha))
     cfg = _cfg(alpha=alpha, eps=0.1, n_modes=8, horizon_T=T)
-    full = simulate(cfg, eight_modes, res.control)
-    last = simulate(cfg, eight_modes, res.control, record_points=1)
-    assert len(full.times) == cfg.time_grid + 1 and len(last.times) == 2
+    full = simulate(cfg, eight_modes, res.control, record_points=256)
+    last = simulate(cfg, eight_modes, res.control)
+    assert len(full.times) == 257
+    assert last.times.tolist() == [0.0, T]      # the default: start and end only
     assert last.final == full.final
 
 
@@ -134,7 +149,7 @@ def test_free_energy_monotone_and_dissipation():
                                   rng.normal(size=n), np.ones(n))
     for system in ("corrected", "viscous"):
         cfg = _cfg(alpha=0.75, eps=0.2, n_modes=n)
-        traj = simulate(cfg, data, None, system=system)
+        traj = simulate(cfg, data, None, system=system, record_points=256)
         assert np.all(np.diff(traj.energy) <= 1e-12 * traj.energy[0])
         # energy balance: E(0) - E(T) equals the integrated dissipation
         drop = traj.energy[0] - traj.energy[-1]
@@ -145,7 +160,7 @@ def test_free_energy_monotone_and_dissipation():
 def test_wave_energy_constant():
     data = ModalState.from_arrays([1, 4], [1.0, 0.3], [0.5, -0.2], [1, 1])
     cfg = _cfg(alpha=0.25, eps=0.0)
-    traj = simulate(cfg, data, None, system="wave")
+    traj = simulate(cfg, data, None, system="wave", record_points=256)
     assert np.max(np.abs(traj.energy - traj.energy[0])) <= 1e-12 * traj.energy[0]
 
 

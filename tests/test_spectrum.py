@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscowave.core import ConfigError, DegenerateAlphaError
-from viscowave.spectrum import (E, eigenvalue, gamma_eps, lambda_conj_vals,
+from viscowave.spectrum import (E, gamma_eps, lambda_conj_vals,
                                 lambda_vals, node_start,
                                 node_sum_bound, node_tail_sq_constant, phi_eps,
                                 phi_eps_inverse)
@@ -35,15 +35,10 @@ def test_lambda_allows_degenerate_alpha():
 
 
 def test_eigenvalue_families():
-    lam = eigenvalue("lambda", 4, 0.1, 0.25)
+    lam = complex(lambda_vals(4, 0.1, 0.25))
     assert lam == pytest.approx(complex(0.1 * 2.0, 4.0))
-    assert eigenvalue("mu", 4, 0.1, 0.25) == 4j
-    with pytest.raises(ConfigError):
-        eigenvalue("lambda", 0, 0.1, 0.25)
-    with pytest.raises(ConfigError):
-        eigenvalue("sigma", 1, 0.1, 0.25)
-    with pytest.raises(ConfigError):
-        eigenvalue("nu", 1, 0.1, 0.25)
+    # eps = 0 is the conservative limit i n
+    assert complex(lambda_vals(4, 0.0, 0.25)) == 4j
 
 
 @given(n=st.integers(1, 400), eps=st.sampled_from([0.0, 0.01, 0.1, 0.5]),
