@@ -8,7 +8,6 @@ against a biorthogonal family of exponentials.
 
 from .core import (
     ProblemConfig,
-    QuadBudget,
     ModalState,
     ControlSignal,
     ConfigError,
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ProblemConfig",
-    "QuadBudget",
     "ModalState",
     "ControlSignal",
     "ConfigError",

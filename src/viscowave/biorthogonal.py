@@ -26,9 +26,13 @@ so the shared rates are the n + 1 points i x_j, j = 0..n, x_n = half.
 
 The multiplier power omega must be an integer: the multiplier ratio is an
 entire function, but a non-integer power of it is not (branch points at its
-zeros), and the transform's support claim rests on entirety.  "fitted" mode
+zeros), and the transform's support claim rests on entirety.  `resolve_omega`
 therefore fits the envelope exponent over the working index range and takes
 the next integer above 1.25x the fit.
+
+How the family is built is fixed by the module constants below: the sinc
+width, the extra sinc powers, the smoothing half-width and the sample
+densities.  None of them is part of the problem (eps, alpha, T, N).
 
 A family build shares its lattice work.  Every member's product is the
 Lagrange basis of one generating function F (see `weierstrass`), so each
@@ -60,6 +64,16 @@ LATTICE_TYPE = math.pi  # exponential type of the interpolation product:
 # the node moduli |conj(lambda_n)| >= |n|, so the counting function stays
 # below that of the integer lattice, whose canonical product has type pi
 
+SINC_DELTA = 0.25  # width delta of the sinc factor sinc(delta (z - node))
+# extra sinc powers: each adds delta to the declared type and one power of
+# 1/|x| decay on the real axis
+DECAY_BOOST = 7
+SMOOTHING_A = 0.5  # half-width a of the triangle smoothing kernel
+# x-grid density of the FFT, refined so that the grid length is a power of two
+POINTS_PER_UNIT = 20.0
+OMEGA_FIT_HALF_WIDTH = 400.0  # the envelope fit's grid: 3000 points on [0, this]
+SINC_LIMIT_POINTS_PER_UNIT = 64.0  # t-grid density of the eps = 0 family
+
 
 @dataclass(frozen=True)
 class EntireInterpolant:
@@ -67,8 +81,6 @@ class EntireInterpolant:
     m: int
     eps: float
     alpha: float
-    delta: float
-    decay_boost: int
     omega: int
     product: ProductEvaluator
     mult: MultiplierEvaluator | None
@@ -78,7 +90,7 @@ class EntireInterpolant:
     @property
     def declared_type(self) -> float:
         l2 = node_sum_bound(self.eps, self.alpha) if self.mult is not None else 0.0
-        return LATTICE_TYPE + self.omega * l2 + (1 + self.decay_boost) * self.delta
+        return LATTICE_TYPE + self.omega * l2 + (1 + DECAY_BOOST) * SINC_DELTA
 
     def log_psi(self, z, log_mult=None, log_f=None) -> np.ndarray:
         """log psi_m(z); log_mult is log M_m(z) and log_f the generating
@@ -89,9 +101,9 @@ class EntireInterpolant:
             if log_mult is None:
                 log_mult = self.mult.log_eval(self.m, z)
             out = out + self.omega * log_mult - self.log_mult_node
-        w = self.delta * (z - self.node)
+        w = SINC_DELTA * (z - self.node)
         with np.errstate(divide="ignore"):
-            out = out + (1 + self.decay_boost) * np.log(sinc_c(w))
+            out = out + (1 + DECAY_BOOST) * np.log(sinc_c(w))
         return out
 
 
@@ -109,26 +121,19 @@ def make_interpolant(m: int, cfg: ProblemConfig, omega: int,
     log_node = 0.0 + 0.0j
     if mult is not None:
         log_node = omega * complex(mult.log_eval(m, node))
-    return EntireInterpolant(m=m, eps=eps, alpha=alpha, delta=cfg.delta,
-                             decay_boost=cfg.decay_boost, omega=omega,
+    return EntireInterpolant(m=m, eps=eps, alpha=alpha, omega=omega,
                              product=product, mult=mult, node=node,
                              log_mult_node=log_node)
 
 
-def resolve_omega(cfg: ProblemConfig, m_range, product: ProductEvaluator,
-                  fit_half_width: float = 400.0):
-    """Multiplier power: fixed integer from config, or envelope-fitted
-    (one log F pass on the fit grid for every |m|).
+def resolve_omega(cfg: ProblemConfig, m_range, product: ProductEvaluator):
+    """Multiplier power fitted from the envelope: the next integer above
+    1.25x the largest fitted exponent over |m| in m_range (one log F pass
+    on the fit grid for every |m|).
 
-    Returns (omega, omega_hats); omega_hats is empty in fixed mode.
+    Returns (omega, omega_hats), the fitted exponents in ascending |m|.
     """
-    if cfg.omega_mode == "fixed":
-        val = cfg.omega_value
-        if val != int(val):
-            raise ConfigError("omega must be an integer (entirety of the "
-                              "interpolant requires whole multiplier powers)")
-        return int(val), ()
-    xs = np.linspace(0.0, fit_half_width, 3000)
+    xs = np.linspace(0.0, OMEGA_FIT_HALF_WIDTH, 3000)
     log_f = product.log_generating(xs)
     hats = [envelope_fit(m, cfg.epsilon, cfg.alpha, xs, product, log_f).omega_hat
             for m in sorted({abs(m) for m in m_range})]
@@ -186,9 +191,9 @@ class BiorthogonalFamily:
         return self.values[m]
 
 
-def build_sinc_family(m_range, points_per_unit: float = 64.0) -> BiorthogonalFamily:
+def build_sinc_family(m_range) -> BiorthogonalFamily:
     ms = tuple(sorted(m for m in m_range if m != 0))
-    n = next_pow2(int(2.0 * np.pi * points_per_unit)) + 1
+    n = next_pow2(int(2.0 * np.pi * SINC_LIMIT_POINTS_PER_UNIT)) + 1
     tg = np.linspace(-np.pi, np.pi, n)
     vals = {m: np.exp(1j * m * tg) / (2.0 * np.pi) for m in ms}
     weights = {m: np.where(np.asarray(ms) == m, 1.0 / (2.0 * np.pi), 0.0) + 0j
@@ -202,26 +207,25 @@ def build_sinc_family(m_range, points_per_unit: float = 64.0) -> BiorthogonalFam
                               beta_hat=0.0, c_hat=nrm, omega=0)
 
 
-def _probe_half_width(interps, lo: float = 100.0, hi: float = 2000.0,
-                      step: float = 50.0, tol: float = 1e-12) -> float:
-    """Smallest probe radius where every interpolant is below tol.
+def _probe_half_width(interps) -> float:
+    """FFT half-width: the first probe radius 100, 150, ..., 2000 where
+    every interpolant is below 1e-12, plus one step (50) of margin.
 
     Two slightly offset probes per side guard against landing on a sinc zero.
     The interpolants share one product evaluator, so one log F pass per
     radius serves them all.
     """
-    x = lo
-    while x <= hi:
+    x = 100.0
+    while x <= 2000.0:
         pts = np.array([-x - 0.37, -x, x, x + 0.37], dtype=complex)
         log_f = interps[0].product.log_generating(pts)
         worst = 0.0
         for it in interps:
             worst = max(worst, float(np.max(np.abs(np.exp(it.log_psi(pts, log_f=log_f))))))
-        if worst < tol:
-            return x + step  # one step of margin
-        x += step
-    raise ConfigError("interpolant envelope does not reach 1e-12 by |x| = 2000; "
-                      "increase the quadrature budget explicitly")
+        if worst < 1e-12:
+            return x + 50.0
+        x += 50.0
+    raise ConfigError("interpolant envelope does not reach 1e-12 by |x| = 2000")
 
 
 def _norm_fit(norms: dict, eps: float, alpha: float) -> tuple[float, float]:
@@ -266,21 +270,18 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     else:
         omega, omega_hats = 0, ()
 
-    half = cfg.quad.half_width
-    if half is None:
-        # probe with a throwaway multiplier: probing visits large |x| and
-        # would otherwise inflate the evaluator's direct-factor range far
-        # beyond what the final grid needs; the probe points are
-        # mirror-closed, so the m > 0 members speak for the m < 0 ones
-        probe_mult = MultiplierEvaluator(eps, alpha) if need_mult else None
-        probe = [make_interpolant(k, cfg, omega, product=product, mult=probe_mult)
-                 for k in ks]
-        half = _probe_half_width(probe)
+    # probe with a throwaway multiplier: probing visits large |x| and would
+    # otherwise inflate the evaluator's direct-factor range far beyond what
+    # the final grid needs; the probe points are mirror-closed, so the m > 0
+    # members speak for the m < 0 ones
+    probe_mult = MultiplierEvaluator(eps, alpha) if need_mult else None
+    half = _probe_half_width([make_interpolant(k, cfg, omega, product=product,
+                                               mult=probe_mult) for k in ks])
     mult = MultiplierEvaluator(eps, alpha, z_max=half) if need_mult else None
     interps = {k: make_interpolant(k, cfg, omega, product=product, mult=mult)
                for k in ks}
 
-    n = next_pow2(int(2.0 * half * cfg.quad.points_per_unit))
+    n = next_pow2(int(2.0 * half * POINTS_PER_UNIT))
     dx = 2.0 * half / n
     fold = np.abs(np.arange(n) - n // 2)  # |x_j| = dx * fold[j]
     z_abs = dx * np.arange(n // 2 + 1, dtype=complex)
@@ -305,7 +306,7 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
         inside = np.abs(tg) <= support_half
         outside = float(np.sum(np.abs(th[~inside]) ** 2) * dt / total) \
             if total > 0 else 0.0
-        keep = np.abs(tg) <= min(tg[-1], support_half + 2.0 * cfg.smoothing_a + 4.0)
+        keep = np.abs(tg) <= min(tg[-1], support_half + 2.0 * SMOOTHING_A + 4.0)
         if tg_kept is None:
             tg_kept = tg[keep]
         th = th[keep]
@@ -322,7 +323,7 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     outside_mass = {m: members[abs(m)][2] for m in ms}
     beta_hat, c_hat = _norm_fit(norms, eps, alpha)
     meta = {"half_width": half, "dx": dx, "n_fft": n, "psi_edge": edge_worst,
-            "outside_mass": outside_mass, "points_per_unit": cfg.quad.points_per_unit}
+            "outside_mass": outside_mass, "points_per_unit": POINTS_PER_UNIT}
     return BiorthogonalFamily(kind="theta", eps=eps, alpha=alpha, indices=ms,
                               t_grid=tg_kept, values=values,
                               rates=1j * dx * (np.arange(n + 1) - n // 2),
@@ -339,10 +340,12 @@ def smoothing_kernel(a: float, x) -> np.ndarray:
     return np.where(np.abs(x) <= a, np.sqrt(2.0 * np.pi) * (a - np.abs(x)) / a ** 2, 0.0)
 
 
-def zeta_eval(theta_family: BiorthogonalFamily, a: float) -> BiorthogonalFamily:
+def zeta_eval(theta_family: BiorthogonalFamily) -> BiorthogonalFamily:
     """Convolve every member with the modulated triangle kernel.
 
-    rho_m(x) = e^{i x Im(lambda_m)} k_a(x); the normalizer is the discrete
+    rho_m(x) = e^{i x Im(lambda_m)} k_a(x) with a = SMOOTHING_A; the
+    theta grid spacing pi/half_width is at most pi/150, so the kernel spans
+    dozens of samples.  The normalizer is the discrete
     integral of rho_m against e^{conj(lambda_m) x} in the same Riemann-sum
     convention as the biorthogonality quadrature, so the m-th moment stays
     exactly 1 at the discrete level (closed form sqrt(2pi) sinhc^2(Re
@@ -353,15 +356,12 @@ def zeta_eval(theta_family: BiorthogonalFamily, a: float) -> BiorthogonalFamily:
     x_j u_l = 2pi (j - n/2) l / n that is one length-n DFT of (-1)^l rho_m(u_l),
     and R_m(x_n) = R_m(x_0).
     """
-    if a <= 0:
-        raise ConfigError("kernel half-width must be positive")
     fam = theta_family
     if fam.kind != "theta":
         raise ConfigError("smoothing applies to a theta family")
+    a = SMOOTHING_A
     dt = fam.dt
     k = int(np.floor(a / dt))
-    if k < 1:
-        raise ConfigError("kernel narrower than the time grid spacing")
     ls = np.arange(-k, k + 1)
     u = dt * ls
     tri = smoothing_kernel(a, u)

@@ -90,6 +90,18 @@ def _build_cfg(config, alpha, epsilon, modes, horizon, for_synthesis=False) -> P
     return validate_config(cfg, for_synthesis=for_synthesis)
 
 
+def _number_list(text: str, conv, flag: str) -> list:
+    """The comma-separated values of a list flag; empty entries are skipped."""
+    try:
+        vals = [conv(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        kind = "integers" if conv is int else "numbers"
+        raise ConfigError(f"{flag} must be comma-separated {kind}, got {text!r}") from None
+    if not vals:
+        raise ConfigError(f"{flag} is empty")
+    return vals
+
+
 def _seeded_data(cfg: ProblemConfig, seed: int, kind: str = "random") -> ModalState:
     n = cfg.n_modes
     idx = list(range(1, n + 1))
@@ -255,13 +267,13 @@ def biorth() -> None:
     """Biorthogonal family construction and verification."""
 
 
-def _family_for(cfg: ProblemConfig):
+def _theta_for(cfg: ProblemConfig) -> bio.BiorthogonalFamily:
+    """The unsmoothed family: the closed form at eps = 0, else the FFT build.
+    Only an FFT-built (kind "theta") family has a smoothed zeta family."""
     ms = [m for m in range(-cfg.n_modes, cfg.n_modes + 1) if m != 0]
     if cfg.epsilon == 0:
-        return bio.build_sinc_family(ms), None
-    theta = bio.build_theta_family(cfg, ms)
-    zeta = bio.zeta_eval(theta, cfg.smoothing_a) if cfg.smoothing_a > 0 else None
-    return theta, zeta
+        return bio.build_sinc_family(ms)
+    return bio.build_theta_family(cfg, ms)
 
 
 @biorth.command("build")
@@ -270,7 +282,8 @@ def biorth_build(config, out, seed, alpha, epsilon, modes, horizon) -> None:
     def go():
         cfg = _build_cfg(config, alpha, epsilon, modes, horizon, for_synthesis=True)
         out_path = out or "biorth_build.csv"
-        theta, zeta = _family_for(cfg)
+        theta = _theta_for(cfg)
+        zeta = bio.zeta_eval(theta) if theta.kind == "theta" else None
         rows = []
         for m in theta.indices:
             re_l = cfg.epsilon * abs(m) ** (2.0 * cfg.alpha)
@@ -296,7 +309,7 @@ def biorth_verify(config, out, seed, alpha, epsilon, modes, horizon, tolerance) 
     def go():
         cfg = _build_cfg(config, alpha, epsilon, modes, horizon, for_synthesis=True)
         out_path = out or "biorth_verify.csv"
-        theta, _ = _family_for(cfg)
+        theta = _theta_for(cfg)
         ms = list(theta.indices)
         mat, max_dev = bio.biorthogonality_matrix(theta, ms, ms)
         rows = []
@@ -344,8 +357,9 @@ def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
             ctrl, cond, vnorm = res.control, res.cond, res.norm
             meta["moment_residual"] = res.moment_residual
         else:
-            theta, zeta = _family_for(cfg)
-            fam = zeta if zeta is not None else theta
+            fam = _theta_for(cfg)
+            if fam.kind == "theta":
+                fam = bio.zeta_eval(fam)
             need = 2.0 * fam.support_half
             if T < need:
                 if horizon is None and config is None:
@@ -392,9 +406,7 @@ def sweep() -> None:
               help="comma-separated descending viscosity list")
 def sweep_epsilon(config, out, seed, alpha, epsilon, modes, horizon, epsilons) -> None:
     def go():
-        eps_list = [float(s) for s in epsilons.split(",") if s.strip()]
-        if not eps_list:
-            raise ConfigError("empty epsilon list")
+        eps_list = _number_list(epsilons, float, "--epsilons")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("epsilon list must be strictly descending")
         cfg0 = _build_cfg(config, alpha, eps_list[0] if epsilon is None else epsilon,
@@ -433,20 +445,27 @@ def sweep_epsilon(config, out, seed, alpha, epsilon, modes, horizon, epsilons) -
 
 
 @main.command("degeneracy")
-@_common
-@click.option("--sizes", default="4,8,12,16", show_default=True)
-def degeneracy(config, out, seed, alpha, epsilon, modes, horizon, sizes) -> None:
+@click.option("--epsilon", type=float, default=0.5, show_default=True)
+@click.option("--horizon", type=float, default=2.0 * np.pi, show_default="2 pi")
+@click.option("--sizes", default="4,8,12,16", show_default=True,
+              help="comma-separated strictly ascending mode counts")
+@click.option("--out", default=None, help="output CSV path")
+def degeneracy(epsilon, horizon, sizes, out) -> None:
+    """Gram condition numbers at alpha 0.25, 0.5 and 0.75 as N grows."""
     def go():
-        eps = 0.5 if epsilon is None else epsilon
-        T = 2.0 * np.pi if horizon is None else horizon
-        n_list = [int(s) for s in sizes.split(",") if s.strip()]
+        n_list = _number_list(sizes, int, "--sizes")
+        if n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+            raise ConfigError(f"--sizes must be strictly ascending positive "
+                              f"integers, got {sizes!r}")
+        # epsilon and horizon take the ranges every other command accepts
+        validate_config(ProblemConfig(alpha=0.0, epsilon=epsilon, horizon_T=horizon))
         out_path = out or "degeneracy.csv"
         rows = []
         conds: dict = {}
         for a in (0.25, 0.5, 0.75):
             for n_max in n_list:
                 idx = [n for n in range(-n_max, n_max + 1) if n != 0]
-                g = mom.gram_matrix(idx, eps, a, T)
+                g = mom.gram_matrix(idx, epsilon, a, horizon)
                 w = np.linalg.eigvalsh(g)
                 cond = float(w[-1] / w[0]) if w[0] > 0 else float("inf")
                 rows.append((a, n_max, cond))
@@ -455,7 +474,7 @@ def degeneracy(config, out, seed, alpha, epsilon, modes, horizon, sizes) -> None
         mono = all(conds[(0.5, a)] < conds[(0.5, b)]
                    for a, b in zip(n_list, n_list[1:]))
         gap = conds[(0.5, n_list[-1])] / conds[(0.25, n_list[-1])]
-        _write_sidecar(out_path, {"epsilon": eps, "horizon": T,
+        _write_sidecar(out_path, {"epsilon": epsilon, "horizon": horizon,
                                   "alpha_half_monotone": mono,
                                   "degeneracy_gap_at_largest": gap}, None)
         click.echo(f"alpha=1/2 cond monotone: {mono}; gap at N={n_list[-1]}: {gap:.3e}")
@@ -470,7 +489,7 @@ def ingham() -> None:
 
 @ingham.command("run")
 @_common
-@click.option("--trials", type=int, default=100, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--omega-weight", type=float, default=None,
               help="weight exponent; default: envelope-fitted omega")
 def ingham_run(config, out, seed, alpha, epsilon, modes, horizon,

@@ -1,4 +1,9 @@
-"""Configuration, modal data model, and shared numeric helpers.
+"""Problem configuration, modal data model, and shared numeric helpers.
+
+`ProblemConfig` holds the problem alone: alpha, eps, T and N.  How the
+biorthogonal family is built is fixed by constants in `biorthogonal`, so a
+config file (see `load_config`) has one [problem] section with those four
+keys and nothing else.
 
 Fourier convention is un-normalized throughout: g_hat_n = int_0^pi g(x) sin(nx) dx,
 so physical L2 norms carry a pi/2 factor (||g||^2 = (pi/2) sum |a_n|^2 when
@@ -10,7 +15,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,50 +38,21 @@ class DegenerateAlphaError(ConfigError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuadBudget:
-    """Quadrature budget for the frequency-side transform.
-
-    half_width: truncation |x| <= half_width for the Fourier integral, or
-        None to probe the integrand decay and pick the smallest width whose
-        envelope falls below 1e-12.
-    points_per_unit: sample density of the x grid (the actual spacing is
-        refined so the FFT length is a power of two).
-    """
-    half_width: float | None = None
-    points_per_unit: float = 20.0
-
-    def __post_init__(self):
-        if self.half_width is not None and self.half_width <= 0:
-            raise ConfigError("quad half_width must be positive or None")
-        if self.points_per_unit <= 0:
-            raise ConfigError("quad points_per_unit must be positive")
-
-
-@dataclass(frozen=True)
 class ProblemConfig:
-    """Single source of experiment parameters.
+    """The problem's parameters, and nothing of how it is solved.
 
     alpha, epsilon: fractional exponent and viscosity strength, both in [0,1).
     horizon_T: control horizon (0,T).
     n_modes: truncation N of the modal system.
-    delta: width of the sinc factor in the interpolant.
-    omega_mode: "fitted" fits the envelope exponent from the product itself;
-        "fixed" uses omega_value as given.
-    decay_boost: extra sinc powers multiplied into the interpolant; each one
-        adds delta to the declared exponential type and one power of 1/|x|
-        decay on the real axis.
-    smoothing_a: half-width a of the triangle smoothing kernel.
+
+    How the biorthogonal family is built (sinc width, extra sinc powers,
+    multiplier power, smoothing half-width, FFT density) is fixed by the
+    constants in `biorthogonal`.
     """
     alpha: float
     epsilon: float
     horizon_T: float = TWO_PI
     n_modes: int = 8
-    delta: float = 0.25
-    omega_mode: str = "fitted"
-    omega_value: float | None = None
-    decay_boost: int = 7
-    quad: QuadBudget = field(default_factory=QuadBudget)
-    smoothing_a: float = 0.5
 
     @property
     def alpha_is_degenerate(self) -> bool:
@@ -94,20 +70,10 @@ def validate_config(cfg: ProblemConfig, for_synthesis: bool = False) -> ProblemC
         raise ConfigError(f"alpha must be in [0,1), got {cfg.alpha}")
     if not 0.0 <= cfg.epsilon < 1.0:
         raise ConfigError(f"epsilon must be in [0,1), got {cfg.epsilon}")
-    if cfg.horizon_T <= 0:
-        raise ConfigError("horizon_T must be positive")
+    if not 0.0 < cfg.horizon_T < math.inf:
+        raise ConfigError(f"horizon_T must be positive and finite, got {cfg.horizon_T}")
     if cfg.n_modes < 1:
         raise ConfigError("n_modes must be >= 1")
-    if cfg.delta <= 0:
-        raise ConfigError("delta must be positive")
-    if cfg.decay_boost < 0:
-        raise ConfigError("decay_boost must be >= 0")
-    if cfg.smoothing_a < 0:
-        raise ConfigError("smoothing_a must be >= 0")
-    if cfg.omega_mode not in ("fitted", "fixed"):
-        raise ConfigError(f"omega_mode must be 'fitted' or 'fixed', got {cfg.omega_mode!r}")
-    if cfg.omega_mode == "fixed" and (cfg.omega_value is None or cfg.omega_value < 0):
-        raise ConfigError("omega_mode 'fixed' requires a non-negative omega_value")
     if for_synthesis and cfg.alpha_is_degenerate:
         raise DegenerateAlphaError(
             "alpha = 1/2 is spectrally degenerate; control synthesis refused "
@@ -115,35 +81,43 @@ def validate_config(cfg: ProblemConfig, for_synthesis: bool = False) -> ProblemC
     return cfg
 
 
-def load_config(path: str) -> ProblemConfig:
-    """Read a ProblemConfig from an INI-style file.
+_INI_KEYS = {"alpha": float, "epsilon": float, "horizon_T": float, "n_modes": int}
 
-    Sections [problem] and [quad] mirror the dataclass field names; missing
-    keys keep their defaults.
+
+def load_config(path: str) -> ProblemConfig:
+    """Read a ProblemConfig from an INI file.
+
+    The file holds one [problem] section with the keys alpha and epsilon
+    (required), horizon_T and n_modes (optional, defaults as in the
+    dataclass); keys are case-sensitive.  Any other section or key, a
+    non-numeric value or a non-integer n_modes raises ConfigError naming it.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not a valid INI file: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    for section in parser.sections():
+        if section != "problem":
+            raise ConfigError(f"{path}: unknown section [{section}]; "
+                              "only [problem] is read")
     kw = {}
     if parser.has_section("problem"):
-        sec = parser["problem"]
-        for key, conv in (("alpha", float), ("epsilon", float), ("horizon_T", float),
-                          ("n_modes", int), ("delta", float), ("omega_value", float),
-                          ("decay_boost", int), ("smoothing_a", float)):
-            if key in sec:
-                kw[key] = conv(sec[key])
-        if "omega_mode" in sec:
-            kw["omega_mode"] = sec["omega_mode"].strip()
+        for key, text in parser["problem"].items():
+            if key not in _INI_KEYS:
+                raise ConfigError(f"{path}: unknown key {key!r} in [problem]; "
+                                  f"known keys: {', '.join(_INI_KEYS)}")
+            try:
+                kw[key] = _INI_KEYS[key](text)
+            except ValueError:
+                kind = "an integer" if key == "n_modes" else "a number"
+                raise ConfigError(f"{path}: {key} must be {kind}, "
+                                  f"got {text!r}") from None
     if "alpha" not in kw or "epsilon" not in kw:
         raise ConfigError("config must set problem.alpha and problem.epsilon")
-    if parser.has_section("quad"):
-        sec = parser["quad"]
-        hw: float | None = None
-        if "half_width" in sec and sec["half_width"].strip().lower() != "auto":
-            hw = float(sec["half_width"])
-        ppu = float(sec.get("points_per_unit", QuadBudget.points_per_unit))
-        kw["quad"] = QuadBudget(half_width=hw, points_per_unit=ppu)
     return validate_config(ProblemConfig(**kw))
 
 

@@ -161,9 +161,6 @@ class MultiplierEvaluator:
         col = -(-np.maximum(k.astype(np.int64), n_from - 1) // _BLOCK)
         return np.minimum(col * _BLOCK, self.k_cut), col
 
-    def start_index(self, m: int) -> int:
-        return node_start(m, self.eps, self.alpha)
-
     def log_factor_range(self, lo: int, hi: int, z) -> np.ndarray:
         """sum of log sinc(z / a_n) for n in [lo, hi] by direct evaluation.
 
@@ -233,7 +230,7 @@ class MultiplierEvaluator:
 
     def log_eval(self, m: int, z) -> np.ndarray:
         """log M for index m: the product starting at node n_m."""
-        return self.log_eval_start(self.start_index(m), z)
+        return self.log_eval_start(node_start(m, self.eps, self.alpha), z)
 
     def eval(self, m: int, z):
         res = np.exp(self.log_eval(m, z))
@@ -248,7 +245,7 @@ class MultiplierEvaluator:
         Direct factors carry no truncation error, so it covers n > K_p only.
         """
         az = np.abs(np.asarray(z, dtype=complex)).ravel()
-        _, col = self._cutoffs(self.start_index(m), az)
+        _, col = self._cutoffs(node_start(m, self.eps, self.alpha), az)
         return float(np.max(az * az / 6.0 * self._tail_sums[0, col], initial=0.0))
 
 
@@ -301,7 +298,8 @@ def multiplier_property_check(m_range, eps: float, alpha: float, x_grid,
     for m in ms:
         lam = complex(lambda_vals(m, eps, alpha))
         rl = abs(lam.real)
-        prefix = ev.log_factor_range(1, ev.start_index(m) - 1, xc)
+        n_m = node_start(m, eps, alpha)
+        prefix = ev.log_factor_range(1, n_m - 1, xc)
         log_m = rep.log_abs[m] = (base - prefix).real
         up_margin = min(up_margin, float(np.min(-phi_x + 2.0 * E ** 2 * rl + 1.0 - log_m)))
         unit_worst = max(unit_worst, float(np.max(log_m)))
@@ -309,7 +307,7 @@ def multiplier_property_check(m_range, eps: float, alpha: float, x_grid,
         val = ev.log_eval(m, node)
         low_margin = min(low_margin, float(val.real - (-d_const * (1.0 + rl))))
         nw_margin = min(nw_margin, float(2.0 * E ** 2 * rl - phi_eps(E * abs(lam), eps, alpha)))
-        type_sum = node_power_sum(ev.start_index(m) - 1, eps, alpha, 1.0)
+        type_sum = node_power_sum(n_m - 1, eps, alpha, 1.0)
         type_margin = min(type_margin, l2 - type_sum)
 
     rep["upper"] = {"ok": up_margin >= 0.0, "margin": up_margin}

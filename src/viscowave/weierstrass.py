@@ -271,19 +271,17 @@ def interpolation_check(m_range, n_range, ev: ProductEvaluator):
     return dev, float(dev.max())
 
 
-def growth_bound_check(m_max: int, eps: float, alpha: float, ev: ProductEvaluator,
-                       fit_count: int | None = None):
+def growth_bound_check(m_max: int, eps: float, alpha: float, ev: ProductEvaluator):
     """Modulus at the origin, per m, against the bound 16 exp(C eps m^{2a}).
 
     Returns (rows, c_hat) where rows are (m, Q_m, bound_value) and c_hat is
-    the smallest non-negative constant satisfying the bound on the fit
-    range m <= fit_count (default: first half).  The bound asserts growth,
-    so the fitted constant is clipped at zero; tiny-weight cases where the
-    modulus stays below 16 outright would otherwise fit a negative rate
-    that says nothing about the envelope.
+    the smallest non-negative constant satisfying the bound on the first
+    half, m <= m_max // 2; the second half is held out.  The bound asserts
+    growth, so the fitted constant is clipped at zero; tiny-weight cases
+    where the modulus stays below 16 outright would otherwise fit a
+    negative rate that says nothing about the envelope.
     """
-    if fit_count is None:
-        fit_count = m_max // 2
+    fit_count = m_max // 2
     ms = np.arange(1, m_max + 1)
     log_f = ev.log_generating(0.0)
     logq = np.array([ev.log_eval(int(m), 0.0, log_f)[0].real for m in ms])

@@ -109,7 +109,7 @@ def test_criterion_05_origin_growth_bound():
     for eps in (0.1, 0.5):
         for alpha in (0.25, 0.75):
             ev = wei.ProductEvaluator(eps, alpha)
-            rows, c_hat = wei.growth_bound_check(64, eps, alpha, ev, fit_count=32)
+            rows, c_hat = wei.growth_bound_check(64, eps, alpha, ev)
             frac = max(q / b for _, q, b in rows[32:])
             all_ok &= frac <= 1.0
             parts.append(f"({eps},{alpha}): C^={c_hat:.4f} holdout q/bound {frac:.3f}")

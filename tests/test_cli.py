@@ -175,6 +175,49 @@ def test_config_file_with_flag_override(runner, tmp_path):
     assert len(lines) == 4                     # flag overrides file
 
 
+def test_config_file_unknown_key_is_invalid_input(runner, tmp_path):
+    # a misspelt key used to run silently with the default 8 modes
+    ini = tmp_path / "run.ini"
+    ini.write_text("[problem]\nalpha = 0.25\nepsilon = 0.1\nn_mode = 3\n")
+    res = _run(runner, ["spectrum", "dump", "--config", str(ini)], tmp_path)
+    assert res.exit_code == 2
+    assert "invalid input" in res.output and "'n_mode'" in res.output
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["sweep", "epsilon", "--alpha", "0.25", "--epsilons", "0.1,x"],
+     "--epsilons must be comma-separated numbers"),
+    (["degeneracy", "--sizes", ""], "--sizes is empty"),
+    (["degeneracy", "--sizes", "4,x"], "--sizes must be comma-separated integers"),
+    (["degeneracy", "--sizes", "0"], "strictly ascending positive"),
+    (["degeneracy", "--sizes", "8,4"], "strictly ascending positive"),
+    (["degeneracy", "--sizes", "4,4"], "strictly ascending positive"),
+    (["degeneracy", "--sizes", "4", "--horizon", "nan"], "horizon_T"),
+    (["ingham", "run", "--alpha", "0.25", "--epsilon", "0.1", "--trials", "0"],
+     "--trials"),
+], ids=["eps-list-word", "sizes-empty", "sizes-word", "sizes-zero",
+        "sizes-descending", "sizes-repeated", "degeneracy-horizon-nan",
+        "trials-zero"])
+def test_bad_list_and_count_flags_exit_2(runner, tmp_path, args, message):
+    res = runner.invoke(main, args + ["--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("flag", [["--alpha", "0.3"], ["--modes", "4"],
+                                  ["--seed", "3"], ["--config", "run.ini"]])
+def test_degeneracy_refuses_flags_it_does_not_read(runner, flag):
+    # degeneracy always runs alpha 0.25, 0.5 and 0.75 at the --sizes counts;
+    # it used to accept these flags and ignore them
+    res = runner.invoke(main, ["degeneracy", "--sizes", "4"] + flag,
+                        catch_exceptions=False)
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+
+
 def test_degeneracy_study(runner, tmp_path):
     res = _run(runner, ["degeneracy", "--sizes", "4,8"], tmp_path)
     assert res.exit_code == 0

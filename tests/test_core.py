@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscowave.core import (ConfigError, ControlSignal, DegenerateAlphaError,
-                            ModalState, ProblemConfig, QuadBudget, exp_integral,
+                            ModalState, ProblemConfig, exp_integral,
                             h0_norm_sq, load_config, log1p_c, next_pow2,
                             sinc_c, sinhc, validate_config)
 from viscowave.spectrum import gamma_eps
@@ -46,9 +47,8 @@ def test_validate_idempotent_property(alpha, epsilon):
     dict(alpha=0.25, epsilon=-0.5),
     dict(alpha=0.25, epsilon=0.1, horizon_T=0.0),
     dict(alpha=0.25, epsilon=0.1, n_modes=0),
-    dict(alpha=0.25, epsilon=0.1, delta=0.0),
-    dict(alpha=0.25, epsilon=0.1, omega_mode="guess"),
-    dict(alpha=0.25, epsilon=0.1, omega_mode="fixed"),
+    dict(alpha=0.25, epsilon=0.1, horizon_T=math.nan),
+    dict(alpha=0.25, epsilon=0.1, horizon_T=math.inf),
 ])
 def test_validate_rejects(kw):
     with pytest.raises(ConfigError):
@@ -62,21 +62,14 @@ def test_degenerate_alpha_only_blocks_synthesis():
         validate_config(cfg, for_synthesis=True)
 
 
-def test_quad_budget_validation():
-    with pytest.raises(ConfigError):
-        QuadBudget(half_width=-1.0)
-    with pytest.raises(ConfigError):
-        QuadBudget(points_per_unit=0.0)
-
-
 def test_load_config_roundtrip(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text("[problem]\nalpha = 0.75\nepsilon = 0.05\nn_modes = 12\n"
-                 "horizon_T = 9.0\n[quad]\nhalf_width = auto\npoints_per_unit = 24\n")
+                 "horizon_T = 9.0\n")
     cfg = load_config(str(p))
-    assert cfg.alpha == 0.75 and cfg.epsilon == 0.05
-    assert cfg.n_modes == 12 and cfg.horizon_T == 9.0
-    assert cfg.quad.half_width is None and cfg.quad.points_per_unit == 24.0
+    assert cfg == ProblemConfig(alpha=0.75, epsilon=0.05, horizon_T=9.0, n_modes=12)
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "alpha", "epsilon", "horizon_T", "n_modes"]
     assert gamma_eps(cfg.epsilon, cfg.alpha) == pytest.approx(20.0 ** 2)
 
 
@@ -87,6 +80,31 @@ def test_load_config_requires_alpha_epsilon(tmp_path):
         load_config(str(p))
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.ini"))
+
+
+OK_KEYS = "[problem]\nalpha = 0.25\nepsilon = 0.1\n"
+
+
+@pytest.mark.parametrize("text,named", [
+    # a typo in a key no longer falls back to the default
+    (OK_KEYS + "n_mode = 3\n", "'n_mode'"),
+    # construction constants are not problem parameters
+    (OK_KEYS + "delta = 0.3\n", "'delta'"),
+    (OK_KEYS + "smoothing_a = 0.5\n", "'smoothing_a'"),
+    (OK_KEYS + "Horizon_T = 9.0\n", "'Horizon_T'"),
+    (OK_KEYS + "[quad]\npoints_per_unit = 24\n", "[quad]"),
+    ("[problem]\nalpha = abc\nepsilon = 0.1\n", "alpha must be a number"),
+    (OK_KEYS + "n_modes = 3.5\n", "n_modes must be an integer"),
+    (OK_KEYS + "horizon_T =\n", "horizon_T must be a number"),
+    ("alpha = 0.25\nepsilon = 0.1\n", "not a valid INI file"),
+    (OK_KEYS + "alpha = 0.3\n", "not a valid INI file"),
+], ids=["typo", "delta", "smoothing", "key-case", "quad-section", "non-numeric",
+        "non-integer", "empty-value", "no-section-header", "repeated-key"])
+def test_load_config_strict(tmp_path, text, named):
+    p = tmp_path / "bad.ini"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_config(str(p))
 
 
 # ---------------------------------------------------------------------------

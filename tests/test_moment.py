@@ -160,7 +160,7 @@ def _damped_series(alpha, eps, n):
     cfg = validate_config(ProblemConfig(alpha=alpha, epsilon=eps, n_modes=n),
                           for_synthesis=True)
     ms = [m for m in range(-n, n + 1) if m != 0]
-    fam = bio.zeta_eval(bio.build_theta_family(cfg, ms), cfg.smoothing_a)
+    fam = bio.zeta_eval(bio.build_theta_family(cfg, ms))
     T = float(2.0 * np.ceil(fam.support_half + 0.5))
     data = seeded_data(n=n)
     return fam, T, data, synthesize_control_series(data, fam, T, eps, alpha)
