@@ -13,16 +13,18 @@ with node_m = i conj(lambda_m).  The sign convention e^{+ixt} makes
 an identity, i.e. the biorthogonality matrix is exactly the interpolation
 value matrix; all quadrature error lives in the transform.  The eps = 0
 family has the closed form e^{imt}/(2pi) on (-pi, pi) and doubles as the
-end-to-end oracle for the transform path; its biorthogonality matrix comes
-from the shared exponential-sum integral `core.exp_integral`.
+end-to-end oracle for the transform path.
 
 Every member of every family is an exponential sum on rates the family's
-members share.  The FFT samples theta_m(t) = (dx/2pi) sum_j psi_m(x_j)
-e^{i x_j t}, the trigonometric interpolant of its DFT, so theta_m is that
-sum exactly, with rates i x_j on the x grid; the discrete convolution that
-makes zeta_m multiplies the weights by the kernel's discrete-time
-transform.  Member -m is the conjugate sum on the rates -i x_j = i x_{n-j},
-so the shared rates are the n + 1 points i x_j, j = 0..n, x_n = half.
+members share, zero outside the family's window.  The FFT samples theta_m(t)
+= (dx/2pi) sum_j psi_m(x_j) e^{i x_j t}, the trigonometric interpolant of
+its DFT, so theta_m is that sum exactly, with rates i x_j on the x grid; the
+discrete convolution that makes zeta_m multiplies the weights by the
+kernel's discrete-time transform.  Member -m is the conjugate sum on the
+rates -i x_j = i x_{n-j}, so the shared rates are the n + 1 points i x_j,
+j = 0..n, x_n = half.  The window is measured from the samples (the
+Paley-Wiener type bounds the support but does not say where the mass sits),
+and the biorthogonality check, the control and its horizon all read it.
 
 The multiplier power omega must be an integer: the multiplier ratio is an
 entire function, but a non-integer power of it is not (branch points at its
@@ -73,6 +75,7 @@ SMOOTHING_A = 0.5  # half-width a of the triangle smoothing kernel
 POINTS_PER_UNIT = 20.0
 OMEGA_FIT_HALF_WIDTH = 400.0  # the envelope fit's grid: 3000 points on [0, this]
 SINC_LIMIT_POINTS_PER_UNIT = 64.0  # t-grid density of the eps = 0 family
+WINDOW_FLOOR = 1e-13  # a member is zero below this share of its maximum (noise ~1e-16)
 
 
 @dataclass(frozen=True)
@@ -159,10 +162,12 @@ class BiorthogonalFamily:
     """Biorthogonal family, sampled and as exponential sums.
 
     kind: "theta" (raw transform), "zeta" (smoothed), "sinc_limit" (eps=0
-    closed form).  values maps index m to samples on the uniform t_grid;
-    member m is also exactly sum_k weights[m][k] e^{rates[k] t} on window
-    and zero outside, with rates shared by every member.  support_half is
-    the declared half-support (T~/2, T0/2, or pi).
+    closed form).  Member m is exactly sum_k weights[m][k] e^{rates[k] t}
+    on window and zero outside, with rates shared by every member; values
+    maps m to its samples on the uniform t_grid, which spans the window.
+    theta's window is measured (`_measured_window`), zeta widens it by the
+    kernel half-width, sinc_limit's is (-pi, pi).  support_half is the
+    declared half-support the theorem gives (T~/2, T0/2, or pi).
     """
     kind: str
     eps: float
@@ -184,6 +189,11 @@ class BiorthogonalFamily:
     @property
     def dt(self) -> float:
         return float(self.t_grid[1] - self.t_grid[0])
+
+    @property
+    def min_horizon(self) -> float:
+        """The shortest T whose recentred interval (-T/2, T/2) holds the window."""
+        return 2.0 * max(-self.window[0], self.window[1])
 
     def member(self, m: int) -> np.ndarray:
         if m not in self.values:
@@ -242,6 +252,14 @@ def _norm_fit(norms: dict, eps: float, alpha: float) -> tuple[float, float]:
     return float(beta_hat), float(np.exp(log_c))
 
 
+def _measured_window(tg: np.ndarray, th: np.ndarray) -> tuple[float, float]:
+    """[tg[i], tg[j]] for the first and last samples at or above WINDOW_FLOOR
+    of the member's maximum: outside it every sample is below the floor."""
+    mag = np.abs(th)
+    big = np.flatnonzero(mag >= WINDOW_FLOOR * np.max(mag))
+    return float(tg[big[0]]), float(tg[big[-1]])
+
+
 def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     """Assemble interpolants for every |m| and transform them to time.
 
@@ -254,7 +272,8 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     member m.  On the periodic DFT grid that is exact up to one sample: the
     reflection of x_0 = -half is its periodic partner +half (half t_k = pi
     k), so the edge check also reads psi_m[1], the mirrored member's last
-    sample.
+    sample.  The window is the union of the members' measured windows
+    (`_measured_window`), and the samples are kept on it.
     """
     cfg = validate_config(cfg, for_synthesis=True)
     eps, alpha = cfg.epsilon, cfg.alpha
@@ -294,41 +313,34 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     support_half = interps[ks[0]].declared_type
     members = {}
     edge_worst = 0.0
-    tg_kept = None
+    lo, hi = np.inf, -np.inf
     for k in ks:
         log_mult = None if mult is None else \
             (base_mult - mult.log_factor_range(1, node_start(k, eps, alpha) - 1, z_abs))[fold]
         psi = np.exp(interps[k].log_psi(zg, log_mult, log_f))
         edge_worst = max(edge_worst, float(np.max(np.abs(psi[[0, 1, -1]]))))
         tg, th = fourier_to_time(psi, half, dx)
-        dt = tg[1] - tg[0]
-        total = float(np.sum(np.abs(th) ** 2) * dt)
-        inside = np.abs(tg) <= support_half
-        outside = float(np.sum(np.abs(th[~inside]) ** 2) * dt / total) \
-            if total > 0 else 0.0
-        keep = np.abs(tg) <= min(tg[-1], support_half + 2.0 * SMOOTHING_A + 4.0)
-        if tg_kept is None:
-            tg_kept = tg[keep]
-        th = th[keep]
-        members[k] = (th, float(np.sqrt(np.sum(np.abs(th) ** 2) * dt)), outside,
-                      np.append(psi * (dx / (2.0 * np.pi)), 0.0))
+        k_lo, k_hi = _measured_window(tg, th)
+        lo, hi = min(lo, k_lo), max(hi, k_hi)
+        members[k] = (th, np.append(psi * (dx / (2.0 * np.pi)), 0.0))
     if edge_worst > 1e-8:
         raise ConfigError(f"quadrature budget insufficient: |psi| = {edge_worst:.2e} "
                           "at the grid edge")
 
-    values = {m: members[m][0] if m > 0 else np.conj(members[-m][0]) for m in ms}
+    keep = (tg >= lo) & (tg <= hi)
+    values = {m: members[m][0][keep] if m > 0 else np.conj(members[-m][0][keep])
+              for m in ms}
     # weight j of member -m sits on rate i x_{n-j} = -i x_j
-    weights = {m: members[m][3] if m > 0 else np.conj(members[-m][3][::-1]) for m in ms}
-    norms = {m: members[abs(m)][1] for m in ms}
-    outside_mass = {m: members[abs(m)][2] for m in ms}
+    weights = {m: members[m][1] if m > 0 else np.conj(members[-m][1][::-1]) for m in ms}
+    norms = {m: float(np.sqrt(np.sum(np.abs(values[m]) ** 2) * (tg[1] - tg[0])))
+             for m in ms}
     beta_hat, c_hat = _norm_fit(norms, eps, alpha)
     meta = {"half_width": half, "dx": dx, "n_fft": n, "psi_edge": edge_worst,
-            "outside_mass": outside_mass, "points_per_unit": POINTS_PER_UNIT}
+            "points_per_unit": POINTS_PER_UNIT}
     return BiorthogonalFamily(kind="theta", eps=eps, alpha=alpha, indices=ms,
-                              t_grid=tg_kept, values=values,
+                              t_grid=tg[keep], values=values,
                               rates=1j * dx * (np.arange(n + 1) - n // 2),
-                              weights=weights,
-                              window=(float(tg_kept[0]), float(tg_kept[-1])), norms=norms,
+                              weights=weights, window=(lo, hi), norms=norms,
                               support_half=support_half,
                               beta_hat=beta_hat, c_hat=c_hat,
                               omega=omega, omega_hats=omega_hats, meta=meta)
@@ -343,18 +355,16 @@ def smoothing_kernel(a: float, x) -> np.ndarray:
 def zeta_eval(theta_family: BiorthogonalFamily) -> BiorthogonalFamily:
     """Convolve every member with the modulated triangle kernel.
 
-    rho_m(x) = e^{i x Im(lambda_m)} k_a(x) with a = SMOOTHING_A; the
-    theta grid spacing pi/half_width is at most pi/150, so the kernel spans
-    dozens of samples.  The normalizer is the discrete
-    integral of rho_m against e^{conj(lambda_m) x} in the same Riemann-sum
-    convention as the biorthogonality quadrature, so the m-th moment stays
-    exactly 1 at the discrete level (closed form sqrt(2pi) sinhc^2(Re
-    lambda_m a/2) serves as its oracle, not its definition).
-
-    In frequency the convolution multiplies each weight of the theta member
-    by R_m(x_j) = (dt/normalizer) sum_l rho_m(u_l) e^{-i x_j u_l}; since
-    x_j u_l = 2pi (j - n/2) l / n that is one length-n DFT of (-1)^l rho_m(u_l),
-    and R_m(x_n) = R_m(x_0).
+    rho_m(x) = e^{i x Im(lambda_m)} k_a(x) with a = SMOOTHING_A, sampled on
+    the theta grid (spacing pi/half_width <= pi/150, dozens of samples).  The
+    discrete convolution multiplies each theta weight by R_m(x_j) =
+    (dt/normalizer) sum_l rho_m(u_l) e^{-i x_j u_l}; since x_j u_l = 2pi
+    (j - n/2) l / n that is one length-n DFT of (-1)^l rho_m(u_l), and
+    R_m(x_n) = R_m(x_0).  The samples are those weights through
+    `fourier_to_time`, on the theta window widened by a on each side.  The
+    normalizer, sum_l rho_m(u_l) e^{conj(lambda_m) u_l} dt (> 0), keeps the
+    m-th moment of the exponential sum exactly theta_m's (closed form
+    sqrt(2pi) sinhc^2(Re lambda_m a/2) serves as its oracle).
     """
     fam = theta_family
     if fam.kind != "theta":
@@ -365,23 +375,24 @@ def zeta_eval(theta_family: BiorthogonalFamily) -> BiorthogonalFamily:
     ls = np.arange(-k, k + 1)
     u = dt * ls
     tri = smoothing_kernel(a, u)
-    n = fam.meta["n_fft"]
-    values = {}
-    weights = {}
-    norms = {}
-    normalizers = {}
+    half, dx, n = fam.meta["half_width"], fam.meta["dx"], fam.meta["n_fft"]
+    lo, hi = fam.window[0] - a, fam.window[1] + a
+    values, weights, norms, normalizers = {}, {}, {}, {}
     for m in fam.indices:
-        im_l = float(m)  # Im lambda_m = m
         lam_c = complex(lambda_conj_vals(m, fam.eps, fam.alpha))
-        rho = np.exp(1j * im_l * u) * tri
+        rho = np.exp(1j * m * u) * tri  # Im lambda_m = m
         normalizer = complex(np.sum(rho * np.exp(lam_c * u)) * dt)
-        if abs(normalizer) < 1e-300:
-            raise ConfigError(f"smoothing normalizer vanished for m = {m}")
-        values[m] = np.convolve(fam.member(m), rho, mode="same") * dt / normalizer
         g = np.zeros(n, dtype=complex)
         g[ls % n] = np.where(ls % 2 == 0, rho, -rho)
         r_m = np.fft.fft(g) * (dt / normalizer)
         weights[m] = fam.weights[m] * np.append(r_m, r_m[0])
+        if -m in values:  # zeta_{-m} = conj(zeta_m), as theta_{-m} = conj(theta_m)
+            values[m] = np.conj(values[-m])
+        else:  # on the t grid rate i x_n is i x_0's periodic partner: fold it
+            psi = np.append(weights[m][0] + weights[m][-1], weights[m][1:-1])
+            tg, z = fourier_to_time(psi * (2.0 * np.pi / dx), half, dx)
+            keep = (tg >= lo) & (tg <= hi)
+            values[m] = z[keep]
         norms[m] = float(np.sqrt(np.sum(np.abs(values[m]) ** 2) * dt))
         normalizers[m] = normalizer
     beta_hat, c_hat = _norm_fit(norms, fam.eps, fam.alpha)
@@ -389,9 +400,9 @@ def zeta_eval(theta_family: BiorthogonalFamily) -> BiorthogonalFamily:
     meta["kernel_half_width"] = a
     meta["normalizers"] = normalizers
     return BiorthogonalFamily(kind="zeta", eps=fam.eps, alpha=fam.alpha,
-                              indices=fam.indices, t_grid=fam.t_grid,
+                              indices=fam.indices, t_grid=tg[keep],
                               values=values, rates=fam.rates, weights=weights,
-                              window=fam.window, norms=norms,
+                              window=(lo, hi), norms=norms,
                               support_half=fam.support_half + a,
                               beta_hat=beta_hat, c_hat=c_hat,
                               omega=fam.omega, omega_hats=fam.omega_hats, meta=meta)
@@ -401,45 +412,19 @@ def zeta_eval(theta_family: BiorthogonalFamily) -> BiorthogonalFamily:
 # verification
 # ---------------------------------------------------------------------------
 
-def _cut_integral(tg: np.ndarray, th: np.ndarray, dt: float, lam_c: complex) -> complex:
-    """Riemann sum of th * e^{lam_c t} between the per-side minima of the
-    integrand magnitude.
-
-    The transform's noise floor, multiplied by a growing exponential, would
-    otherwise dominate the tails; cutting each side where the integrand is
-    smallest is a stationary (first-order insensitive) truncation choice.
-    Magnitudes are maxima over 5 neighbours: a lone, quantized noise sample
-    can be exactly 0 and would win the minimum where e^{Re lam_c t} is huge.
-    """
-    mag = np.abs(th) * np.exp(lam_c.real * tg)
-    mag = np.lib.stride_tricks.sliding_window_view(np.pad(mag, 2, mode="edge"), 5).max(axis=1)
-    c = len(tg) // 2
-    ip = c + int(np.argmin(mag[c:]))
-    im_ = int(np.argmin(mag[:c + 1]))
-    return complex(np.sum(th[im_:ip + 1] * np.exp(lam_c * tg[im_:ip + 1])) * dt)
-
-
 def biorthogonality_matrix(family: BiorthogonalFamily, m_range, n_range):
     """B_{mn} = int family_m(t) e^{conj(lambda_n) t} dt and max |B - I|.
 
-    The eps = 0 family integrates its exponential sums in closed form through
-    `core.exp_integral`.  theta and zeta members are integrated from their
-    samples by Riemann sum with per-entry stationary cuts: their exact sums
-    carry the transform's noise floor over the whole kept window, where
-    e^{Re lambda t} amplifies it past the entries themselves.
+    Every member of every kind is an exponential sum on the family's shared
+    rates and zero outside its window, so B is integrated in closed form
+    through `core.exp_integral` over that window: the same integral, family
+    and window the control's moment check reads.
     """
     ms = [m for m in m_range if m != 0]
     ns = [n for n in n_range if n != 0]
     lam_cs = lambda_conj_vals(np.asarray(ns), family.eps, family.alpha)
-    out = np.empty((len(ms), len(ns)), dtype=complex)
-    if family.kind == "sinc_limit":
-        lo, hi = family.window
-        basis = exp_integral(lam_cs[:, None], 0.0, family.rates, 0.0, lo, hi)
-        for i, m in enumerate(ms):
-            out[i] = basis @ family.weights[m]
-    else:
-        for i, m in enumerate(ms):
-            for j, lc in enumerate(lam_cs):
-                out[i, j] = _cut_integral(family.t_grid, family.member(m), family.dt, lc)
+    lo, hi = family.window
+    basis = exp_integral(lam_cs[:, None], 0.0, family.rates, 0.0, lo, hi)
+    out = np.array([basis @ family.weights[m] for m in ms]).reshape(len(ms), len(ns))
     target = np.equal.outer(ms, ns).astype(float)
     return out, float(np.max(np.abs(out - target)))

@@ -293,7 +293,7 @@ def biorth_build(config, out, seed, alpha, epsilon, modes, horizon) -> None:
         meta = {"kind": theta.kind, "omega": theta.omega,
                 "omega_hats": list(theta.omega_hats),
                 "beta_hat": theta.beta_hat, "c_hat": theta.c_hat,
-                "support_half": theta.support_half}
+                "support_half": theta.support_half, "window": theta.window}
         meta.update({k: v for k, v in theta.meta.items() if k != "normalizers"})
         _write_sidecar(out_path, meta, cfg)
         click.echo(f"built {theta.kind} family, {len(theta.indices)} members, "
@@ -349,7 +349,7 @@ def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
         out_path = out or "control_solve.csv"
         data = _seeded_data(cfg, seed, data_kind)
         meta: dict = {"path": "oracle" if use_oracle else "series",
-                      "data": data_kind, "seed": seed}
+                      "data": data_kind, "seed": seed, "moment_tolerance": mom.MOMENT_TOL}
         T = cfg.horizon_T
         if use_oracle:
             system = mom.MomentSystem.build(data, T, cfg.epsilon, cfg.alpha)
@@ -360,10 +360,10 @@ def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
             fam = _theta_for(cfg)
             if fam.kind == "theta":
                 fam = bio.zeta_eval(fam)
-            need = 2.0 * fam.support_half
+            need = fam.min_horizon
             if T < need:
                 if horizon is None and config is None:
-                    # default horizon: stretch to fit the family support
+                    # default horizon: stretch to fit the family's window
                     T = float(2.0 * np.ceil(need / 2.0 + 0.5))
                     meta["horizon_auto"] = T
                 else:
@@ -375,8 +375,8 @@ def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
             sres = mom.synthesize_control_series(data, fam, T, cfg.epsilon, cfg.alpha)
             ctrl, vnorm = sres.control, sres.norm
             cond = float("nan")
-            meta["imag_residual"] = sres.imag_residual
-            meta["h0_norm_sq"] = sres.h0_norm_sq
+            meta.update(imag_residual=sres.imag_residual, h0_norm_sq=sres.h0_norm_sq,
+                        moment_residual=sres.moment_residual)
         if T != cfg.horizon_T:
             cfg = validate_config(replace(cfg, horizon_T=T), for_synthesis=True)
         traj = pde.simulate(cfg, data, ctrl, system="corrected")

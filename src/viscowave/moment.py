@@ -7,7 +7,8 @@ independent routes are implemented:
 
   * series synthesis: v = sum_m c_m * family_m(t - T/2) with a biorthogonal
     family, the constructive route; every member is an exponential sum on
-    the family's shared rates, so v is one exponential sum on them;
+    the family's shared rates and zero outside the family's window, so v is
+    one exponential sum on them;
   * minimal-norm synthesis: v = sum_k beta_k e^{lambda_k (t - T/2)} with
     beta solved from the Hermitian Gram matrix, a classical finite moment
     problem that knows nothing about the family and therefore serves as an
@@ -16,10 +17,11 @@ independent routes are implemented:
 The Gram matrix has the closed form G_{nk} = T sinhc((conj(lambda_n) +
 lambda_k) T/2), diagonal-limit entry T included, so no quadrature enters
 the oracle.  It, the exact moment check of both routes' controls and the
-Ingham numerator all come from the shared kernel `core.exp_integral`.  The
-Gram eigenvalue solve is also where spectral degeneracy (the
-alpha = 1/2 collision) becomes visible as condition-number blowup, which is
-reported and never regularized away.
+Ingham numerator all come from the shared kernel `core.exp_integral`, and
+both routes refuse a control whose exact moment residual exceeds
+MOMENT_TOL of the largest moment.  The Gram eigenvalue solve is also where
+spectral degeneracy (the alpha = 1/2 collision) becomes visible as
+condition-number blowup, which is reported and never regularized away.
 """
 
 from __future__ import annotations
@@ -33,26 +35,37 @@ from .core import ConfigError, ControlSignal, ModalState, exp_integral, h0_norm_
 from .spectrum import lambda_vals
 
 
+MOMENT_TOL = 1e-6  # largest accepted moment residual, relative to max |c_n|
+
+
 class SingularGramError(ConfigError):
-    def __init__(self, cond: float):
-        super().__init__(f"Gram matrix numerically singular (cond ~ {cond:.3e}); "
+    def __init__(self, cond: float, why: str = "numerically singular"):
+        super().__init__(f"Gram matrix {why} (cond ~ {cond:.3e}); "
                          "refusing to regularize silently")
         self.cond = cond
+
+
+class MomentResidualError(ConfigError):
+    """A control misses its moments by more than MOMENT_TOL of max |c_n|."""
+
+
+def _check_moments(route: str, residual: float, rhs) -> None:
+    limit = MOMENT_TOL * float(np.max(np.abs(rhs), initial=0.0))
+    if not residual <= limit:
+        raise MomentResidualError(f"{route} control misses its moments by {residual:.3e}"
+                                  f" > {MOMENT_TOL:g} x max |c_n| = {limit:.3e}")
 
 
 def moment_rhs(n: int, data: ModalState, T: float, eps: float, alpha: float) -> complex:
     """c_n = -e^{-conj(lambda_n) T/2} (u1_|n| + lambda_n u0_|n|) / f_|n|."""
     if n == 0:
         raise ConfigError("index 0 is not in the lattice")
-    an = abs(n)
-    pos = list(data.indices).index(an) if an in data.indices else None
-    if pos is None:
-        raise ConfigError(f"data has no mode {an}")
-    fh = data.profile[pos]
-    if fh == 0:
-        raise ConfigError(f"profile coefficient {an} vanishes")
+    if abs(n) not in data.indices:
+        raise ConfigError(f"data has no mode {abs(n)}")
+    pos = data.indices.index(abs(n))  # ModalState keeps every profile entry nonzero
     lam = complex(lambda_vals(n, eps, alpha))
-    return -np.exp(-np.conj(lam) * T / 2.0) * (data.u1[pos] + lam * data.u0[pos]) / fh
+    return -np.exp(-np.conj(lam) * T / 2.0) * (data.u1[pos] + lam * data.u0[pos]) \
+        / data.profile[pos]
 
 
 @dataclass(frozen=True)
@@ -105,16 +118,20 @@ class MinNormResult:
 
 
 def minnorm_control(system: MomentSystem) -> MinNormResult:
-    """Minimal-norm exponential-sum control for the moment system."""
+    """Minimal-norm exponential-sum control for the moment system; refuses
+    (SingularGramError) non-finite or singular Gram matrices."""
     T = system.horizon
     G = gram_matrix(system.indices, system.eps, system.alpha, T)
     c = np.asarray(system.rhs, dtype=complex)
+    if not np.all(np.isfinite(G)):
+        raise SingularGramError(np.inf, "has non-finite entries")
     w, V = eigh(G)
     cond = float(w[-1] / w[0]) if w[0] > 0 else np.inf
     if w[0] <= 0 or not np.isfinite(cond):
         raise SingularGramError(cond)
     beta = V @ ((V.conj().T @ c) / w)
     resid = float(np.max(np.abs(G @ beta - c)))
+    _check_moments("Gram", resid, c)
     vnorm = float(np.sqrt(max(np.real(np.vdot(beta, G @ beta)), 0.0)))
     ctrl = ControlSignal(weights=beta, rates=system.lambdas, center=T / 2.0,
                          support=(0.0, T))
@@ -128,6 +145,7 @@ class SeriesResult:
     norm: float
     imag_residual: float
     h0_norm_sq: float
+    moment_residual: float  # exact max_n |moment_n - c_n|
 
 
 def synthesize_control_series(data: ModalState, family, T: float,
@@ -137,10 +155,12 @@ def synthesize_control_series(data: ModalState, family, T: float,
     Every member of `family` is an exponential sum on the family's shared
     `rates`, with weights `weights[m]`, valid on `window` (recentered time)
     and zero outside; so the control is one exponential sum on those rates,
-    supported on the window shifted by T/2 and clipped to (0, T).  Its norm
-    and imaginary part (for conjugate-symmetric moments) come from the
-    family's own samples, combined the same way and integrated by the
-    trapezoid rule over |t| <= T/2.
+    supported on the window shifted by T/2 and clipped to (0, T): the
+    moments hold when T is at least the family's `min_horizon`, and their
+    exact residual is checked.  The norm and imaginary part (for
+    conjugate-symmetric moments) come from the family's own samples,
+    combined the same way and integrated by the trapezoid rule over
+    |t| <= T/2.
     """
     sys = MomentSystem.build(data, T, eps, alpha)
     fam_idx = set(family.indices)
@@ -156,6 +176,8 @@ def synthesize_control_series(data: ModalState, family, T: float,
     lo, hi = family.window
     ctrl = ControlSignal(weights=weights, rates=family.rates, center=T / 2.0,
                          support=(max(0.0, lo + T / 2.0), min(T, hi + T / 2.0)))
+    resid = moment_verification(ctrl, sys)
+    _check_moments("series", resid, sys.rhs)
 
     inside = np.abs(family.t_grid) <= T / 2.0
     v = v[inside]
@@ -163,7 +185,7 @@ def synthesize_control_series(data: ModalState, family, T: float,
     sym = sys.conjugate_symmetry_residual() < 1e-10
     imag_res = float(np.max(np.abs(v.imag))) if sym else 0.0
     return SeriesResult(control=ctrl, norm=norm, imag_residual=imag_res,
-                        h0_norm_sq=h0_norm_sq(data))
+                        h0_norm_sq=h0_norm_sq(data), moment_residual=resid)
 
 
 def moment_verification(control: ControlSignal, system: MomentSystem) -> float:
@@ -176,12 +198,12 @@ def moment_verification(control: ControlSignal, system: MomentSystem) -> float:
 
 
 def ingham_ratio(indices, coeffs, eps: float, alpha: float, T: float,
-                 omega_weight: float, method: str = "gram") -> float:
+                 omega_weight: float) -> float:
     """int_{-T}^{T} |sum beta_n e^{lambda_n t}|^2 dt divided by the weighted
     coefficient mass sum |beta_n|^2 e^{-omega_weight eps |n|^{2a}}.
 
-    The integral runs over (-T, T), twice the moment interval, so the "gram"
-    numerator is the Gram matrix at horizon 2T.
+    The integral runs over (-T, T), twice the moment interval, so the
+    numerator is the quadratic form of the Gram matrix at horizon 2T.
     """
     idx = np.asarray(indices)
     b = np.asarray(coeffs, dtype=complex)
@@ -189,16 +211,7 @@ def ingham_ratio(indices, coeffs, eps: float, alpha: float, T: float,
         raise ConfigError("indices and coefficients disagree in length")
     if not np.any(b):
         raise ConfigError("all-zero coefficient sequence")
-    if method == "gram":
-        num = float(np.real(np.vdot(b, gram_matrix(idx, eps, alpha, 2.0 * T) @ b)))
-    elif method == "quad":
-        lams = lambda_vals(idx, eps, alpha)
-        tg = np.linspace(-T, T, 40001)
-        f = np.sum(b[:, None] * np.exp(lams[:, None] * tg[None, :]), axis=0)
-        from scipy.integrate import simpson
-        num = float(simpson(np.abs(f) ** 2, x=tg))
-    else:
-        raise ConfigError(f"unknown method '{method}'")
+    num = float(np.real(np.vdot(b, gram_matrix(idx, eps, alpha, 2.0 * T) @ b)))
     den = float(np.sum(np.abs(b) ** 2 * np.exp(-omega_weight * eps
                                                * np.abs(idx) ** (2.0 * alpha))))
     return num / den

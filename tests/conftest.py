@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from viscowave.core import ModalState
+from viscowave.spectrum import lambda_vals
 
 
 def seeded_data(seed: int = 7, n: int = 8) -> ModalState:
@@ -25,6 +27,22 @@ def control_values(ctrl, t) -> np.ndarray:
     v = np.concatenate([np.exp(np.outer(tb - ctrl.center, ctrl.rates)) @ ctrl.weights
                         for tb in np.array_split(t, max(1, t.size // 256))])
     return np.where((t >= lo) & (t <= hi), v, 0.0)
+
+
+def ingham_ratio_quad(indices, coeffs, eps: float, alpha: float, T: float,
+                      omega_weight: float) -> float:
+    """`moment.ingham_ratio` with the numerator by composite Simpson
+    quadrature on 40001 points of (-T, T), an independent reference for its
+    closed-form Gram numerator."""
+    idx = np.asarray(indices)
+    b = np.asarray(coeffs, dtype=complex)
+    lams = lambda_vals(idx, eps, alpha)
+    tg = np.linspace(-T, T, 40001)
+    f = np.sum(b[:, None] * np.exp(lams[:, None] * tg[None, :]), axis=0)
+    num = float(simpson(np.abs(f) ** 2, x=tg))
+    den = float(np.sum(np.abs(b) ** 2 * np.exp(-omega_weight * eps
+                                               * np.abs(idx) ** (2.0 * alpha))))
+    return num / den
 
 
 @pytest.fixture

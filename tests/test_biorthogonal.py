@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from viscowave import weierstrass as wei
 from viscowave.core import (ConfigError, ProblemConfig, sinhc,
                             validate_config)
 from viscowave.multiplier import MultiplierEvaluator
-from viscowave.spectrum import node_sum_bound
+from viscowave.spectrum import lambda_conj_vals, node_sum_bound
 from viscowave.weierstrass import ProductEvaluator
 
 CFG = validate_config(ProblemConfig(alpha=0.25, epsilon=0.1, n_modes=2),
@@ -101,20 +102,53 @@ def test_theta_biorthogonality(theta_family):
     assert dev < 1e-4          # contract tolerance; observed near 1e-14
 
 
-def test_cut_integral_ignores_exact_zero_in_noise_floor():
-    # a transform's noise floor is quantized near one ulp of its peak, so a
-    # lone tail sample can be exactly 0; the cut must not move out there,
-    # where e^{Re lam t} multiplies the noise by e^75
-    tg = np.linspace(-60.0, 60.0, 6001)
+def test_window_ignores_exact_zero_in_noise_floor(theta_family):
+    # a synthetic member e^{-t^2}, transformed from sqrt(pi) e^{-x^2/4} on
+    # the FFT grid; its measured window ends where e^{-t^2} crosses
+    # WINDOW_FLOOR.  A transform's noise floor is quantized near one ulp of
+    # the peak, so a tail sample can be a noise quantum or exactly 0: neither
+    # may move the window
+    half, n = 40.0, 4096
+    dx = 2.0 * half / n
+    psi = math.sqrt(math.pi) * np.exp(-(-half + dx * np.arange(n)) ** 2 / 4.0)
+    tg, th = bio.fourier_to_time(psi, half, dx)
+    lo, hi = bio._measured_window(tg, th)
+    edge = math.sqrt(-math.log(bio.WINDOW_FLOOR))
+    dt = tg[1] - tg[0]
+    assert -edge <= lo < -edge + dt and edge - dt < hi <= edge
     rng = np.random.default_rng(2)
     quantum = 1.6e-16
-    th = np.exp(-tg ** 2) + quantum * (rng.integers(-10, 11, tg.size)
-                                       + 1j * rng.integers(-10, 11, tg.size))
-    th[np.argmin(np.abs(tg - 50.0))] = 0.0
-    lam_c = 1.5 - 3.0j
+    noisy = th + quantum * (rng.integers(-10, 11, tg.size)
+                            + 1j * rng.integers(-10, 11, tg.size))
+    noisy[np.argmin(np.abs(tg - 30.0))] = 0.0
+    assert bio._measured_window(tg, noisy) == (lo, hi)
+    # its exact B over that window against the closed form
+    # int e^{-t^2} e^{c t} dt = sqrt(pi) e^{c^2/4}, c = conj(lambda_n)
+    member = replace(theta_family, rates=1j * dx * (np.arange(n + 1) - n // 2),
+                     weights={1: np.append(psi * dx / (2.0 * math.pi), 0.0)},
+                     window=(lo, hi))
+    got, _ = bio.biorthogonality_matrix(member, [1], [-2, 1, 2])
+    lam_c = lambda_conj_vals(np.array([-2, 1, 2]), CFG.epsilon, CFG.alpha)
     exact = math.sqrt(math.pi) * np.exp(lam_c ** 2 / 4.0)
-    got = bio._cut_integral(tg, th, tg[1] - tg[0], lam_c)
-    assert abs(got - exact) < 1e-8 * abs(exact)
+    dev = float(np.max(np.abs(got[0] - exact) / np.abs(exact)))
+    print(f"synthetic member: window [{lo:.3f}, {hi:.3f}], exact B rel dev {dev:.1e}")
+    assert dev < 1e-12
+
+
+def test_theta_window_is_measured_support(theta_family_075):
+    # outside the window every member's exact sum stays below WINDOW_FLOOR
+    # of its maximum; the window sits well inside the declared support
+    _, fam = theta_family_075
+    lo, hi = fam.window
+    assert (fam.t_grid[0], fam.t_grid[-1]) == (lo, hi)
+    dt = fam.dt
+    t_out = np.concatenate([lo - dt * np.arange(1, 200), hi + dt * np.arange(1, 200)])
+    for m in MS:
+        peak = np.max(np.abs(fam.member(m)))
+        outside = np.abs(np.exp(np.outer(t_out, fam.rates)) @ fam.weights[m])
+        assert np.max(outside) < bio.WINDOW_FLOOR * peak
+    # declared length 2 support_half = 119, measured horizon 32.5
+    assert fam.min_horizon == 2.0 * max(-lo, hi) < fam.support_half
 
 
 def test_theta_conjugate_symmetry(theta_family):
@@ -258,6 +292,12 @@ def test_zeta_weights_are_the_kernel_transform(zeta_family, theta_family):
 def test_zeta_support_and_norms(zeta_family, theta_family):
     assert zeta_family.support_half == pytest.approx(
         theta_family.support_half + bio.SMOOTHING_A)
+    a = bio.SMOOTHING_A
+    assert zeta_family.window == (theta_family.window[0] - a,
+                                  theta_family.window[1] + a)
+    assert zeta_family.t_grid[0] >= zeta_family.window[0]
+    assert zeta_family.t_grid[-1] <= zeta_family.window[1]
+    assert zeta_family.t_grid[0] - zeta_family.dt < zeta_family.window[0]
     for m in MS:
         assert zeta_family.norms[m] < theta_family.norms[m] * 1.05
 
@@ -267,7 +307,8 @@ def test_exponential_sums_reproduce_samples(alpha):
     # theta_m and zeta_m as exponential sums on the shared rates, evaluated
     # term by term on the family's own t grid, against the stored samples.
     # Measured worst, relative to the member's maximum: theta 5.9e-14 and
-    # 2.3e-13, zeta 8.5e-15 and 3.3e-14 (alpha 0.25, 0.75); exact phases
+    # 2.3e-13, zeta 5.8e-14 and 2.3e-13 (alpha 0.25, 0.75; zeta's samples
+    # come from its weights through the same FFT); exact phases
     # 2 pi (j - n/2) k / n give the same figures, so they are the FFT's
     # rounding in the samples
     cfg = validate_config(ProblemConfig(alpha=alpha, epsilon=0.1, n_modes=3),
@@ -279,9 +320,9 @@ def test_exponential_sums_reproduce_samples(alpha):
     assert len(theta.rates) == n + 1 and zeta.rates is theta.rates
     assert np.array_equal(theta.rates, -theta.rates[::-1])
     worst = 0.0
-    for rows in np.array_split(np.arange(len(theta.t_grid)), 32):
-        basis = np.exp(np.outer(theta.t_grid[rows], theta.rates))
-        for fam in (theta, zeta):
+    for fam in (theta, zeta):
+        for rows in np.array_split(np.arange(len(fam.t_grid)), 32):
+            basis = np.exp(np.outer(fam.t_grid[rows], fam.rates))
             for m in ms:
                 vals = fam.member(m)
                 dev = np.max(np.abs(basis @ fam.weights[m] - vals[rows]))

@@ -152,6 +152,45 @@ def test_control_solve_series_eps0_checks_horizon(runner, tmp_path):
     assert meta["omega"] == 0 and meta["beta_hat"] == 0.0
 
 
+@pytest.mark.parametrize("modes", [4, 8, 16, 32])
+def test_control_solve_oracle_refuses_unresolved_gram(runner, tmp_path, modes):
+    # at T 122 the Gram matrix is singular in double precision (N 4, 8) or
+    # its entries overflow (N 16, 32); the N 4 solve misses its moments by
+    # 8.6e3, far above the moment tolerance, so every N must exit 2
+    res = runner.invoke(main, ["control", "solve", "--oracle", "--epsilon", "0.1",
+                               "--alpha", "0.75", "--horizon", "122",
+                               "--modes", str(modes), "--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == 2, res.output
+    assert "invalid input" in res.output
+    assert "Traceback" not in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_control_solve_series_horizon_from_window(runner, tmp_path):
+    # the auto horizon covers the family's measured window (T 36), not its
+    # declared support (T 122), and the moments hold exactly there
+    res = _run(runner, ["control", "solve", "--series", "--epsilon", "0.1",
+                        "--alpha", "0.75", "--modes", "4"], tmp_path)
+    assert res.exit_code == 0, res.output
+    row = (tmp_path / "out.csv").read_text().splitlines()[1].split(",")
+    meta = json.loads((tmp_path / "out.json").read_text())
+    assert float(row[3]) == meta["horizon_auto"] <= 40.0
+    assert float(row[6]) <= 1e-26                          # final residual
+    assert meta["moment_residual"] <= 3e-12    # 1e-10 of max |c_n| = 0.033
+    assert meta["moment_tolerance"] == 1e-6
+
+
+def test_biorth_verify_small_eps_exact(runner, tmp_path):
+    # at eps 1e-4 the members sit off-centre ([-11.3, -1.2]); the exact
+    # integral over the measured window reads 4.4e-15
+    res = _run(runner, ["biorth", "verify", "--epsilon", "1e-4", "--alpha", "0.75",
+                        "--modes", "4"], tmp_path)
+    assert res.exit_code == 0, res.output
+    meta = json.loads((tmp_path / "out.json").read_text())
+    assert meta["max_deviation"] <= 1e-12
+
+
 def test_deterministic_bytes(runner, tmp_path):
     args = ["control", "solve", "--alpha", "0.25", "--epsilon", "0.1",
             "--modes", "4", "--seed", "11"]
