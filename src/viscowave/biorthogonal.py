@@ -16,13 +16,15 @@ family has the closed form e^{imt}/(2pi) on (-pi, pi) and doubles as the
 end-to-end oracle for the transform path.
 
 Every member of every family is an exponential sum on rates the family's
-members share, zero outside the family's window.  The FFT samples theta_m(t)
-= (dx/2pi) sum_j psi_m(x_j) e^{i x_j t}, the trigonometric interpolant of
-its DFT, so theta_m is that sum exactly, with rates i x_j on the x grid; the
+members share, zero outside the family's window, and nothing else is kept.
+theta_m(t) = (dx/2pi) sum_j psi_m(x_j) e^{i x_j t}, the trigonometric
+interpolant of the FFT's samples, with rates i x_j on the x grid; the
 discrete convolution that makes zeta_m multiplies the weights by the
 kernel's discrete-time transform.  Member -m is the conjugate sum on the
-rates -i x_j = i x_{n-j}, so the shared rates are the n + 1 points i x_j,
-j = 0..n, x_n = half.  The window is measured from the samples (the
+mirrored rates -i x_j = i x_{n-j}, so the shared rates are the n + 1 points
+i x_j, j = 0..n, x_n = half.  They are orthogonal over their common period
+2pi/dx, so Parseval gives every norm from the weights (`exp_sum_norm`).
+The window is measured once from each member's FFT samples (the
 Paley-Wiener type bounds the support but does not say where the mass sits),
 and the biorthogonality check, the control and its horizon all read it.
 
@@ -33,8 +35,8 @@ therefore fits the envelope exponent over the working index range and takes
 the next integer above 1.25x the fit.
 
 How the family is built is fixed by the module constants below: the sinc
-width, the extra sinc powers, the smoothing half-width and the sample
-densities.  None of them is part of the problem (eps, alpha, T, N).
+width, the extra sinc powers, the smoothing half-width and the x-grid
+density.  None of them is part of the problem (eps, alpha, T, N).
 
 A family build shares its lattice work.  Every member's product is the
 Lagrange basis of one generating function F (see `weierstrass`), so each
@@ -74,7 +76,6 @@ SMOOTHING_A = 0.5  # half-width a of the triangle smoothing kernel
 # x-grid density of the FFT, refined so that the grid length is a power of two
 POINTS_PER_UNIT = 20.0
 OMEGA_FIT_HALF_WIDTH = 400.0  # the envelope fit's grid: 3000 points on [0, this]
-SINC_LIMIT_POINTS_PER_UNIT = 64.0  # t-grid density of the eps = 0 family
 WINDOW_FLOOR = 1e-13  # a member is zero below this share of its maximum (noise ~1e-16)
 
 
@@ -157,27 +158,36 @@ def fourier_to_time(psi: np.ndarray, half_width: float, dx: float):
     return np.fft.fftshift(tg), th
 
 
+def exp_sum_norm(weights, period: float) -> float:
+    """||sum_k w_k e^{r_k t}||_2 = sqrt(period sum_k |w_k|^2) over one common
+    period of distinct orthogonal rates (Parseval).  Outside its window a
+    member is below WINDOW_FLOOR of its peak, so this is its norm over the
+    window to about 1e-26 relative."""
+    return float(np.sqrt(period * np.sum(np.abs(weights) ** 2)))
+
+
 @dataclass(frozen=True)
 class BiorthogonalFamily:
-    """Biorthogonal family, sampled and as exponential sums.
+    """Biorthogonal family as exponential sums.
 
     kind: "theta" (raw transform), "zeta" (smoothed), "sinc_limit" (eps=0
     closed form).  Member m is exactly sum_k weights[m][k] e^{rates[k] t}
-    on window and zero outside, with rates shared by every member; values
-    maps m to its samples on the uniform t_grid, which spans the window.
-    theta's window is measured (`_measured_window`), zeta widens it by the
-    kernel half-width, sinc_limit's is (-pi, pi).  support_half is the
-    declared half-support the theorem gives (T~/2, T0/2, or pi).
+    on window and zero outside, with rates shared by every member,
+    orthogonal over period (2pi/dx, or 2pi for sinc_limit) and
+    mirror-symmetric for a mirror-closed index set; norms are
+    `exp_sum_norm` of the weights.  theta's window is measured
+    (`_measured_window`), zeta widens it by the kernel half-width,
+    sinc_limit's is (-pi, pi).  support_half is the declared half-support
+    the theorem gives (T~/2, T0/2, or pi).
     """
     kind: str
     eps: float
     alpha: float
     indices: tuple
-    t_grid: np.ndarray
-    values: dict
     rates: np.ndarray
     weights: dict
     window: tuple
+    period: float
     norms: dict
     support_half: float
     beta_hat: float
@@ -187,34 +197,22 @@ class BiorthogonalFamily:
     meta: dict = field(default_factory=dict)
 
     @property
-    def dt(self) -> float:
-        return float(self.t_grid[1] - self.t_grid[0])
-
-    @property
     def min_horizon(self) -> float:
         """The shortest T whose recentred interval (-T/2, T/2) holds the window."""
         return 2.0 * max(-self.window[0], self.window[1])
 
-    def member(self, m: int) -> np.ndarray:
-        if m not in self.values:
-            raise ConfigError(f"family has no index {m}")
-        return self.values[m]
-
 
 def build_sinc_family(m_range) -> BiorthogonalFamily:
     ms = tuple(sorted(m for m in m_range if m != 0))
-    n = next_pow2(int(2.0 * np.pi * SINC_LIMIT_POINTS_PER_UNIT)) + 1
-    tg = np.linspace(-np.pi, np.pi, n)
-    vals = {m: np.exp(1j * m * tg) / (2.0 * np.pi) for m in ms}
     weights = {m: np.where(np.asarray(ms) == m, 1.0 / (2.0 * np.pi), 0.0) + 0j
                for m in ms}
-    nrm = 1.0 / np.sqrt(2.0 * np.pi)
+    period = 2.0 * np.pi
     return BiorthogonalFamily(kind="sinc_limit", eps=0.0, alpha=0.0, indices=ms,
-                              t_grid=tg, values=vals,
                               rates=1j * np.asarray(ms, dtype=float),
-                              weights=weights, window=(-np.pi, np.pi),
-                              norms={m: nrm for m in ms}, support_half=np.pi,
-                              beta_hat=0.0, c_hat=nrm, omega=0)
+                              weights=weights, window=(-np.pi, np.pi), period=period,
+                              norms={m: exp_sum_norm(weights[m], period) for m in ms},
+                              support_half=np.pi, beta_hat=0.0,
+                              c_hat=1.0 / np.sqrt(2.0 * np.pi), omega=0)
 
 
 def _probe_half_width(interps) -> float:
@@ -273,7 +271,8 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     reflection of x_0 = -half is its periodic partner +half (half t_k = pi
     k), so the edge check also reads psi_m[1], the mirrored member's last
     sample.  The window is the union of the members' measured windows
-    (`_measured_window`), and the samples are kept on it.
+    (`_measured_window`), read from each member's FFT samples, which are
+    then dropped.
     """
     cfg = validate_config(cfg, for_synthesis=True)
     eps, alpha = cfg.epsilon, cfg.alpha
@@ -319,29 +318,24 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
             (base_mult - mult.log_factor_range(1, node_start(k, eps, alpha) - 1, z_abs))[fold]
         psi = np.exp(interps[k].log_psi(zg, log_mult, log_f))
         edge_worst = max(edge_worst, float(np.max(np.abs(psi[[0, 1, -1]]))))
-        tg, th = fourier_to_time(psi, half, dx)
-        k_lo, k_hi = _measured_window(tg, th)
+        k_lo, k_hi = _measured_window(*fourier_to_time(psi, half, dx))
         lo, hi = min(lo, k_lo), max(hi, k_hi)
-        members[k] = (th, np.append(psi * (dx / (2.0 * np.pi)), 0.0))
+        members[k] = np.append(psi * (dx / (2.0 * np.pi)), 0.0)
     if edge_worst > 1e-8:
         raise ConfigError(f"quadrature budget insufficient: |psi| = {edge_worst:.2e} "
                           "at the grid edge")
 
-    keep = (tg >= lo) & (tg <= hi)
-    values = {m: members[m][0][keep] if m > 0 else np.conj(members[-m][0][keep])
-              for m in ms}
     # weight j of member -m sits on rate i x_{n-j} = -i x_j
-    weights = {m: members[m][1] if m > 0 else np.conj(members[-m][1][::-1]) for m in ms}
-    norms = {m: float(np.sqrt(np.sum(np.abs(values[m]) ** 2) * (tg[1] - tg[0])))
-             for m in ms}
+    weights = {m: members[m] if m > 0 else np.conj(members[-m][::-1]) for m in ms}
+    period = 2.0 * np.pi / dx
+    norms = {m: exp_sum_norm(members[abs(m)], period) for m in ms}
     beta_hat, c_hat = _norm_fit(norms, eps, alpha)
     meta = {"half_width": half, "dx": dx, "n_fft": n, "psi_edge": edge_worst,
             "points_per_unit": POINTS_PER_UNIT}
     return BiorthogonalFamily(kind="theta", eps=eps, alpha=alpha, indices=ms,
-                              t_grid=tg[keep], values=values,
                               rates=1j * dx * (np.arange(n + 1) - n // 2),
-                              weights=weights, window=(lo, hi), norms=norms,
-                              support_half=support_half,
+                              weights=weights, window=(lo, hi), period=period,
+                              norms=norms, support_half=support_half,
                               beta_hat=beta_hat, c_hat=c_hat,
                               omega=omega, omega_hats=omega_hats, meta=meta)
 
@@ -355,14 +349,13 @@ def smoothing_kernel(a: float, x) -> np.ndarray:
 def zeta_eval(theta_family: BiorthogonalFamily) -> BiorthogonalFamily:
     """Convolve every member with the modulated triangle kernel.
 
-    rho_m(x) = e^{i x Im(lambda_m)} k_a(x) with a = SMOOTHING_A, sampled on
-    the theta grid (spacing pi/half_width <= pi/150, dozens of samples).  The
-    discrete convolution multiplies each theta weight by R_m(x_j) =
-    (dt/normalizer) sum_l rho_m(u_l) e^{-i x_j u_l}; since x_j u_l = 2pi
-    (j - n/2) l / n that is one length-n DFT of (-1)^l rho_m(u_l), and
-    R_m(x_n) = R_m(x_0).  The samples are those weights through
-    `fourier_to_time`, on the theta window widened by a on each side.  The
-    normalizer, sum_l rho_m(u_l) e^{conj(lambda_m) u_l} dt (> 0), keeps the
+    rho_m(x) = e^{i x Im(lambda_m)} k_a(x) with a = SMOOTHING_A, sampled at
+    u_l = l dt, dt = period/n_fft = pi/half_width <= pi/150 (dozens of
+    samples).  The discrete convolution multiplies each theta weight by
+    R_m(x_j) = (dt/normalizer) sum_l rho_m(u_l) e^{-i x_j u_l}; since x_j u_l
+    = 2pi (j - n/2) l / n that is one length-n DFT of (-1)^l rho_m(u_l), and
+    R_m(x_n) = R_m(x_0).  The window is theta's widened by a on each side.
+    The normalizer, sum_l rho_m(u_l) e^{conj(lambda_m) u_l} dt (> 0), keeps the
     m-th moment of the exponential sum exactly theta_m's (closed form
     sqrt(2pi) sinhc^2(Re lambda_m a/2) serves as its oracle).
     """
@@ -370,14 +363,13 @@ def zeta_eval(theta_family: BiorthogonalFamily) -> BiorthogonalFamily:
     if fam.kind != "theta":
         raise ConfigError("smoothing applies to a theta family")
     a = SMOOTHING_A
-    dt = fam.dt
+    n = fam.meta["n_fft"]
+    dt = fam.period / n
     k = int(np.floor(a / dt))
     ls = np.arange(-k, k + 1)
     u = dt * ls
     tri = smoothing_kernel(a, u)
-    half, dx, n = fam.meta["half_width"], fam.meta["dx"], fam.meta["n_fft"]
-    lo, hi = fam.window[0] - a, fam.window[1] + a
-    values, weights, norms, normalizers = {}, {}, {}, {}
+    weights, norms, normalizers = {}, {}, {}
     for m in fam.indices:
         lam_c = complex(lambda_conj_vals(m, fam.eps, fam.alpha))
         rho = np.exp(1j * m * u) * tri  # Im lambda_m = m
@@ -386,23 +378,16 @@ def zeta_eval(theta_family: BiorthogonalFamily) -> BiorthogonalFamily:
         g[ls % n] = np.where(ls % 2 == 0, rho, -rho)
         r_m = np.fft.fft(g) * (dt / normalizer)
         weights[m] = fam.weights[m] * np.append(r_m, r_m[0])
-        if -m in values:  # zeta_{-m} = conj(zeta_m), as theta_{-m} = conj(theta_m)
-            values[m] = np.conj(values[-m])
-        else:  # on the t grid rate i x_n is i x_0's periodic partner: fold it
-            psi = np.append(weights[m][0] + weights[m][-1], weights[m][1:-1])
-            tg, z = fourier_to_time(psi * (2.0 * np.pi / dx), half, dx)
-            keep = (tg >= lo) & (tg <= hi)
-            values[m] = z[keep]
-        norms[m] = float(np.sqrt(np.sum(np.abs(values[m]) ** 2) * dt))
+        norms[m] = exp_sum_norm(weights[m], fam.period)
         normalizers[m] = normalizer
     beta_hat, c_hat = _norm_fit(norms, fam.eps, fam.alpha)
     meta = dict(fam.meta)
     meta["kernel_half_width"] = a
     meta["normalizers"] = normalizers
     return BiorthogonalFamily(kind="zeta", eps=fam.eps, alpha=fam.alpha,
-                              indices=fam.indices, t_grid=tg[keep],
-                              values=values, rates=fam.rates, weights=weights,
-                              window=(lo, hi), norms=norms,
+                              indices=fam.indices, rates=fam.rates, weights=weights,
+                              window=(fam.window[0] - a, fam.window[1] + a),
+                              period=fam.period, norms=norms,
                               support_half=fam.support_half + a,
                               beta_hat=beta_hat, c_hat=c_hat,
                               omega=fam.omega, omega_hats=fam.omega_hats, meta=meta)

@@ -8,7 +8,8 @@ independent routes are implemented:
   * series synthesis: v = sum_m c_m * family_m(t - T/2) with a biorthogonal
     family, the constructive route; every member is an exponential sum on
     the family's shared rates and zero outside the family's window, so v is
-    one exponential sum on them;
+    one exponential sum on them, and its norm and imaginary-part bound come
+    from its weights;
   * minimal-norm synthesis: v = sum_k beta_k e^{lambda_k (t - T/2)} with
     beta solved from the Hermitian Gram matrix, a classical finite moment
     problem that knows nothing about the family and therefore serves as an
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
+from .biorthogonal import exp_sum_norm
 from .core import ConfigError, ControlSignal, ModalState, exp_integral, h0_norm_sq
 from .spectrum import lambda_vals
 
@@ -154,13 +156,13 @@ def synthesize_control_series(data: ModalState, family, T: float,
 
     Every member of `family` is an exponential sum on the family's shared
     `rates`, with weights `weights[m]`, valid on `window` (recentered time)
-    and zero outside; so the control is one exponential sum on those rates,
-    supported on the window shifted by T/2 and clipped to (0, T): the
-    moments hold when T is at least the family's `min_horizon`, and their
-    exact residual is checked.  The norm and imaginary part (for
-    conjugate-symmetric moments) come from the family's own samples,
-    combined the same way and integrated by the trapezoid rule over
-    |t| <= T/2.
+    and zero outside; so the control is one exponential sum on those rates
+    with weights W = sum_m c_m weights[m], supported on the window shifted
+    by T/2.  T below the family's `min_horizon` is refused (ConfigError),
+    and the moments' exact residual is checked.  The norm is
+    `exp_sum_norm(W, period)`.  For conjugate-symmetric moments
+    imag_residual = sum_j |W_j - conj W_{n-j}| / 2 bounds sup_t |Im v(t)|:
+    the rates are mirror-symmetric, so conj(v) has weights conj(W[::-1]).
     """
     sys = MomentSystem.build(data, T, eps, alpha)
     fam_idx = set(family.indices)
@@ -168,23 +170,26 @@ def synthesize_control_series(data: ModalState, family, T: float,
     if missing:
         raise ConfigError(f"family lacks indices {missing}")
 
+    if T < family.min_horizon:
+        raise ConfigError(f"horizon {T:.3f} below the family's min_horizon "
+                          f"{family.min_horizon:.3f}")
+
     weights = np.zeros(len(family.rates), dtype=complex)
-    v = np.zeros(len(family.t_grid), dtype=complex)
     for n, cn in zip(sys.indices, sys.rhs):
         weights += cn * family.weights[n]
-        v += cn * family.member(n)
     lo, hi = family.window
     ctrl = ControlSignal(weights=weights, rates=family.rates, center=T / 2.0,
-                         support=(max(0.0, lo + T / 2.0), min(T, hi + T / 2.0)))
+                         support=(lo + T / 2.0, hi + T / 2.0))
     resid = moment_verification(ctrl, sys)
     _check_moments("series", resid, sys.rhs)
 
-    inside = np.abs(family.t_grid) <= T / 2.0
-    v = v[inside]
-    norm = float(np.sqrt(np.trapezoid(np.abs(v) ** 2, family.t_grid[inside])))
-    sym = sys.conjugate_symmetry_residual() < 1e-10
-    imag_res = float(np.max(np.abs(v.imag))) if sym else 0.0
-    return SeriesResult(control=ctrl, norm=norm, imag_residual=imag_res,
+    imag_res = 0.0
+    if sys.conjugate_symmetry_residual() < 1e-10:
+        if not np.array_equal(family.rates, -family.rates[::-1]):
+            raise ConfigError("family rates are not mirror-symmetric")
+        imag_res = float(np.sum(np.abs(weights - np.conj(weights[::-1])))) / 2.0
+    return SeriesResult(control=ctrl, norm=exp_sum_norm(weights, family.period),
+                        imag_residual=imag_res,
                         h0_norm_sq=h0_norm_sq(data), moment_residual=resid)
 
 

@@ -29,6 +29,16 @@ def control_values(ctrl, t) -> np.ndarray:
     return np.where((t >= lo) & (t <= hi), v, 0.0)
 
 
+def gauss_legendre(lo: float, hi: float, panels: int = 64, order: int = 48):
+    """Nodes and weights of composite Gauss-Legendre quadrature on (lo, hi):
+    `order` points on each of `panels` equal panels."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)
+    t = ((edges[:-1] + half)[:, None] + half[:, None] * x[None, :]).ravel()
+    return t, (half[:, None] * w[None, :]).ravel()
+
+
 def ingham_ratio_quad(indices, coeffs, eps: float, alpha: float, T: float,
                       omega_weight: float) -> float:
     """`moment.ingham_ratio` with the numerator by composite Simpson

@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import gauss_legendre
 from viscowave import biorthogonal as bio
 from viscowave import weierstrass as wei
-from viscowave.core import (ConfigError, ProblemConfig, sinhc,
-                            validate_config)
+from viscowave.core import ProblemConfig, sinhc, validate_config
 from viscowave.multiplier import MultiplierEvaluator
 from viscowave.spectrum import lambda_conj_vals, node_sum_bound
 from viscowave.weierstrass import ProductEvaluator
@@ -32,16 +32,14 @@ def zeta_family(theta_family):
 # ---------------------------------------------------------------------------
 
 def test_sinc_theta_values():
-    # the eps = 0 member m is e^{imt}/(2pi) on (-pi, pi): as samples and as
-    # its one-term exponential sum
+    # the eps = 0 member m is e^{imt}/(2pi) on (-pi, pi), as its one-term
+    # exponential sum evaluated on a grid
     fam = bio.build_sinc_family([-1, 1, 3])
-    t = fam.t_grid
-    assert np.allclose(fam.member(3), np.exp(3j * t) / (2 * math.pi), rtol=1e-14)
-    assert fam.window == (-math.pi, math.pi) and t[0] == -math.pi and t[-1] == math.pi
+    t = np.linspace(-math.pi, math.pi, 513)
     assert np.allclose(np.exp(np.outer(t, fam.rates)) @ fam.weights[3],
-                       fam.member(3), rtol=1e-14)
-    with pytest.raises(ConfigError):
-        fam.member(2)
+                       np.exp(3j * t) / (2 * math.pi), rtol=1e-14)
+    assert fam.window == (-math.pi, math.pi) and fam.period == 2 * math.pi
+    assert 2 not in fam.weights and 2 not in fam.norms
 
 
 def test_sinc_family_exact_biorthogonality():
@@ -140,11 +138,11 @@ def test_theta_window_is_measured_support(theta_family_075):
     # of its maximum; the window sits well inside the declared support
     _, fam = theta_family_075
     lo, hi = fam.window
-    assert (fam.t_grid[0], fam.t_grid[-1]) == (lo, hi)
-    dt = fam.dt
+    dt = fam.period / fam.meta["n_fft"]
+    t_in = np.linspace(lo, hi, int(round((hi - lo) / dt)) + 1)
     t_out = np.concatenate([lo - dt * np.arange(1, 200), hi + dt * np.arange(1, 200)])
     for m in MS:
-        peak = np.max(np.abs(fam.member(m)))
+        peak = np.max(np.abs(np.exp(np.outer(t_in, fam.rates)) @ fam.weights[m]))
         outside = np.abs(np.exp(np.outer(t_out, fam.rates)) @ fam.weights[m])
         assert np.max(outside) < bio.WINDOW_FLOOR * peak
     # declared length 2 support_half = 119, measured horizon 32.5
@@ -152,10 +150,12 @@ def test_theta_window_is_measured_support(theta_family_075):
 
 
 def test_theta_conjugate_symmetry(theta_family):
-    # real data synthesis relies on theta_{-m}(t) = conj(theta_m(t))
-    a = theta_family.member(1)
-    b = theta_family.member(-1)
-    assert np.max(np.abs(b - np.conjugate(a))) < 1e-12
+    # real data synthesis relies on theta_{-m}(t) = conj(theta_m(t)): on the
+    # mirror-symmetric rates that is weights[-m] = conj(weights[m][::-1])
+    assert np.array_equal(theta_family.rates, -theta_family.rates[::-1])
+    for m in (1, 2):
+        assert np.array_equal(theta_family.weights[-m],
+                              np.conj(theta_family.weights[m][::-1]))
 
 
 @pytest.fixture(scope="module")
@@ -168,21 +168,23 @@ def theta_family_075():
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
 def test_theta_mirror_members_match_direct_evaluation(alpha, theta_family,
                                                       theta_family_075):
-    # the family builds member -m as conj(theta_m); transform the directly
-    # evaluated psi_{-m} on the family's own x grid instead, with fresh
-    # evaluators, and compare
+    # the family builds member -m as conj(theta_m); evaluate psi_{-m} directly
+    # on every shared rate i x_j, j = 0..n, with fresh evaluators, and compare
+    # its weights (dx/2pi) psi_{-m}(x_j).  The family's weight at x_0 = -half
+    # is 0 (the mirror of the unused x_n = half), the direct one is
+    # |psi_{-m}(-half)| < 1e-12
     cfg, fam = (CFG, theta_family) if alpha == 0.25 else theta_family_075
     half, dx, n = fam.meta["half_width"], fam.meta["dx"], fam.meta["n_fft"]
-    zg = (-half + dx * np.arange(n)).astype(complex)
+    assert np.array_equal(fam.rates.imag, -half + dx * np.arange(n + 1))
+    zg = fam.rates.imag.astype(complex)
     worst = 0.0
     for m in (1, 2):
         interp = bio.make_interpolant(-m, cfg, fam.omega)
-        tg, th = bio.fourier_to_time(np.exp(interp.log_psi(zg)), half, dx)
-        th = th[(tg >= fam.t_grid[0]) & (tg <= fam.t_grid[-1])]
-        scale = np.max(np.abs(fam.member(m)))
-        worst = max(worst, float(np.max(np.abs(th - fam.member(-m))) / scale))
-    print(f"alpha {alpha}: direct theta_-m vs conj(theta_m), max rel dev {worst:.2e}")
-    assert worst < 1e-11       # observed 1e-13 .. 5e-13
+        want = np.exp(interp.log_psi(zg)) * (dx / (2.0 * math.pi))
+        dev = np.max(np.abs(fam.weights[-m] - want)) / np.max(np.abs(want))
+        worst = max(worst, float(dev))
+    print(f"alpha {alpha}: direct psi_-m vs mirrored weights, max rel dev {worst:.2e}")
+    assert worst < 1e-11
 
 
 def _count_pair_work(monkeypatch):
@@ -275,7 +277,7 @@ def test_zeta_preserves_biorthogonality(zeta_family):
 def test_zeta_weights_are_the_kernel_transform(zeta_family, theta_family):
     # the one-DFT-per-member weights against the direct sum
     # R_m(x) = (dt/normalizer) sum_l rho_m(u_l) e^{-i x u_l} on every rate
-    dt = theta_family.dt
+    dt = theta_family.period / theta_family.meta["n_fft"]
     k = int(np.floor(bio.SMOOTHING_A / dt))
     u = dt * np.arange(-k, k + 1)
     basis = np.exp(-1j * np.outer(theta_family.rates.imag, u))
@@ -295,22 +297,16 @@ def test_zeta_support_and_norms(zeta_family, theta_family):
     a = bio.SMOOTHING_A
     assert zeta_family.window == (theta_family.window[0] - a,
                                   theta_family.window[1] + a)
-    assert zeta_family.t_grid[0] >= zeta_family.window[0]
-    assert zeta_family.t_grid[-1] <= zeta_family.window[1]
-    assert zeta_family.t_grid[0] - zeta_family.dt < zeta_family.window[0]
     for m in MS:
         assert zeta_family.norms[m] < theta_family.norms[m] * 1.05
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
-def test_exponential_sums_reproduce_samples(alpha):
-    # theta_m and zeta_m as exponential sums on the shared rates, evaluated
-    # term by term on the family's own t grid, against the stored samples.
-    # Measured worst, relative to the member's maximum: theta 5.9e-14 and
-    # 2.3e-13, zeta 5.8e-14 and 2.3e-13 (alpha 0.25, 0.75; zeta's samples
-    # come from its weights through the same FFT); exact phases
-    # 2 pi (j - n/2) k / n give the same figures, so they are the FFT's
-    # rounding in the samples
+def test_norms_match_quadrature_of_exponential_sums(alpha):
+    # every theta and zeta norm comes from its weights by Parseval over the
+    # rates' common period; composite Gauss-Legendre quadrature of the
+    # member's own exponential sum, evaluated term by term over its window,
+    # is an independent value
     cfg = validate_config(ProblemConfig(alpha=alpha, epsilon=0.1, n_modes=3),
                           for_synthesis=True)
     ms = (-3, -1, 1, 3)
@@ -319,13 +315,14 @@ def test_exponential_sums_reproduce_samples(alpha):
     n = theta.meta["n_fft"]
     assert len(theta.rates) == n + 1 and zeta.rates is theta.rates
     assert np.array_equal(theta.rates, -theta.rates[::-1])
+    assert zeta.period == theta.period == 2.0 * math.pi / theta.meta["dx"]
     worst = 0.0
     for fam in (theta, zeta):
-        for rows in np.array_split(np.arange(len(fam.t_grid)), 32):
-            basis = np.exp(np.outer(fam.t_grid[rows], fam.rates))
-            for m in ms:
-                vals = fam.member(m)
-                dev = np.max(np.abs(basis @ fam.weights[m] - vals[rows]))
-                worst = max(worst, float(dev / np.max(np.abs(vals))))
-    print(f"alpha {alpha}: exponential sums vs samples, max rel dev {worst:.2e}")
+        t, wt = gauss_legendre(*fam.window)
+        w_mat = np.array([fam.weights[m] for m in ms]).T
+        sq = sum(wt[rows] @ np.abs(np.exp(np.outer(t[rows], fam.rates)) @ w_mat) ** 2
+                 for rows in np.array_split(np.arange(t.size), 32))
+        for m, q in zip(ms, np.sqrt(sq)):
+            worst = max(worst, abs(fam.norms[m] - q) / q)
+    print(f"alpha {alpha}: Parseval norms vs Gauss-Legendre, max rel dev {worst:.2e}")
     assert worst < 1e-12

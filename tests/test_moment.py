@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import control_values, ingham_ratio_quad, seeded_data
+from conftest import control_values, gauss_legendre, ingham_ratio_quad, seeded_data
 from viscowave import biorthogonal as bio
 from viscowave import pde
 from viscowave.core import ConfigError, ModalState, ProblemConfig, validate_config
@@ -153,6 +153,14 @@ def test_series_control_is_exact_off_the_family_window(resonant_data):
     assert moment_verification(res.control, sys_) < 1e-14
 
 
+def test_series_refuses_unmirrored_rates(resonant_data):
+    # the imaginary-part bound pairs rate j with rate n - j; a family whose
+    # index set is not mirror-closed has no such pairing
+    fam = bio.build_sinc_family([-1, 1, 3])
+    with pytest.raises(ConfigError, match="mirror"):
+        synthesize_control_series(resonant_data, fam, TWO_PI, 0.0, 0.0)
+
+
 @functools.cache
 def _damped_series(alpha, eps, n):
     """zeta family, horizon (as `control solve --series` picks it), data and
@@ -192,20 +200,27 @@ def test_series_route_end_to_end_damped(alpha, eps, n):
     assert resid <= 1e-26
     assert moment_err <= moment_tol
     assert res.moment_residual == moment_verification(res.control, sys_)
+    # the data are real, so v is real: its weights' mirror bound on sup |Im v|
+    # reads 6e-17 .. 1.05e-16 of v_norm over these configurations
+    assert 0.0 < res.imag_residual <= 1e-15 * res.norm
+
+
+def test_series_refuses_horizon_below_family_window():
+    # the control is the family's window shifted by T/2; below min_horizon
+    # that leaves (0, T), so the synthesis refuses instead of clipping
+    fam, _, data, _ = _damped_series(0.75, 0.1, 3)
+    T = fam.min_horizon - 1.0
+    with pytest.raises(ConfigError, match=f"{T:.3f}.*{fam.min_horizon:.3f}"):
+        synthesize_control_series(data, fam, T, 0.1, 0.75)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
 def test_series_norm_matches_quadrature_of_terms(alpha):
-    # v_norm comes from the family's samples by the trapezoid rule; composite
-    # Gauss-Legendre quadrature of the control's own exponential sum is an
-    # independent value (measured agreement 4e-16 and 6e-15 relative)
+    # v_norm comes from the control's weights by Parseval over the rates'
+    # common period; composite Gauss-Legendre quadrature of the control's
+    # own exponential sum over its support is an independent value
     fam, T, data, res = _damped_series(alpha, 0.1, 3)
-    lo, hi = res.control.support
-    x, w = np.polynomial.legendre.leggauss(48)
-    edges = np.linspace(lo, hi, 65)
-    half = 0.5 * np.diff(edges)
-    t = ((edges[:-1] + half)[:, None] + half[:, None] * x[None, :]).ravel()
-    wt = (half[:, None] * w[None, :]).ravel()
+    t, wt = gauss_legendre(*res.control.support)
     quad = math.sqrt(float(np.sum(wt * np.abs(control_values(res.control, t)) ** 2)))
     print(f"alpha {alpha}: v_norm {res.norm:.15e}, Gauss-Legendre {quad:.15e}")
     assert res.norm == pytest.approx(quad, rel=1e-13)
