@@ -2,7 +2,7 @@
 
 The chain per index m:
 
-    psi: product * (multiplier ratio)^omega * sinc(delta(z - node))^{1+k}
+    psi (`log_psi`): product * (multiplier ratio)^omega * sinc(delta(z - node))^{1+k}
     theta(t) = (1/2pi) int psi(x) e^{+ixt} dx
     zeta = theta convolved with a modulated triangle kernel, renormalized
 
@@ -38,17 +38,20 @@ How the family is built is fixed by the module constants below: the sinc
 width, the extra sinc powers, the smoothing half-width and the x-grid
 density.  None of them is part of the problem (eps, alpha, T, N).
 
-A family build shares its lattice work.  Every member's product is the
-Lagrange basis of one generating function F (see `weierstrass`), so each
-point set (envelope-fit grid, probe points, FFT grid) gets one log F pass for
-the whole family; per m only a linear factor and a constant remain.  The
-lattice is mirror-symmetric, lambda_{-m} = conj(lambda_m), so node_{-m} =
--conj(node_m), F(-x) = conj F(x) on the real axis and the multiplier is even
-with real Taylor coefficients.  Hence F and the multiplier are evaluated
-once on |x| over half the grid (the multiplier's per-m starting node handled
-by subtracting the short prefix of factor logs), psi_{-m}(x) =
-conj(psi_m(-x)) and theta_{-m} = conj(theta_m): members are assembled for
-m > 0 only, and the m < 0 members are conjugates.
+A family build shares its lattice work: one product evaluator and one
+multiplier evaluator serve the envelope fit, the half-width probe and the FFT
+grid.  Every member's product is the Lagrange basis of one generating
+function F (see `weierstrass`), so each point set (envelope-fit grid, probe
+points, FFT grid) gets one log F pass for the whole family; per m only a
+linear factor and a constant remain.  The lattice is mirror-symmetric,
+lambda_{-m} = conj(lambda_m), so node_{-m} = -conj(node_m), F(-x) = conj F(x)
+on the real axis and the multiplier is even with real Taylor coefficients.
+Hence F and the multiplier are evaluated once on |x| over half the grid (the
+multiplier's per-m starting node handled by subtracting the short prefix of
+factor logs), psi_{-m}(x) = conj(psi_m(-x)), theta_{-m} = conj(theta_m) and,
+the smoothing kernel of -m being the conjugate of that of m, zeta_{-m} =
+conj(zeta_m): in both families members are assembled for m > 0 only, and the
+m < 0 members are conjugates.
 """
 
 from __future__ import annotations
@@ -79,55 +82,26 @@ OMEGA_FIT_HALF_WIDTH = 400.0  # the envelope fit's grid: 3000 points on [0, this
 WINDOW_FLOOR = 1e-13  # a member is zero below this share of its maximum (noise ~1e-16)
 
 
-@dataclass(frozen=True)
-class EntireInterpolant:
-    """Assembled interpolant for one index m."""
-    m: int
-    eps: float
-    alpha: float
-    omega: int
-    product: ProductEvaluator
-    mult: MultiplierEvaluator | None
-    node: complex
-    log_mult_node: complex  # omega * log M(node), 0 when no multiplier
+def log_psi(m: int, z, omega: int, product: ProductEvaluator,
+            mult: MultiplierEvaluator | None, log_f=None, log_mult=None) -> np.ndarray:
+    """log psi_m(z) = log P_m(z) + omega (log M_m(z) - log M_m(node_m))
+    + (1 + DECAY_BOOST) log sinc(delta (z - node_m)), node_m = i conj(lambda_m).
 
-    @property
-    def declared_type(self) -> float:
-        l2 = node_sum_bound(self.eps, self.alpha) if self.mult is not None else 0.0
-        return LATTICE_TYPE + self.omega * l2 + (1 + DECAY_BOOST) * SINC_DELTA
-
-    def log_psi(self, z, log_mult=None, log_f=None) -> np.ndarray:
-        """log psi_m(z); log_mult is log M_m(z) and log_f the generating
-        function's log F(z), if the caller already has them."""
-        z = np.asarray(z, dtype=complex)
-        out = self.product.log_eval(self.m, z, log_f)
-        if self.mult is not None:
-            if log_mult is None:
-                log_mult = self.mult.log_eval(self.m, z)
-            out = out + self.omega * log_mult - self.log_mult_node
-        w = SINC_DELTA * (z - self.node)
-        with np.errstate(divide="ignore"):
-            out = out + (1 + DECAY_BOOST) * np.log(sinc_c(w))
-        return out
-
-
-def make_interpolant(m: int, cfg: ProblemConfig, omega: int,
-                     product: ProductEvaluator | None = None,
-                     mult: MultiplierEvaluator | None = None) -> EntireInterpolant:
-    eps, alpha = cfg.epsilon, cfg.alpha
-    if product is None:
-        product = ProductEvaluator(eps, alpha)
-    if not (eps > 0 and alpha > 0):
-        mult = None
-    elif mult is None:
-        mult = MultiplierEvaluator(eps, alpha)
-    node = 1j * complex(lambda_conj_vals(m, eps, alpha))
-    log_node = 0.0 + 0.0j
+    eps and alpha are the evaluators'; mult is None where there is no
+    multiplier (eps = 0 or alpha = 0).  log_f is the generating function's
+    log F(z) and log_mult is log M_m(z), if the caller already has them.
+    """
+    node = 1j * complex(lambda_conj_vals(m, product.eps, product.alpha))
+    z = np.asarray(z, dtype=complex)
+    out = product.log_eval(m, z, log_f)
     if mult is not None:
-        log_node = omega * complex(mult.log_eval(m, node))
-    return EntireInterpolant(m=m, eps=eps, alpha=alpha, omega=omega,
-                             product=product, mult=mult, node=node,
-                             log_mult_node=log_node)
+        if log_mult is None:
+            log_mult = mult.log_eval(m, z)
+        out = out + omega * log_mult - omega * complex(mult.log_eval(m, node))
+    w = SINC_DELTA * (z - node)
+    with np.errstate(divide="ignore"):
+        out = out + (1 + DECAY_BOOST) * np.log(sinc_c(w))
+    return out
 
 
 def resolve_omega(cfg: ProblemConfig, m_range, product: ProductEvaluator):
@@ -139,7 +113,7 @@ def resolve_omega(cfg: ProblemConfig, m_range, product: ProductEvaluator):
     """
     xs = np.linspace(0.0, OMEGA_FIT_HALF_WIDTH, 3000)
     log_f = product.log_generating(xs)
-    hats = [envelope_fit(m, cfg.epsilon, cfg.alpha, xs, product, log_f).omega_hat
+    hats = [envelope_fit(m, cfg.epsilon, cfg.alpha, xs, product, log_f)
             for m in sorted({abs(m) for m in m_range})]
     omega = max(1, int(np.ceil(1.25 * max(hats))))
     return omega, tuple(hats)
@@ -215,21 +189,22 @@ def build_sinc_family(m_range) -> BiorthogonalFamily:
                               c_hat=1.0 / np.sqrt(2.0 * np.pi), omega=0)
 
 
-def _probe_half_width(interps) -> float:
+def _probe_half_width(ks, omega: int, product: ProductEvaluator,
+                      mult: MultiplierEvaluator | None) -> float:
     """FFT half-width: the first probe radius 100, 150, ..., 2000 where
-    every interpolant is below 1e-12, plus one step (50) of margin.
+    psi_k is below 1e-12 for every k in ks, plus one step (50) of margin.
 
     Two slightly offset probes per side guard against landing on a sinc zero.
-    The interpolants share one product evaluator, so one log F pass per
-    radius serves them all.
+    One log F pass per radius serves every member.
     """
     x = 100.0
     while x <= 2000.0:
         pts = np.array([-x - 0.37, -x, x, x + 0.37], dtype=complex)
-        log_f = interps[0].product.log_generating(pts)
+        log_f = product.log_generating(pts)
         worst = 0.0
-        for it in interps:
-            worst = max(worst, float(np.max(np.abs(np.exp(it.log_psi(pts, log_f=log_f))))))
+        for k in ks:
+            psi = np.exp(log_psi(k, pts, omega, product, mult, log_f=log_f))
+            worst = max(worst, float(np.max(np.abs(psi))))
         if worst < 1e-12:
             return x + 50.0
         x += 50.0
@@ -259,13 +234,14 @@ def _measured_window(tg: np.ndarray, th: np.ndarray) -> tuple[float, float]:
 
 
 def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
-    """Assemble interpolants for every |m| and transform them to time.
+    """Assemble psi_m (`log_psi`) for every |m| and transform it to time.
 
-    One shared x grid serves the whole family.  log F, the multiplier bulk
-    and the per-m prefixes are evaluated on |x| = j dx, j = 0..n/2, and
-    gathered onto the grid x_j = (j - n/2) dx (F conjugated at x < 0); per
-    |m| only the product's linear factor and constant, the multiplier
-    prefix and the sinc factor remain.  Member m > 0 keeps its weights
+    One product and one multiplier evaluator serve the envelope fit, the
+    half-width probe and the grid.  One shared x grid serves the whole
+    family.  log F, the multiplier bulk and the per-m prefixes are evaluated
+    on |x| = j dx, j = 0..n/2, and gathered onto the grid x_j = (j - n/2) dx
+    (F conjugated at x < 0); per |m| only the product's linear factor and
+    constant, the multiplier prefix and the sinc factor remain.  Member m > 0 keeps its weights
     (dx/2pi) psi_m(x_j) on the shared rates; member -m is the conjugate of
     member m.  On the periodic DFT grid that is exact up to one sample: the
     reflection of x_0 = -half is its periodic partner +half (half t_k = pi
@@ -288,16 +264,11 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     else:
         omega, omega_hats = 0, ()
 
-    # probe with a throwaway multiplier: probing visits large |x| and would
-    # otherwise inflate the evaluator's direct-factor range far beyond what
-    # the final grid needs; the probe points are mirror-closed, so the m > 0
-    # members speak for the m < 0 ones
-    probe_mult = MultiplierEvaluator(eps, alpha) if need_mult else None
-    half = _probe_half_width([make_interpolant(k, cfg, omega, product=product,
-                                               mult=probe_mult) for k in ks])
-    mult = MultiplierEvaluator(eps, alpha, z_max=half) if need_mult else None
-    interps = {k: make_interpolant(k, cfg, omega, product=product, mult=mult)
-               for k in ks}
+    # the probe points are mirror-closed, so the m > 0 members speak for the
+    # m < 0 ones; the probe grows the multiplier to 1.5x its last radius,
+    # which lies 50 below the half-width, so the grid needs no further growth
+    mult = MultiplierEvaluator(eps, alpha) if need_mult else None
+    half = _probe_half_width(ks, omega, product, mult)
 
     n = next_pow2(int(2.0 * half * POINTS_PER_UNIT))
     dx = 2.0 * half / n
@@ -309,14 +280,15 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
 
     base_mult = mult.log_eval_start(1, z_abs) if mult is not None else None
 
-    support_half = interps[ks[0]].declared_type
+    l2 = node_sum_bound(eps, alpha) if need_mult else 0.0
+    support_half = LATTICE_TYPE + omega * l2 + (1 + DECAY_BOOST) * SINC_DELTA
     members = {}
     edge_worst = 0.0
     lo, hi = np.inf, -np.inf
     for k in ks:
         log_mult = None if mult is None else \
             (base_mult - mult.log_factor_range(1, node_start(k, eps, alpha) - 1, z_abs))[fold]
-        psi = np.exp(interps[k].log_psi(zg, log_mult, log_f))
+        psi = np.exp(log_psi(k, zg, omega, product, mult, log_f, log_mult))
         edge_worst = max(edge_worst, float(np.max(np.abs(psi[[0, 1, -1]]))))
         k_lo, k_hi = _measured_window(*fourier_to_time(psi, half, dx))
         lo, hi = min(lo, k_lo), max(hi, k_hi)
@@ -358,6 +330,11 @@ def zeta_eval(theta_family: BiorthogonalFamily) -> BiorthogonalFamily:
     The normalizer, sum_l rho_m(u_l) e^{conj(lambda_m) u_l} dt (> 0), keeps the
     m-th moment of the exponential sum exactly theta_m's (closed form
     sqrt(2pi) sinhc^2(Re lambda_m a/2) serves as its oracle).
+
+    The DFT and the normalizer run once per |m|, for m > 0: rho_{-m} =
+    conj(rho_m) and conj(lambda_{-m}) = lambda_m make member -m's normalizer
+    the conjugate of member m's and its weights conj(weights[m][::-1]), as
+    in `build_theta_family`.
     """
     fam = theta_family
     if fam.kind != "theta":
@@ -365,21 +342,27 @@ def zeta_eval(theta_family: BiorthogonalFamily) -> BiorthogonalFamily:
     a = SMOOTHING_A
     n = fam.meta["n_fft"]
     dt = fam.period / n
-    k = int(np.floor(a / dt))
-    ls = np.arange(-k, k + 1)
+    l_max = int(np.floor(a / dt))
+    ls = np.arange(-l_max, l_max + 1)
     u = dt * ls
     tri = smoothing_kernel(a, u)
-    weights, norms, normalizers = {}, {}, {}
-    for m in fam.indices:
-        lam_c = complex(lambda_conj_vals(m, fam.eps, fam.alpha))
-        rho = np.exp(1j * m * u) * tri  # Im lambda_m = m
+    pos_weights, pos_normalizers = {}, {}  # of member k = |m|
+    for k in sorted({abs(m) for m in fam.indices}):
+        theta_k = fam.weights[k] if k in fam.weights else np.conj(fam.weights[-k][::-1])
+        lam_c = complex(lambda_conj_vals(k, fam.eps, fam.alpha))
+        rho = np.exp(1j * k * u) * tri  # Im lambda_k = k
         normalizer = complex(np.sum(rho * np.exp(lam_c * u)) * dt)
         g = np.zeros(n, dtype=complex)
         g[ls % n] = np.where(ls % 2 == 0, rho, -rho)
-        r_m = np.fft.fft(g) * (dt / normalizer)
-        weights[m] = fam.weights[m] * np.append(r_m, r_m[0])
-        norms[m] = exp_sum_norm(weights[m], fam.period)
-        normalizers[m] = normalizer
+        r_k = np.fft.fft(g) * (dt / normalizer)
+        pos_weights[k] = theta_k * np.append(r_k, r_k[0])
+        pos_normalizers[k] = normalizer
+    # as for theta, weight j of member -m sits on rate i x_{n-j} = -i x_j
+    weights = {m: pos_weights[m] if m > 0 else np.conj(pos_weights[-m][::-1])
+               for m in fam.indices}
+    normalizers = {m: pos_normalizers[m] if m > 0 else pos_normalizers[-m].conjugate()
+                   for m in fam.indices}
+    norms = {m: exp_sum_norm(pos_weights[abs(m)], fam.period) for m in fam.indices}
     beta_hat, c_hat = _norm_fit(norms, fam.eps, fam.alpha)
     meta = dict(fam.meta)
     meta["kernel_half_width"] = a

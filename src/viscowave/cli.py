@@ -31,6 +31,8 @@ PASS, FAIL, INVALID = 0, 1, 2
 
 
 def _fmt(x) -> str:
+    if x is None:  # no value: an empty cell
+        return ""
     if isinstance(x, float):
         return f"{x:.17g}"
     if isinstance(x, complex):
@@ -166,9 +168,9 @@ def spectrum_dump(config, out, seed, alpha, epsilon, modes, horizon) -> None:
         for n in range(1, cfg.n_modes + 1):
             lam = complex(sp.lambda_vals(n, cfg.epsilon, cfg.alpha))
             phi = float(sp.phi_eps(abs(lam), cfg.epsilon, cfg.alpha)) \
-                if not cfg.alpha_is_degenerate else float("nan")
+                if not cfg.alpha_is_degenerate else None
             a_n = float(sp.phi_eps_inverse(float(n), cfg.epsilon, cfg.alpha)) / sp.E \
-                if have_nodes else float("nan")
+                if have_nodes else None
             rows.append((n, lam.real, lam.imag, phi, a_n))
         _write_csv(out_path, ("n", "re_lambda", "im_lambda", "phi_abs_lambda", "a_n"), rows)
         _write_sidecar(out_path, {"have_nodes": have_nodes}, cfg)
@@ -287,14 +289,14 @@ def biorth_build(config, out, seed, alpha, epsilon, modes, horizon) -> None:
         rows = []
         for m in theta.indices:
             re_l = cfg.epsilon * abs(m) ** (2.0 * cfg.alpha)
-            zn = zeta.norms[m] if zeta is not None else float("nan")
+            zn = zeta.norms[m] if zeta is not None else None
             rows.append((m, re_l, theta.norms[m], zn))
         _write_csv(out_path, ("m", "re_lambda", "theta_norm", "zeta_norm"), rows)
         meta = {"kind": theta.kind, "omega": theta.omega,
                 "omega_hats": list(theta.omega_hats),
                 "beta_hat": theta.beta_hat, "c_hat": theta.c_hat,
                 "support_half": theta.support_half, "window": theta.window}
-        meta.update({k: v for k, v in theta.meta.items() if k != "normalizers"})
+        meta.update(theta.meta)
         _write_sidecar(out_path, meta, cfg)
         click.echo(f"built {theta.kind} family, {len(theta.indices)} members, "
                    f"omega={theta.omega}, beta_hat={theta.beta_hat:+.3f}")
@@ -434,7 +436,7 @@ def sweep_epsilon(config, out, seed, alpha, epsilon, modes, horizon, epsilons) -
         cfg_w = validate_config(replace(cfg0, epsilon=0.0), for_synthesis=True)
         traj_w = pde.simulate(cfg_w, data, last.control, system="wave")
         resid_w = pde.final_residual(traj_w.final, data, 0.0, cfg0.alpha, system="wave")
-        rows.append((0.0, cfg0.alpha, last.norm, float("nan"), resid_w))
+        rows.append((0.0, cfg0.alpha, last.norm, None, resid_w))
         norms = [r[2] for r in rows[:-1]]
         ratio = max(norms) / min(norms)
         _write_csv(out_path,

@@ -292,16 +292,9 @@ def growth_bound_check(m_max: int, eps: float, alpha: float, ev: ProductEvaluato
     return rows, c_hat
 
 
-@dataclass(frozen=True)
-class EnvelopeFit:
-    omega_hat: float
-    c_hat: float
-    satisfied: bool
-
-
 def envelope_fit(m: int, eps: float, alpha: float, x_grid, ev: ProductEvaluator,
-                 log_f=None) -> EnvelopeFit:
-    """Smallest (omega_hat, c_hat) with |product| <= c_hat *
+                 log_f=None) -> float:
+    """omega_hat, the smallest exponent with |product| <= c_hat *
     exp(omega_hat (phi(x) + |Re lambda_m|)) on the grid.
 
     log_f is log F on the grid if the caller already has it (one
@@ -325,6 +318,4 @@ def envelope_fit(m: int, eps: float, alpha: float, x_grid, ev: ProductEvaluator,
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = (logp - np.log(c_hat)) / denom
     ratios = ratios[np.isfinite(ratios)]
-    omega_hat = max(0.0, float(np.max(ratios))) if len(ratios) else 0.0
-    ok = bool(np.all(logp <= np.log(c_hat) + omega_hat * denom + 1e-9))
-    return EnvelopeFit(omega_hat=omega_hat, c_hat=c_hat, satisfied=ok)
+    return max(0.0, float(np.max(ratios))) if len(ratios) else 0.0

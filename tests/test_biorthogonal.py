@@ -64,12 +64,14 @@ def test_sinc_family_exact_biorthogonality():
 def test_interpolant_node_values():
     product = ProductEvaluator(CFG.epsilon, CFG.alpha)
     omega, _ = bio.resolve_omega(CFG, (1, 2), product)
-    interp = bio.make_interpolant(2, CFG, omega, product=product)
+    mult = MultiplierEvaluator(CFG.epsilon, CFG.alpha)
     lam_c = complex(0.1 * 2 ** 0.5, -2.0)
     node = 1j * lam_c
-    assert complex(np.exp(interp.log_psi([node]))[0]) == pytest.approx(1.0, abs=1e-12)
+    psi = np.exp(bio.log_psi(2, [node], omega, product, mult))
+    assert complex(psi[0]) == pytest.approx(1.0, abs=1e-12)
     other = 1j * complex(0.1, -1.0)
-    assert complex(np.exp(interp.log_psi([other]))[0]) == pytest.approx(0.0, abs=1e-12)
+    psi = np.exp(bio.log_psi(2, [other], omega, product, mult))
+    assert complex(psi[0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_resolve_omega_modes():
@@ -89,7 +91,7 @@ def test_theta_norms_frozen(theta_family):
     assert theta_family.norms[-1] == theta_family.norms[1]
 
 
-def test_theta_support_is_declared_type(theta_family):
+def test_theta_support_half_is_the_exponential_type(theta_family):
     l2 = node_sum_bound(CFG.epsilon, CFG.alpha)
     want = math.pi + theta_family.omega * l2 + (1 + bio.DECAY_BOOST) * bio.SINC_DELTA
     assert theta_family.support_half == pytest.approx(want, rel=1e-12)
@@ -149,13 +151,20 @@ def test_theta_window_is_measured_support(theta_family_075):
     assert fam.min_horizon == 2.0 * max(-lo, hi) < fam.support_half
 
 
-def test_theta_conjugate_symmetry(theta_family):
-    # real data synthesis relies on theta_{-m}(t) = conj(theta_m(t)): on the
-    # mirror-symmetric rates that is weights[-m] = conj(weights[m][::-1])
+def test_theta_conjugate_symmetry(theta_family, zeta_family, theta_family_075):
+    # real data synthesis relies on theta_{-m}(t) = conj(theta_m(t)) and the
+    # same for zeta: on the mirror-symmetric rates that is weights[-m] =
+    # conj(weights[m][::-1]), exactly, with equal norms; zeta's normalizer of
+    # member -m is the conjugate of member m's
     assert np.array_equal(theta_family.rates, -theta_family.rates[::-1])
-    for m in (1, 2):
-        assert np.array_equal(theta_family.weights[-m],
-                              np.conj(theta_family.weights[m][::-1]))
+    for theta in (theta_family, theta_family_075[1]):
+        zeta = zeta_family if theta is theta_family else bio.zeta_eval(theta)
+        normalizers = zeta.meta["normalizers"]
+        for m in (1, 2):
+            for fam in (theta, zeta):
+                assert np.array_equal(fam.weights[-m], np.conj(fam.weights[m][::-1]))
+                assert fam.norms[-m] == fam.norms[m]
+            assert normalizers[-m] == np.conj(normalizers[m])
 
 
 @pytest.fixture(scope="module")
@@ -179,8 +188,9 @@ def test_theta_mirror_members_match_direct_evaluation(alpha, theta_family,
     zg = fam.rates.imag.astype(complex)
     worst = 0.0
     for m in (1, 2):
-        interp = bio.make_interpolant(-m, cfg, fam.omega)
-        want = np.exp(interp.log_psi(zg)) * (dx / (2.0 * math.pi))
+        product = ProductEvaluator(cfg.epsilon, cfg.alpha)
+        mult = MultiplierEvaluator(cfg.epsilon, cfg.alpha)
+        want = np.exp(bio.log_psi(-m, zg, fam.omega, product, mult)) * (dx / (2.0 * math.pi))
         dev = np.max(np.abs(fam.weights[-m] - want)) / np.max(np.abs(want))
         worst = max(worst, float(dev))
     print(f"alpha {alpha}: direct psi_-m vs mirrored weights, max rel dev {worst:.2e}")
@@ -209,12 +219,24 @@ def _count_pair_work(monkeypatch):
 
 def test_family_build_work_counts(monkeypatch):
     # one log F pass on the n/2 + 1 points |x| = j dx serves every member and
-    # no paired term is ever formed on the full n-point grid; the even
-    # multiplier (bulk and per-m prefixes) runs on the same n/2 + 1 points
+    # no paired term is ever formed on the full n-point grid; one multiplier
+    # evaluator serves the probe and the grid, and its bulk and per-m
+    # prefixes run on the same n/2 + 1 points.  Smoothing runs one kernel
+    # DFT per |m|
     term_sizes, sum_sizes = _count_pair_work(monkeypatch)
-    bulk_sizes, prefix_sizes = [], []
+    bulk_sizes, prefix_sizes, evaluators, dfts = [], [], [], []
+    init = MultiplierEvaluator.__init__
     log_eval_start = MultiplierEvaluator.log_eval_start
     log_factor_range = MultiplierEvaluator.log_factor_range
+    fft = np.fft.fft
+
+    def count_init(self, *args, **kw):
+        evaluators.append(self)
+        init(self, *args, **kw)
+
+    def count_fft(a, *args, **kw):
+        dfts.append(np.size(a))
+        return fft(a, *args, **kw)
 
     def count_bulk(self, n_from, z):
         bulk_sizes.append(np.size(z))
@@ -224,8 +246,10 @@ def test_family_build_work_counts(monkeypatch):
         prefix_sizes.append(np.size(z))
         return log_factor_range(self, lo, hi, z)
 
+    monkeypatch.setattr(MultiplierEvaluator, "__init__", count_init)
     monkeypatch.setattr(MultiplierEvaluator, "log_eval_start", count_bulk)
     monkeypatch.setattr(MultiplierEvaluator, "log_factor_range", count_prefix)
+    monkeypatch.setattr(np.fft, "fft", count_fft)
     fam = bio.build_theta_family(CFG, MS)
     n = fam.meta["n_fft"]
     assert sum_sizes.count(n // 2 + 1) == 1
@@ -233,6 +257,10 @@ def test_family_build_work_counts(monkeypatch):
     assert max(bulk_sizes) == n // 2 + 1
     assert bulk_sizes.count(n // 2 + 1) == 1
     assert max(prefix_sizes) <= n // 2 + 1
+    assert len(evaluators) == 1
+    assert dfts == []
+    bio.zeta_eval(fam)
+    assert dfts == [n, n]
 
 
 def test_resolve_omega_work_counts(monkeypatch):
@@ -275,8 +303,10 @@ def test_zeta_preserves_biorthogonality(zeta_family):
 
 
 def test_zeta_weights_are_the_kernel_transform(zeta_family, theta_family):
-    # the one-DFT-per-member weights against the direct sum
-    # R_m(x) = (dt/normalizer) sum_l rho_m(u_l) e^{-i x u_l} on every rate
+    # the weights (one DFT per |m|, member -m mirrored) against the direct
+    # sum R_m(x) = (dt/normalizer) sum_l rho_m(u_l) e^{-i x u_l} on every
+    # rate, with normalizer = dt sum_l rho_m(u_l) e^{conj(lambda_m) u_l}
+    # summed here for every m
     dt = theta_family.period / theta_family.meta["n_fft"]
     k = int(np.floor(bio.SMOOTHING_A / dt))
     u = dt * np.arange(-k, k + 1)
@@ -284,11 +314,13 @@ def test_zeta_weights_are_the_kernel_transform(zeta_family, theta_family):
     worst = 0.0
     for m in MS:
         rho = np.exp(1j * m * u) * bio.smoothing_kernel(bio.SMOOTHING_A, u)
-        r_m = basis @ rho * (dt / zeta_family.meta["normalizers"][m])
-        want = theta_family.weights[m] * r_m
+        lam_c = complex(lambda_conj_vals(m, CFG.epsilon, CFG.alpha))
+        normalizer = np.sum(rho * np.exp(lam_c * u)) * dt
+        want = theta_family.weights[m] * (basis @ rho * (dt / normalizer))
         worst = max(worst, float(np.max(np.abs(zeta_family.weights[m] - want))
                                  / np.max(np.abs(want))))
-    assert worst < 1e-13        # measured 8.4e-16
+    print(f"zeta weights vs direct kernel sum, max rel dev {worst:.1e}")
+    assert worst < 1e-13        # measured 4.3e-16
 
 
 def test_zeta_support_and_norms(zeta_family, theta_family):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscowave.core import ConfigError
-from viscowave.spectrum import lambda_conj_vals
+from viscowave.spectrum import lambda_conj_vals, phi_eps
 from viscowave.weierstrass import (ProductEvaluator, _pair_log, envelope_fit,
                                    growth_bound_check, interpolation_check,
                                    product_eps0)
@@ -283,13 +283,19 @@ def test_growth_bound_holdout():
 
 
 def test_envelope_fit_orders():
+    # with c_hat = max(1, max |P_4| where phi <= 1), omega_hat makes
+    # c_hat exp(omega_hat (phi + |Re lambda_4|)) a bound on the grid that is
+    # attained at one point
     x = np.linspace(0.05, 400.0, 1500)
-    ev = ProductEvaluator(0.1, 0.25)
-    fit = envelope_fit(4, 0.1, 0.25, x, ev)
-    assert fit.satisfied
-    assert fit.omega_hat <= 0.8              # low alpha: nearly bounded
-    ev = ProductEvaluator(0.1, 0.75)
-    fit = envelope_fit(4, 0.1, 0.75, x, ev)
-    assert fit.satisfied
-    assert 0.5 <= fit.omega_hat <= 3.2       # high alpha: genuine growth
-    assert fit.c_hat >= 1.0
+    for alpha, lo, hi in ((0.25, 0.0, 0.8),        # low alpha: nearly bounded
+                          (0.75, 0.5, 3.2)):       # high alpha: genuine growth
+        ev = ProductEvaluator(0.1, alpha)
+        omega_hat = envelope_fit(4, 0.1, alpha, x, ev)
+        assert lo <= omega_hat <= hi
+        logp = ev.log_eval(4, x.astype(complex)).real
+        wgt = phi_eps(x, 0.1, alpha)
+        log_c = max(0.0, float(np.max(logp[wgt <= 1.0])))
+        rl = abs(complex(lambda_conj_vals(4, 0.1, alpha)).real)
+        excess = logp - log_c - omega_hat * (wgt + rl)
+        assert np.all(excess <= 1e-9)
+        assert np.max(excess) >= -1e-9
