@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .biorthogonal import exp_sum_norm
 from .core import ConfigError, ControlSignal, ModalState, exp_integral, h0_norm_sq
@@ -127,7 +126,7 @@ def minnorm_control(system: MomentSystem) -> MinNormResult:
     c = np.asarray(system.rhs, dtype=complex)
     if not np.all(np.isfinite(G)):
         raise SingularGramError(np.inf, "has non-finite entries")
-    w, V = eigh(G)
+    w, V = np.linalg.eigh(G)
     cond = float(w[-1] / w[0]) if w[0] > 0 else np.inf
     if w[0] <= 0 or not np.isfinite(cond):
         raise SingularGramError(cond)

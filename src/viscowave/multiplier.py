@@ -13,8 +13,10 @@ k_cut (the K of the largest |z| seen).  Its remaining log-tail, where
 log sinc w = -sum_j zeta(2j)/(j pi^{2j}) w^{2j} with the node power sums
 S_{2j}(K) = sum_{n>K} a_n^{-2j}.  S_{2j}(k_cut) has a closed form: Hurwitz
 zeta past the weight's branch point gamma_eps, and an Euler-Maclaurin sum of
-n^-s for the finite range below it; S_{2j} at the block ends below k_cut add
-the per-block sums of a_n^{-2j}.  Eleven series terms leave a remainder below
+n^-s for the finite range below it.  Both are `_power_range_sum`, the zeta
+being its hi = inf case, so the series constants C_j = zeta(2j)/(j pi^{2j})
+come from it too.  S_{2j} at the block ends below k_cut add the per-block
+sums of a_n^{-2j}.  Eleven series terms leave a remainder below
 c_12 |z|^24 S_24, measured around 1e-19; the declared bound reported to
 callers is the coarser |z|^2/6 * S_2(K) form, which dominates the entire
 post-truncation tail and is the same integral comparison that proves the
@@ -30,16 +32,10 @@ n_m.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import zeta as _hurwitz
 
 from .core import ALPHA_DEGENERACY_TOL, ConfigError
 from .spectrum import (E, gamma_eps, lambda_vals, node_start, node_sum_bound,
                        node_tail_sq_constant, phi_eps, phi_eps_inverse)
-
-# log sinc w = -sum_j C_j w^{2j}, C_j = zeta(2j)/(j pi^{2j}); valid |w| < pi,
-# used only where |w| <= 1/2 so eleven terms reach ~1e-19
-_SER_J = np.arange(1, 12)
-_SER_C = np.array([float(_hurwitz(2 * j, 1)) / (j * np.pi ** (2 * j)) for j in _SER_J])
 
 # direct factors are summed in chunks of this many nodes; tail sums are
 # tabulated at the ends of the blocks n = 256 b + 1 .. 256 b + 256, so a point's
@@ -54,14 +50,18 @@ _EM_C = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
                   -691 / 1307674368000])
 
 
-def _power_range_sum(s: float, lo: int, hi: float) -> float:
-    """sum_{n=lo}^{hi} n^-s for s > 0; Hurwitz zeta(s, lo) if hi = inf.
+def _power_range_sum(s: float, lo: float, hi: float) -> float:
+    """sum_{n=lo}^{hi} n^-s for s > 0; the Hurwitz zeta(s, lo) if hi = inf.
 
     The Euler-Maclaurin integral term c^{1-s} expm1((1-s) log(hi/c))/(1-s)
-    has no cancellation near s = 1, and is log(hi/c) at s = 1.
+    has no cancellation near s = 1, and is log(hi/c) at s = 1.  At hi = inf
+    it is c^{1-s}/(s-1) and every hi^{-s-m} term is 0; the sum is inf for
+    s <= 1, and zeta(s, inf) = 0.
     """
-    if np.isinf(hi):
-        return float(_hurwitz(s, lo)) if s > 1.0 else np.inf
+    if np.isinf(lo):
+        return 0.0
+    if np.isinf(hi) and s <= 1.0:
+        return np.inf
     top = min(hi, lo + _EM_HEAD - 1.0)
     out = float(np.sum(np.arange(lo, top + 1.0) ** -s))
     c, t = top + 1.0, 1.0 - s
@@ -77,20 +77,29 @@ def _power_range_sum(s: float, lo: int, hi: float) -> float:
     return float(out)
 
 
+# log sinc w = -sum_j C_j w^{2j}, C_j = zeta(2j)/(j pi^{2j}); valid |w| < pi,
+# used only where |w| <= 1/2 so eleven terms reach ~1e-19
+_SER_J = np.arange(1, 12)
+_SER_C = np.array([_power_range_sum(2.0 * j, 1, np.inf) / (j * np.pi ** (2 * j))
+                   for j in _SER_J])
+
+
 def node_power_sum(k_cut: int, eps: float, alpha: float, power: float) -> float:
     """sum_{n > k_cut} a_n^{-power} in closed form, a_n = phi_inv(n)/e.
 
     Up to ng = floor(gamma_eps) the nodes are (n/eps)^{1/2a}/e, a sum
     E^p eps^s sum n^-s, s = p/(2a); past it they are eps n^{2a}/e, a Hurwitz
     zeta of order 2ap > 1, and zeta(., inf) = 0 covers gamma_eps = inf.
+    Every piece is `_power_range_sum`; the Hurwitz zeta is its hi = inf case.
     """
     if eps == 0 or alpha == 0:
         raise ConfigError("node sequence requires eps > 0 and alpha > 0")
     s = power / (2.0 * alpha)
     if alpha < 0.5:
-        return E ** power * eps ** s * float(_hurwitz(s, k_cut + 1))
+        return E ** power * eps ** s * _power_range_sum(s, k_cut + 1, np.inf)
     ng = np.floor(gamma_eps(eps, alpha))
-    out = (E / eps) ** power * float(_hurwitz(2.0 * alpha * power, max(k_cut, ng) + 1))
+    out = (E / eps) ** power * _power_range_sum(2.0 * alpha * power,
+                                                max(k_cut, ng) + 1, np.inf)
     if k_cut < ng:
         out += E ** power * eps ** s * _power_range_sum(s, k_cut + 1, ng)
     if not np.isfinite(out):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import viscowave
 from viscowave.cli import main
 
 
@@ -15,6 +20,17 @@ def runner():
 def _run(runner, args, cwd):
     return runner.invoke(main, args + ["--out", str(cwd / "out.csv")],
                          catch_exceptions=False)
+
+
+def test_cli_import_leaves_scipy_out():
+    # every command is a fresh process that pays for what importing the CLI
+    # loads; scipy would cost more than numpy, click and the package together
+    src = str(Path(viscowave.__file__).resolve().parents[1])
+    code = ("import sys, viscowave.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_spectrum_dump_csv(runner, tmp_path):

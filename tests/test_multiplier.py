@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viscowave.core import ConfigError
-from viscowave.multiplier import (MultiplierEvaluator, multiplier_property_check,
+from viscowave.multiplier import (_SER_C, _SER_J, MultiplierEvaluator,
+                                  _power_range_sum, multiplier_property_check,
                                   node_power_sum)
 from viscowave.spectrum import (E, gamma_eps, lambda_vals, node_start, phi_eps,
                                 phi_eps_inverse)
@@ -71,6 +72,51 @@ def test_power_sum_below_branch_point_matches_mpmath():
                 worst = max(worst, float(rel))
     print(f"node_power_sum vs mpmath: max rel err {worst:.2e}")
     assert worst <= 1e-13
+
+
+def test_hurwitz_zeta_matches_mpmath():
+    # the Hurwitz zeta is _power_range_sum at hi = inf.  Its orders are every
+    # s the node sums form, 2 a p past the branch point and p/2a below it,
+    # for p = 1 (the type sum) and p = 2j, j <= 11 (the series tail), here
+    # at alpha 0.25, 0.55 and 0.75, with lo from 1 to 1e100.  mpmath's own
+    # zeta is off by up to 6e-10 at 40 digits and 1.2e-13 at 160 (s 44,
+    # lo 12345), so the reference is taken at 180 digits and checked at 200.
+    # Only normal floats are compared: zeta(36, 1e9) ~ 3e-317 is subnormal
+    # and carries about 7 digits
+    powers = [1.0] + [2.0 * j for j in range(1, 12)]
+    orders = sorted({2 * a * p if a > 0.5 else p / (2 * a)
+                     for a in (0.25, 0.55, 0.75) for p in powers})
+    assert orders[0] > 1.0 and orders[-1] == 44.0
+    tiny = mp.mpf(np.finfo(float).tiny)
+    worst = ref_dev = 0.0
+    compared = 0
+    for s in orders:
+        for lo in (1, 2, 33, 1e3, 12345, 1e9, 1e100):
+            with mp.workdps(180):
+                ref = mp.zeta(s, lo)
+            if ref < tiny:
+                continue
+            with mp.workdps(200):
+                ref_dev = max(ref_dev, float(abs(mp.zeta(s, lo) / ref - 1)))
+                own = _power_range_sum(s, lo, np.inf)
+                worst = max(worst, float(abs(own / ref - 1)))
+            compared += 1
+    print(f"Hurwitz zeta vs mpmath over {compared} points: max rel err {worst:.1e}, "
+          f"180 vs 200 digits {ref_dev:.1e}")
+    assert ref_dev <= 1e-18
+    assert worst <= 1e-14
+    # zeta(s, inf) = 0 (gamma_eps overflowed); past s <= 1 the sum diverges
+    assert _power_range_sum(3.0, np.inf, np.inf) == 0.0
+    for s in (0.5, 1.0):
+        assert _power_range_sum(s, 5, np.inf) == np.inf
+
+
+def test_sinc_series_constants_match_mpmath():
+    # log sinc w = -sum_j zeta(2j)/(j pi^2j) w^2j, the constants from the
+    # module's own zeta against mpmath's Riemann zeta
+    with mp.workdps(40):
+        ref = np.array([float(mp.zeta(2 * j) / (j * mp.pi ** (2 * j))) for j in _SER_J])
+    assert np.max(np.abs(_SER_C / ref - 1.0)) <= 1e-14
 
 
 def test_power_sum_requires_nodes():
