@@ -71,24 +71,14 @@ def _write_sidecar(csv_path: str, meta: dict, cfg: ProblemConfig | None = None) 
         fh.write("\n")
 
 
-def _build_cfg(config, alpha, epsilon, modes, horizon, for_synthesis=False) -> ProblemConfig:
-    if config is not None:
-        cfg = load_config(config)
-    else:
-        if alpha is None or epsilon is None:
-            raise ConfigError("provide --config or both --alpha and --epsilon")
-        cfg = ProblemConfig(alpha=alpha, epsilon=epsilon)
-    updates = {}
-    if config is not None and alpha is not None:
-        updates["alpha"] = alpha
-    if config is not None and epsilon is not None:
-        updates["epsilon"] = epsilon
-    if modes is not None:
-        updates["n_modes"] = modes
-    if horizon is not None:
-        updates["horizon_T"] = horizon
-    if updates:
-        cfg = replace(cfg, **updates)
+def _build_cfg(config, alpha, epsilon, modes=None, horizon=None,
+               for_synthesis=False) -> ProblemConfig:
+    """The --config file, or --alpha and --epsilon, with the given flags on top."""
+    if config is None and (alpha is None or epsilon is None):
+        raise ConfigError("provide --config or both --alpha and --epsilon")
+    cfg = load_config(config) if config is not None else ProblemConfig(alpha, epsilon)
+    given = {"alpha": alpha, "epsilon": epsilon, "n_modes": modes, "horizon_T": horizon}
+    cfg = replace(cfg, **{k: v for k, v in given.items() if v is not None})
     return validate_config(cfg, for_synthesis=for_synthesis)
 
 
@@ -121,16 +111,22 @@ def _seeded_data(cfg: ProblemConfig, seed: int, kind: str = "random") -> ModalSt
     return ModalState.from_arrays(idx, u0, u1, fh)
 
 
-def _common(f):
-    f = click.option("--config", type=click.Path(exists=True), default=None,
-                     help="INI config file")(f)
-    f = click.option("--out", default=None, help="output CSV path")(f)
-    f = click.option("--seed", type=int, default=7, show_default=True)(f)
-    f = click.option("--alpha", type=float, default=None)(f)
-    f = click.option("--epsilon", type=float, default=None)(f)
-    f = click.option("--modes", type=int, default=None)(f)
-    f = click.option("--horizon", type=float, default=None)(f)
-    return f
+_SHARED = {  # flags several commands take; each command names the ones it reads
+    "config": dict(type=click.Path(exists=True), help="INI config file"),
+    "out": dict(help="output CSV path"),
+    "seed": dict(type=int, default=7, show_default=True),
+    "alpha": dict(type=float), "epsilon": dict(type=float),
+    "modes": dict(type=int), "horizon": dict(type=float),
+}
+
+
+def _shared(*names):
+    """Decorator adding the shared flags `names`, in the order given."""
+    def deco(f):
+        for name in names:
+            f = click.option(f"--{name}", **_SHARED[name])(f)
+        return f
+    return deco
 
 
 @click.group()
@@ -157,10 +153,10 @@ def spectrum() -> None:
 
 
 @spectrum.command("dump")
-@_common
-def spectrum_dump(config, out, seed, alpha, epsilon, modes, horizon) -> None:
+@_shared("config", "out", "alpha", "epsilon", "modes")
+def spectrum_dump(config, out, alpha, epsilon, modes) -> None:
     def go():
-        cfg = _build_cfg(config, alpha, epsilon, modes, horizon)
+        cfg = _build_cfg(config, alpha, epsilon, modes)
         out_path = out or "spectrum_dump.csv"
         rows = []
         have_nodes = cfg.epsilon > 0 and cfg.alpha not in (0.0,) \
@@ -189,10 +185,10 @@ def weierstrass() -> None:
 
 
 @weierstrass.command("check")
-@_common
-def weierstrass_check(config, out, seed, alpha, epsilon, modes, horizon) -> None:
+@_shared("config", "out", "alpha", "epsilon", "modes")
+def weierstrass_check(config, out, alpha, epsilon, modes) -> None:
     def go():
-        cfg = _build_cfg(config, alpha, epsilon, modes, horizon)
+        cfg = _build_cfg(config, alpha, epsilon, modes)
         out_path = out or "weierstrass_check.csv"
         ev = wei.ProductEvaluator(cfg.epsilon, cfg.alpha)
         rng = range(-cfg.n_modes, cfg.n_modes + 1)
@@ -228,11 +224,12 @@ def multiplier() -> None:
     """Sinc-product multiplier checks."""
 
 
+# --seed is read by no check; perfbench/run.py appends it to every op's argv
 @multiplier.command("check")
-@_common
-def multiplier_check(config, out, seed, alpha, epsilon, modes, horizon) -> None:
+@_shared("config", "out", "seed", "alpha", "epsilon", "modes")
+def multiplier_check(config, out, seed, alpha, epsilon, modes) -> None:
     def go():
-        cfg = _build_cfg(config, alpha, epsilon, modes, horizon)
+        cfg = _build_cfg(config, alpha, epsilon, modes)
         if cfg.epsilon == 0 or cfg.alpha == 0:
             raise ConfigError("multiplier is absent for eps = 0 or alpha = 0")
         out_path = out or "multiplier_check.csv"
@@ -279,10 +276,10 @@ def _theta_for(cfg: ProblemConfig) -> bio.BiorthogonalFamily:
 
 
 @biorth.command("build")
-@_common
-def biorth_build(config, out, seed, alpha, epsilon, modes, horizon) -> None:
+@_shared("config", "out", "alpha", "epsilon", "modes")
+def biorth_build(config, out, alpha, epsilon, modes) -> None:
     def go():
-        cfg = _build_cfg(config, alpha, epsilon, modes, horizon, for_synthesis=True)
+        cfg = _build_cfg(config, alpha, epsilon, modes, for_synthesis=True)
         out_path = out or "biorth_build.csv"
         theta = _theta_for(cfg)
         zeta = bio.zeta_eval(theta) if theta.kind == "theta" else None
@@ -305,11 +302,11 @@ def biorth_build(config, out, seed, alpha, epsilon, modes, horizon) -> None:
 
 
 @biorth.command("verify")
-@_common
+@_shared("config", "out", "alpha", "epsilon", "modes")
 @click.option("--tolerance", type=float, default=1e-4, show_default=True)
-def biorth_verify(config, out, seed, alpha, epsilon, modes, horizon, tolerance) -> None:
+def biorth_verify(config, out, alpha, epsilon, modes, tolerance) -> None:
     def go():
-        cfg = _build_cfg(config, alpha, epsilon, modes, horizon, for_synthesis=True)
+        cfg = _build_cfg(config, alpha, epsilon, modes, for_synthesis=True)
         out_path = out or "biorth_verify.csv"
         theta = _theta_for(cfg)
         ms = list(theta.indices)
@@ -343,7 +340,7 @@ def control() -> None:
 
 
 @control.command("solve")
-@_common
+@_shared("config", "out", "seed", "alpha", "epsilon", "modes", "horizon")
 @click.option("--oracle/--series", "use_oracle", default=True,
               help="Gram minimal-norm oracle vs biorthogonal series path")
 @click.option("--data", "data_kind", type=click.Choice(["random", "resonant", "zero"]),
@@ -385,7 +382,7 @@ def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
                         moment_residual=sres.moment_residual)
         if T != cfg.horizon_T:
             cfg = validate_config(replace(cfg, horizon_T=T), for_synthesis=True)
-        traj = pde.simulate(cfg, data, ctrl, system="corrected")
+        traj = pde.simulate(cfg, data, ctrl)
         resid = pde.final_residual(traj.final, data, cfg.epsilon, cfg.alpha)
         _write_csv(out_path,
                    ("epsilon", "alpha", "n_modes", "horizon", "v_norm", "gram_cond",
@@ -407,35 +404,31 @@ def sweep() -> None:
 
 
 @sweep.command("epsilon")
-@_common
+@_shared("config", "out", "seed", "alpha", "modes", "horizon")
 @click.option("--epsilons", default="1e-1,1e-2,1e-3,1e-4", show_default=True,
               help="comma-separated descending viscosity list")
-def sweep_epsilon(config, out, seed, alpha, epsilon, modes, horizon, epsilons) -> None:
+def sweep_epsilon(config, out, seed, alpha, modes, horizon, epsilons) -> None:
     def go():
         eps_list = _number_list(epsilons, float, "--epsilons")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("epsilon list must be strictly descending")
-        cfg0 = _build_cfg(config, alpha, eps_list[0] if epsilon is None else epsilon,
-                          modes, horizon, for_synthesis=True)
+        cfg0 = _build_cfg(config, alpha, eps_list[0], modes, horizon, for_synthesis=True)
         out_path = out or "sweep_epsilon.csv"
         data = _seeded_data(cfg0, seed, "random")
         T = cfg0.horizon_T
         rows = []
-        conds = {}
-        last = None
         for e in eps_list:
             cfg = validate_config(replace(cfg0, epsilon=e), for_synthesis=True)
             system = mom.MomentSystem.build(data, T, e, cfg.alpha)
             res = mom.minnorm_control(system)
-            traj = pde.simulate(cfg, data, res.control, system="corrected")
+            traj = pde.simulate(cfg, data, res.control)
             resid = pde.final_residual(traj.final, data, e, cfg.alpha)
             rows.append((e, cfg.alpha, res.norm, res.cond, resid))
-            conds[e] = res.cond
             last = res
         # weak-limit surrogate: smallest-eps control driving the eps=0 system
         cfg_w = validate_config(replace(cfg0, epsilon=0.0), for_synthesis=True)
-        traj_w = pde.simulate(cfg_w, data, last.control, system="wave")
-        resid_w = pde.final_residual(traj_w.final, data, 0.0, cfg0.alpha, system="wave")
+        traj_w = pde.simulate(cfg_w, data, last.control)
+        resid_w = pde.final_residual(traj_w.final, data, 0.0, cfg0.alpha)
         rows.append((0.0, cfg0.alpha, last.norm, None, resid_w))
         norms = [r[2] for r in rows[:-1]]
         ratio = max(norms) / min(norms)
@@ -457,7 +450,8 @@ def sweep_epsilon(config, out, seed, alpha, epsilon, modes, horizon, epsilons) -
               help="comma-separated strictly ascending mode counts")
 @click.option("--out", default=None, help="output CSV path")
 def degeneracy(epsilon, horizon, sizes, out) -> None:
-    """Gram condition numbers at alpha 0.25, 0.5 and 0.75 as N grows."""
+    """Gram condition numbers at alpha 0.25, 0.5 and 0.75 as N grows; a cell is
+    empty where the smallest eigenvalue is rounding: at most n u w_max, n = 2N."""
     def go():
         n_list = _number_list(sizes, int, "--sizes")
         if n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -466,24 +460,29 @@ def degeneracy(epsilon, horizon, sizes, out) -> None:
         # epsilon and horizon take the ranges every other command accepts
         validate_config(ProblemConfig(alpha=0.0, epsilon=epsilon, horizon_T=horizon))
         out_path = out or "degeneracy.csv"
-        rows = []
+        floor = {n_max: 2 * n_max * np.finfo(float).eps for n_max in n_list}
         conds: dict = {}
         for a in (0.25, 0.5, 0.75):
             for n_max in n_list:
                 idx = [n for n in range(-n_max, n_max + 1) if n != 0]
-                g = mom.gram_matrix(idx, epsilon, a, horizon)
-                w = np.linalg.eigvalsh(g)
-                cond = float(w[-1] / w[0]) if w[0] > 0 else float("inf")
-                rows.append((a, n_max, cond))
-                conds[(a, n_max)] = cond
-        _write_csv(out_path, ("alpha", "n_modes", "gram_cond"), rows)
-        mono = all(conds[(0.5, a)] < conds[(0.5, b)]
-                   for a, b in zip(n_list, n_list[1:]))
-        gap = conds[(0.5, n_list[-1])] / conds[(0.25, n_list[-1])]
+                w = np.linalg.eigvalsh(mom.gram_matrix(idx, epsilon, a, horizon))
+                conds[(a, n_max)] = float(w[-1] / w[0]) \
+                    if w[0] > floor[n_max] * w[-1] else None
+        _write_csv(out_path, ("alpha", "n_modes", "gram_cond"),
+                   [(a, n, c) for (a, n), c in conds.items()])
+        # the verdict and the gap read resolved cells only
+        half = [n for n in n_list if conds[(0.5, n)] is not None]
+        mono = all(conds[(0.5, a)] < conds[(0.5, b)] for a, b in zip(half, half[1:]))
+        n_gap = half[-1] if half else None
+        gap = conds[(0.5, n_gap)] / conds[(0.25, n_gap)] \
+            if half and conds[(0.25, n_gap)] is not None else None
         _write_sidecar(out_path, {"epsilon": epsilon, "horizon": horizon,
+                                  "eig_floor_over_max": floor,
                                   "alpha_half_monotone": mono,
-                                  "degeneracy_gap_at_largest": gap}, None)
-        click.echo(f"alpha=1/2 cond monotone: {mono}; gap at N={n_list[-1]}: {gap:.3e}")
+                                  "degeneracy_gap_at_largest": gap,
+                                  "degeneracy_gap_n_modes": n_gap}, None)
+        shown = f"gap at N={n_gap}: {gap:.3e}" if gap is not None else "gap unresolved"
+        click.echo(f"alpha=1/2 cond monotone: {mono}; {shown}")
         return PASS if mono else FAIL
     _run(go)
 
@@ -494,7 +493,7 @@ def ingham() -> None:
 
 
 @ingham.command("run")
-@_common
+@_shared("config", "out", "seed", "alpha", "epsilon", "modes", "horizon")
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--omega-weight", type=float, default=None,
               help="weight exponent; default: envelope-fitted omega")
@@ -539,13 +538,13 @@ def ingham_run(config, out, seed, alpha, epsilon, modes, horizon,
 # ---------------------------------------------------------------------------
 
 @main.command("verify")
-@_common
-def verify(config, out, seed, alpha, epsilon, modes, horizon) -> None:
+@_shared("config", "out", "seed", "alpha", "epsilon", "horizon")
+def verify(config, out, seed, alpha, epsilon, horizon) -> None:
     """Quick property suite across modules at one config."""
     def go():
         cfg = _build_cfg(config, alpha if alpha is not None else 0.25,
                          epsilon if epsilon is not None else 0.1,
-                         modes, horizon, for_synthesis=True)
+                         horizon=horizon, for_synthesis=True)
         checks = []
 
         def check(name, fn):
@@ -590,8 +589,8 @@ def verify(config, out, seed, alpha, epsilon, modes, horizon) -> None:
             system = mom.MomentSystem.build(data, 2 * np.pi, 0.0, 0.0)
             res = mom.minnorm_control(system)
             cfg0 = validate_config(ProblemConfig(alpha=0.0, epsilon=0.0))
-            traj = pde.simulate(cfg0, data, res.control, system="wave")
-            r = pde.final_residual(traj.final, data, 0.0, 0.0, system="wave")
+            traj = pde.simulate(cfg0, data, res.control)
+            r = pde.final_residual(traj.final, data, 0.0, 0.0)
             return r <= 1e-15, f"residual {r:.2e}"
 
         def energy_law():
@@ -599,7 +598,7 @@ def verify(config, out, seed, alpha, epsilon, modes, horizon) -> None:
             n = 8
             data = ModalState.from_arrays(range(1, n + 1), rng_.normal(size=n),
                                           rng_.normal(size=n), np.ones(n))
-            traj = pde.simulate(cfg, data, None, system="corrected", record_points=256)
+            traj = pde.simulate(cfg, data, None, record_points=256)
             drops = np.diff(traj.energy)
             return bool(np.all(drops <= 1e-12 * traj.energy[0])), \
                 f"max energy rise {float(np.max(drops, initial=0.0)):.2e}"

@@ -216,8 +216,12 @@ def ingham_ratio(indices, coeffs, eps: float, alpha: float, T: float,
     if not np.any(b):
         raise ConfigError("all-zero coefficient sequence")
     num = float(np.real(np.vdot(b, gram_matrix(idx, eps, alpha, 2.0 * T) @ b)))
-    den = float(np.sum(np.abs(b) ** 2 * np.exp(-omega_weight * eps
-                                               * np.abs(idx) ** (2.0 * alpha))))
+    with np.errstate(over="ignore"):
+        den = float(np.sum(np.abs(b) ** 2 * np.exp(-omega_weight * eps
+                                                   * np.abs(idx) ** (2.0 * alpha))))
+    if not (np.isfinite(den) and den > 0):  # also every non-finite omega_weight
+        raise ConfigError(f"weighted coefficient mass {den} at omega weight "
+                          f"{omega_weight} is not finite and positive")
     return num / den
 
 

@@ -241,10 +241,6 @@ class MultiplierEvaluator:
         """log M for index m: the product starting at node n_m."""
         return self.log_eval_start(node_start(m, self.eps, self.alpha), z)
 
-    def eval(self, m: int, z):
-        res = np.exp(self.log_eval(m, z))
-        return complex(res) if np.ndim(z) == 0 else res
-
     def tail_log_bound(self, m: int, z) -> float:
         """Declared bound on the post-truncation log tail: max over the points
         of |z_p|^2/6 * S_2(K_p), at the cutoff K_p that log_eval gives z_p.

@@ -1,19 +1,12 @@
-"""Exact per-mode propagation of the damped string variants.
+"""Exact per-mode propagation of the corrected damped string.
 
 Each sine mode n obeys a scalar second order ODE
 
-    u'' + damping * u' + stiffness * u = v(t) * f_n
+    u'' + 2 eps n^{2a} u' + (n^2 + eps^2 n^{4a}) u = v(t) * f_n
 
-and the three systems differ only in those two coefficients:
-
-  "corrected"  stiffness n^2 + eps^2 n^{4a}, damping 2 eps n^{2a};
-               characteristic roots are exactly -eps n^{2a} +- i n, which is
-               what makes this variant's spectrum align with the eigenvalue
-               lattice the control construction interpolates on.
-  "viscous"    stiffness n^2, same damping; roots -b +- sqrt(b^2 - n^2),
-               real and split (one slow, one fast) once b = eps n^{2a}
-               exceeds n, which happens for distant modes when a > 1/2.
-  "wave"       eps = 0 limit, undamped.
+whose characteristic roots are exactly -eps n^{2a} +- i n: the spectrum is
+the eigenvalue lattice the control construction interpolates on.  At eps = 0
+this is the undamped wave equation, the conservative limit.
 
 There is no time discretization of the dynamics.  Each mode splits into
 z' = r z + f_n v(t), one equation per characteristic root r, and all roots
@@ -33,28 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, ControlSignal, ModalState, exp_integral
-
-SYSTEMS = ("corrected", "viscous", "wave")
+from .core import ControlSignal, ModalState, exp_integral
 
 _BLOCK = 1 << 18
 
 
-def mode_roots(system: str, n, eps: float, alpha: float):
-    """Characteristic roots (r_plus, r_minus) of modes n (array ok)."""
-    if system not in SYSTEMS:
-        raise ConfigError(f"unknown system '{system}'")
+def mode_roots(n, eps: float, alpha: float):
+    """Characteristic roots (r_plus, r_minus) of modes n (array ok), set
+    literally, not through a discriminant."""
     n = np.asarray(n, dtype=float)
     b = eps * n ** (2.0 * alpha)
-    if system == "wave" or eps == 0:
-        return 1j * n, -1j * n
-    if system == "corrected":
-        # roots set literally, not through a discriminant
-        return -b + 1j * n, -b - 1j * n
-    sq = np.sqrt(np.asarray(b * b - n ** 2, dtype=complex))
-    if np.any(np.abs(sq) < 1e-12 * np.maximum(1.0, b)):
-        raise ConfigError("degenerate double root; propagator not defined")
-    return -b + sq, -b - sq
+    return -b + 1j * n, -b - 1j * n
 
 
 def _propagate(r1, r2, f, u0, v0, control: ControlSignal | None, times: np.ndarray):
@@ -86,13 +68,10 @@ def _propagate(r1, r2, f, u0, v0, control: ControlSignal | None, times: np.ndarr
     return (y - w) / (r1 - r2), (r1 * y - r2 * w) / (r1 - r2)
 
 
-def stiffness_for(system: str, n, eps: float, alpha: float):
-    if system not in SYSTEMS:
-        raise ConfigError(f"unknown system '{system}'")
+def stiffness_for(n, eps: float, alpha: float):
+    """n^2 + eps^2 n^{4a} = |r_plus|^2 of modes n (array ok)."""
     n = np.asarray(n, dtype=float)
-    if system == "corrected" and eps > 0:
-        return n ** 2 + (eps * n ** (2.0 * alpha)) ** 2
-    return n ** 2
+    return n ** 2 + (eps * n ** (2.0 * alpha)) ** 2
 
 
 def _energy(stiff, u, v):
@@ -101,10 +80,9 @@ def _energy(stiff, u, v):
     return np.pi / 2.0 * np.sum(stiff * np.abs(u) ** 2 + np.abs(v) ** 2, axis=0)
 
 
-def modal_energy(state: ModalState, eps: float, alpha: float,
-                 system: str = "corrected") -> float:
+def modal_energy(state: ModalState, eps: float, alpha: float) -> float:
     """Energy of one modal state (see `_energy`)."""
-    s = stiffness_for(system, np.asarray(state.indices, dtype=float), eps, alpha)
+    s = stiffness_for(np.asarray(state.indices, dtype=float), eps, alpha)
     return float(_energy(s, np.asarray(state.u0), np.asarray(state.u1)))
 
 
@@ -117,37 +95,33 @@ class Trajectory:
 
 
 def simulate(cfg, data: ModalState, control: ControlSignal | None,
-             system: str = "corrected", record_points: int = 1) -> Trajectory:
+             record_points: int = 1) -> Trajectory:
     """Propagate every mode of `data` over [0, T] and record the energy at
     record_points + 1 equally spaced times; the default records the initial
     and final states only.
 
     The dissipation channel is 2 pi eps sum n^{2a} |u'_n|^2, which is -dE/dt
-    for all three systems (identically zero for "wave").
+    (identically zero at eps = 0).
     """
     times = np.linspace(0.0, cfg.horizon_T, record_points + 1)
 
     eps, alpha = cfg.epsilon, cfg.alpha
     ns = np.asarray(data.indices, dtype=float)
-    r1, r2 = mode_roots(system, ns, eps, alpha)
+    r1, r2 = mode_roots(ns, eps, alpha)
     uu, vv = _propagate(r1, r2, np.asarray(data.profile, dtype=complex),
                         np.asarray(data.u0, dtype=complex),
                         np.asarray(data.u1, dtype=complex), control, times)
-    energy = _energy(stiffness_for(system, ns, eps, alpha)[:, None], uu, vv)
-    if system != "wave" and eps > 0:
-        diss = 2.0 * np.pi * eps * np.sum(ns[:, None] ** (2.0 * alpha) * np.abs(vv) ** 2,
-                                          axis=0)
-    else:
-        diss = np.zeros(len(times))
+    energy = _energy(stiffness_for(ns, eps, alpha)[:, None], uu, vv)
+    diss = 2.0 * np.pi * eps * np.sum(ns[:, None] ** (2.0 * alpha) * np.abs(vv) ** 2, axis=0)
     final = ModalState.from_arrays(data.indices, uu[:, -1], vv[:, -1], data.profile)
     return Trajectory(times=times, energy=energy, dissipation=diss, final=final)
 
 
 def final_residual(final: ModalState, initial: ModalState, eps: float,
-                   alpha: float, system: str = "corrected") -> float:
+                   alpha: float) -> float:
     """Energy ratio E(final)/E(initial); 0/0 counts as controlled."""
-    e1 = modal_energy(final, eps, alpha, system)
-    e0 = modal_energy(initial, eps, alpha, system)
+    e1 = modal_energy(final, eps, alpha)
+    e0 = modal_energy(initial, eps, alpha)
     if e0 == 0.0:
         return 0.0
     return e1 / e0

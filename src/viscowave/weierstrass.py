@@ -218,10 +218,6 @@ class ProductEvaluator:
         out[lin == 0] = 0.0  # z is node_m: P_m = 1 exactly
         return out
 
-    def eval(self, m: int, z):
-        res = np.exp(self.log_eval(m, z))
-        return complex(res[0]) if np.isscalar(z) or np.ndim(z) == 0 else res
-
     def eval_with_bound(self, m: int, z):
         """Value plus a declared bound on the evaluation error.
 

@@ -24,10 +24,11 @@ def _run(runner, args, cwd):
 
 def test_cli_import_leaves_scipy_out():
     # every command is a fresh process that pays for what importing the CLI
-    # loads; scipy would cost more than numpy, click and the package together
+    # loads; scipy would cost more than numpy, click and the package together,
+    # and a module-level mpmath import 30-45 ms
     src = str(Path(viscowave.__file__).resolve().parents[1])
-    code = ("import sys, viscowave.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, viscowave.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'mpmath')))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert res.stdout.strip() == "[]"
@@ -64,17 +65,20 @@ def test_spectrum_dump_near_half_alpha(runner, tmp_path, delta):
 # (argv, CSV columns that must be finite): multiplier check and weierstrass
 # check end in a status word, verify writes only words, and the series row's
 # gram_cond is nan (no Gram matrix on that route; it stays nan, not empty,
-# because the benchmark's series check parses every cell of that row)
+# because the benchmark's series check parses every cell of that row).  Each
+# argv passes eps 0.1 and one mode where the command reads them
+_EPS_N1 = ["--epsilon", "0.1", "--modes", "1"]
 NEAR_HALF_COMMANDS = {
-    "multiplier_check": (["multiplier", "check"], slice(0, -1)),
-    "biorth_build": (["biorth", "build"], slice(None)),
-    "biorth_verify": (["biorth", "verify"], slice(None)),
-    "verify": (["verify"], slice(0, 0)),
-    "control_solve_series": (["control", "solve", "--series"], [0, 1, 2, 3, 4, 6]),
-    "ingham_run": (["ingham", "run"], slice(None)),
+    "multiplier_check": (["multiplier", "check", *_EPS_N1], slice(0, -1)),
+    "biorth_build": (["biorth", "build", *_EPS_N1], slice(None)),
+    "biorth_verify": (["biorth", "verify", *_EPS_N1], slice(None)),
+    "verify": (["verify", "--epsilon", "0.1"], slice(0, 0)),
+    "control_solve_series": (["control", "solve", "--series", *_EPS_N1],
+                             [0, 1, 2, 3, 4, 6]),
+    "ingham_run": (["ingham", "run", *_EPS_N1], slice(None)),
     # gram_cond is empty on the weak-limit row: no Gram solve at eps = 0
-    "sweep_epsilon": (["sweep", "epsilon"], [0, 1, 2, 4]),
-    "weierstrass_check": (["weierstrass", "check"], slice(0, -1)),
+    "sweep_epsilon": (["sweep", "epsilon", "--modes", "1"], [0, 1, 2, 4]),
+    "weierstrass_check": (["weierstrass", "check", *_EPS_N1], slice(0, -1)),
 }
 # weierstrass check at 0.55 runs to a FAIL verdict (exit 1) on the open
 # growth-bound defect of its held-out indices, not to a traceback
@@ -89,8 +93,8 @@ def test_near_half_alpha_finite_or_invalid(runner, tmp_path, name, alpha):
     # just above 1/2 the branch point gamma_eps is huge or inf: the node sums
     # below it and the product tail must give finite values or exit 2
     command, cols = NEAR_HALF_COMMANDS[name]
-    res = runner.invoke(main, command + ["--alpha", repr(alpha), "--epsilon", "0.1",
-                                         "--modes", "1", "--out", str(tmp_path / "out.csv")])
+    res = runner.invoke(main, command + ["--alpha", repr(alpha),
+                                         "--out", str(tmp_path / "out.csv")])
     assert "Traceback" not in res.output
     assert res.exit_code in (0, 2), repr(res.exception)
     if res.exit_code == 2:
@@ -212,17 +216,35 @@ def test_biorth_verify_small_eps_exact(runner, tmp_path):
     assert meta["zeta_max_deviation"] <= 1e-12
 
 
-def test_deterministic_bytes(runner, tmp_path):
-    args = ["control", "solve", "--alpha", "0.25", "--epsilon", "0.1",
-            "--modes", "4", "--seed", "11"]
-    a_dir = tmp_path / "a"
-    b_dir = tmp_path / "b"
-    a_dir.mkdir()
-    b_dir.mkdir()
-    assert _run(runner, args, a_dir).exit_code == 0
-    assert _run(runner, args, b_dir).exit_code == 0
-    assert (a_dir / "out.csv").read_bytes() == (b_dir / "out.csv").read_bytes()
-    assert (a_dir / "out.json").read_bytes() == (b_dir / "out.json").read_bytes()
+_A25 = ["--alpha", "0.25", "--epsilon", "0.1"]
+DETERMINISTIC_ARGV = {
+    "spectrum_dump": ["spectrum", "dump", *_A25, "--modes", "4"],
+    "weierstrass_check": ["weierstrass", "check", *_A25, "--modes", "2"],
+    "multiplier_check": ["multiplier", "check", "--alpha", "0.75", "--epsilon", "0.1",
+                         "--modes", "1"],
+    "biorth_build": ["biorth", "build", *_A25, "--modes", "2"],
+    "biorth_verify": ["biorth", "verify", *_A25, "--modes", "2"],
+    "control_solve_oracle": ["control", "solve", *_A25, "--modes", "4", "--seed", "11"],
+    "control_solve_series": ["control", "solve", "--series", "--alpha", "0.75",
+                             "--epsilon", "0.1", "--modes", "1", "--seed", "11"],
+    "sweep_epsilon": ["sweep", "epsilon", "--alpha", "0.25", "--modes", "3",
+                      "--epsilons", "1e-1,1e-2", "--seed", "11"],
+    "degeneracy": ["degeneracy", "--sizes", "4,8"],
+    "ingham_run": ["ingham", "run", *_A25, "--modes", "2", "--trials", "5",
+                   "--seed", "11"],
+    "verify": ["verify", *_A25, "--seed", "11"],
+}
+
+
+@pytest.mark.parametrize("name", DETERMINISTIC_ARGV)
+def test_deterministic_bytes(runner, tmp_path, name):
+    # the same argv twice gives the same CSV and sidecar bytes
+    outs = []
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        assert _run(runner, DETERMINISTIC_ARGV[name], tmp_path / run).exit_code == 0
+        outs.append([(tmp_path / run / f).read_bytes() for f in ("out.csv", "out.json")])
+    assert outs[0] == outs[1]
 
 
 def test_config_file_with_flag_override(runner, tmp_path):
@@ -256,9 +278,13 @@ def test_config_file_unknown_key_is_invalid_input(runner, tmp_path):
     (["degeneracy", "--sizes", "4", "--horizon", "nan"], "horizon_T"),
     (["ingham", "run", "--alpha", "0.25", "--epsilon", "0.1", "--trials", "0"],
      "--trials"),
-], ids=["eps-list-word", "sizes-empty", "sizes-word", "sizes-zero",
-        "sizes-descending", "sizes-repeated", "degeneracy-horizon-nan",
-        "trials-zero"])
+] + [(["ingham", "run", "--alpha", "0.25", "--epsilon", "0.1", "--modes", "2",
+       "--omega-weight", w], "not finite and positive")
+     for w in ("nan", "inf", "-inf", "1e6", "-1e6")],
+    ids=["eps-list-word", "sizes-empty", "sizes-word", "sizes-zero",
+         "sizes-descending", "sizes-repeated", "degeneracy-horizon-nan",
+         "trials-zero", "weight-nan", "weight-inf", "weight-minus-inf", "weight-1e6",
+         "weight-minus-1e6"])
 def test_bad_list_and_count_flags_exit_2(runner, tmp_path, args, message):
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out.csv")])
     assert res.exit_code == 2, res.output
@@ -278,6 +304,25 @@ def test_degeneracy_refuses_flags_it_does_not_read(runner, flag):
     assert "No such option" in res.output
 
 
+# each flag a command used to accept without reading it
+UNREAD_FLAGS = [(command, flag)
+                for command in (["spectrum", "dump"], ["weierstrass", "check"],
+                                ["biorth", "build"], ["biorth", "verify"])
+                for flag in (["--seed", "3"], ["--horizon", "9"])] + [
+    (["multiplier", "check"], ["--horizon", "9"]),
+    (["sweep", "epsilon"], ["--epsilon", "0.1"]),
+    (["verify"], ["--modes", "4"]),
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS,
+                         ids=[f"{'_'.join(c)}{f[0]}" for c, f in UNREAD_FLAGS])
+def test_commands_refuse_flags_they_do_not_read(runner, command, flag):
+    res = runner.invoke(main, command + flag, catch_exceptions=False)
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+
+
 def test_degeneracy_study(runner, tmp_path):
     res = _run(runner, ["degeneracy", "--sizes", "4,8"], tmp_path)
     assert res.exit_code == 0
@@ -286,6 +331,27 @@ def test_degeneracy_study(runner, tmp_path):
     assert len(lines) == 7                     # three alphas, two sizes
     meta = json.loads((tmp_path / "out.json").read_text())
     assert meta["alpha_half_monotone"] is True
+
+
+def test_degeneracy_defaults_write_resolved_cells_only(runner, tmp_path):
+    # at its defaults the alpha 0.5 Gram matrix is singular in double
+    # precision from N 12 on and the alpha 0.75 one from N 8 on: those cells
+    # are empty, not inf or rounding-level numbers, and the gap is taken at
+    # the largest N where alpha 0.5 is resolved
+    res = _run(runner, ["degeneracy"], tmp_path)
+    assert res.exit_code == 0, res.output
+    rows = [r.split(",") for r in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+    cells = {(float(a), int(n)): c for a, n, c in rows}
+    assert "inf" not in (tmp_path / "out.csv").read_text()
+    assert {k for k, c in cells.items() if not c} == {
+        (0.5, 12), (0.5, 16), (0.75, 8), (0.75, 12), (0.75, 16)}
+    meta = json.loads((tmp_path / "out.json").read_text())
+    floor = meta["eig_floor_over_max"]
+    assert all(float(c) < 1 / floor[str(n)] for (_, n), c in cells.items() if c)
+    assert meta["degeneracy_gap_n_modes"] == 8
+    assert meta["degeneracy_gap_at_largest"] == pytest.approx(
+        float(cells[(0.5, 8)]) / float(cells[(0.25, 8)]), rel=1e-15)
+    assert floor["16"] == 32 * np.finfo(float).eps
 
 
 def test_ingham_run(runner, tmp_path):

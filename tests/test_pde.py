@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viscowave.core import (ConfigError, ControlSignal, ModalState,
-                            ProblemConfig, validate_config)
+from viscowave.core import ControlSignal, ModalState, ProblemConfig, validate_config
 from viscowave.moment import MomentSystem, minnorm_control
-from viscowave.pde import (SYSTEMS, final_residual, modal_energy, mode_roots,
-                           simulate, stiffness_for)
+from viscowave.pde import (final_residual, modal_energy, mode_roots, simulate,
+                           stiffness_for)
 
 
 def _cfg(alpha=0.25, eps=0.1, **kw):
@@ -21,41 +20,30 @@ def _cfg(alpha=0.25, eps=0.1, **kw):
 # ---------------------------------------------------------------------------
 
 def test_corrected_roots_literal():
-    r_plus, r_minus = mode_roots("corrected", 3, 0.1, 0.25)
+    r_plus, r_minus = mode_roots(3, 0.1, 0.25)
     b = 0.1 * 3 ** 0.5
     assert r_plus == complex(-b, 3.0)
     assert r_minus == complex(-b, -3.0)
 
 
 def test_wave_roots():
-    r_plus, r_minus = mode_roots("wave", 2, 0.0, 0.0)
+    r_plus, r_minus = mode_roots(2, 0.0, 0.0)
     assert r_plus == 2j and r_minus == -2j
 
 
-def test_viscous_roots_satisfy_characteristic():
-    b = 0.1 * 5 ** 1.5
-    for r in mode_roots("viscous", 5, 0.1, 0.75):
-        assert r * r + 2 * b * r + 25.0 == pytest.approx(0.0, abs=1e-10)
-
-
 def test_stiffness_values():
-    assert float(stiffness_for("corrected", 3, 0.1, 0.25)) == pytest.approx(
+    assert float(stiffness_for(3, 0.1, 0.25)) == pytest.approx(
         9.0 + 0.01 * 3.0)                     # n^2 + eps^2 n^{4a}
-    assert float(stiffness_for("viscous", 3, 0.1, 0.25)) == 9.0
-    assert float(stiffness_for("wave", 3, 0.1, 0.25)) == 9.0
-    with pytest.raises(ConfigError):
-        stiffness_for("heat", 3, 0.1, 0.25)
-    assert set(SYSTEMS) == {"corrected", "viscous", "wave"}
+    assert float(stiffness_for(3, 0.0, 0.25)) == 9.0
 
 
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
 
-def _final(state, T, eps=0.1, alpha=0.25, control=None, system="corrected"):
+def _final(state, T, eps=0.1, alpha=0.25, control=None):
     """(u, u') of every mode of `state` at T, propagated from t = 0."""
-    final = simulate(_cfg(alpha=alpha, eps=eps, horizon_T=T), state, control,
-                     system=system).final
+    final = simulate(_cfg(alpha=alpha, eps=eps, horizon_T=T), state, control).final
     return np.asarray(final.u0), np.asarray(final.u1)
 
 
@@ -92,7 +80,7 @@ def test_decay_envelope_exact():
     # the root-adapted variable y = u' - r_- u satisfies |y(t)| =
     # |y(0)| e^{-eps n^{2a} t} exactly for the corrected system
     for eps, alpha, n in [(0.1, 0.25, 4), (0.3, 0.75, 2)]:
-        _, r_minus = mode_roots("corrected", n, eps, alpha)
+        _, r_minus = mode_roots(n, eps, alpha)
         u0, u1 = 0.7 - 0.2j, 0.1 + 0.9j
         y0 = u1 - r_minus * u0
         t = 3.7
@@ -109,8 +97,7 @@ def test_forced_resonant_wave_mode():
     v = ControlSignal(weights=[w, -w], rates=[1j, -1j], center=0.0,
                       support=(0.0, 2 * math.pi))
     for t_end in (1.0162, math.pi, 2 * math.pi, 7.5):
-        u, _ = _final(_one_mode(1, 0.0, 0.0), t_end, eps=0.0, alpha=0.0,
-                      control=v, system="wave")
+        u, _ = _final(_one_mode(1, 0.0, 0.0), t_end, eps=0.0, alpha=0.0, control=v)
         s = min(t_end, 2 * math.pi)   # free motion after the support ends
         u_s = (math.sin(s) - s * math.cos(s)) / (2 * math.pi)
         ud_s = s * math.sin(s) / (2 * math.pi)
@@ -147,21 +134,21 @@ def test_free_energy_monotone_and_dissipation():
     n = 10
     data = ModalState.from_arrays(range(1, n + 1), rng.normal(size=n),
                                   rng.normal(size=n), np.ones(n))
-    for system in ("corrected", "viscous"):
-        cfg = _cfg(alpha=0.75, eps=0.2, n_modes=n)
-        traj = simulate(cfg, data, None, system=system, record_points=256)
-        assert np.all(np.diff(traj.energy) <= 1e-12 * traj.energy[0])
-        # energy balance: E(0) - E(T) equals the integrated dissipation
-        drop = traj.energy[0] - traj.energy[-1]
-        diss = float(np.trapezoid(traj.dissipation, traj.times))
-        assert diss == pytest.approx(drop, rel=5e-3)
+    cfg = _cfg(alpha=0.75, eps=0.2, n_modes=n)
+    traj = simulate(cfg, data, None, record_points=256)
+    assert np.all(np.diff(traj.energy) <= 1e-12 * traj.energy[0])
+    # energy balance: E(0) - E(T) equals the integrated dissipation
+    drop = traj.energy[0] - traj.energy[-1]
+    diss = float(np.trapezoid(traj.dissipation, traj.times))
+    assert diss == pytest.approx(drop, rel=5e-3)
 
 
 def test_wave_energy_constant():
     data = ModalState.from_arrays([1, 4], [1.0, 0.3], [0.5, -0.2], [1, 1])
     cfg = _cfg(alpha=0.25, eps=0.0)
-    traj = simulate(cfg, data, None, system="wave", record_points=256)
+    traj = simulate(cfg, data, None, record_points=256)
     assert np.max(np.abs(traj.energy - traj.energy[0])) <= 1e-12 * traj.energy[0]
+    assert np.all(traj.dissipation == 0.0)    # no dissipation at eps = 0
 
 
 def test_final_residual_zero_for_null_state():
