@@ -208,23 +208,30 @@ def gauss_legendre_01(k: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def log1p_c(w: np.ndarray) -> np.ndarray:
-    """Complex log(1+w) that keeps tiny w, in closed form (w = x + iy):
+def log1p_c(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Complex log(1+w) at w = x + iy, given as its real and imaginary parts,
+    in a closed form that keeps tiny w:
     log(1+w) = 1/2 log1p(x(2+x) + y^2) + i atan2(y, 1+x) never adds 1 to a
     tiny w, unlike numpy's naive log(1+w).  Where |1+w| < 1/2 (the log1p
     argument has lost its leading digits near -1) or |w|^2 overflows, the
     real part is log|1+w| instead; near w = -1, 1+x is exact.
+
+    Taking the parts lets a caller that forms w in real arithmetic skip the
+    complex w; x and y have one shape, and the result is complex.
     """
-    w = np.asarray(w, dtype=complex)
-    x, y = w.real, w.imag
-    out = np.empty_like(w)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = x * (x + 2.0) + y * y
+        s = x + 2.0
+        s *= x
+        s += y * y
         re = np.log1p(s, out=out.real)
         re *= 0.5
         np.arctan2(y, x + 1.0, out=out.imag)
-        far = (s < -0.75) | (s == np.inf)
-        re[far] = np.log(np.abs(1.0 + w[far]))
+        far = np.flatnonzero((s < -0.75) | (s == np.inf))
+        xf, yf = x.reshape(-1)[far], y.reshape(-1)[far]
+        # numpy's complex abs: np.hypot differs from it in the last bit
+        out.reshape(-1).real[far] = np.log(np.abs((1.0 + xf) + 1j * yf))
     return out
 
 

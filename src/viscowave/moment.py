@@ -207,7 +207,10 @@ def ingham_ratio(indices, coeffs, eps: float, alpha: float, T: float,
     coefficient mass sum |beta_n|^2 e^{-omega_weight eps |n|^{2a}}.
 
     The integral runs over (-T, T), twice the moment interval, so the
-    numerator is the quadratic form of the Gram matrix at horizon 2T.
+    numerator is the quadratic form of the Gram matrix at horizon 2T.  Its
+    entries grow like e^{2 eps |n|^{2a} T}; a numerator that overflows
+    raises ConfigError, as does a weighted mass that is not finite and
+    positive.
     """
     idx = np.asarray(indices)
     b = np.asarray(coeffs, dtype=complex)
@@ -215,13 +218,17 @@ def ingham_ratio(indices, coeffs, eps: float, alpha: float, T: float,
         raise ConfigError("indices and coefficients disagree in length")
     if not np.any(b):
         raise ConfigError("all-zero coefficient sequence")
-    num = float(np.real(np.vdot(b, gram_matrix(idx, eps, alpha, 2.0 * T) @ b)))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = float(np.real(np.vdot(b, gram_matrix(idx, eps, alpha, 2.0 * T) @ b)))
         den = float(np.sum(np.abs(b) ** 2 * np.exp(-omega_weight * eps
                                                    * np.abs(idx) ** (2.0 * alpha))))
     if not (np.isfinite(den) and den > 0):  # also every non-finite omega_weight
         raise ConfigError(f"weighted coefficient mass {den} at omega weight "
                           f"{omega_weight} is not finite and positive")
+    if not np.isfinite(num):
+        raise ConfigError(f"Gram numerator over (-{T:g}, {T:g}) is not finite: "
+                          f"modes up to |n| = {int(np.max(np.abs(idx)))} overflow "
+                          "double precision at this horizon")
     return num / den
 
 

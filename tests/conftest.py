@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from viscowave import weierstrass as wei
 from viscowave.core import ModalState
 from viscowave.spectrum import lambda_vals
 
@@ -27,6 +30,29 @@ def control_values(ctrl, t) -> np.ndarray:
     v = np.concatenate([np.exp(np.outer(tb - ctrl.center, ctrl.rates)) @ ctrl.weights
                         for tb in np.array_split(t, max(1, t.size // 256))])
     return np.where((t >= lo) & (t <= hi), v, 0.0)
+
+
+def count_pair_work(monkeypatch) -> SimpleNamespace:
+    """Record the work of the product's paired terms: per `_pair_log` call
+    its point count (`points`) and its broadcast size in terms times points
+    (`elements`), and per pair sum (log F pass or one-point constant) its
+    point count (`sums`)."""
+    work = SimpleNamespace(points=[], elements=[], sums=[])
+    pair_log = wei._pair_log
+    pair_sum = wei.ProductEvaluator._pair_sum
+
+    def count_terms(t, z, *rest):
+        work.points.append(np.size(z))
+        work.elements.append(np.broadcast(t, z).size)
+        return pair_log(t, z, *rest)
+
+    def count_sums(self, z, *rest, **kw):
+        work.sums.append(np.size(z))
+        return pair_sum(self, z, *rest, **kw)
+
+    monkeypatch.setattr(wei, "_pair_log", count_terms)
+    monkeypatch.setattr(wei.ProductEvaluator, "_pair_sum", count_sums)
+    return work
 
 
 def gauss_legendre(lo: float, hi: float, panels: int = 64, order: int = 48):

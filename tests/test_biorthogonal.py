@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import gauss_legendre
+from conftest import count_pair_work, gauss_legendre
 from viscowave import biorthogonal as bio
 from viscowave import weierstrass as wei
 from viscowave.core import ProblemConfig, sinhc, validate_config
@@ -197,33 +197,13 @@ def test_theta_mirror_members_match_direct_evaluation(alpha, theta_family,
     assert worst < 1e-11
 
 
-def _count_pair_work(monkeypatch):
-    """Record the point count of every paired-term evaluation and of every
-    pair sum (log F pass or one-point constant) of the product."""
-    term_sizes, sum_sizes = [], []
-    pair_log = wei._pair_log
-    pair_sum = ProductEvaluator._pair_sum
-
-    def count_terms(t, z, *rest):
-        term_sizes.append(np.size(z))
-        return pair_log(t, z, *rest)
-
-    def count_sums(self, z, *rest, **kw):
-        sum_sizes.append(np.size(z))
-        return pair_sum(self, z, *rest, **kw)
-
-    monkeypatch.setattr(wei, "_pair_log", count_terms)
-    monkeypatch.setattr(ProductEvaluator, "_pair_sum", count_sums)
-    return term_sizes, sum_sizes
-
-
 def test_family_build_work_counts(monkeypatch):
     # one log F pass on the n/2 + 1 points |x| = j dx serves every member and
-    # no paired term is ever formed on the full n-point grid; one multiplier
-    # evaluator serves the probe and the grid, and its bulk and per-m
-    # prefixes run on the same n/2 + 1 points.  Smoothing runs one kernel
-    # DFT per |m|
-    term_sizes, sum_sizes = _count_pair_work(monkeypatch)
+    # forms its paired terms in column blocks of at most _COLS points, never
+    # on the full n-point grid; one multiplier evaluator serves the probe and
+    # the grid, and its bulk and per-m prefixes run on the same n/2 + 1
+    # points.  Smoothing runs one kernel DFT per |m|
+    work = count_pair_work(monkeypatch)
     bulk_sizes, prefix_sizes, evaluators, dfts = [], [], [], []
     init = MultiplierEvaluator.__init__
     log_eval_start = MultiplierEvaluator.log_eval_start
@@ -252,8 +232,8 @@ def test_family_build_work_counts(monkeypatch):
     monkeypatch.setattr(np.fft, "fft", count_fft)
     fam = bio.build_theta_family(CFG, MS)
     n = fam.meta["n_fft"]
-    assert sum_sizes.count(n // 2 + 1) == 1
-    assert max(term_sizes) == n // 2 + 1
+    assert work.sums.count(n // 2 + 1) == 1
+    assert max(work.points) <= wei._COLS < n // 2 + 1
     assert max(bulk_sizes) == n // 2 + 1
     assert bulk_sizes.count(n // 2 + 1) == 1
     assert max(prefix_sizes) <= n // 2 + 1
@@ -265,14 +245,15 @@ def test_family_build_work_counts(monkeypatch):
 
 def test_resolve_omega_work_counts(monkeypatch):
     # the envelope fit over modes 1..4 makes one log F pass on its 3000
-    # points; per mode only the one-point constant C_m is summed
-    term_sizes, sum_sizes = _count_pair_work(monkeypatch)
+    # points, in column blocks; per mode only the one-point constant C_m is
+    # summed
+    work = count_pair_work(monkeypatch)
     cfg = validate_config(ProblemConfig(alpha=0.75, epsilon=0.1, n_modes=4),
                           for_synthesis=True)
     omega, hats = bio.resolve_omega(cfg, (1, 2, 3, 4), ProductEvaluator(0.1, 0.75))
     assert len(hats) == 4 and omega >= 1
-    assert sorted(sum_sizes) == [1, 1, 1, 1, 3000]
-    assert max(term_sizes) == 3000
+    assert sorted(work.sums) == [1, 1, 1, 1, 3000]
+    assert max(work.points) <= wei._COLS
 
 
 # ---------------------------------------------------------------------------

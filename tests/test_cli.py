@@ -367,6 +367,17 @@ def test_ingham_run(runner, tmp_path):
     assert meta["omega_weight_mode"] == "given"
 
 
+def test_ingham_run_overflowing_numerator_exits_2(runner, tmp_path):
+    # at N 16, alpha 0.75, T 300 the Gram numerator's entries pass
+    # e^{2 eps |n|^{2a} T} = e^{3840}; it used to write a NaN ratio per draw
+    # and exit 1
+    res = _run(runner, ["ingham", "run", "--alpha", "0.75", "--epsilon", "0.1",
+                        "--modes", "16", "--horizon", "300", "--trials", "3"], tmp_path)
+    assert res.exit_code == 2, res.output
+    assert "invalid input" in res.output and "not finite" in res.output
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_requires_descending(runner, tmp_path):
     res = _run(runner, ["sweep", "epsilon", "--alpha", "0.25",
                         "--epsilons", "1e-3,1e-2"], tmp_path)

@@ -150,7 +150,7 @@ def test_control_signal_basics():
 
 def test_log1p_keeps_tiny_arguments():
     w = np.array([1e-20 + 1e-22j, 1e-3, 0.2j, 0.5 + 1j])
-    got = log1p_c(w)
+    got = log1p_c(w.real, w.imag)
     assert got[0] == pytest.approx(1e-20 + 1e-22j, rel=1e-14)
     # cross-check the series region against mpmath-free reference: the real
     # part of log(1+w) equals 0.5 log|1+w|^2
@@ -163,14 +163,15 @@ def test_log1p_keeps_tiny_arguments():
 @settings(max_examples=80, deadline=None)
 def test_log1p_matches_real_log1p(re, im):
     w = complex(re, im)
-    got = complex(log1p_c(w))
+    got = complex(log1p_c(re, im))
     want = complex(np.log1p(re) if im == 0 else np.log(1 + w))
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def _log1p_rel_err_mp(w) -> float:
-    """Largest |log1p_c(w) - log(1+w)| / |log(1+w)| against 40-digit mpmath."""
-    got = log1p_c(w)
+    """Largest |log1p_c(Re w, Im w) - log(1+w)| / |log(1+w)| against 40-digit
+    mpmath."""
+    got = log1p_c(w.real, w.imag)
     worst = 0.0
     with mp.workdps(40):
         for wi, gi in zip(w, got):
@@ -202,7 +203,7 @@ def test_log1p_closed_form_matches_mpmath(region):
 
 
 def test_log1p_saturating_inputs():
-    got = log1p_c(np.array([-1.0 + 0j, 1e200 + 1e200j, -2.0 + 0j]))
+    got = log1p_c(np.array([-1.0, 1e200, -2.0]), np.array([0.0, 1e200, 0.0]))
     assert got[0] == -np.inf
     assert got[1] == pytest.approx(complex(math.log(math.hypot(1e200, 1e200)), math.pi / 4),
                                    rel=1e-15)

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_pair_work
+from viscowave import biorthogonal as bio
+from viscowave import weierstrass as wei
 from viscowave.core import ConfigError
 from viscowave.spectrum import lambda_conj_vals, phi_eps
 from viscowave.weierstrass import (ProductEvaluator, _pair_log, envelope_fit,
@@ -64,8 +67,11 @@ def test_pair_log_matches_mpmath(alpha):
     # Im = b > 0); z = t puts the factor near its zero at b + iz = it, and
     # the points z = t + ib + d(1+i), d = 1e-4 and 1e-11, sit next to it:
     # both take the factored |1+w| < 1/4 path, which must keep full relative
-    # accuracy there.  Compared modulo 2 pi i: the factored sum of logs may
-    # leave the principal branch, and only its exponential is ever used.
+    # accuracy there.  Off the real axis: the nodes i conj(lambda_n) of other
+    # indices n of both signs (the one-point constants C_m are summed there)
+    # and points with Im z = +-0.5, +-20 and Re z of both signs.  Compared
+    # modulo 2 pi i: the factored sum of logs may leave the principal branch,
+    # and only its exponential is ever used.
     eps = 0.1
     rng = np.random.default_rng(5)
     ts = np.concatenate([np.unique(np.round(np.geomspace(1.0, 1e4, 30))),
@@ -75,6 +81,13 @@ def test_pair_log_matches_mpmath(alpha):
     cases = [(ts[:, None], zs[None, :].astype(complex))]
     for d in (1e-4, 1e-11):
         cases.append((ts, ts + 1j * bs + d * (1 + 1j)))
+    ns = np.array([-700, -50, -6, -1, 1, 6, 50, 700])
+    other = ts[:, None] != np.abs(ns)[None, :]  # t = |n| is the node's own zero
+    nodes = np.broadcast_to(1j * lambda_conj_vals(ns, eps, alpha), other.shape)
+    cases.append((np.broadcast_to(ts[:, None], other.shape)[other], nodes[other]))
+    xs = np.concatenate([rng.uniform(-2000.0, 2000.0, 6), [-3.0, 3.0]])
+    off_axis = (xs[:, None] + 1j * np.array([-20.0, -0.5, 0.5, 20.0])[None, :]).ravel()
+    cases.append((ts[:, None], off_axis[None, :]))
     worst, near, count = 0.0, 0, 0
     two_pi = 2 * mp.pi
     with mp.workdps(40):
@@ -97,6 +110,48 @@ def test_pair_log_matches_mpmath(alpha):
           f"({near} of {count} points on the |1+w| < 1/4 path)")
     assert near > 0
     assert worst < 1e-12
+
+
+def _pair_log_complex(t, z, eps, alpha):
+    """The paired log term in complex arithmetic: w = iz (2b + iz) / den by
+    numpy's complex multiply and divide, then log(1+w) in core.log1p_c's
+    closed form from the complex w, and the same near-zero branch."""
+    t = np.asarray(t, dtype=float)
+    b = eps * t ** (2.0 * alpha)
+    den = b * b + t * t
+    w = 1j * z * (2.0 * b + 1j * z) / den
+    x, y = w.real, w.imag
+    out = np.empty_like(w)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = x * (x + 2.0) + y * y
+        out.real = 0.5 * np.log1p(s)
+        out.imag = np.arctan2(y, x + 1.0)
+        far = (s < -0.75) | (s == np.inf)
+        out.real[far] = np.log(np.abs(1.0 + w[far]))
+        near = np.nonzero(out.real < np.log(0.25))
+        b, z, t, den = (np.broadcast_to(a, w.shape)[near] for a in (b, z, t, den))
+        out[near] = np.log(b + 1j * (z - t)) + np.log(b + 1j * (z + t)) - np.log(den)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_real_axis_pass_is_bitwise_the_complex_formula(monkeypatch, alpha):
+    # on the real axis the separable real form of the paired term, summed in
+    # column blocks, gives the complex formula summed over every point at
+    # once bit for bit: on the envelope fit's 3000-point grid and on the
+    # n/2 + 1 points j dx of an FFT grid (n 8192, half-width 150).  No
+    # paired-term call sees more than _BLOCK x _COLS entries, and none sees
+    # a single point, which numpy would sum pairwise instead of row by row
+    grids = (np.linspace(0.0, bio.OMEGA_FIT_HALF_WIDTH, 3000),
+             300.0 / 8192 * np.arange(4097))
+    work = count_pair_work(monkeypatch)
+    got = [ProductEvaluator(0.1, alpha).log_generating(x) for x in grids]
+    assert max(work.elements) <= wei._BLOCK * wei._COLS
+    assert max(work.points) <= wei._COLS and min(work.points) >= 2
+    monkeypatch.setattr(wei, "_pair_log", _pair_log_complex)
+    monkeypatch.setattr(wei, "_COLS", 10 ** 6)
+    for x, g in zip(grids, got):
+        assert np.array_equal(g, ProductEvaluator(0.1, alpha).log_generating(x))
 
 
 # ---------------------------------------------------------------------------
