@@ -228,6 +228,8 @@ def log1p_c(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         re = np.log1p(s, out=out.real)
         re *= 0.5
         np.arctan2(y, x + 1.0, out=out.imag)
+        # flat indices: a boolean-mask store into out.real raised perfbench
+        # series_route's peak RSS from 61 to 67 MB (BENCH_16.json)
         far = np.flatnonzero((s < -0.75) | (s == np.inf))
         xf, yf = x.reshape(-1)[far], y.reshape(-1)[far]
         # numpy's complex abs: np.hypot differs from it in the last bit

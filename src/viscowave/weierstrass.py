@@ -116,12 +116,10 @@ def _pair_log(t, z, eps: float, alpha: float) -> np.ndarray:
     im *= 2.0 * q
     im *= scale
     out = log1p_c(re, im)
-    flat = out.reshape(-1)
-    near = np.flatnonzero(flat.real < np.log(0.25))  # |1+w| < 1/4
-    idx = np.unravel_index(near, out.shape)
-    b, z, t, den = (np.broadcast_to(a, out.shape)[idx] for a in (b, z, t, den))
+    near = out.real < np.log(0.25)  # |1+w| < 1/4
+    b, z, t, den = (np.broadcast_to(a, out.shape)[near] for a in (b, z, t, den))
     with np.errstate(divide="ignore"):
-        flat[near] = np.log(b + 1j * (z - t)) + np.log(b + 1j * (z + t)) - np.log(den)
+        out[near] = np.log(b + 1j * (z - t)) + np.log(b + 1j * (z + t)) - np.log(den)
     return out
 
 
