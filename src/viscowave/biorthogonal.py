@@ -104,16 +104,16 @@ def log_psi(m: int, z, omega: int, product: ProductEvaluator,
     return out
 
 
-def resolve_omega(cfg: ProblemConfig, m_range, product: ProductEvaluator):
+def resolve_omega(m_range, product: ProductEvaluator):
     """Multiplier power fitted from the envelope: the next integer above
     1.25x the largest fitted exponent over |m| in m_range (one log F pass
-    on the fit grid for every |m|).
+    on the fit grid for every |m|); eps and alpha are the product's.
 
     Returns (omega, omega_hats), the fitted exponents in ascending |m|.
     """
     xs = np.linspace(0.0, OMEGA_FIT_HALF_WIDTH, 3000)
     log_f = product.log_generating(xs)
-    hats = [envelope_fit(m, cfg.epsilon, cfg.alpha, xs, product, log_f)
+    hats = [envelope_fit(m, xs, product, log_f)
             for m in sorted({abs(m) for m in m_range})]
     omega = max(1, int(np.ceil(1.25 * max(hats))))
     return omega, tuple(hats)
@@ -260,7 +260,7 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     product = ProductEvaluator(eps, alpha)
     need_mult = eps > 0 and alpha > 0
     if need_mult:
-        omega, omega_hats = resolve_omega(cfg, ms, product)
+        omega, omega_hats = resolve_omega(ms, product)
     else:
         omega, omega_hats = 0, ()
 

@@ -24,8 +24,7 @@ from . import multiplier as mul
 from . import pde
 from . import spectrum as sp
 from . import weierstrass as wei
-from .core import (ConfigError, DegenerateAlphaError, ModalState, ProblemConfig,
-                   load_config, validate_config)
+from .core import ConfigError, ModalState, ProblemConfig, load_config, validate_config
 
 PASS, FAIL, INVALID = 0, 1, 2
 
@@ -137,7 +136,7 @@ def main() -> None:
 def _run(fn, *args, **kw) -> None:
     try:
         code = fn(*args, **kw)
-    except (ConfigError, DegenerateAlphaError) as exc:
+    except ConfigError as exc:
         click.echo(f"invalid input: {exc}", err=True)
         sys.exit(INVALID)
     sys.exit(code)
@@ -191,11 +190,10 @@ def weierstrass_check(config, out, alpha, epsilon, modes) -> None:
         cfg = _build_cfg(config, alpha, epsilon, modes)
         out_path = out or "weierstrass_check.csv"
         ev = wei.ProductEvaluator(cfg.epsilon, cfg.alpha)
-        rng = range(-cfg.n_modes, cfg.n_modes + 1)
-        dev, max_dev = wei.interpolation_check(rng, rng, ev)
+        dev, max_dev = wei.interpolation_check(range(-cfg.n_modes, cfg.n_modes + 1), ev)
         m_max = max(2 * cfg.n_modes, 16)
         if cfg.epsilon > 0:
-            rows_q, c_hat = wei.growth_bound_check(m_max, cfg.epsilon, cfg.alpha, ev)
+            rows_q, c_hat = wei.growth_bound_check(m_max, ev)
         else:
             rows_q, c_hat = [(m, abs(wei.product_eps0(m, 0.0)), 16.0)
                              for m in range(1, m_max + 1)], 0.0
@@ -206,7 +204,7 @@ def weierstrass_check(config, out, alpha, epsilon, modes) -> None:
         _write_csv(out_path, ("m", "q_m", "bound", "status"), rows)
         _write_sidecar(out_path, {"c_hat": c_hat, "max_interp_deviation": max_dev,
                                   "interp_tolerance": 1e-6,
-                                  "truncation_floor": ev.n_min}, cfg)
+                                  "truncation_floor": wei.N_MIN}, cfg)
         click.echo(f"interpolation max deviation {max_dev:.3e} "
                    f"({'pass' if ok_dev else 'FAIL'})")
         click.echo(f"growth bound with c_hat={c_hat:.4f} "
@@ -236,7 +234,7 @@ def multiplier_check(config, out, seed, alpha, epsilon, modes) -> None:
         xg = np.logspace(-2, 5, 200)
         ev = mul.MultiplierEvaluator(cfg.epsilon, cfg.alpha, z_max=float(xg[-1]))
         ms = range(1, cfg.n_modes + 1)
-        rep = mul.multiplier_property_check(ms, cfg.epsilon, cfg.alpha, xg, ev)
+        rep = mul.multiplier_property_check(ms, xg, ev)
         rows = []
         for m in ms:
             lam = complex(sp.lambda_vals(m, cfg.epsilon, cfg.alpha))
@@ -375,7 +373,7 @@ def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
                         "pass --horizon at least that large")
             meta.update({"omega": fam.omega, "beta_hat": fam.beta_hat,
                          "c_hat": fam.c_hat})
-            sres = mom.synthesize_control_series(data, fam, T, cfg.epsilon, cfg.alpha)
+            sres = mom.synthesize_control_series(data, fam, T)
             ctrl, vnorm = sres.control, sres.norm
             cond = float("nan")
             meta.update(imag_residual=sres.imag_residual, h0_norm_sq=sres.h0_norm_sq,
@@ -514,7 +512,7 @@ def ingham_run(config, out, seed, alpha, epsilon, modes, horizon,
                 ww = 1.0
             else:
                 ev = wei.ProductEvaluator(cfg.epsilon, cfg.alpha)
-                ww, _ = bio.resolve_omega(cfg, range(1, cfg.n_modes + 1), ev)
+                ww, _ = bio.resolve_omega(range(1, cfg.n_modes + 1), ev)
                 ww = float(ww)
         else:
             ww = omega_weight
@@ -550,7 +548,7 @@ def verify(config, out, seed, alpha, epsilon, horizon) -> None:
         def check(name, fn):
             try:
                 ok, detail = fn()
-            except (ConfigError, DegenerateAlphaError):
+            except ConfigError:
                 raise                         # refused input, not a failed check
             except Exception as exc:          # noqa: BLE001 - report, not crash
                 ok, detail = False, f"error: {exc}"
@@ -566,8 +564,7 @@ def verify(config, out, seed, alpha, epsilon, horizon) -> None:
 
         def interp_nodes():
             ev = wei.ProductEvaluator(cfg.epsilon, cfg.alpha)
-            rng = [m for m in range(-4, 5) if m != 0]
-            _, max_dev = wei.interpolation_check(rng, rng, ev)
+            _, max_dev = wei.interpolation_check(range(-4, 5), ev)
             return max_dev <= 1e-6, f"max dev {max_dev:.2e}"
 
         def mult_props():
@@ -575,8 +572,7 @@ def verify(config, out, seed, alpha, epsilon, horizon) -> None:
                 return True, "skipped (no multiplier)"
             xg = np.logspace(-2, 4, 120)
             ev = mul.MultiplierEvaluator(cfg.epsilon, cfg.alpha, z_max=float(xg[-1]))
-            rep = mul.multiplier_property_check(range(1, 9), cfg.epsilon, cfg.alpha,
-                                                xg, ev)
+            rep = mul.multiplier_property_check(range(1, 9), xg, ev)
             return rep.ok, "all margins positive" if rep.ok else "margin violated"
 
         def sinc_bio():

@@ -62,9 +62,11 @@ class ProblemConfig:
 def validate_config(cfg: ProblemConfig, for_synthesis: bool = False) -> ProblemConfig:
     """Check a config and return it unchanged.
 
-    for_synthesis=True additionally rejects alpha = 1/2, which is only
-    acceptable for degeneracy diagnostics (the modal moment equations are
-    not solvable there).
+    for_synthesis=True additionally rejects alpha = 1/2, the exponent the
+    paper excludes: the biorthogonal construction's constants diverge as
+    alpha -> 1/2+ (`spectrum.node_sum_bound`), although the Gram matrix is
+    conditioned there as smoothly as at nearby alpha.  Diagnostics such as
+    `degeneracy` accept it.
     """
     if not 0.0 <= cfg.alpha < 1.0:
         raise ConfigError(f"alpha must be in [0,1), got {cfg.alpha}")

@@ -20,9 +20,12 @@ lambda_k) T/2), diagonal-limit entry T included, so no quadrature enters
 the oracle.  It, the exact moment check of both routes' controls and the
 Ingham numerator all come from the shared kernel `core.exp_integral`, and
 both routes refuse a control whose exact moment residual exceeds
-MOMENT_TOL of the largest moment.  The Gram eigenvalue solve is also where
-spectral degeneracy (the alpha = 1/2 collision) becomes visible as
-condition-number blowup, which is reported and never regularized away.
+MOMENT_TOL of the largest moment.  The Gram eigenvalue solve reports its
+condition number and never regularizes it away.  That number does not single
+out the excluded exponent alpha = 1/2: measured in mpmath it grows smoothly
+in alpha through 1/2, and alpha 0.6 and 0.75 are worse conditioned.  What
+diverges as alpha -> 1/2+ is the biorthogonal construction's constants
+(`spectrum.node_sum_bound`).
 """
 
 from __future__ import annotations
@@ -113,8 +116,7 @@ def gram_matrix(indices, eps: float, alpha: float, T: float) -> np.ndarray:
 class MinNormResult:
     control: ControlSignal
     cond: float
-    beta: np.ndarray
-    norm: float            # exact sqrt(beta* G beta)
+    norm: float            # exact sqrt(beta* G beta), beta = control.weights
     moment_residual: float  # max |G beta - c|
 
 
@@ -136,8 +138,7 @@ def minnorm_control(system: MomentSystem) -> MinNormResult:
     vnorm = float(np.sqrt(max(np.real(np.vdot(beta, G @ beta)), 0.0)))
     ctrl = ControlSignal(weights=beta, rates=system.lambdas, center=T / 2.0,
                          support=(0.0, T))
-    return MinNormResult(control=ctrl, cond=cond, beta=beta, norm=vnorm,
-                         moment_residual=resid)
+    return MinNormResult(control=ctrl, cond=cond, norm=vnorm, moment_residual=resid)
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,9 @@ class SeriesResult:
     moment_residual: float  # exact max_n |moment_n - c_n|
 
 
-def synthesize_control_series(data: ModalState, family, T: float,
-                              eps: float, alpha: float) -> SeriesResult:
-    """v(t) = sum_m c_m * family_m(t - T/2) on (0, T).
+def synthesize_control_series(data: ModalState, family, T: float) -> SeriesResult:
+    """v(t) = sum_m c_m * family_m(t - T/2) on (0, T), with the moments c_m
+    of the family's (eps, alpha); at eps = 0, lambda_n = i n whatever alpha.
 
     Every member of `family` is an exponential sum on the family's shared
     `rates`, with weights `weights[m]`, valid on `window` (recentered time)
@@ -163,7 +164,7 @@ def synthesize_control_series(data: ModalState, family, T: float,
     imag_residual = sum_j |W_j - conj W_{n-j}| / 2 bounds sup_t |Im v(t)|:
     the rates are mirror-symmetric, so conj(v) has weights conj(W[::-1]).
     """
-    sys = MomentSystem.build(data, T, eps, alpha)
+    sys = MomentSystem.build(data, T, family.eps, family.alpha)
     fam_idx = set(family.indices)
     missing = [n for n in sys.indices if n not in fam_idx]
     if missing:

@@ -17,11 +17,9 @@ n^-s for the finite range below it.  Both are `_power_range_sum`, the zeta
 being its hi = inf case, so the series constants C_j = zeta(2j)/(j pi^{2j})
 come from it too.  S_{2j} at the block ends below k_cut add the per-block
 sums of a_n^{-2j}.  Eleven series terms leave a remainder below
-c_12 |z|^24 S_24, measured around 1e-19; the declared bound reported to
-callers is the coarser |z|^2/6 * S_2(K) form, which dominates the entire
-post-truncation tail and is the same integral comparison that proves the
-product converges.  On the real axis the direct factors are summed in real
-arithmetic: log|sinc| plus i pi for each negative factor.
+c_12 |z|^24 S_24, measured around 1e-19.  On the real axis the direct
+factors are summed in real arithmetic: log|sinc| plus i pi for each
+negative factor.
 
 The node bulk (a_n table and the tail sums at the block ends) depends only on
 (eps, alpha) and the largest |z| requested, so one evaluator instance serves
@@ -241,18 +239,6 @@ class MultiplierEvaluator:
         """log M for index m: the product starting at node n_m."""
         return self.log_eval_start(node_start(m, self.eps, self.alpha), z)
 
-    def tail_log_bound(self, m: int, z) -> float:
-        """Declared bound on the post-truncation log tail: max over the points
-        of |z_p|^2/6 * S_2(K_p), at the cutoff K_p that log_eval gives z_p.
-
-        Loose on purpose: the series resummation actually carries the tail
-        to ~1e-19, but this is the certified integral-comparison bound.
-        Direct factors carry no truncation error, so it covers n > K_p only.
-        """
-        az = np.abs(np.asarray(z, dtype=complex)).ravel()
-        _, col = self._cutoffs(node_start(m, self.eps, self.alpha), az)
-        return float(np.max(az * az / 6.0 * self._tail_sums[0, col], initial=0.0))
-
 
 class PropertyReport(dict):
     """Per-check booleans plus the measured margins.
@@ -270,8 +256,7 @@ class PropertyReport(dict):
         return all(v["ok"] for v in self.values())
 
 
-def multiplier_property_check(m_range, eps: float, alpha: float, x_grid,
-                              ev: MultiplierEvaluator) -> PropertyReport:
+def multiplier_property_check(m_range, x_grid, ev: MultiplierEvaluator) -> PropertyReport:
     """Grid verification of the three decay/size properties plus the node
     inequality they rest on.
 
@@ -281,8 +266,10 @@ def multiplier_property_check(m_range, eps: float, alpha: float, x_grid,
     type: exponential type sum(1/a_n) from n_m, against the constant L2
     unit_modulus: |M(x)| <= 1 on the reals
 
-    The per-m values log|M| on the grid are kept in the report's `log_abs`.
+    eps and alpha are the evaluator's.  The per-m values log|M| on the grid
+    are kept in the report's `log_abs`.
     """
+    eps, alpha = ev.eps, ev.alpha
     x = np.asarray(x_grid, dtype=float)
     xc = x.astype(complex)
     ms = [m for m in m_range if m != 0]

@@ -32,12 +32,17 @@ distinct folded points only (a real grid symmetric about 0 costs half) and
 conjugates back.
 
 Evaluation scheme (per pass): paired terms are summed directly up to a cutoff
-N >= max(512, 2 max|z| + 1), beyond which the paired term w = factor - 1
-stays inside |w| < 3/4 (no branch crossings, smooth tail); the remaining tail
-sum is replaced by its integral via a power substitution that flattens the
-t^{-p} decay, evaluated with 64-point Gauss-Legendre, plus the first
-Euler-Maclaurin midpoint correction f'(N+1/2)/24.  The residual after that
-correction is the next EM term, measured at ~3e-13 for N=512.
+N = max(N_MIN, 2 max|z| + 1), N_MIN = 512, beyond which the paired term
+w = factor - 1 stays inside |w| < 3/4 (no branch crossings, smooth tail); the
+remaining tail sum is replaced by its integral via a power substitution that
+flattens the t^{-p} decay, evaluated with 64-point Gauss-Legendre, plus the
+first Euler-Maclaurin midpoint correction f'(N+1/2)/24 (`_tail`).  No error
+bound is declared: accuracy is measured against the mpmath references below.
+The residual after that correction is the next EM term, measured at ~3e-13
+for N=512 at eps 0.1.  At small eps the tail is the weak point: above 1/2 the
+paired term changes its decay at t = eps^{-1/(2a-1)}, which one power
+substitution does not flatten (3.3e-9 at eps 1e-3, alpha 0.75, x = 150;
+tests/test_weierstrass.py::test_tail_at_small_eps_against_mpmath).
 
 The direct sum runs over blocks of _BLOCK terms by at most _COLS points:
 the points are split into near-equal column blocks, so a block's
@@ -89,10 +94,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConfigError, gauss_legendre_01, log1p_c
-from .spectrum import lambda_conj_vals
+from .spectrum import lambda_conj_vals, phi_eps
 
 _GL64 = gauss_legendre_01(64)
-_GL32 = gauss_legendre_01(32)
+N_MIN = 512   # floor of the direct paired-sum cutoff
 _BLOCK = 256  # paired terms summed per numpy pass
 _COLS = 512   # most points per numpy pass, split evenly (see _pair_sum)
 
@@ -131,14 +136,15 @@ def _tail_exponent(eps: float, alpha: float) -> float:
     return 2.0 - 2.0 * alpha if alpha < 0.5 else 2.0 * alpha
 
 
-def _tail_integral(m_cut: float, z, eps, alpha, nodes) -> np.ndarray:
-    """Integral of the paired log term over t in (m_cut, inf) by the
-    substitution t = m_cut * s^{-q}, which maps t^{-p} decay to a smooth
-    integrand on (0, 1)."""
+def _tail(m_cut: float, z, eps, alpha) -> np.ndarray:
+    """Paired terms beyond m_cut: their integral over t in (m_cut, inf) plus
+    the first Euler-Maclaurin midpoint correction f'(m_cut)/24.  The integral
+    is taken by the substitution t = m_cut * s^{-q}, which maps t^{-p} decay
+    to a smooth integrand on (0, 1), with 64-point Gauss-Legendre."""
     p = _tail_exponent(eps, alpha)
-    q = 1.0 / (p - 1.0)
-    s, w = nodes
-    with np.errstate(over="ignore"):
+    s, w = _GL64
+    with np.errstate(over="ignore", divide="ignore"):
+        q = np.divide(1.0, p - 1.0)  # inf at alpha = 1/2
         t = m_cut * s ** (-q)
         jac = m_cut * q * s ** (-q - 1.0)
         if not np.isfinite(t[0] * t[0]):
@@ -147,49 +153,29 @@ def _tail_integral(m_cut: float, z, eps, alpha, nodes) -> np.ndarray:
             # formed (it squares t)
             raise ConfigError(f"alpha = {alpha} is too close to 1/2: the product "
                               f"tail decays like t^-{p:.4g}, too slowly for its quadrature")
-    return np.sum((w * jac)[:, None] * _pair_log(t[:, None], z[None, :], eps, alpha), axis=0)
-
-
-def _tail(m_cut: float, z, eps, alpha) -> np.ndarray:
-    """Paired terms beyond m_cut: the tail integral plus the first
-    Euler-Maclaurin midpoint correction f'(m_cut)/24."""
+    integral = np.sum((w * jac)[:, None] * _pair_log(t[:, None], z[None, :], eps, alpha),
+                      axis=0)
     h = 1e-5 * m_cut
     fp = (_pair_log(m_cut + h, z, eps, alpha) - _pair_log(m_cut - h, z, eps, alpha)) / (2.0 * h)
-    return _tail_integral(m_cut, z, eps, alpha, _GL64) + fp / 24.0
-
-
-def _tail_bound(m_cut: float, z, eps, alpha) -> np.ndarray:
-    """Error bound of `_tail`: the 64- against 32-node quadrature difference
-    plus the next Euler-Maclaurin term 7/5760 f'''(m_cut)."""
-    h = 0.05 * m_cut
-    f3 = (_pair_log(m_cut + 2 * h, z, eps, alpha) - 2 * _pair_log(m_cut + h, z, eps, alpha)
-          + 2 * _pair_log(m_cut - h, z, eps, alpha)
-          - _pair_log(m_cut - 2 * h, z, eps, alpha)) / (2.0 * h ** 3)
-    quad = (_tail_integral(m_cut, z, eps, alpha, _GL64)
-            - _tail_integral(m_cut, z, eps, alpha, _GL32))
-    return np.abs(quad) + 7.0 / 5760.0 * np.abs(f3)
+    return integral + fp / 24.0
 
 
 @dataclass(frozen=True)
 class ProductEvaluator:
     """Evaluator for the interpolation product at fixed (eps, alpha).
 
-    n_min: floor for the direct paired summation cutoff.  The per-m
-    constants log conj(lambda_m) - C_m are cached per (m, cutoff).
+    The per-m constants log conj(lambda_m) - C_m are cached per (m, cutoff).
     """
     eps: float
     alpha: float
-    n_min: int = 512
     _scales: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    ROUNDING_FLOOR = 1e-10
-
     def _cut(self, z_max: float) -> int:
-        return max(self.n_min, int(2.0 * z_max) + 1)
+        return max(N_MIN, int(2.0 * z_max) + 1)
 
     def cutoff(self, m: int, z_max: float) -> int:
         """Direct pair count behind P_m on |z| <= z_max: the constant C_m is
-        summed to max(n_min, 2 max(z_max, |node_m|) + 1) pairs, the log F
+        summed to max(N_MIN, 2 max(z_max, |node_m|) + 1) pairs, the log F
         pass to at most as many."""
         lam_c_m = complex(lambda_conj_vals(m, self.eps, self.alpha))
         return self._cut(max(z_max, abs(lam_c_m)))
@@ -219,7 +205,7 @@ class ProductEvaluator:
 
         Points with Re z < 0 are folded onto -conj z, since F(-conj z) =
         conj F(z); the sum runs once per distinct folded point, to
-        max(n_min, 2 max|z| + 1) pairs.
+        max(N_MIN, 2 max|z| + 1) pairs.
         """
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         flip = z.real < 0
@@ -259,27 +245,6 @@ class ProductEvaluator:
         out[lin == 0] = 0.0  # z is node_m: P_m = 1 exactly
         return out
 
-    def eval_with_bound(self, m: int, z):
-        """Value plus a declared bound on the evaluation error.
-
-        The analytic part bounds the tail-scheme error (quadrature refinement
-        difference plus the next correction term) of both sums, log F at z
-        and C_m at node_m; ROUNDING_FLOOR absorbs the accumulated rounding of
-        the direct paired sums, sized from validation against a 40-digit
-        reference (worst observed 3.3e-11 relative).
-        """
-        val = np.exp(self.log_eval(m, z))
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        z_max = float(np.max(np.abs(zz)))
-        node = np.array([1j * complex(lambda_conj_vals(m, self.eps, self.alpha))])
-        eps, alpha = self.eps, self.alpha
-        bound = (_tail_bound(self._cut(z_max) + 0.5, zz, eps, alpha)
-                 + _tail_bound(self.cutoff(m, z_max) + 0.5, node, eps, alpha))
-        err = np.abs(val) * (bound + self.ROUNDING_FLOOR)
-        if np.isscalar(z) or np.ndim(z) == 0:
-            return complex(val[0]), float(err[0])
-        return val, err
-
 
 def product_eps0(m: int, z) -> complex:
     """Closed form of the product in the undamped limit:
@@ -294,10 +259,11 @@ def product_eps0(m: int, z) -> complex:
     return (-1) ** m * m * np.sin(np.pi * z) / (np.pi * z * (z - m))
 
 
-def interpolation_check(m_range, n_range, ev: ProductEvaluator):
-    """Deviation matrix |product_m(node_n) - delta_mn| and its maximum."""
+def interpolation_check(m_range, ev: ProductEvaluator):
+    """Deviation matrix |product_m(node_n) - delta_mn| over m, n in m_range,
+    and its maximum."""
     ms = [m for m in m_range if m != 0]
-    ns = np.array([n for n in n_range if n != 0])
+    ns = np.array(ms)
     nodes = 1j * lambda_conj_vals(ns, ev.eps, ev.alpha)
     log_f = ev.log_generating(nodes)
     dev = np.empty((len(ms), len(ns)))
@@ -308,7 +274,16 @@ def interpolation_check(m_range, n_range, ev: ProductEvaluator):
     return dev, float(dev.max())
 
 
-def growth_bound_check(m_max: int, eps: float, alpha: float, ev: ProductEvaluator):
+def _envelope_rate(log_q, log_c: float, wgt) -> float:
+    """The smallest r >= 0 with log_q <= log_c + r wgt wherever the ratio
+    (log_q - log_c) / wgt is finite; 0 if it is nowhere finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (log_q - log_c) / wgt
+    ratios = ratios[np.isfinite(ratios)]
+    return max(0.0, float(np.max(ratios))) if len(ratios) else 0.0
+
+
+def growth_bound_check(m_max: int, ev: ProductEvaluator):
     """Modulus at the origin, per m, against the bound 16 exp(C eps m^{2a}).
 
     Returns (rows, c_hat) where rows are (m, Q_m, bound_value) and c_hat is
@@ -322,15 +297,14 @@ def growth_bound_check(m_max: int, eps: float, alpha: float, ev: ProductEvaluato
     ms = np.arange(1, m_max + 1)
     log_f = ev.log_generating(0.0)
     logq = np.array([ev.log_eval(int(m), 0.0, log_f)[0].real for m in ms])
-    wgt = eps * ms ** (2.0 * alpha)
-    c_hat = max(0.0, float(np.max((logq[:fit_count] - np.log(16.0)) / wgt[:fit_count])))
+    wgt = ev.eps * ms ** (2.0 * ev.alpha)
+    c_hat = _envelope_rate(logq[:fit_count], np.log(16.0), wgt[:fit_count])
     bounds = 16.0 * np.exp(c_hat * wgt)
     rows = [(int(m), float(np.exp(lq)), float(b)) for m, lq, b in zip(ms, logq, bounds)]
     return rows, c_hat
 
 
-def envelope_fit(m: int, eps: float, alpha: float, x_grid, ev: ProductEvaluator,
-                 log_f=None) -> float:
+def envelope_fit(m: int, x_grid, ev: ProductEvaluator, log_f=None) -> float:
     """omega_hat, the smallest exponent with |product| <= c_hat *
     exp(omega_hat (phi(x) + |Re lambda_m|)) on the grid.
 
@@ -340,19 +314,10 @@ def envelope_fit(m: int, eps: float, alpha: float, x_grid, ev: ProductEvaluator,
     c_hat is read off where the weight is negligible (phi <= 1), with floor 1;
     omega_hat is then the max log-excess divided by the weight, clipped >= 0.
     """
-    from .spectrum import phi_eps
-
     x = np.asarray(x_grid, dtype=float)
     logp = ev.log_eval(m, x.astype(complex), log_f).real
-    rl = abs(complex(lambda_conj_vals(m, eps, alpha)).real)
-    if eps == 0:
-        wgt = np.full_like(x, 0.0)
-    else:
-        wgt = np.asarray(phi_eps(x, eps, alpha), dtype=float)
+    rl = abs(complex(lambda_conj_vals(m, ev.eps, ev.alpha)).real)
+    wgt = np.asarray(phi_eps(x, ev.eps, ev.alpha), dtype=float)
     base = wgt <= 1.0
     c_hat = max(1.0, float(np.exp(np.max(logp[base])))) if np.any(base) else 1.0
-    denom = wgt + rl
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = (logp - np.log(c_hat)) / denom
-    ratios = ratios[np.isfinite(ratios)]
-    return max(0.0, float(np.max(ratios))) if len(ratios) else 0.0
+    return _envelope_rate(logp, np.log(c_hat), wgt + rl)

@@ -47,7 +47,7 @@ def test_criterion_02_resonant_oracle(resonant_data):
     dev_min = float(np.max(np.abs(control_values(res.control, grid) - ref)))
 
     fam = bio.build_sinc_family([-1, 1])
-    sres = mom.synthesize_control_series(resonant_data, fam, T, 0.0, 0.0)
+    sres = mom.synthesize_control_series(resonant_data, fam, T)
     dev_ser = float(np.max(np.abs(control_values(sres.control, grid) - ref)))
 
     cfg = validate_config(ProblemConfig(alpha=0.0, epsilon=0.0, n_modes=1))
@@ -72,7 +72,7 @@ def test_criterion_03_interpolation_identity():
     for eps in (0.0, 0.1, 0.5):
         for alpha in (0.25, 0.75):
             ev = wei.ProductEvaluator(eps, alpha)
-            _, md = wei.interpolation_check(rng_mn, rng_mn, ev)
+            _, md = wei.interpolation_check(rng_mn, ev)
             worst = max(worst, md)
     el = time.perf_counter() - t0
     ok = worst <= 1e-6 and el < 10.0
@@ -109,7 +109,7 @@ def test_criterion_05_origin_growth_bound():
     for eps in (0.1, 0.5):
         for alpha in (0.25, 0.75):
             ev = wei.ProductEvaluator(eps, alpha)
-            rows, c_hat = wei.growth_bound_check(64, eps, alpha, ev)
+            rows, c_hat = wei.growth_bound_check(64, ev)
             frac = max(q / b for _, q, b in rows[32:])
             all_ok &= frac <= 1.0
             parts.append(f"({eps},{alpha}): C^={c_hat:.4f} holdout q/bound {frac:.3f}")
@@ -129,7 +129,7 @@ def test_criterion_06_multiplier_properties():
     for eps in (0.01, 0.1):
         for alpha in (0.25, 0.75):
             ev = mul.MultiplierEvaluator(eps, alpha, z_max=float(xg[-1]))
-            rep = mul.multiplier_property_check(range(1, 17), eps, alpha, xg, ev)
+            rep = mul.multiplier_property_check(range(1, 17), xg, ev)
             all_ok &= rep.ok
             parts.append(f"({eps},{alpha}): up {rep['upper']['margin']:.2f} "
                          f"low {rep['lower']['margin']:.2f}")
@@ -346,10 +346,8 @@ def test_criterion_11_ingham_uniformity():
     draw_over = {}
     tie_rel = {}
     for alpha in (0.25, 0.75):
-        cfg = validate_config(ProblemConfig(alpha=alpha, epsilon=0.1,
-                                            n_modes=n_max), for_synthesis=True)
         prod = wei.ProductEvaluator(0.1, alpha)
-        ww, _ = bio.resolve_omega(cfg, range(1, n_max + 1), prod)
+        ww, _ = bio.resolve_omega(range(1, n_max + 1), prod)
         weights[alpha] = float(ww)
         kappas[alpha], draw_over[alpha], tie_rel[alpha] = [], [], []
         for eps in eps_list:

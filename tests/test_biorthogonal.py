@@ -63,7 +63,7 @@ def test_sinc_family_exact_biorthogonality():
 
 def test_interpolant_node_values():
     product = ProductEvaluator(CFG.epsilon, CFG.alpha)
-    omega, _ = bio.resolve_omega(CFG, (1, 2), product)
+    omega, _ = bio.resolve_omega((1, 2), product)
     mult = MultiplierEvaluator(CFG.epsilon, CFG.alpha)
     lam_c = complex(0.1 * 2 ** 0.5, -2.0)
     node = 1j * lam_c
@@ -76,7 +76,7 @@ def test_interpolant_node_values():
 
 def test_resolve_omega_modes():
     product = ProductEvaluator(CFG.epsilon, CFG.alpha)
-    omega, hats = bio.resolve_omega(CFG, (1, 2), product)
+    omega, hats = bio.resolve_omega((1, 2), product)
     assert isinstance(omega, int) and omega == 1
     assert len(hats) == 2 and all(h >= 0 for h in hats)
 
@@ -248,9 +248,7 @@ def test_resolve_omega_work_counts(monkeypatch):
     # points, in column blocks; per mode only the one-point constant C_m is
     # summed
     work = count_pair_work(monkeypatch)
-    cfg = validate_config(ProblemConfig(alpha=0.75, epsilon=0.1, n_modes=4),
-                          for_synthesis=True)
-    omega, hats = bio.resolve_omega(cfg, (1, 2, 3, 4), ProductEvaluator(0.1, 0.75))
+    omega, hats = bio.resolve_omega((1, 2, 3, 4), ProductEvaluator(0.1, 0.75))
     assert len(hats) == 4 and omega >= 1
     assert sorted(work.sums) == [1, 1, 1, 1, 3000]
     assert max(work.points) <= wei._COLS

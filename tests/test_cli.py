@@ -81,17 +81,20 @@ NEAR_HALF_COMMANDS = {
     "weierstrass_check": (["weierstrass", "check", *_EPS_N1], slice(0, -1)),
 }
 # weierstrass check at 0.55 runs to a FAIL verdict (exit 1) on the open
-# growth-bound defect of its held-out indices, not to a traceback
+# growth-bound defect of its held-out indices, not to a traceback.  At 1/2
+# itself the commands that do not refuse it build the product, whose tail
+# quadrature must refuse the exponent-1 decay with a message
 NEAR_HALF_CASES = [(name, alpha) for name in NEAR_HALF_COMMANDS
-                   for alpha in (0.5000001, 0.51, 0.55)
+                   for alpha in (0.5, 0.5000001, 0.51, 0.55)
                    if (name, alpha) != ("weierstrass_check", 0.55)]
 
 
 @pytest.mark.parametrize("name,alpha", NEAR_HALF_CASES,
                          ids=[f"{name}-{alpha}" for name, alpha in NEAR_HALF_CASES])
 def test_near_half_alpha_finite_or_invalid(runner, tmp_path, name, alpha):
-    # just above 1/2 the branch point gamma_eps is huge or inf: the node sums
-    # below it and the product tail must give finite values or exit 2
+    # at and just above 1/2 the branch point gamma_eps is huge or inf: the
+    # node sums below it and the product tail must give finite values or
+    # exit 2
     command, cols = NEAR_HALF_COMMANDS[name]
     res = runner.invoke(main, command + ["--alpha", repr(alpha),
                                          "--out", str(tmp_path / "out.csv")])

@@ -131,13 +131,14 @@ def test_moment_verification_exact_path(eight_modes):
 
 def test_series_requires_family_coverage(resonant_data):
     class TinyFamily:
+        eps = alpha = 0.0
         indices = (1,)   # missing -1
         rates = np.array([1j])
         weights = {1: np.array([1.0 + 0j])}
         window = (-math.pi, math.pi)
 
     with pytest.raises(ConfigError):
-        synthesize_control_series(resonant_data, TinyFamily(), TWO_PI, 0.0, 0.0)
+        synthesize_control_series(resonant_data, TinyFamily(), TWO_PI)
 
 
 def test_series_control_is_exact_off_the_family_window(resonant_data):
@@ -145,7 +146,7 @@ def test_series_control_is_exact_off_the_family_window(resonant_data):
     # control is that window shifted by T/2, and still solves the moments
     fam = bio.build_sinc_family([-1, 1])
     T = 3 * math.pi
-    res = synthesize_control_series(resonant_data, fam, T, 0.0, 0.0)
+    res = synthesize_control_series(resonant_data, fam, T)
     assert res.control.support == pytest.approx((0.5 * math.pi, 2.5 * math.pi))
     assert np.array_equal(res.control.rates, fam.rates)
     assert res.norm == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
@@ -158,7 +159,7 @@ def test_series_refuses_unmirrored_rates(resonant_data):
     # index set is not mirror-closed has no such pairing
     fam = bio.build_sinc_family([-1, 1, 3])
     with pytest.raises(ConfigError, match="mirror"):
-        synthesize_control_series(resonant_data, fam, TWO_PI, 0.0, 0.0)
+        synthesize_control_series(resonant_data, fam, TWO_PI)
 
 
 @functools.cache
@@ -171,7 +172,7 @@ def _damped_series(alpha, eps, n):
     fam = bio.zeta_eval(bio.build_theta_family(cfg, ms))
     T = float(2.0 * np.ceil(fam.min_horizon / 2.0 + 0.5))
     data = seeded_data(n=n)
-    return fam, T, data, synthesize_control_series(data, fam, T, eps, alpha)
+    return fam, T, data, synthesize_control_series(data, fam, T)
 
 
 # final residual and relative moment error measured per configuration
@@ -211,7 +212,7 @@ def test_series_refuses_horizon_below_family_window():
     fam, _, data, _ = _damped_series(0.75, 0.1, 3)
     T = fam.min_horizon - 1.0
     with pytest.raises(ConfigError, match=f"{T:.3f}.*{fam.min_horizon:.3f}"):
-        synthesize_control_series(data, fam, T, 0.1, 0.75)
+        synthesize_control_series(data, fam, T)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
