@@ -281,6 +281,21 @@ def test_multiplier_matches_mpmath():
     assert worst <= 5e-14          # about 10x the 5.2e-15 measured before per-point cutoffs
 
 
+def test_tail_bound_dominates_refinement():
+    # the certified integral-comparison bound on the truncated log tail,
+    # |z|^2/6 * S_2(K_p) at the point's own cutoff K_p, covers the change
+    # seen when the direct range is refined
+    z = np.array([4.0 + 1.0j], dtype=complex)
+    ev = MultiplierEvaluator(0.1, 0.75, z_max=8.0)
+    ref = MultiplierEvaluator(0.1, 0.75, z_max=800.0)
+    for m in (1, 2, 5):
+        drift = float(np.abs(ev.log_eval(m, z) - ref.log_eval(m, z))[0])
+        az = np.abs(z)
+        _, col = ev._cutoffs(node_start(m, ev.eps, ev.alpha), az)
+        bound = float(np.max(az * az / 6.0 * ev._tail_sums[0, col]))
+        assert drift <= bound
+
+
 def test_prefix_identity():
     # the full product equals the product started at its own first node
     ev = MultiplierEvaluator(0.1, 0.75, z_max=40.0)
