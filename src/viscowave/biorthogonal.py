@@ -106,13 +106,15 @@ def log_psi(m: int, z, omega: int, product: ProductEvaluator,
 
 def resolve_omega(m_range, product: ProductEvaluator):
     """Multiplier power fitted from the envelope: the next integer above
-    1.25x the largest fitted exponent over |m| in m_range (one log F pass
-    on the fit grid for every |m|); eps and alpha are the product's.
+    1.25x the largest fitted exponent over |m| in m_range; eps and alpha are
+    the product's.  The fit reads only moduli, so one log|F| pass on the fit
+    grid (`ProductEvaluator.log_abs_generating`, no imaginary parts) serves
+    every |m|.
 
     Returns (omega, omega_hats), the fitted exponents in ascending |m|.
     """
     xs = np.linspace(0.0, OMEGA_FIT_HALF_WIDTH, 3000)
-    log_f = product.log_generating(xs)
+    log_f = product.log_abs_generating(xs)
     hats = [envelope_fit(m, xs, product, log_f)
             for m in sorted({abs(m) for m in m_range})]
     omega = max(1, int(np.ceil(1.25 * max(hats))))

@@ -210,7 +210,7 @@ def gauss_legendre_01(k: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def log1p_c(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def log1p_c(x: np.ndarray, y: np.ndarray, out=None, imag: bool = True):
     """Complex log(1+w) at w = x + iy, given as its real and imaginary parts,
     in a closed form that keeps tiny w:
     log(1+w) = 1/2 log1p(x(2+x) + y^2) + i atan2(y, 1+x) never adds 1 to a
@@ -219,24 +219,37 @@ def log1p_c(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     real part is log|1+w| instead; near w = -1, 1+x is exact.
 
     Taking the parts lets a caller that forms w in real arithmetic skip the
-    complex w; x and y have one shape, and the result is complex.
+    complex w; x and y have one shape.  Without out the result is a new
+    complex array.  A caller that keeps the parts apart passes out = (re,
+    im), two contiguous float arrays of that shape that share no memory
+    with x or y, and gets back the flat indices of the far entries, where
+    re is log|1+w|.  imag=False then skips the imaginary part and its
+    arctan2, and im is only scratch.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    out = np.empty(x.shape, dtype=complex)
+    res = None
+    if out is None:
+        res = np.empty(x.shape, dtype=complex)
+        out, imag = (res.real, res.imag), True
+    re, im = out
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = x + 2.0
-        s *= x
-        s += y * y
-        re = np.log1p(s, out=out.real)
+        # s = x(2 + x) + y^2 goes to re, its first term by way of im
+        np.add(x, 2.0, out=im)
+        im *= x
+        np.multiply(y, y, out=re)
+        re += im
+        far = np.flatnonzero((re < -0.75) | (re == np.inf))
+        np.log1p(re, out=re)
         re *= 0.5
-        np.arctan2(y, x + 1.0, out=out.imag)
-        # flat indices: a boolean-mask store into out.real raised perfbench
-        # series_route's peak RSS from 61 to 67 MB (BENCH_16.json)
-        far = np.flatnonzero((s < -0.75) | (s == np.inf))
+        if imag:
+            np.add(x, 1.0, out=im)
+            np.arctan2(y, im, out=im)
+        # flat indices: a boolean-mask store raised perfbench series_route's
+        # peak RSS from 61 to 67 MB (BENCH_16.json)
         xf, yf = x.reshape(-1)[far], y.reshape(-1)[far]
         # numpy's complex abs: np.hypot differs from it in the last bit
-        out.reshape(-1).real[far] = np.log(np.abs((1.0 + xf) + 1j * yf))
-    return out
+        re.reshape(-1)[far] = np.log(np.abs((1.0 + xf) + 1j * yf))
+    return far if res is None else res
 
 
 def sinhc(w: np.ndarray) -> np.ndarray:

@@ -45,12 +45,21 @@ substitution does not flatten (3.3e-9 at eps 1e-3, alpha 0.75, x = 150;
 tests/test_weierstrass.py::test_tail_at_small_eps_against_mpmath).
 
 The direct sum runs over blocks of _BLOCK terms by at most _COLS points:
-the points are split into near-equal column blocks, so a block's
-temporaries hold at most 256 x 512 entries (2 MB complex) however many
-points the pass has.  Every column is summed row by row in the same order
-whatever the split, so a pass does not depend on it.  No block has a
-single column unless the pass has one point: numpy sums a one-column block
-pairwise instead of row by row, which moved log F at x = 200 by 2e-13.
+the points are split into near-equal column blocks.  Every block of a
+pass, and the tail integral's 64 terms per point, run on one set of float
+work arrays (`_work_arrays`: four arrays of at most 256 x 512 entries,
+1 MB each) allocated once for the pass, so no block allocates an array of
+its size.  The real and imaginary parts of the terms are summed apart;
+every column is summed row by row in the same order whatever the split,
+so a pass does not depend on it.  No block has a single column unless the
+pass has one point: numpy sums a one-column block pairwise instead of row
+by row (which moved log F at x = 200 by 2e-13), and pairs a complex sum's
+real parts differently from a float sum's, so a one-point pass sums its
+terms as one complex array.  A pass that needs only |F|
+(`log_abs_generating`, the envelope fit's) skips the imaginary parts of
+the direct and tail-integral terms, their arctan2 and their sums; only
+the tail's two derivative points stay complex.  Its result is the real
+part of the full pass bit for bit.
 
 Numerical care in the paired term:
   * w = iz (2b + iz) / (b^2 + t^2) comes from the factorization of the
@@ -63,13 +72,17 @@ Numerical care in the paired term:
     per-point factor, less q^2 in the real part, times the per-term 1/den.
     The factors 2b + p and b + p keep the relative accuracy of the product
     iz (2b + iz) at both zeros of w, z = 0 and z = 2ib.  On the real axis
-    (p = 0) both parts equal, bit for bit, those of numpy's complex
-    multiply and divide by the real den (which multiplies by 1/den), so
-    real-axis passes are those of the complex formula.
+    (p = 0) the terms in p drop out exactly, (2b + p) p - q^2 = -q^2 and
+    b + p = b, so a real block forms w in three passes instead of seven;
+    both parts equal, bit for bit, those of numpy's complex multiply and
+    divide by the real den (which multiplies by 1/den), so real-axis
+    passes are those of the complex formula.
   * log(1+w) is core.log1p_c's closed form from Re w and Im w, which keeps
     tiny w; numpy's complex log1p is a naive log(1+w) and drops w below
-    machine epsilon.
-  * near a zero of the paired factor (|1+w| < 1/4) it is summed as
+    machine epsilon.  It writes both parts into the work arrays and returns
+    the flat indices of its far entries (|1+w| < 1/2).
+  * near a zero of the paired factor (|1+w| < 1/4, a subset of those far
+    entries, so only they are searched) it is summed as
     log(b + i(z - t)) + log(b + i(z + t)) - log(b^2 + t^2): each linear
     factor is formed without cancellation, so F keeps full relative accuracy
     next to its zeros, and the factor at t = |m| reproduces
@@ -102,30 +115,72 @@ _BLOCK = 256  # paired terms summed per numpy pass
 _COLS = 512   # most points per numpy pass, split evenly (see _pair_sum)
 
 
-def _pair_log(t, z, eps: float, alpha: float) -> np.ndarray:
+def _pair_log(t, z, eps: float, alpha: float, out=None, imag: bool = True):
     """log of F's paired (n, -n) factor at |n| = t (t may be non-integer on
     the tail integral), vectorized over t and z jointly.  w is formed in
     real arithmetic from iz = p + iq (see the module docstring); no complex
-    w is built."""
+    w is built.
+
+    Without out the result is a new complex array, at least 1-d.  A pass
+    hands in out = (re, im, w_re, w_im), contiguous float arrays of the
+    broadcast shape (views of `_work_arrays`), and gets back (re, im): the
+    parts of the log, with w left in w_re and w_im.  imag=False skips the
+    imaginary part; im is then only scratch."""
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=complex)
     p, q = -z.imag, z.real
     b = eps * t ** (2.0 * alpha)
     den = b * b + t * t
     scale = 1.0 / den
-    re = 2.0 * b + p
-    re *= p
-    re -= q * q
-    re *= scale
-    im = b + p
-    im *= 2.0 * q
-    im *= scale
-    out = log1p_c(re, im)
-    near = out.real < np.log(0.25)  # |1+w| < 1/4
-    b, z, t, den = (np.broadcast_to(a, out.shape)[near] for a in (b, z, t, den))
-    with np.errstate(divide="ignore"):
-        out[near] = np.log(b + 1j * (z - t)) + np.log(b + 1j * (z + t)) - np.log(den)
-    return out
+    res = None
+    if out is None:
+        shape = np.broadcast_shapes(t.shape, z.shape, (1,))
+        res = np.empty(shape, dtype=complex)
+        out = res.real, res.imag, np.empty(shape), np.empty(shape)
+        imag = True
+    re, im, w_re, w_im = out
+    if p.any():
+        np.add(2.0 * b, p, out=w_re)
+        w_re *= p
+        w_re -= q * q
+        w_re *= scale
+        np.add(b, p, out=w_im)
+        w_im *= 2.0 * q
+    else:  # real axis: (2b + p) p - q^2 is -q^2 and b + p is b, exactly
+        np.multiply(-(q * q), scale, out=w_re)
+        np.multiply(b, 2.0 * q, out=w_im)
+    w_im *= scale
+    far = log1p_c(w_re, w_im, out=(re, im), imag=imag)
+    # |1+w| < 1/4 lies inside log1p_c's far branch, |1+w| < 1/2
+    near = far[re.reshape(-1)[far] < np.log(0.25)]
+    if near.size:
+        idx = np.unravel_index(near, re.shape)
+        b, z, t, den = (np.broadcast_to(a, re.shape)[idx] for a in (b, z, t, den))
+        # log(b + i(z - t)) + log(b + i(z + t)) - log(den) in place: at
+        # alpha 1/4 up to 37% of a fit-pass block is near, and these
+        # temporaries set the pass's peak memory
+        val, other = z - t, z + t
+        with np.errstate(divide="ignore"):
+            for f in (val, other):
+                f *= 1j
+                f += b
+                np.log(f, out=f)
+            val += other
+            val -= np.log(den)
+        re.reshape(-1)[near] = val.real
+        if imag:
+            im.reshape(-1)[near] = val.imag
+    return (re, im) if res is None else res
+
+
+def _work_arrays(rows: int, cols: int) -> list:
+    """The four float work arrays of `_pair_log`, flat, for blocks of up to
+    rows x cols paired terms: a smaller block takes a contiguous prefix.
+    Four arrays, not one (4, rows x cols) block: freeing a 4 MB block lifts
+    glibc's mmap threshold to 4 MB, so later arrays that size stay on the
+    heap, which raised perfbench series_route's peak RSS from 61.1 to
+    65.2 MB."""
+    return [np.empty(rows * cols) for _ in range(4)]
 
 
 def _tail_exponent(eps: float, alpha: float) -> float:
@@ -136,11 +191,14 @@ def _tail_exponent(eps: float, alpha: float) -> float:
     return 2.0 - 2.0 * alpha if alpha < 0.5 else 2.0 * alpha
 
 
-def _tail(m_cut: float, z, eps, alpha) -> np.ndarray:
+def _tail(m_cut: float, z, eps, alpha, work=None, imag: bool = True) -> np.ndarray:
     """Paired terms beyond m_cut: their integral over t in (m_cut, inf) plus
     the first Euler-Maclaurin midpoint correction f'(m_cut)/24.  The integral
     is taken by the substitution t = m_cut * s^{-q}, which maps t^{-p} decay
-    to a smooth integrand on (0, 1), with 64-point Gauss-Legendre."""
+    to a smooth integrand on (0, 1), with 64-point Gauss-Legendre.
+
+    With work, a pass's `_work_arrays`, the integral's terms run on them;
+    with imag=False as well, only the result's real part is the tail's."""
     p = _tail_exponent(eps, alpha)
     s, w = _GL64
     with np.errstate(over="ignore", divide="ignore"):
@@ -153,8 +211,16 @@ def _tail(m_cut: float, z, eps, alpha) -> np.ndarray:
             # formed (it squares t)
             raise ConfigError(f"alpha = {alpha} is too close to 1/2: the product "
                               f"tail decays like t^-{p:.4g}, too slowly for its quadrature")
-    integral = np.sum((w * jac)[:, None] * _pair_log(t[:, None], z[None, :], eps, alpha),
-                      axis=0)
+    wj = (w * jac)[:, None]
+    if work is None:
+        integral = np.sum(wj * _pair_log(t[:, None], z[None, :], eps, alpha), axis=0)
+    else:
+        views = [a[:t.size * z.size].reshape(t.size, z.size) for a in work]
+        re, im = _pair_log(t[:, None], z[None, :], eps, alpha, out=views, imag=imag)
+        integral = np.zeros(z.size, dtype=complex)
+        integral.real = np.sum(np.multiply(wj, re, out=re), axis=0)
+        if imag:
+            integral.imag = np.sum(np.multiply(wj, im, out=im), axis=0)
     h = 1e-5 * m_cut
     fp = (_pair_log(m_cut + h, z, eps, alpha) - _pair_log(m_cut - h, z, eps, alpha)) / (2.0 * h)
     return integral + fp / 24.0
@@ -180,25 +246,48 @@ class ProductEvaluator:
         lam_c_m = complex(lambda_conj_vals(m, self.eps, self.alpha))
         return self._cut(max(z_max, abs(lam_c_m)))
 
-    def _pair_sum(self, z: np.ndarray, n_cut: int, skip: int = 0) -> np.ndarray:
+    def _pair_sum(self, z: np.ndarray, n_cut: int, skip: int = 0,
+                  imag: bool = True) -> np.ndarray:
         """Paired log terms of F summed over |n| = 1..n_cut except |n| =
-        skip, plus the tail beyond n_cut + 1/2, at the 1-d points z.
+        skip, plus the tail beyond n_cut + 1/2, at the 1-d points z; with
+        imag=False only the real part.
 
-        The points go in near-equal column blocks of at most _COLS, so a
-        block's temporaries stay small; each column's sum runs in the same
-        order whatever the blocking.  Only a one-point z makes a one-column
-        block, which numpy would reduce pairwise instead of row by row."""
+        The points go in near-equal column blocks of at most _COLS, and
+        every block runs on one set of work arrays for the whole pass; the
+        real and imaginary parts are summed apart, each column row by row in
+        the same order whatever the blocking.  A one-point z would make a
+        one-column block, which numpy sums pairwise, and a pairwise complex
+        sum pairs its real parts differently from a float sum: it is summed
+        as a complex array, and imag=False takes its real part."""
         eps, alpha = self.eps, self.alpha
         ns = np.arange(1, n_cut + 1, dtype=float)
         ns = ns[ns != skip]
-        out = []
-        for zb in np.array_split(z, max(1, -(-len(z) // _COLS))):
-            acc = np.zeros_like(zb)
-            for lo in range(0, len(ns), _BLOCK):
-                acc += np.sum(_pair_log(ns[lo:lo + _BLOCK, None], zb[None, :], eps, alpha),
-                              axis=0)
-            out.append(acc + _tail(n_cut + 0.5, zb, eps, alpha))
-        return np.concatenate(out)
+        rows = [ns[lo:lo + _BLOCK, None] for lo in range(0, len(ns), _BLOCK)]
+        if len(z) == 1:
+            acc = np.zeros_like(z)
+            for t in rows:
+                acc += np.sum(_pair_log(t, z[None, :], eps, alpha), axis=0)
+            out = acc + _tail(n_cut + 0.5, z, eps, alpha)
+            return out if imag else out.real
+        blocks = np.array_split(np.arange(len(z)), -(-len(z) // _COLS))
+        work = _work_arrays(len(rows[0]), len(blocks[0]))
+        out = np.empty(len(z), dtype=complex if imag else float)
+        for cols in blocks:
+            cols = slice(cols[0], cols[-1] + 1)
+            zb = z[cols]
+            acc_re, acc_im = np.zeros(len(zb)), np.zeros(len(zb))
+            for t in rows:
+                size = len(t) * len(zb)
+                views = [a[:size].reshape(len(t), len(zb)) for a in work]
+                re, im = _pair_log(t, zb[None, :], eps, alpha, out=views, imag=imag)
+                acc_re += np.sum(re, axis=0)
+                if imag:
+                    acc_im += np.sum(im, axis=0)
+            tail = _tail(n_cut + 0.5, zb, eps, alpha, work, imag)
+            out.real[cols] = acc_re + tail.real
+            if imag:
+                out.imag[cols] = acc_im + tail.imag
+        return out
 
     def log_generating(self, z) -> np.ndarray:
         """log F(z) at complex z (scalar or 1-d array): one pass serves every m.
@@ -207,11 +296,25 @@ class ProductEvaluator:
         conj F(z); the sum runs once per distinct folded point, to
         max(N_MIN, 2 max|z| + 1) pairs.
         """
+        flip, key, inv, n_cut = self._fold(z)
+        out = self._pair_sum(key, n_cut)[inv]
+        return np.where(flip, out.conj(), out)
+
+    def log_abs_generating(self, z) -> np.ndarray:
+        """log|F(z)|, the real part of `log_generating` bit for bit, from a
+        pass whose direct terms form no imaginary part: no arctan2 and half
+        the sums."""
+        _, key, inv, n_cut = self._fold(z)
+        return self._pair_sum(key, n_cut, imag=False)[inv]
+
+    def _fold(self, z):
+        """(flip, key, inv, n_cut): the points z with Re z < 0 (flip) folded
+        onto -conj z, the distinct folded points key with z's index into
+        them, and the pass's cutoff."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         flip = z.real < 0
         key, inv = np.unique(np.where(flip, -z.conj(), z), return_inverse=True)
-        out = self._pair_sum(key, self._cut(float(np.max(np.abs(key), initial=0.0))))[inv]
-        return np.where(flip, out.conj(), out)
+        return flip, key, inv, self._cut(float(np.max(np.abs(key), initial=0.0)))
 
     def _log_scale(self, m: int, n_cut: int) -> complex:
         """log conj(lambda_m) - C_m with C_m = log G_m(node_m): the paired
@@ -232,7 +335,9 @@ class ProductEvaluator:
 
     def log_eval(self, m: int, z, log_f=None) -> np.ndarray:
         """log of the product at complex z (scalar or 1-d array); log_f is
-        log F(z) if the caller already has it from `log_generating`."""
+        log F(z) if the caller already has it from `log_generating`.  A real
+        log_f, log|F(z)| from `log_abs_generating`, gives the same real part
+        bit for bit: numpy subtracts a complex from a real part by part."""
         if m == 0:
             raise ConfigError("index 0 is not in the lattice")
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -308,13 +413,16 @@ def envelope_fit(m: int, x_grid, ev: ProductEvaluator, log_f=None) -> float:
     """omega_hat, the smallest exponent with |product| <= c_hat *
     exp(omega_hat (phi(x) + |Re lambda_m|)) on the grid.
 
-    log_f is log F on the grid if the caller already has it (one
-    `ProductEvaluator.log_generating` pass serves every m).
+    log_f is log|F| on the grid if the caller already has it (one
+    `ProductEvaluator.log_abs_generating` pass serves every m); log F
+    gives the same bits.
 
     c_hat is read off where the weight is negligible (phi <= 1), with floor 1;
     omega_hat is then the max log-excess divided by the weight, clipped >= 0.
     """
     x = np.asarray(x_grid, dtype=float)
+    if log_f is None:
+        log_f = ev.log_abs_generating(x)
     logp = ev.log_eval(m, x.astype(complex), log_f).real
     rl = abs(complex(lambda_conj_vals(m, ev.eps, ev.alpha)).real)
     wgt = np.asarray(phi_eps(x, ev.eps, ev.alpha), dtype=float)

@@ -36,23 +36,35 @@ def count_pair_work(monkeypatch) -> SimpleNamespace:
     """Record the work of the product's paired terms: per `_pair_log` call
     its point count (`points`) and its broadcast size in terms times points
     (`elements`), and per pair sum (log F pass or one-point constant) its
-    point count (`sums`)."""
-    work = SimpleNamespace(points=[], elements=[], sums=[])
+    point count (`sums`) and the elements of the `_pair_log` calls it made
+    (`sum_elements`), which `pass_terms` predicts when every paired term of
+    the pass goes through `_pair_log`."""
+    work = SimpleNamespace(points=[], elements=[], sums=[], sum_elements=[])
     pair_log = wei._pair_log
     pair_sum = wei.ProductEvaluator._pair_sum
 
-    def count_terms(t, z, *rest):
+    def count_terms(t, z, *rest, **kw):
         work.points.append(np.size(z))
         work.elements.append(np.broadcast(t, z).size)
-        return pair_log(t, z, *rest)
+        return pair_log(t, z, *rest, **kw)
 
     def count_sums(self, z, *rest, **kw):
         work.sums.append(np.size(z))
-        return pair_sum(self, z, *rest, **kw)
+        start = len(work.elements)
+        out = pair_sum(self, z, *rest, **kw)
+        work.sum_elements.append(sum(work.elements[start:]))
+        return out
 
     monkeypatch.setattr(wei, "_pair_log", count_terms)
     monkeypatch.setattr(wei.ProductEvaluator, "_pair_sum", count_sums)
     return work
+
+
+def pass_terms(points: int, n_cut: int) -> int:
+    """Paired terms of one pair sum over `points` points to cutoff n_cut:
+    the direct terms, the tail's Gauss-Legendre nodes and the two points of
+    its Euler-Maclaurin derivative, at every point."""
+    return points * (n_cut + len(wei._GL64[0]) + 2)
 
 
 def gauss_legendre(lo: float, hi: float, panels: int = 64, order: int = 48):

@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import count_pair_work, gauss_legendre
+from conftest import count_pair_work, gauss_legendre, pass_terms
 from viscowave import biorthogonal as bio
 from viscowave import weierstrass as wei
 from viscowave.core import ProblemConfig, sinhc, validate_config
 from viscowave.multiplier import MultiplierEvaluator
 from viscowave.spectrum import lambda_conj_vals, node_sum_bound
-from viscowave.weierstrass import ProductEvaluator
+from viscowave.weierstrass import ProductEvaluator, envelope_fit
 
 CFG = validate_config(ProblemConfig(alpha=0.25, epsilon=0.1, n_modes=2),
                       for_synthesis=True)
@@ -234,6 +234,9 @@ def test_family_build_work_counts(monkeypatch):
     n = fam.meta["n_fft"]
     assert max(work.sums) == n // 2 + 1 and work.sums.count(n // 2 + 1) == 1
     assert max(work.points) <= wei._COLS < n // 2 + 1
+    # every paired term of the grid pass went through `_pair_log`
+    cut = ProductEvaluator(CFG.epsilon, CFG.alpha)._cut(fam.meta["dx"] * (n // 2))
+    assert work.sum_elements[work.sums.index(n // 2 + 1)] == pass_terms(n // 2 + 1, cut)
     assert max(bulk_sizes) == n // 2 + 1
     assert bulk_sizes.count(n // 2 + 1) == 1
     assert max(prefix_sizes) <= n // 2 + 1
@@ -252,6 +255,26 @@ def test_resolve_omega_work_counts(monkeypatch):
     assert len(hats) == 4 and omega >= 1
     assert sorted(work.sums) == [1, 1, 1, 1, 3000]
     assert max(work.points) <= wei._COLS
+    assert work.sum_elements[work.sums.index(3000)] == pass_terms(3000, 801)
+
+
+@pytest.mark.parametrize("alpha, omega, hats", [
+    (0.25, 1, (0.0, 1.4972252307419838e-16, 0.0, 0.0)),
+    (0.55, 4, (3.004214256474916, 3.010782427560404, 3.010117477319418, 3.00681004625968)),
+    (0.75, 4, (2.525407406214818, 2.5311338392584832, 2.5214236256990143,
+               2.5165754606730597))])
+def test_resolve_omega_reads_the_modulus_pass(alpha, omega, hats):
+    # the fit's log|F| pass gives the envelope fits of the full log F pass
+    # bit for bit; the frozen values are those of the full-pass fit (eps
+    # 0.1, modes 1..4), which rounds differently on other hardware, hence
+    # the tolerance on them alone
+    product = ProductEvaluator(0.1, alpha)
+    got_omega, got_hats = bio.resolve_omega((1, 2, 3, 4), product)
+    xs = np.linspace(0.0, bio.OMEGA_FIT_HALF_WIDTH, 3000)
+    log_f = product.log_generating(xs)
+    assert got_hats == tuple(envelope_fit(m, xs, product, log_f) for m in (1, 2, 3, 4))
+    assert got_omega == omega
+    assert got_hats == pytest.approx(hats, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

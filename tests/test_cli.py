@@ -403,3 +403,14 @@ def test_verify_command(runner, tmp_path):
                tmp_path)
     assert res.exit_code == 0
     assert res.output.count("pass") >= 6
+
+
+@pytest.mark.parametrize("eps, alpha", [("0", "0.25"), ("0.1", "0")])
+def test_verify_runs_without_weight_inverse(runner, tmp_path, eps, alpha):
+    # phi has no inverse at eps = 0 (the undamped limit) or alpha = 0 (phi
+    # is constant): both are valid configs, so verify skips the weight
+    # round-trip there, as it skips the multiplier checks
+    res = _run(runner, ["verify", "--epsilon", eps, "--alpha", alpha], tmp_path)
+    assert res.exit_code == 0
+    assert "pass  weight round-trip  skipped" in res.output
+    assert res.output.count("pass") == 6

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_pair_work
+from conftest import count_pair_work, pass_terms
 from viscowave import biorthogonal as bio
 from viscowave import weierstrass as wei
 from viscowave.core import ConfigError
@@ -112,26 +112,41 @@ def test_pair_log_matches_mpmath(alpha):
     assert worst < 1e-12
 
 
-def _pair_log_complex(t, z, eps, alpha):
+def _pair_log_complex(t, z, eps, alpha, out=None, imag=True):
     """The paired log term in complex arithmetic: w = iz (2b + iz) / den by
     numpy's complex multiply and divide, then log(1+w) in core.log1p_c's
-    closed form from the complex w, and the same near-zero branch."""
+    closed form from the complex w, and the same near-zero branch.  Takes
+    and fills `_pair_log`'s work arrays like it."""
     t = np.asarray(t, dtype=float)
     b = eps * t ** (2.0 * alpha)
     den = b * b + t * t
     w = 1j * z * (2.0 * b + 1j * z) / den
     x, y = w.real, w.imag
-    out = np.empty_like(w)
+    res = np.empty_like(w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = x * (x + 2.0) + y * y
-        out.real = 0.5 * np.log1p(s)
-        out.imag = np.arctan2(y, x + 1.0)
+        res.real = 0.5 * np.log1p(s)
+        res.imag = np.arctan2(y, x + 1.0)
         far = (s < -0.75) | (s == np.inf)
-        out.real[far] = np.log(np.abs(1.0 + w[far]))
-        near = np.nonzero(out.real < np.log(0.25))
+        res.real[far] = np.log(np.abs(1.0 + w[far]))
+        near = np.nonzero(res.real < np.log(0.25))
         b, z, t, den = (np.broadcast_to(a, w.shape)[near] for a in (b, z, t, den))
-        out[near] = np.log(b + 1j * (z - t)) + np.log(b + 1j * (z + t)) - np.log(den)
-    return out
+        res[near] = np.log(b + 1j * (z - t)) + np.log(b + 1j * (z + t)) - np.log(den)
+    if out is None:
+        return res
+    out[0][...] = res.real
+    if imag:
+        out[1][...] = res.imag
+    return out[0], out[1]
+
+
+FIT_GRID = np.linspace(0.0, bio.OMEGA_FIT_HALF_WIDTH, 3000)  # resolve_omega's grid
+FFT_HALF_GRID = 300.0 / 8192 * np.arange(4097)  # |x| = j dx, n 8192, half-width 150
+
+
+def _pass_terms(grids) -> int:
+    return sum(pass_terms(len(x), ProductEvaluator(0.1, 0.25)._cut(float(np.max(x))))
+               for x in grids)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
@@ -141,17 +156,66 @@ def test_real_axis_pass_is_bitwise_the_complex_formula(monkeypatch, alpha):
     # once bit for bit: on the envelope fit's 3000-point grid and on the
     # n/2 + 1 points j dx of an FFT grid (n 8192, half-width 150).  No
     # paired-term call sees more than _BLOCK x _COLS entries, and none sees
-    # a single point, which numpy would sum pairwise instead of row by row
-    grids = (np.linspace(0.0, bio.OMEGA_FIT_HALF_WIDTH, 3000),
-             300.0 / 8192 * np.arange(4097))
+    # a single point, which numpy would sum pairwise instead of row by row.
+    # Both sides send every paired term through `_pair_log`, so the patched
+    # formula is what the second pass sums
+    grids = (FIT_GRID, FFT_HALF_GRID)
     work = count_pair_work(monkeypatch)
     got = [ProductEvaluator(0.1, alpha).log_generating(x) for x in grids]
     assert max(work.elements) <= wei._BLOCK * wei._COLS
     assert max(work.points) <= wei._COLS and min(work.points) >= 2
+    assert sum(work.elements) == _pass_terms(grids)
     monkeypatch.setattr(wei, "_pair_log", _pair_log_complex)
     monkeypatch.setattr(wei, "_COLS", 10 ** 6)
+    ref = count_pair_work(monkeypatch)
     for x, g in zip(grids, got):
         assert np.array_equal(g, ProductEvaluator(0.1, alpha).log_generating(x))
+    assert sum(ref.elements) == _pass_terms(grids)
+    assert max(ref.points) == len(FFT_HALF_GRID)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.55, 0.75])
+def test_modulus_pass_is_bitwise_the_real_part(alpha):
+    # log|F| from the pass without imaginary parts is the real part of the
+    # full log F pass bit for bit, on the fit grid and the FFT half-grid
+    for x in (FIT_GRID, FFT_HALF_GRID):
+        ev = ProductEvaluator(0.1, alpha)
+        full = ev.log_generating(x)
+        modulus = ev.log_abs_generating(x)
+        assert modulus.dtype == float
+        assert np.array_equal(modulus, full.real)
+    # folded and one-point passes too: |F(-conj z)| = |F(z)|, and a one-point
+    # pass takes the real part of its complex sum
+    z = np.array([-3.0 + 0.2j, 2.0, 5.0 - 1.0j, -7.5])
+    assert np.array_equal(ev.log_abs_generating(z), ev.log_generating(z).real)
+    assert np.array_equal(ev.log_abs_generating(150.0), ev.log_generating(150.0).real)
+
+
+def test_pass_allocates_work_arrays_once(monkeypatch):
+    # a 3000-point pass at cutoff 801 sums 6 column blocks x 4 row blocks of
+    # direct terms and one of tail-integral terms; every block runs on the
+    # one set of work arrays allocated for the pass, in the full pass and in
+    # the modulus pass alike
+    allocs, on_work = [], []
+    work_arrays, pair_log = wei._work_arrays, wei._pair_log
+
+    def count_alloc(rows, cols):
+        allocs.append(work_arrays(rows, cols))
+        return allocs[-1]
+
+    def check_block(t, z, *rest, **kw):
+        if kw.get("out") is not None:
+            on_work.append(all(np.shares_memory(o, a) for o, a in zip(kw["out"], allocs[-1])))
+        return pair_log(t, z, *rest, **kw)
+
+    monkeypatch.setattr(wei, "_work_arrays", count_alloc)
+    monkeypatch.setattr(wei, "_pair_log", check_block)
+    ev = ProductEvaluator(0.1, 0.25)
+    ev.log_generating(FIT_GRID)
+    ev.log_abs_generating(FIT_GRID)
+    assert len(allocs) == 2
+    assert all(len(a) == 4 and a[0].size == wei._BLOCK * 500 for a in allocs)
+    assert len(on_work) == 2 * 6 * (4 + 1) and all(on_work)
 
 
 # ---------------------------------------------------------------------------
