@@ -39,13 +39,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _json_safe(obj):
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
@@ -60,7 +53,15 @@ def _json_safe(obj):
     return obj
 
 
-def _write_sidecar(csv_path: str, meta: dict, cfg: ProblemConfig | None = None) -> None:
+def write_outputs(csv_path: str, header, rows, meta: dict,
+                  cfg: ProblemConfig | None = None) -> None:
+    """Write a command's CSV table, the header row then one line per row,
+    and its JSON sidecar: meta, with the config echoed under "config" when
+    cfg is given, at csv_path with .json for .csv."""
+    with open(csv_path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
     if cfg is not None:
         meta = dict(meta)
         meta["config"] = dataclasses.asdict(cfg)
@@ -93,7 +94,10 @@ def _number_list(text: str, conv, flag: str) -> list:
     return vals
 
 
-def _seeded_data(cfg: ProblemConfig, seed: int, kind: str = "random") -> ModalState:
+def seeded_data(cfg: ProblemConfig, seed: int, kind: str = "random") -> ModalState:
+    """The modal data of `control solve` and `sweep epsilon`: random (normal
+    draws for the seed, scaled by 1/n^2 and 1/n, profile 1 + 0.5 sin(1.7 n)),
+    resonant (mode 1 alone) or zero."""
     n = cfg.n_modes
     idx = list(range(1, n + 1))
     if kind == "zero":
@@ -167,8 +171,8 @@ def spectrum_dump(config, out, alpha, epsilon, modes) -> None:
             a_n = float(sp.phi_eps_inverse(float(n), cfg.epsilon, cfg.alpha)) / sp.E \
                 if have_nodes else None
             rows.append((n, lam.real, lam.imag, phi, a_n))
-        _write_csv(out_path, ("n", "re_lambda", "im_lambda", "phi_abs_lambda", "a_n"), rows)
-        _write_sidecar(out_path, {"have_nodes": have_nodes}, cfg)
+        write_outputs(out_path, ("n", "re_lambda", "im_lambda", "phi_abs_lambda", "a_n"), rows,
+                      {"have_nodes": have_nodes}, cfg)
         click.echo(f"wrote {out_path}")
         return PASS
     _run(go)
@@ -201,10 +205,9 @@ def weierstrass_check(config, out, alpha, epsilon, modes) -> None:
         ok_dev = max_dev <= 1e-6
         rows = [(m, q, b, "ok" if q <= b * (1 + 1e-12) else "violated")
                 for m, q, b in rows_q]
-        _write_csv(out_path, ("m", "q_m", "bound", "status"), rows)
-        _write_sidecar(out_path, {"c_hat": c_hat, "max_interp_deviation": max_dev,
-                                  "interp_tolerance": 1e-6,
-                                  "truncation_floor": wei.N_MIN}, cfg)
+        write_outputs(out_path, ("m", "q_m", "bound", "status"), rows,
+                      {"c_hat": c_hat, "max_interp_deviation": max_dev,
+                       "interp_tolerance": 1e-6, "truncation_floor": wei.N_MIN}, cfg)
         click.echo(f"interpolation max deviation {max_dev:.3e} "
                    f"({'pass' if ok_dev else 'FAIL'})")
         click.echo(f"growth bound with c_hat={c_hat:.4f} "
@@ -244,10 +247,9 @@ def multiplier_check(config, out, seed, alpha, epsilon, modes) -> None:
             for x, lv, bv in zip(xg, log_m, bound):
                 rows.append((m, x, float(np.exp(lv)), float(np.exp(bv)),
                              "ok" if lv <= bv else "violated"))
-        _write_csv(out_path, ("m", "x", "abs_m", "bound", "status"), rows)
-        _write_sidecar(out_path, {"report": {k: v for k, v in rep.items()},
-                                  "grid": {"lo": 1e-2, "hi": 1e5, "points": len(xg)}},
-                       cfg)
+        write_outputs(out_path, ("m", "x", "abs_m", "bound", "status"), rows,
+                      {"report": {k: v for k, v in rep.items()},
+                       "grid": {"lo": 1e-2, "hi": 1e5, "points": len(xg)}}, cfg)
         for name, entry in rep.items():
             click.echo(f"{name}: margin {entry['margin']:+.4f} "
                        f"({'pass' if entry['ok'] else 'FAIL'})")
@@ -286,13 +288,12 @@ def biorth_build(config, out, alpha, epsilon, modes) -> None:
             re_l = cfg.epsilon * abs(m) ** (2.0 * cfg.alpha)
             zn = zeta.norms[m] if zeta is not None else None
             rows.append((m, re_l, theta.norms[m], zn))
-        _write_csv(out_path, ("m", "re_lambda", "theta_norm", "zeta_norm"), rows)
         meta = {"kind": theta.kind, "omega": theta.omega,
                 "omega_hats": list(theta.omega_hats),
                 "beta_hat": theta.beta_hat, "c_hat": theta.c_hat,
                 "support_half": theta.support_half, "window": theta.window}
         meta.update(theta.meta)
-        _write_sidecar(out_path, meta, cfg)
+        write_outputs(out_path, ("m", "re_lambda", "theta_norm", "zeta_norm"), rows, meta, cfg)
         click.echo(f"built {theta.kind} family, {len(theta.indices)} members, "
                    f"omega={theta.omega}, beta_hat={theta.beta_hat:+.3f}")
         return PASS
@@ -314,13 +315,13 @@ def biorth_verify(config, out, alpha, epsilon, modes, tolerance) -> None:
             for j, n in enumerate(ms):
                 tgt = 1.0 if m == n else 0.0
                 rows.append((m, n, abs(mat[i, j] - tgt)))
-        _write_csv(out_path, ("m", "n", "deviation"), rows)
         devs = {"max_deviation": max_dev}
         if theta.kind == "theta":  # the smoothed family `control solve --series` uses
             _, devs["zeta_max_deviation"] = bio.biorthogonality_matrix(bio.zeta_eval(theta),
                                                                        ms, ms)
-        _write_sidecar(out_path, {**devs, "tolerance": tolerance, "omega": theta.omega,
-                                  "beta_hat": theta.beta_hat, "c_hat": theta.c_hat}, cfg)
+        write_outputs(out_path, ("m", "n", "deviation"), rows,
+                      {**devs, "tolerance": tolerance, "omega": theta.omega,
+                       "beta_hat": theta.beta_hat, "c_hat": theta.c_hat}, cfg)
         ok = max(devs.values()) <= tolerance
         shown = ", zeta ".join(f"{d:.3e}" for d in devs.values())
         click.echo(f"max |B - I| = {shown} ({'pass' if ok else 'FAIL'})")
@@ -348,7 +349,7 @@ def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
     def go():
         cfg = _build_cfg(config, alpha, epsilon, modes, horizon, for_synthesis=True)
         out_path = out or "control_solve.csv"
-        data = _seeded_data(cfg, seed, data_kind)
+        data = seeded_data(cfg, seed, data_kind)
         meta: dict = {"path": "oracle" if use_oracle else "series",
                       "data": data_kind, "seed": seed, "moment_tolerance": mom.MOMENT_TOL}
         T = cfg.horizon_T
@@ -382,11 +383,10 @@ def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
             cfg = validate_config(replace(cfg, horizon_T=T), for_synthesis=True)
         traj = pde.simulate(cfg, data, ctrl)
         resid = pde.final_residual(traj.final, data, cfg.epsilon, cfg.alpha)
-        _write_csv(out_path,
-                   ("epsilon", "alpha", "n_modes", "horizon", "v_norm", "gram_cond",
-                    "final_residual"),
-                   [(cfg.epsilon, cfg.alpha, cfg.n_modes, T, vnorm, cond, resid)])
-        _write_sidecar(out_path, meta, cfg)
+        write_outputs(out_path,
+                      ("epsilon", "alpha", "n_modes", "horizon", "v_norm", "gram_cond",
+                       "final_residual"),
+                      [(cfg.epsilon, cfg.alpha, cfg.n_modes, T, vnorm, cond, resid)], meta, cfg)
         click.echo(f"|v| = {vnorm:.6f}, final residual = {resid:.3e}")
         return PASS
     _run(go)
@@ -412,7 +412,7 @@ def sweep_epsilon(config, out, seed, alpha, modes, horizon, epsilons) -> None:
             raise ConfigError("epsilon list must be strictly descending")
         cfg0 = _build_cfg(config, alpha, eps_list[0], modes, horizon, for_synthesis=True)
         out_path = out or "sweep_epsilon.csv"
-        data = _seeded_data(cfg0, seed, "random")
+        data = seeded_data(cfg0, seed, "random")
         T = cfg0.horizon_T
         rows = []
         for e in eps_list:
@@ -430,12 +430,11 @@ def sweep_epsilon(config, out, seed, alpha, modes, horizon, epsilons) -> None:
         rows.append((0.0, cfg0.alpha, last.norm, None, resid_w))
         norms = [r[2] for r in rows[:-1]]
         ratio = max(norms) / min(norms)
-        _write_csv(out_path,
-                   ("epsilon", "alpha", "v_norm", "gram_cond", "final_residual"), rows)
-        _write_sidecar(out_path, {"norm_ratio": ratio, "seed": seed,
-                                  "weak_limit_residual": resid_w,
-                                  "note": "last row: smallest-eps control on the "
-                                          "undamped system"}, cfg0)
+        write_outputs(out_path,
+                      ("epsilon", "alpha", "v_norm", "gram_cond", "final_residual"), rows,
+                      {"norm_ratio": ratio, "seed": seed, "weak_limit_residual": resid_w,
+                       "note": "last row: smallest-eps control on the undamped system"},
+                      cfg0)
         click.echo(f"norm ratio {ratio:.4f}, weak-limit residual {resid_w:.3e}")
         return PASS
     _run(go)
@@ -466,19 +465,17 @@ def degeneracy(epsilon, horizon, sizes, out) -> None:
                 w = np.linalg.eigvalsh(mom.gram_matrix(idx, epsilon, a, horizon))
                 conds[(a, n_max)] = float(w[-1] / w[0]) \
                     if w[0] > floor[n_max] * w[-1] else None
-        _write_csv(out_path, ("alpha", "n_modes", "gram_cond"),
-                   [(a, n, c) for (a, n), c in conds.items()])
         # the verdict and the gap read resolved cells only
         half = [n for n in n_list if conds[(0.5, n)] is not None]
         mono = all(conds[(0.5, a)] < conds[(0.5, b)] for a, b in zip(half, half[1:]))
         n_gap = half[-1] if half else None
         gap = conds[(0.5, n_gap)] / conds[(0.25, n_gap)] \
             if half and conds[(0.25, n_gap)] is not None else None
-        _write_sidecar(out_path, {"epsilon": epsilon, "horizon": horizon,
-                                  "eig_floor_over_max": floor,
-                                  "alpha_half_monotone": mono,
-                                  "degeneracy_gap_at_largest": gap,
-                                  "degeneracy_gap_n_modes": n_gap}, None)
+        write_outputs(out_path, ("alpha", "n_modes", "gram_cond"),
+                      [(a, n, c) for (a, n), c in conds.items()],
+                      {"epsilon": epsilon, "horizon": horizon, "eig_floor_over_max": floor,
+                       "alpha_half_monotone": mono, "degeneracy_gap_at_largest": gap,
+                       "degeneracy_gap_n_modes": n_gap})
         shown = f"gap at N={n_gap}: {gap:.3e}" if gap is not None else "gap unresolved"
         click.echo(f"alpha=1/2 cond monotone: {mono}; {shown}")
         return PASS if mono else FAIL
@@ -519,11 +516,10 @@ def ingham_run(config, out, seed, alpha, epsilon, modes, horizon,
         ratios = mom.ingham_trials(cfg.n_modes, cfg.epsilon, cfg.alpha, T, ww,
                                    n_trials=trials, seed=seed)
         rows = [(k, r) for k, r in enumerate(ratios)]
-        _write_csv(out_path, ("trial", "ratio"), rows)
-        _write_sidecar(out_path, {"min_ratio": float(np.min(ratios)),
-                                  "max_ratio": float(np.max(ratios)),
-                                  "omega_weight": ww, "omega_weight_mode": w_mode,
-                                  "seed": seed, "trials": trials}, cfg)
+        write_outputs(out_path, ("trial", "ratio"), rows,
+                      {"min_ratio": float(np.min(ratios)), "max_ratio": float(np.max(ratios)),
+                       "omega_weight": ww, "omega_weight_mode": w_mode,
+                       "seed": seed, "trials": trials}, cfg)
         ok = bool(np.min(ratios) > 0)
         click.echo(f"min ratio {np.min(ratios):.6e} over {trials} trials "
                    f"({'pass' if ok else 'FAIL'})")
@@ -609,9 +605,9 @@ def verify(config, out, seed, alpha, epsilon, horizon) -> None:
         check("free energy decay", energy_law)
 
         out_path = out or "verify.csv"
-        _write_csv(out_path, ("check", "status", "detail"),
-                   [(n, "pass" if ok else "fail", d) for n, ok, d in checks])
-        _write_sidecar(out_path, {"seed": seed}, cfg)
+        write_outputs(out_path, ("check", "status", "detail"),
+                      [(n, "pass" if ok else "fail", d) for n, ok, d in checks],
+                      {"seed": seed}, cfg)
         return PASS if all(ok for _, ok, _ in checks) else FAIL
     _run(go)
 

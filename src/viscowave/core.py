@@ -210,13 +210,14 @@ def gauss_legendre_01(k: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def log1p_c(x: np.ndarray, y: np.ndarray, out=None, imag: bool = True):
+def log1p_c(x: np.ndarray, y: np.ndarray, out=None, imag: bool = True, s=None, far=None):
     """Complex log(1+w) at w = x + iy, given as its real and imaginary parts,
     in a closed form that keeps tiny w:
-    log(1+w) = 1/2 log1p(x(2+x) + y^2) + i atan2(y, 1+x) never adds 1 to a
-    tiny w, unlike numpy's naive log(1+w).  Where |1+w| < 1/2 (the log1p
-    argument has lost its leading digits near -1) or |w|^2 overflows, the
-    real part is log|1+w| instead; near w = -1, 1+x is exact.
+    log(1+w) = 1/2 log1p(s) + i atan2(y, 1+x), s = |1+w|^2 - 1 = x(2+x) + y^2,
+    never adds 1 to a tiny w, unlike numpy's naive log(1+w).  Where |1+w| <
+    1/2 (s < -3/4: the log1p argument has lost its leading digits near -1)
+    or |w|^2 overflows, the real part is log|1+w| instead; near w = -1, 1+x
+    is exact.
 
     Taking the parts lets a caller that forms w in real arithmetic skip the
     complex w; x and y have one shape.  Without out the result is a new
@@ -225,6 +226,12 @@ def log1p_c(x: np.ndarray, y: np.ndarray, out=None, imag: bool = True):
     with x or y, and gets back the flat indices of the far entries, where
     re is log|1+w|.  imag=False then skips the imaginary part and its
     arctan2, and im is only scratch.
+
+    A caller that forms s its own way, without cancellation, hands it in as
+    s (a float array of x's shape; it may be re, which is overwritten) with
+    far, the flat indices that take log|1+w|: those of s < -3/4 or s = inf,
+    less any the caller fills itself.  Forming s and the scan for far are
+    then skipped, and with imag=False y is read only at far.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     res = None
@@ -233,13 +240,15 @@ def log1p_c(x: np.ndarray, y: np.ndarray, out=None, imag: bool = True):
         out, imag = (res.real, res.imag), True
     re, im = out
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # s = x(2 + x) + y^2 goes to re, its first term by way of im
-        np.add(x, 2.0, out=im)
-        im *= x
-        np.multiply(y, y, out=re)
-        re += im
-        far = np.flatnonzero((re < -0.75) | (re == np.inf))
-        np.log1p(re, out=re)
+        if s is None:
+            # s goes to re, its first term x(2 + x) by way of im
+            np.add(x, 2.0, out=im)
+            im *= x
+            np.multiply(y, y, out=re)
+            re += im
+            s = re
+            far = np.flatnonzero((s < -0.75) | (s == np.inf))
+        np.log1p(s, out=re)
         re *= 0.5
         if imag:
             np.add(x, 1.0, out=im)

@@ -96,10 +96,13 @@ def node_power_sum(k_cut: int, eps: float, alpha: float, power: float) -> float:
     if alpha < 0.5:
         return E ** power * eps ** s * _power_range_sum(s, k_cut + 1, np.inf)
     ng = np.floor(gamma_eps(eps, alpha))
-    out = (E / eps) ** power * _power_range_sum(2.0 * alpha * power,
-                                                max(k_cut, ng) + 1, np.inf)
-    if k_cut < ng:
-        out += E ** power * eps ** s * _power_range_sum(s, k_cut + 1, ng)
+    # gamma_eps = inf saturates (E / eps)^p to inf against a zero zeta: the
+    # nan is refused below with the sum that overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.power(E / eps, power) * _power_range_sum(2.0 * alpha * power,
+                                                          max(k_cut, ng) + 1, np.inf)
+        if k_cut < ng:
+            out += E ** power * eps ** s * _power_range_sum(s, k_cut + 1, ng)
     if not np.isfinite(out):
         raise ConfigError(f"gamma_eps = {ng:.3e} at alpha = {alpha}: the node sum "
                           f"of power {power:g} below it overflows")

@@ -74,7 +74,7 @@ def phi_eps(x, eps: float, alpha: float) -> np.ndarray:
 
 def phi_eps_inverse(y, eps: float, alpha: float) -> np.ndarray:
     """Inverse of phi on [0, inf); branch selection at y = gamma uses
-    phi(gamma) = gamma."""
+    phi(gamma) = gamma.  Values past the float range are inf."""
     _check_alpha(alpha)
     if eps <= 0:
         raise ConfigError("phi inverse undefined for eps = 0")
@@ -83,11 +83,14 @@ def phi_eps_inverse(y, eps: float, alpha: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise ConfigError("phi inverse takes non-negative arguments")
-    if alpha < 0.5:
-        return (y / eps) ** (1.0 / (2.0 * alpha))
-    g = gamma_eps(eps, alpha)
-    return np.where(y <= g, (y / eps) ** (1.0 / (2.0 * alpha)),
-                    eps * y ** (2.0 * alpha))
+    # at tiny eps a node past the float range saturates to inf, its limit
+    # (the sinc factor of a node at infinity is 1)
+    with np.errstate(over="ignore"):
+        if alpha < 0.5:
+            return (y / eps) ** (1.0 / (2.0 * alpha))
+        g = gamma_eps(eps, alpha)
+        return np.where(y <= g, (y / eps) ** (1.0 / (2.0 * alpha)),
+                        eps * y ** (2.0 * alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -36,68 +36,56 @@ N = max(N_MIN, 2 max|z| + 1), N_MIN = 512, beyond which the paired term
 w = factor - 1 stays inside |w| < 3/4 (no branch crossings, smooth tail); the
 remaining tail sum is replaced by its integral via a power substitution that
 flattens the t^{-p} decay, evaluated with 64-point Gauss-Legendre, plus the
-first Euler-Maclaurin midpoint correction f'(N+1/2)/24 (`_tail`).  No error
-bound is declared: accuracy is measured against the mpmath references below.
-The residual after that correction is the next EM term, measured at ~3e-13
-for N=512 at eps 0.1.  At small eps the tail is the weak point: above 1/2 the
-paired term changes its decay at t = eps^{-1/(2a-1)}, which one power
-substitution does not flatten (3.3e-9 at eps 1e-3, alpha 0.75, x = 150;
-tests/test_weierstrass.py::test_tail_at_small_eps_against_mpmath).
+first Euler-Maclaurin midpoint correction f'(N+1/2)/24 (`_tail`).  Above
+alpha = 1/2 the decay changes at the kink t = eps^{-1/(2a-1)}; past N the
+integral is split there, (N, kink) taking 64 nodes in log t.  No error
+bound is declared: accuracy is measured against the mpmath references below
+(tail: 2.3e-11 at eps 1e-3, alpha 0.75, x = 150, where one substitution
+left 3.3e-9; test_tail_at_small_eps_against_mpmath).
 
-The direct sum runs over blocks of _BLOCK terms by at most _COLS points:
-the points are split into near-equal column blocks.  Every block of a
-pass, and the tail integral's 64 terms per point, run on one set of float
-work arrays (`_work_arrays`: four arrays of at most 256 x 512 entries,
-1 MB each) allocated once for the pass, so no block allocates an array of
-its size.  The real and imaginary parts of the terms are summed apart;
-every column is summed row by row in the same order whatever the split,
-so a pass does not depend on it.  No block has a single column unless the
-pass has one point: numpy sums a one-column block pairwise instead of row
-by row (which moved log F at x = 200 by 2e-13), and pairs a complex sum's
-real parts differently from a float sum's, so a one-point pass sums its
-terms as one complex array.  A pass that needs only |F|
-(`log_abs_generating`, the envelope fit's) skips the imaginary parts of
-the direct and tail-integral terms, their arctan2 and their sums; only
-the tail's two derivative points stay complex.  Its result is the real
-part of the full pass bit for bit.
+The direct sum runs over blocks of _BLOCK terms by at most _COLS points,
+near-equal column blocks all on four float work arrays (`_work_arrays`)
+allocated once per pass.  Real and imaginary parts are summed apart, every
+column row by row in the same order whatever the split.  No block has a
+single column unless the pass has one point (numpy sums one column
+pairwise), and a one-point pass sums one complex array.  A pass that needs
+only |F| (`log_abs_generating`) forms no imaginary parts but the tail's two
+derivative points; it is the real part of the full pass bit for bit.
 
 Numerical care in the paired term:
   * w = iz (2b + iz) / (b^2 + t^2) comes from the factorization of the
-    numerator minus the denominator, never from subtracting the two
-    quadratics; at large t the cross terms of the naive form fall below one
-    ulp of b^2 and the difference loses everything.
-  * It is formed in real arithmetic, with iz = p + iq:
-        Re w = ((2b + p) p - q^2) / den,   Im w = 2q (b + p) / den,
-    each an outer sum of the per-term 2b or b with the per-point p, times a
-    per-point factor, less q^2 in the real part, times the per-term 1/den.
-    The factors 2b + p and b + p keep the relative accuracy of the product
-    iz (2b + iz) at both zeros of w, z = 0 and z = 2ib.  On the real axis
-    (p = 0) the terms in p drop out exactly, (2b + p) p - q^2 = -q^2 and
-    b + p = b, so a real block forms w in three passes instead of seven;
-    both parts equal, bit for bit, those of numpy's complex multiply and
-    divide by the real den (which multiplies by 1/den), so real-axis
-    passes are those of the complex formula.
-  * log(1+w) is core.log1p_c's closed form from Re w and Im w, which keeps
-    tiny w; numpy's complex log1p is a naive log(1+w) and drops w below
-    machine epsilon.  It writes both parts into the work arrays and returns
-    the flat indices of its far entries (|1+w| < 1/2).
-  * near a zero of the paired factor (|1+w| < 1/4, a subset of those far
-    entries, so only they are searched) it is summed as
-    log(b + i(z - t)) + log(b + i(z + t)) - log(b^2 + t^2): each linear
-    factor is formed without cancellation, so F keeps full relative accuracy
-    next to its zeros, and the factor at t = |m| reproduces
-    conj(lambda_m) + iz bit for bit, so the division by it cancels exactly.
-    At a node computed from the same eigenvalue expression the linear factor
-    is literal 0, so interpolation checks see exact deltas.
+    numerator minus the denominator, never from subtracting the quadratics,
+    whose difference loses everything at large t.  It is formed in real
+    arithmetic, iz = p + iq: Re w = ((2b + p) p - q^2) / den and
+    Im w = 2q (b + p) / den, the factors 2b + p and b + p keeping w's
+    relative accuracy at both its zeros.
+  * log(1+w) is core.log1p_c's 1/2 log1p(s) + i atan2(Im w, 1 + Re w),
+    s = |1+w|^2 - 1, which keeps tiny w (numpy's log1p drops it), with
+    log|1+w| where |1+w| < 1/2.
+  * On the real axis (p = 0) s = Re w (Re w - c), c = 2 (b - t)(b + t) / den
+    per term, with Re w = -q^2/den: three array passes where w and s took
+    seven, and no cancellation for tiny w or where b crosses t.  One scan of
+    s splits |1+w| < 1/2 into log1p_c's far entries and, below 1/4, the
+    near branch's.  Im w is formed over the block only for the imaginary
+    part, else at the far entries alone, and s is scanned for overflow
+    only when max q^2 x max 1/den allows one.  Off the axis log1p_c forms s
+    and the near entries are taken from its far ones.
+  * Near a zero of the factor (|1+w| < 1/4) the term is log(b + i(z - t)) +
+    log(b + i(z + t)) - log den in real arithmetic, each linear factor
+    a + i(Re z -+ t), a = b - Im z, formed without cancellation and read
+    from the term and point vectors (`_entries`).  So F keeps full relative
+    accuracy next to its zeros.  The factor at t = |m| equals log_eval's
+    conj(lambda_m) + iz to rounding (1.5e-14 next to node_m, below); at a
+    node both are literal 0, so interpolation checks see exact deltas.
 
 Accuracy against a 40-digit mpmath reference with its own paired sum and
-Euler-Maclaurin tail (tests/test_weierstrass.py::test_product_matches_mpmath,
-eps 0.1, alpha 0.25 and 0.75, m 1/3/7, real x up to 390, one complex point
-and points 1e-4 and 1e-11 from node_m): relative errors 2e-16 .. 3.3e-11,
-the largest at x = 390 (the tail-scheme error grows with |z|), 2.5e-13 at the
-complex point and 1.5e-14 next to node_m.  The paired term alone, over t up
-to 1e4 at real points, other indices' nodes and points with Im z = +-0.5
-and +-20, is within 9e-16 relative (test_pair_log_matches_mpmath).
+Euler-Maclaurin tail (test_product_matches_mpmath, eps 0.1, alpha 0.25 and
+0.75, m 1/3/7, real x up to 390, one complex point and points 1e-4 and
+1e-11 from node_m): relative errors 2e-16 .. 3.3e-11, the largest at
+x = 390, 2.5e-13 at the complex point and 1.5e-14 next to node_m.  The
+paired term alone is within 1.0e-15 (test_pair_log_matches_mpmath), the
+real-axis terms of the fit and FFT grids within 9.1e-16
+(test_real_axis_terms_match_mpmath).
 """
 
 from __future__ import annotations
@@ -107,25 +95,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConfigError, gauss_legendre_01, log1p_c
-from .spectrum import lambda_conj_vals, phi_eps
+from .spectrum import gamma_eps, lambda_conj_vals, phi_eps
 
 _GL64 = gauss_legendre_01(64)
 N_MIN = 512   # floor of the direct paired-sum cutoff
 _BLOCK = 256  # paired terms summed per numpy pass
 _COLS = 512   # most points per numpy pass, split evenly (see _pair_sum)
+# s = |1+w|^2 - 1 below _FAR: |1+w| < 1/2 (far); below _NEAR: |1+w| < 1/4
+_FAR, _NEAR = -0.75, -15.0 / 16.0
+# max q^2 x max 1/den below this: s = Re w (Re w - c), |c| < 2, cannot overflow
+_NO_OVERFLOW = 1e150
 
 
 def _pair_log(t, z, eps: float, alpha: float, out=None, imag: bool = True):
     """log of F's paired (n, -n) factor at |n| = t (t may be non-integer on
-    the tail integral), vectorized over t and z jointly.  w is formed in
-    real arithmetic from iz = p + iq (see the module docstring); no complex
-    w is built.
+    the tail integral), vectorized over t and z jointly, which broadcast in
+    at most two dimensions; the module docstring gives the arithmetic.
 
     Without out the result is a new complex array, at least 1-d.  A pass
     hands in out = (re, im, w_re, w_im), contiguous float arrays of the
     broadcast shape (views of `_work_arrays`), and gets back (re, im): the
-    parts of the log, with w left in w_re and w_im.  imag=False skips the
-    imaginary part; im is then only scratch."""
+    parts of the log.  imag=False skips the imaginary part; im, w_re and
+    w_im are scratch."""
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=complex)
     p, q = -z.imag, z.real
@@ -139,6 +130,7 @@ def _pair_log(t, z, eps: float, alpha: float, out=None, imag: bool = True):
         out = res.real, res.imag, np.empty(shape), np.empty(shape)
         imag = True
     re, im, w_re, w_im = out
+    cols = re.shape[-1]
     if p.any():
         np.add(2.0 * b, p, out=w_re)
         w_re *= p
@@ -146,31 +138,78 @@ def _pair_log(t, z, eps: float, alpha: float, out=None, imag: bool = True):
         w_re *= scale
         np.add(b, p, out=w_im)
         w_im *= 2.0 * q
-    else:  # real axis: (2b + p) p - q^2 is -q^2 and b + p is b, exactly
-        np.multiply(-(q * q), scale, out=w_re)
-        np.multiply(b, 2.0 * q, out=w_im)
-    w_im *= scale
-    far = log1p_c(w_re, w_im, out=(re, im), imag=imag)
-    # |1+w| < 1/4 lies inside log1p_c's far branch, |1+w| < 1/2
-    near = far[re.reshape(-1)[far] < np.log(0.25)]
-    if near.size:
-        idx = np.unravel_index(near, re.shape)
-        b, z, t, den = (np.broadcast_to(a, re.shape)[idx] for a in (b, z, t, den))
-        # log(b + i(z - t)) + log(b + i(z + t)) - log(den) in place: at
-        # alpha 1/4 up to 37% of a fit-pass block is near, and these
-        # temporaries set the pass's peak memory
-        val, other = z - t, z + t
-        with np.errstate(divide="ignore"):
-            for f in (val, other):
-                f *= 1j
-                f += b
-                np.log(f, out=f)
-            val += other
-            val -= np.log(den)
-        re.reshape(-1)[near] = val.real
+        w_im *= scale
+        far = log1p_c(w_re, w_im, out=(re, im), imag=imag)
+        near = far[re.reshape(-1)[far] < np.log(0.25)]
+    else:
+        # real axis: Re w = -q^2/den, Im w = y_t q, and s = Re w (Re w - c_t)
+        _times(scale, -(q * q), w_re)
+        y_t = 2.0 * b * scale
+        np.subtract(w_re, 2.0 * (b - t) * (b + t) * scale, out=re)
+        with np.errstate(over="ignore"):
+            re *= w_re
+        s = re.reshape(-1)
+        if np.max(q * q) * np.max(scale) < _NO_OVERFLOW:
+            far = np.flatnonzero(s < _FAR)
+        else:
+            far = np.flatnonzero((s < _FAR) | (s == np.inf))
+        split = s[far] < _NEAR
+        near, far = far[split], far[~split]
         if imag:
-            im.reshape(-1)[near] = val.imag
+            _times(y_t, q, w_im)
+        else:  # Im w is read at far alone
+            y_f, q_f = _entries(far, cols, y_t, q)
+            w_im.reshape(-1)[far] = y_f * q_f
+        log1p_c(w_re, w_im, out=(re, im), imag=imag, s=re, far=far)
+    if near.size:
+        # log(b + i(z - t)) + log(b + i(z + t)) - log(den) with the linear
+        # factors a + i(Re z -+ t), a = b - Im z = b + p, in place
+        a, t_n, lo, p_n, log_den = _entries(near, cols, b, t, q, p, np.log(den))
+        a += p_n
+        hi = lo + t_n
+        lo -= t_n
+        del t_n, p_n
+        if imag:
+            ang = np.arctan2(lo, a)
+            ang += np.arctan2(hi, a)
+            im.reshape(-1)[near] = ang
+            del ang
+        a *= a
+        with np.errstate(divide="ignore"):
+            for f in (lo, hi):
+                f *= f
+                f += a
+                np.log(f, out=f)
+        lo += hi
+        lo *= 0.5
+        lo -= log_den
+        re.reshape(-1)[near] = lo
     return (re, im) if res is None else res
+
+
+def _times(a, b, out) -> None:
+    """a * b into out.  A column a (rows x 1) times a row b (1 x cols) is
+    einsum's outer product: the same bits as numpy's broadcast multiply, in
+    half its time on a 256 x 500 block (measured)."""
+    if a.ndim == b.ndim == 2 and a.shape[1] == b.shape[0] == 1:
+        np.einsum("i,j->ij", a[:, 0], b[0], out=out)
+    else:
+        np.multiply(a, b, out=out)
+
+
+def _entries(flat, cols: int, *arrays) -> list:
+    """The values at the flat indices `flat` of a block `cols` columns wide
+    of each of `arrays`, which broadcast over the block in at most two
+    dimensions: a column vector is read at flat // cols and a row vector at
+    flat % cols, so no broadcast view is indexed."""
+    row = flat // cols
+    col = flat - row * cols
+    out = []
+    for a in arrays:
+        rows, n = (a.shape[0], a.shape[1]) if a.ndim == 2 else (1, a.size)
+        idx = (flat if n > 1 else row) if rows > 1 else (col if n > 1 else 0 * flat)
+        out.append(a.reshape(-1).take(idx))
+    return out
 
 
 def _work_arrays(rows: int, cols: int) -> list:
@@ -194,23 +233,33 @@ def _tail_exponent(eps: float, alpha: float) -> float:
 def _tail(m_cut: float, z, eps, alpha, work=None, imag: bool = True) -> np.ndarray:
     """Paired terms beyond m_cut: their integral over t in (m_cut, inf) plus
     the first Euler-Maclaurin midpoint correction f'(m_cut)/24.  The integral
-    is taken by the substitution t = m_cut * s^{-q}, which maps t^{-p} decay
-    to a smooth integrand on (0, 1), with 64-point Gauss-Legendre.
+    is taken by the substitution t = t0 * s^{-q}, which maps t^{-p} decay
+    to a smooth integrand on (0, 1), with 64-point Gauss-Legendre.  t0 is
+    m_cut, or above alpha = 1/2 the kink t = gamma_eps = eps^{-1/(2a-1)}
+    where b crosses t and the decay turns from t^{2a-2} to t^{-2a}, if it
+    lies past m_cut; (m_cut, kink) then takes 64 more Gauss-Legendre
+    nodes in log t.
 
     With work, a pass's `_work_arrays`, the integral's terms run on them;
     with imag=False as well, only the result's real part is the tail's."""
     p = _tail_exponent(eps, alpha)
     s, w = _GL64
+    kink = gamma_eps(eps, alpha) if eps > 0 and alpha > 0.5 else 0.0
+    t0 = kink if m_cut < kink < np.inf else m_cut
     with np.errstate(over="ignore", divide="ignore"):
         q = np.divide(1.0, p - 1.0)  # inf at alpha = 1/2
-        t = m_cut * s ** (-q)
-        jac = m_cut * q * s ** (-q - 1.0)
+        t = t0 * s ** (-q)
+        jac = t0 * q * s ** (-q - 1.0)
         if not np.isfinite(t[0] * t[0]):
             # p -> 1 as alpha -> 1/2: the substitution sends the first node
             # past the float range, where the paired term can no longer be
             # formed (it squares t)
             raise ConfigError(f"alpha = {alpha} is too close to 1/2: the product "
                               f"tail decays like t^-{p:.4g}, too slowly for its quadrature")
+    if t0 > m_cut:
+        span = np.log(t0 / m_cut)
+        below = m_cut * np.exp(span * s)
+        t, jac, w = (np.concatenate(pair) for pair in ((below, t), (span * below, jac), (w, w)))
     wj = (w * jac)[:, None]
     if work is None:
         integral = np.sum(wj * _pair_log(t[:, None], z[None, :], eps, alpha), axis=0)
@@ -222,7 +271,8 @@ def _tail(m_cut: float, z, eps, alpha, work=None, imag: bool = True) -> np.ndarr
         if imag:
             integral.imag = np.sum(np.multiply(wj, im, out=im), axis=0)
     h = 1e-5 * m_cut
-    fp = (_pair_log(m_cut + h, z, eps, alpha) - _pair_log(m_cut - h, z, eps, alpha)) / (2.0 * h)
+    ends = _pair_log(np.array([[m_cut + h], [m_cut - h]]), z[None, :], eps, alpha)
+    fp = (ends[0] - ends[1]) / (2.0 * h)
     return integral + fp / 24.0
 
 

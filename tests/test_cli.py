@@ -121,6 +121,32 @@ def test_multiplier_check_small_eps(runner, tmp_path):
     assert all(r[-1] == "ok" for r in rows)
 
 
+@pytest.mark.filterwarnings("error")
+def test_tiny_eps_saturates_without_warnings(runner, tmp_path):
+    # at eps 1e-300 the multiplier's nodes (n/eps)^{1/2a}/e pass the float
+    # range and saturate to inf, the intended limit (the sinc factor of a
+    # node at infinity is 1): the build exits 0 with a finite CSV, and no
+    # RuntimeWarning is raised on the way
+    res = runner.invoke(main, ["biorth", "build", "--epsilon", "1e-300", "--alpha", "0.25",
+                               "--modes", "1", "--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == 0, repr(res.exception)
+    rows = [r.split(",") for r in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2 and np.all(np.isfinite([float(v) for r in rows for v in r]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_eps_overflowing_node_sum_exits_2_without_warnings(runner, tmp_path):
+    # above 1/2 at eps 1e-300 the branch point gamma_eps is inf and the node
+    # sum below it overflows: the series route refuses it with its message,
+    # and the overflow on the way raises no RuntimeWarning
+    res = runner.invoke(main, ["control", "solve", "--series", "--epsilon", "1e-300",
+                               "--alpha", "0.75", "--modes", "1",
+                               "--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == 2, repr(res.exception)
+    assert ("invalid input: gamma_eps = inf at alpha = 0.75: the node sum of power 2 "
+            "below it overflows") in res.output
+
+
 def test_missing_parameters_is_invalid_input(runner, tmp_path):
     res = _run(runner, ["spectrum", "dump", "--alpha", "0.25"], tmp_path)
     assert res.exit_code == 2

@@ -149,29 +149,132 @@ def _pass_terms(grids) -> int:
                for x in grids)
 
 
+# |log F - log F_complex| <= this x max(|log F|, 1) on both grids: 10x the
+# worst measured (4.1e-16, the FFT half-grid at alpha 0.75)
+_COMPLEX_FORMULA_BOUND = 4e-15
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
-def test_real_axis_pass_is_bitwise_the_complex_formula(monkeypatch, alpha):
-    # on the real axis the separable real form of the paired term, summed in
-    # column blocks, gives the complex formula summed over every point at
-    # once bit for bit: on the envelope fit's 3000-point grid and on the
-    # n/2 + 1 points j dx of an FFT grid (n 8192, half-width 150).  No
-    # paired-term call sees more than _BLOCK x _COLS entries, and none sees
-    # a single point, which numpy would sum pairwise instead of row by row.
-    # Both sides send every paired term through `_pair_log`, so the patched
-    # formula is what the second pass sums
+def test_real_axis_pass_is_blocking_invariant(monkeypatch, alpha):
+    # the real-axis pass summed in column blocks is, bit for bit, the same
+    # pass summed over every point at once: on the envelope fit's 3000-point
+    # grid and on the n/2 + 1 points j dx of an FFT grid (n 8192, half-width
+    # 150).  No paired-term call sees more than _BLOCK x _COLS entries, and
+    # none sees a single point, which numpy would sum pairwise instead of
+    # row by row.  Both passes send every paired term through `_pair_log`.
+    # s = |1+w|^2 - 1 by factorization is not the complex formula's
+    # rounding: the two agree to _COMPLEX_FORMULA_BOUND
     grids = (FIT_GRID, FFT_HALF_GRID)
     work = count_pair_work(monkeypatch)
     got = [ProductEvaluator(0.1, alpha).log_generating(x) for x in grids]
     assert max(work.elements) <= wei._BLOCK * wei._COLS
     assert max(work.points) <= wei._COLS and min(work.points) >= 2
     assert sum(work.elements) == _pass_terms(grids)
-    monkeypatch.setattr(wei, "_pair_log", _pair_log_complex)
     monkeypatch.setattr(wei, "_COLS", 10 ** 6)
-    ref = count_pair_work(monkeypatch)
+    one = count_pair_work(monkeypatch)
     for x, g in zip(grids, got):
         assert np.array_equal(g, ProductEvaluator(0.1, alpha).log_generating(x))
-    assert sum(ref.elements) == _pass_terms(grids)
-    assert max(ref.points) == len(FFT_HALF_GRID)
+    assert sum(one.elements) == _pass_terms(grids)
+    assert max(one.points) == len(FFT_HALF_GRID)
+    monkeypatch.setattr(wei, "_pair_log", _pair_log_complex)
+    for x, g in zip(grids, got):
+        ref = ProductEvaluator(0.1, alpha).log_generating(x)
+        err = float(np.max(np.abs(g - ref) / np.maximum(np.abs(ref), 1.0)))
+        print(f"alpha={alpha}, {len(x)} points: {err:.2e} off the complex formula")
+        assert err <= _COMPLEX_FORMULA_BOUND
+
+
+def _mp_pair_log(t, z, b):
+    """log(((b + iz)^2 + t^2) / (b^2 + t^2)) in working precision from the
+    double inputs."""
+    t_mp, b_mp = mp.mpf(t), mp.mpf(b)
+    z_mp = mp.mpc(complex(z).real, complex(z).imag)
+    return mp.log(((b_mp + 1j * z_mp) ** 2 + t_mp ** 2) / (b_mp ** 2 + t_mp ** 2))
+
+
+def _worst_vs_mp(t, z, eps, alpha) -> float:
+    """Largest relative error of `_pair_log(t, z)`, t and z broadcast, against
+    40-digit mpmath, modulo 2 pi i."""
+    got = _pair_log(t, z, eps, alpha)
+    t_b, z_b = (np.broadcast_to(a, got.shape) for a in (t, z))
+    worst = 0.0
+    with mp.workdps(40):
+        for tv, zv, g in zip(t_b.ravel(), z_b.ravel(), got.ravel()):
+            ref = _mp_pair_log(tv, zv, eps * tv ** (2.0 * alpha))
+            d = mp.mpc(g.real, g.imag) - ref
+            d -= 2j * mp.pi * mp.nint(d.imag / (2 * mp.pi))
+            worst = max(worst, float(abs(d) / (abs(ref) or 1)))
+    return worst
+
+
+# the near branch sums three logs, the largest log(den) <= 2 log(801)
+# = 13.4, so a few of its ulps (1.8e-15) over the smallest near |log(1+w)|,
+# log 4: 4e-15; measured 1.4e-15 (near, fit grid, alpha 1/4)
+_REAL_AXIS_MP_BOUND = 4e-15
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_real_axis_terms_match_mpmath(alpha):
+    # direct terms of the fit-grid and FFT-half-grid passes, drawn from each
+    # branch of the real-axis kernel: near (|1+w| < 1/4, the factored
+    # branch), far (1/4 <= |1+w| < 1/2, log1p_c's log|1+w|) and tiny w
+    # (0 < |w| < 1e-3, where s = |1+w|^2 - 1 must not cancel); at alpha 3/4
+    # only two terms of each grid are near
+    eps, rng = 0.1, np.random.default_rng(19)
+    for x in (FIT_GRID, FFT_HALF_GRID):
+        ts = np.arange(1.0, ProductEvaluator(eps, alpha)._cut(float(x[-1])) + 1.0)
+        picked = {"near": [], "far": [], "small w": []}
+        for lo in range(0, len(ts), 64):
+            t = ts[lo:lo + 64, None]
+            b = eps * t ** (2.0 * alpha)
+            w = 1j * x * (2.0 * b + 1j * x) / (b * b + t * t)
+            mod = np.abs(1.0 + w)
+            for kind, sel in (("near", mod < 0.25), ("far", (mod >= 0.25) & (mod < 0.5)),
+                              ("small w", (np.abs(w) < 1e-3) & (x > 0))):
+                i, j = np.nonzero(sel)
+                k = rng.permutation(len(i))[:4]
+                picked[kind].append(np.stack([t[i[k], 0], x[j[k]]]))
+        for kind, pairs in picked.items():
+            t_s, x_s = np.concatenate(pairs, axis=1)
+            worst = _worst_vs_mp(t_s, x_s, eps, alpha)
+            print(f"alpha={alpha}, {len(x)}-point grid, {kind}: {len(t_s)} terms, "
+                  f"max relative error {worst:.2e} vs 40-digit mpmath")
+            assert len(t_s) >= 2 and worst <= _REAL_AXIS_MP_BOUND
+
+
+def test_pair_log_real_axis_saturating_inputs():
+    # |w|^2 = (q^2/den)^2 overflows at real z = 1e100: the per-block bound
+    # turns the overflow scan on, and those terms take log|1+w|, finite and
+    # right, next to an ordinary term in the same block
+    z = np.array([1.0, 1e100, -1e150])
+    t = np.array([[1.0], [7.0], [512.0]])
+    for alpha in (0.25, 0.75):
+        got = _pair_log(t, z[None, :], 0.1, alpha)
+        assert np.all(np.isfinite(got))
+        assert _worst_vs_mp(t, z[None, :], 0.1, alpha) <= 1e-15
+
+
+def test_pair_log_near_branch_on_scalar_and_1d_t():
+    # the near branch reads t, b, den and z at its entries from vectors of
+    # the broadcast shape: a scalar t against 1-d z or a scalar z, 1-d t
+    # against 1-d z entry by entry, and a column of t against a row of z
+    # give the same bits, on and off the axis, and match mpmath
+    eps, alpha, t0 = 0.1, 0.25, 7.0
+    b0 = eps * t0 ** (2.0 * alpha)
+    z = np.array([t0, t0 + 1e-3, t0 - 0.2, t0 + 1j * b0 + 1e-9 * (1 + 1j), 2.0, 0.5j])
+    scalar = _pair_log(t0, z, eps, alpha)
+    block = _pair_log(np.array([[t0, 3.0]]).T, z[None, :], eps, alpha)
+    assert np.array_equal(scalar, block[0])
+    assert np.array_equal(_pair_log(t0, z[1], eps, alpha), scalar[1:2])
+    ts = np.array([t0, 3.0, t0, 40.0])
+    zs = np.array([t0 + 1e-3, 3.0, t0 + 1j * b0 + 1e-9, 39.9])
+    diagonal = _pair_log(ts, zs, eps, alpha)
+    outer = _pair_log(ts[:, None], zs[None, :], eps, alpha)
+    assert np.array_equal(diagonal, np.diagonal(outer))
+    near = np.abs(1.0 + 1j * z * (2.0 * b0 + 1j * z) / (b0 * b0 + t0 * t0)) < 0.25
+    assert near.sum() >= 3
+    assert _worst_vs_mp(t0, z, eps, alpha) <= 2e-15
+    assert _worst_vs_mp(ts, zs, eps, alpha) <= 2e-15
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.55, 0.75])
@@ -358,25 +461,25 @@ def _mp_tail_split(z, e, a2, t0, kink):
     """sum over t >= t0 of the paired log term in working precision, by
     Euler-Maclaurin summation (mpmath.sumem) around an integral split at
     `kink`, where the term's decay changes: Gauss-Legendre in log t below
-    it, and above it the substitution t = kink s^-2 of `_mp_tail`."""
+    it, and above it, where the term decays like t^-a2, the substitution
+    t = kink s^-k, k = 1/(a2 - 1), which makes the integrand smooth on
+    (0, 1] (k = 2 at alpha 3/4, as in `_mp_tail`)."""
     def term(t):
         b = e * t ** a2
         return mp.log(((b + 1j * z) ** 2 + t ** 2) / (b ** 2 + t ** 2))
 
+    k = 1 / (a2 - 1)
     below = mp.quad(lambda u: term(mp.exp(u)) * mp.exp(u), [mp.log(t0), mp.log(kink)],
                     method="gauss-legendre")
-    above = mp.quad(lambda s: term(kink / s ** 2) * 2 * kink / s ** 3, [0, 1],
+    above = mp.quad(lambda s: term(kink / s ** k) * k * kink / s ** (k + 1), [0, 1],
                     method="gauss-legendre")
     return mp.sumem(term, [t0, mp.inf], integral=below + above)
 
 
-def test_tail_at_small_eps_against_mpmath():
-    # records the known weak point of the tail scheme, and does not fix it:
-    # at eps 1e-3, alpha 0.75 the paired term decays like t^-1/2 up to the
-    # kink t = eps^{-1/(2a-1)} = 1e6 and like t^-3/2 beyond it, and one power
-    # substitution cannot flatten both.  log F's tail from the direct cutoff
-    # N = 512 at x = 150 is measured 3.28e-9 off a 40-digit reference
-    eps, alpha, x, n_cut = 1e-3, 0.75, 150.0, wei.N_MIN
+def _tail_error(eps: float, alpha: float, x: float) -> float:
+    """|error| of log F's tail from the direct cutoff N_MIN at real x against
+    a 40-digit reference split at the kink eps^{-1/(2a-1)}."""
+    n_cut = wei.N_MIN
     got = complex(wei._tail(n_cut + 0.5, np.array([x], dtype=complex), eps, alpha)[0])
     with mp.workdps(40):
         e, a2 = mp.mpf(eps), 2 * mp.mpf(alpha)
@@ -385,7 +488,22 @@ def test_tail_at_small_eps_against_mpmath():
         err = float(abs(mp.mpc(got.real, got.imag) - ref))
     print(f"product tail from N = {n_cut} at x = {x:g}, eps {eps:g}, alpha {alpha}: "
           f"error {err:.2e} vs 40-digit mpmath")
-    assert err <= 1e-8
+    return err
+
+
+def test_tail_at_small_eps_against_mpmath():
+    # at eps 1e-3, alpha 0.75 the paired term decays like t^-1/2 up to the
+    # kink t = eps^{-1/(2a-1)} = 1e6 and like t^-3/2 beyond it, and one power
+    # substitution cannot flatten both: it read 3.28e-9 at x = 150 before
+    # the tail integral was split at the kink, 2.3e-11 after; the bound is
+    # 10x that
+    assert _tail_error(1e-3, 0.75, 150.0) <= 2.3e-10
+
+
+def test_tail_split_at_the_kink_against_mpmath():
+    # eps 0.1, alpha 0.6: kink at 1e5, past the cutoff 512.5, so the split
+    # runs at the benchmark's eps too (measured 2.1e-11; the bound is 10x)
+    assert _tail_error(0.1, 0.6, 150.0) <= 2.1e-10
 
 
 @given(m=st.integers(1, 12), x=st.floats(-40.0, 40.0), y=st.floats(-2.0, 2.0))
