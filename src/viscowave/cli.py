@@ -235,16 +235,22 @@ def multiplier_check(config, out, seed, alpha, epsilon, modes) -> None:
             raise ConfigError("multiplier is absent for eps = 0 or alpha = 0")
         out_path = out or "multiplier_check.csv"
         xg = np.logspace(-2, 5, 200)
-        ev = mul.MultiplierEvaluator(cfg.epsilon, cfg.alpha, z_max=float(xg[-1]))
         ms = range(1, cfg.n_modes + 1)
+        phi_x = np.asarray(sp.phi_eps(xg, cfg.epsilon, cfg.alpha))
+        bounds = {m: -phi_x + 2.0 * sp.E ** 2 * abs(complex(
+            sp.lambda_vals(m, cfg.epsilon, cfg.alpha)).real) + 1.0 for m in ms}
+        # the bound column is exp of these; a double holds exp(709.78) at most
+        for m in ms:
+            if np.max(bounds[m]) > np.log(np.finfo(float).max):
+                raise ConfigError(f"the bound exp(-phi(x) + 2e^2 |Re lambda_m| + 1) "
+                                  f"overflows a double from m = {m} on; use --modes "
+                                  f"{m - 1} or fewer")
+        ev = mul.MultiplierEvaluator(cfg.epsilon, cfg.alpha, z_max=float(xg[-1]))
         rep = mul.multiplier_property_check(ms, xg, ev)
         rows = []
         for m in ms:
-            lam = complex(sp.lambda_vals(m, cfg.epsilon, cfg.alpha))
             log_m = rep.log_abs[m]
-            bound = -np.asarray(sp.phi_eps(xg, cfg.epsilon, cfg.alpha)) \
-                + 2.0 * sp.E ** 2 * abs(lam.real) + 1.0
-            for x, lv, bv in zip(xg, log_m, bound):
+            for x, lv, bv in zip(xg, log_m, bounds[m]):
                 rows.append((m, x, float(np.exp(lv)), float(np.exp(bv)),
                              "ok" if lv <= bv else "violated"))
         write_outputs(out_path, ("m", "x", "abs_m", "bound", "status"), rows,

@@ -13,7 +13,6 @@ sampled functions; all dynamics downstream are modal.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 
@@ -94,6 +93,8 @@ def load_config(path: str) -> ProblemConfig:
     dataclass); keys are case-sensitive.  Any other section or key, a
     non-numeric value or a non-integer n_modes raises ConfigError naming it.
     """
+    import configparser   # only --config reads it: off every command's import path
+
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:

@@ -5,23 +5,31 @@ a_n = phi_inv(n)/e.  On the real axis every factor has modulus <= 1, so the
 product trades polynomial growth of an interpolation product for decay like
 exp(-phi(x)), at the price of an exponential type set by sum 1/a_n.
 
-Evaluation is per point.  A point z multiplies the factors with a_n <= 2|z|
-directly: K = floor(phi(2e|z|)) of them, or n_m - 1 if that is more, rounded
-up to the end of its 256-node block and capped at the evaluator's cutoff
-k_cut (the K of the largest |z| seen).  Its remaining log-tail, where
-|z/a_n| <= 1/2, is resummed through the series
-log sinc w = -sum_j zeta(2j)/(j pi^{2j}) w^{2j} with the node power sums
-S_{2j}(K) = sum_{n>K} a_n^{-2j}.  S_{2j}(k_cut) has a closed form: Hurwitz
-zeta past the weight's branch point gamma_eps, and an Euler-Maclaurin sum of
-n^-s for the finite range below it.  Both are `_power_range_sum`, the zeta
-being its hi = inf case, so the series constants C_j = zeta(2j)/(j pi^{2j})
-come from it too.  S_{2j} at the block ends below k_cut add the per-block
-sums of a_n^{-2j}.  Eleven series terms leave a remainder below
-c_12 |z|^24 S_24, measured around 1e-19.  On the real axis the direct
-factors are summed in real arithmetic: log|sinc| plus i pi for each
-negative factor.
+Evaluation is per point.  A point z multiplies the factors with a_n < |z|,
+where |z/a_n| > 1, directly: K = floor(phi(e|z|)) of them, or n_m - 1 if
+that is more (the first node n_m = floor(phi(e|lambda_m|)) + 1 already has
+a_n >= |lambda_m|), rounded up to a multiple of _STRIDE = 16 and capped at
+the evaluator's cutoff k_cut (the K of the largest |z| seen).  Its remaining
+log-tail, where |z/a_n| <= 1, is resummed through the series
+log sinc w = -sum_j zeta(2j)/(j pi^{2j}) w^{2j}, which converges for
+|w| < pi, with the node power sums S_{2j}(K) = sum_{n>K} a_n^{-2j}.
+S_{2j}(k_cut) has a closed form: Hurwitz zeta past the weight's branch point
+gamma_eps, and an Euler-Maclaurin sum of n^-s for the finite range below it.
+Both are `_power_range_sum`, the zeta being its hi = inf case, so the series
+constants C_j = zeta(2j)/(j pi^{2j}) come from it too.  S_{2j} at the
+multiples of _STRIDE below k_cut add the per-stride sums of a_n^{-2j}.
+J = 18 series terms bound the remainder by
+1.12 C_19 |z|^38 S_38(K) <= 1.12 C_19 sum_{n>K} |z/a_n|^38, C_19 = 6.7e-21,
+since C_{j+1}/C_j < 1/pi^2 and |z/a_n| <= 1 past K; against a 40-digit
+mpmath product the scaled error in log M is at most 1.3e-15, points on
+both sides of |z/a_n| = 1 included.  On the real axis the direct factors are
+summed in real arithmetic: log|sinc| plus i pi for each negative factor.
+Points are sorted by K, and the nodes between consecutive cutoffs are summed
+over the points that still need them, in stretches merged until each holds
+_MIN_TERMS point x node terms (a merged point's cutoff rises to its
+stretch's end) and formed in tiles of at most _TILE factors.
 
-The node bulk (a_n table and the tail sums at the block ends) depends only on
+The node bulk (a_n table and the tail sums at the stride nodes) depends only on
 (eps, alpha) and the largest |z| requested, so one evaluator instance serves
 a whole family of indices m; per-m evaluation just chooses the starting node
 n_m.
@@ -35,10 +43,14 @@ from .core import ALPHA_DEGENERACY_TOL, ConfigError
 from .spectrum import (E, gamma_eps, lambda_vals, node_start, node_sum_bound,
                        node_tail_sq_constant, phi_eps, phi_eps_inverse)
 
-# direct factors are summed in chunks of this many nodes; tail sums are
-# tabulated at the ends of the blocks n = 256 b + 1 .. 256 b + 256, so a point's
+# tail sums S_2j(K) are tabulated at every _STRIDE-th node K, so a point's
 # direct range is rounded up to one of them
-_BLOCK = 256
+_STRIDE = 16
+# log_factor_range forms at most this many point x node factors at once
+_TILE = 16384
+# log_eval_start merges the stretches between consecutive point cutoffs until
+# one holds at least this many point x node terms
+_MIN_TERMS = 32768
 
 
 # B_2j/(2j)! for Euler-Maclaurin past 32 directly summed terms (from n = 33
@@ -48,36 +60,42 @@ _EM_C = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
                   -691 / 1307674368000])
 
 
-def _power_range_sum(s: float, lo: float, hi: float) -> float:
-    """sum_{n=lo}^{hi} n^-s for s > 0; the Hurwitz zeta(s, lo) if hi = inf.
+def _power_range_sum(s: float, lo: float, hi: float, scale: float = 1.0) -> float:
+    """sum_{n=lo}^{hi} (n/scale)^-s for s > 0; the Hurwitz zeta(s, lo) if hi
+    = inf and scale = 1.
 
-    The Euler-Maclaurin integral term c^{1-s} expm1((1-s) log(hi/c))/(1-s)
-    has no cancellation near s = 1, and is log(hi/c) at s = 1.  At hi = inf
-    it is c^{1-s}/(s-1) and every hi^{-s-m} term is 0; the sum is inf for
-    s <= 1, and zeta(s, inf) = 0.
+    The Euler-Maclaurin integral term scale (c/scale)^{1-s}
+    expm1((1-s) log(hi/c))/(1-s) has no cancellation near s = 1, and is
+    scale log(hi/c) at s = 1.  At hi = inf it is scale (c/scale)^{1-s}/(s-1)
+    and every hi^{-s-m} term is 0; the sum is inf for s <= 1, and
+    zeta(s, inf) = 0.  A scale near lo keeps every term in range where
+    lo^-s alone would underflow.
     """
     if np.isinf(lo):
         return 0.0
     if np.isinf(hi) and s <= 1.0:
         return np.inf
     top = min(hi, lo + _EM_HEAD - 1.0)
-    out = float(np.sum(np.arange(lo, top + 1.0) ** -s))
+    out = float(np.sum((np.arange(lo, top + 1.0) / scale) ** -s))
     c, t = top + 1.0, 1.0 - s
     if c > hi:
         return out
     with np.errstate(over="ignore"):
-        out += c ** t * np.expm1(t * np.log(hi / c)) / t if t != 0.0 else np.log(hi / c)
-    out += 0.5 * (c ** -s + hi ** -s)
+        out += scale * ((c / scale) ** t * np.expm1(t * np.log(hi / c)) / t
+                        if t != 0.0 else np.log(hi / c))
+    out += 0.5 * ((c / scale) ** -s + (hi / scale) ** -s)
     rising = s  # (s)_m, m = 2j - 1: d^m/dx^m x^-s = -(s)_m x^{-s-m}
     for m, b in zip(range(1, 12, 2), _EM_C):
-        out -= b * rising * (hi ** (-s - m) - c ** (-s - m))
+        out -= b * rising * ((hi / scale) ** (-s - m) - (c / scale) ** (-s - m)) \
+            * scale ** -m
         rising *= (s + m) * (s + m + 1)
     return float(out)
 
 
 # log sinc w = -sum_j C_j w^{2j}, C_j = zeta(2j)/(j pi^{2j}); valid |w| < pi,
-# used only where |w| <= 1/2 so eleven terms reach ~1e-19
-_SER_J = np.arange(1, 12)
+# used only where |w| <= 1, so past J = 18 terms each node leaves at most
+# sum_{j>18} C_j |w|^2j <= 1.12 C_19 |w|^38, C_19 = 6.7e-21
+_SER_J = np.arange(1, 19)
 _SER_C = np.array([_power_range_sum(2.0 * j, 1, np.inf) / (j * np.pi ** (2 * j))
                    for j in _SER_J])
 
@@ -96,11 +114,16 @@ def node_power_sum(k_cut: int, eps: float, alpha: float, power: float) -> float:
     if alpha < 0.5:
         return E ** power * eps ** s * _power_range_sum(s, k_cut + 1, np.inf)
     ng = np.floor(gamma_eps(eps, alpha))
+    lo = float(max(k_cut, ng) + 1)
     # gamma_eps = inf saturates (E / eps)^p to inf against a zero zeta: the
     # nan is refused below with the sum that overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.power(E / eps, power) * _power_range_sum(2.0 * alpha * power,
-                                                          max(k_cut, ng) + 1, np.inf)
+        out = np.power(E / eps, power) * _power_range_sum(2.0 * alpha * power, lo, np.inf)
+        if not np.isfinite(out) and np.isfinite(lo):
+            # (E / eps)^p alone overflows (eps below 7e-9 at p = 36): the same
+            # sum as a_lo^-p sum_{n >= lo} (n / lo)^-2ap
+            out = (E / (eps * lo ** (2.0 * alpha))) ** power \
+                * _power_range_sum(2.0 * alpha * power, lo, np.inf, scale=lo)
         if k_cut < ng:
             out += E ** power * eps ** s * _power_range_sum(s, k_cut + 1, ng)
     if not np.isfinite(out):
@@ -113,8 +136,8 @@ class MultiplierEvaluator:
     """Shared-bulk evaluator at fixed (eps, alpha).
 
     Holds the node table up to the direct cutoff k_cut of the largest |z|
-    seen, and the tail power sums S_2j(K) at every block end K below it;
-    grows itself if asked about larger |z|.
+    seen, and the tail power sums S_2j(K) at every _STRIDE-th node K below
+    it; grows itself if asked about larger |z|.
     """
 
     def __init__(self, eps: float, alpha: float, z_max: float = 1.0):
@@ -129,20 +152,20 @@ class MultiplierEvaluator:
 
     def _grow(self, z_max: float) -> None:
         self.z_max = z_max
-        # direct range keeps |z / a_n| <= 1/2 for every tail index
-        self.k_cut = max(1, int(np.floor(phi_eps(2.0 * E * z_max, self.eps, self.alpha))))
+        # direct range keeps |z / a_n| <= 1 for every tail index
+        self.k_cut = max(1, int(np.floor(phi_eps(E * z_max, self.eps, self.alpha))))
         ns = np.arange(1, self.k_cut + 1, dtype=float)
         self.nodes = phi_eps_inverse(ns, self.eps, self.alpha) / E
-        # column c of _tail_sums is S_2j(c * _BLOCK), the last one S_2j(k_cut):
-        # the closed form at k_cut plus the block sums of a_n^-2j from the far end
+        # column c of _tail_sums is S_2j(c * _STRIDE), the last one S_2j(k_cut):
+        # the closed form at k_cut plus the stride sums of a_n^-2j from the far end
         at_cut = [node_power_sum(self.k_cut, self.eps, self.alpha, 2.0 * j) for j in _SER_J]
         inv_sq = self.nodes ** -2.0
         power = np.ones_like(inv_sq)
-        blocks = np.empty((len(_SER_J), -(-self.k_cut // _BLOCK)))
-        for row in blocks:
+        strides = np.empty((len(_SER_J), -(-self.k_cut // _STRIDE)))
+        for row in strides:
             power *= inv_sq
-            row[:] = np.add.reduceat(power, np.arange(0, self.k_cut, _BLOCK))
-        self._tail_sums = np.cumsum(np.column_stack([at_cut, blocks[:, ::-1]]),
+            row[:] = np.add.reduceat(power, np.arange(0, self.k_cut, _STRIDE))
+        self._tail_sums = np.cumsum(np.column_stack([at_cut, strides[:, ::-1]]),
                                     axis=1)[:, ::-1]
 
     def _ensure(self, z_max: float) -> None:
@@ -155,21 +178,21 @@ class MultiplierEvaluator:
         # needs the direct range extended up to its n_m
         if n_from - 1 > self.k_cut:
             z_need = float(phi_eps_inverse(float(n_from - 1), self.eps, self.alpha)) \
-                / (2.0 * E) * 1.01
+                / E * 1.01
             self._grow(max(z_need, self.z_max))
 
-    def _cutoffs(self, n_from: int, az: np.ndarray):
-        """Per-point direct cutoff K_p and its column in the tail-sum table.
+    def _cutoffs(self, n_from: int, az: np.ndarray) -> np.ndarray:
+        """Per-point direct cutoff K_p.
 
-        K_p = max(n_from - 1, floor(phi(2e|z_p|))), rounded up to the end of
-        its _BLOCK-node block and capped at k_cut; the nodes past it keep
-        |z_p / a_n| <= 1/2.
+        K_p = max(n_from - 1, floor(phi(e|z_p|))), rounded up to a multiple
+        of _STRIDE and capped at k_cut, so that S_2j(K_p) is tabulated; the
+        nodes past it have a_n > |z_p|, that is |z_p / a_n| < 1.
         """
         self._ensure(float(np.max(az, initial=0.0)))
         self._ensure_start(n_from)
-        k = np.minimum(np.floor(phi_eps(2.0 * E * az, self.eps, self.alpha)), self.k_cut)
-        col = -(-np.maximum(k.astype(np.int64), n_from - 1) // _BLOCK)
-        return np.minimum(col * _BLOCK, self.k_cut), col
+        k = np.minimum(np.floor(phi_eps(E * az, self.eps, self.alpha)), self.k_cut)
+        k = np.maximum(k.astype(np.int64), n_from - 1)
+        return np.minimum(-(-k // _STRIDE) * _STRIDE, self.k_cut)
 
     def log_factor_range(self, lo: int, hi: int, z) -> np.ndarray:
         """sum of log sinc(z / a_n) for n in [lo, hi] by direct evaluation.
@@ -178,7 +201,8 @@ class MultiplierEvaluator:
         is summed in real arithmetic, log|sinc| plus i pi times the number of
         negative factors; complex z sums the complex factor logs.  Either way
         the result is branch-consistent with any other range of the same
-        nodes, so ranges can be added and subtracted freely.
+        nodes, so ranges can be added and subtracted freely.  The points x
+        nodes factors are formed in tiles of at most _TILE elements.
         """
         z = np.asarray(z, dtype=complex)
         if hi < lo:
@@ -186,55 +210,69 @@ class MultiplierEvaluator:
         if hi > self.k_cut:
             raise ConfigError("factor range beyond the direct cutoff")
         real = not np.any(z.imag)
+        flat = (z.real if real else z).ravel()
+        out = np.zeros_like(flat)
+        negative = np.zeros(flat.shape, dtype=np.int64)
+        nodes = self.nodes[lo - 1:hi]
+        cols = min(nodes.size, _TILE)
+        rows = max(1, _TILE // cols)
+        for p in range(0, flat.size, rows):
+            zp = flat[p:p + rows, None]
+            for c in range(0, nodes.size, cols):
+                w = zp / nodes[c:c + cols]
+                if real:
+                    with np.errstate(invalid="ignore"):   # 0/0 where w is 0
+                        sw = np.sin(w) / w
+                    sw[w == 0.0] = 1.0  # z = 0, or a subnormal z / a_n underflowing
+                    negative[p:p + rows] += np.count_nonzero(sw < 0.0, axis=-1)
+                    out[p:p + rows] += np.sum(np.log(np.abs(sw, out=sw), out=sw), axis=-1)
+                else:
+                    small = np.abs(w) < 1e-8
+                    sw = np.where(small, 1.0 - w * w / 6.0,
+                                  np.sin(w) / np.where(small, 1.0, w))
+                    out[p:p + rows] += np.sum(np.log(sw), axis=-1)
         if real:
-            z = z.real
-            negative = np.zeros(z.shape, dtype=np.int64)
-        out = np.zeros_like(z)
-        # chunked so grid * node-count temporaries stay modest
-        for blk in range(lo, hi + 1, _BLOCK):
-            w = z[..., None] / self.nodes[blk - 1:min(blk + _BLOCK - 1, hi)]
-            if real:
-                with np.errstate(invalid="ignore"):   # 0/0 where w is 0
-                    sw = np.sin(w) / w
-                sw[w == 0.0] = 1.0  # z = 0, or a subnormal z / a_n underflowing
-                negative += np.count_nonzero(sw < 0.0, axis=-1)
-                out += np.sum(np.log(np.abs(sw, out=sw), out=sw), axis=-1)
-            else:
-                small = np.abs(w) < 1e-8
-                sw = np.where(small, 1.0 - w * w / 6.0,
-                              np.sin(w) / np.where(small, 1.0, w))
-                out += np.sum(np.log(sw), axis=-1)
-        if not real:
-            return out
-        return out + 1j * np.pi * negative
+            out = out + 1j * np.pi * negative
+        return out.reshape(z.shape)
 
     def log_eval_start(self, n_from: int, z) -> np.ndarray:
         """log prod_{n >= n_from} sinc(z / a_n) for complex z (array ok).
 
         Each point z_p gets its own direct range [n_from, K_p] (see
         _cutoffs) and its own tail from K_p + 1, resummed as
-        -sum_j C_j z^2j S_2j(K_p).  The points are sorted by K_p once; each
-        stretch of nodes between consecutive cutoffs is summed over only
-        the points that still need it.
+        -sum_j C_j z^2j S_2j(K_p).  The points are sorted by K_p once; the
+        nodes between consecutive cutoffs are summed over only the points
+        that still need them, in stretches merged until each holds
+        _MIN_TERMS point x node terms (or reaches the last cutoff).  A
+        merged point's cutoff is raised to the end of its stretch, so it
+        gets more direct factors, never fewer.
         """
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
-        k_p, col = self._cutoffs(n_from, np.abs(flat))
+        k_sorted = self._cutoffs(n_from, np.abs(flat))
+        order = np.argsort(k_sorted, kind="stable")
+        k_sorted = k_sorted[order]
         out = np.zeros_like(flat)
-        order = np.argsort(k_p, kind="stable")
-        k_sorted = k_p[order]
+        cuts, first = np.unique(k_sorted, return_index=True)
+        ends = np.append(first[1:], flat.size)
         lo = n_from
-        for k in np.unique(k_sorted[k_sorted >= n_from]):
-            active = order[np.searchsorted(k_sorted, k):]
-            out[active] += self.log_factor_range(lo, int(k), flat[active])
-            lo = int(k) + 1
-        # Horner in z^2, real on the real axis
+        i0 = int(np.searchsorted(k_sorted, n_from))   # first point with direct factors
+        for c, (k, end) in enumerate(zip(cuts.tolist(), ends.tolist())):
+            if k < lo or (c + 1 < cuts.size
+                          and (flat.size - i0) * (k - lo + 1) < _MIN_TERMS):
+                continue
+            active = order[i0:]
+            out[active] += self.log_factor_range(lo, k, flat[active])
+            k_sorted[i0:end] = k
+            lo, i0 = k + 1, end
+        # Horner in z^2, real on the real axis, one table row at a time
+        col = np.empty_like(k_sorted)
+        col[order] = -(-k_sorted // _STRIDE)
         zt = flat.real if not np.any(flat.imag) else flat
         z2 = zt * zt
-        sums = self._tail_sums[:, col]
-        acc = _SER_C[-1] * sums[-1]
-        for c, s in zip(_SER_C[-2::-1], sums[-2::-1]):
-            acc = c * s + z2 * acc
+        acc = _SER_C[-1] * self._tail_sums[-1, col]
+        for c, s in zip(_SER_C[-2::-1], self._tail_sums[-2::-1]):
+            acc = c * s[col] + z2 * acc
         out -= z2 * acc
         return out.reshape(z.shape)
 

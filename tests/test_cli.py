@@ -25,10 +25,11 @@ def _run(runner, args, cwd):
 def test_cli_import_leaves_scipy_out():
     # every command is a fresh process that pays for what importing the CLI
     # loads; scipy would cost more than numpy, click and the package together,
-    # and a module-level mpmath import 30-45 ms
+    # a module-level mpmath import 30-45 ms, and configparser, which only
+    # --config reads, 2 ms
     src = str(Path(viscowave.__file__).resolve().parents[1])
     code = ("import sys, viscowave.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'mpmath')))")
+            "if m.split('.')[0] in ('scipy', 'mpmath', 'configparser')))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert res.stdout.strip() == "[]"
@@ -119,6 +120,24 @@ def test_multiplier_check_small_eps(runner, tmp_path):
     rows = [r.split(",") for r in (tmp_path / "out.csv").read_text().splitlines()[1:]]
     assert rows and np.all(np.isfinite([float(v) for r in rows for v in r[:-1]]))
     assert all(r[-1] == "ok" for r in rows)
+
+
+@pytest.mark.filterwarnings("error")
+def test_multiplier_check_bound_overflow_refused(runner, tmp_path):
+    # at eps 0.5, alpha 0.75 the bound column exp(-phi(x) + 2e^2 |Re lambda_m|
+    # + 1) passes the double range from m = 21 (the exponent reaches 709.78):
+    # exit 2 naming that m, before any file is written; m = 20 still fits
+    out = tmp_path / "out.csv"
+    argv = ["multiplier", "check", "--epsilon", "0.5", "--alpha", "0.75", "--out", str(out)]
+    res = runner.invoke(main, argv + ["--modes", "40"])
+    assert res.exit_code == 2, res.output
+    assert "overflows a double from m = 21 on; use --modes 20 or fewer" in res.output
+    assert not out.exists() and not out.with_suffix(".json").exists()
+    res = runner.invoke(main, argv + ["--modes", "20"])
+    assert res.exit_code == 0, res.output
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert len(rows) == 20 * 200
+    assert np.all(np.isfinite([float(r[3]) for r in rows]))
 
 
 @pytest.mark.filterwarnings("error")

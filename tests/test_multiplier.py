@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -77,32 +79,34 @@ def test_power_sum_below_branch_point_matches_mpmath():
 def test_hurwitz_zeta_matches_mpmath():
     # the Hurwitz zeta is _power_range_sum at hi = inf.  Its orders are every
     # s the node sums form, 2 a p past the branch point and p/2a below it,
-    # for p = 1 (the type sum) and p = 2j, j <= 11 (the series tail), here
+    # for p = 1 (the type sum) and p = 2j, j <= 18 (the series tail), here
     # at alpha 0.25, 0.55 and 0.75, with lo from 1 to 1e100.  mpmath's own
-    # zeta is off by up to 6e-10 at 40 digits and 1.2e-13 at 160 (s 44,
-    # lo 12345), so the reference is taken at 180 digits and checked at 200.
+    # zeta is off by up to 6e-10 at 40 digits, 1.2e-13 at 160 (s 44,
+    # lo 12345) and 5e-13 at 180 (s 72, lo 12345), so the reference is taken
+    # at 180 digits up to s = 44 and 300 past it, and checked 20 digits up.
     # Only normal floats are compared: zeta(36, 1e9) ~ 3e-317 is subnormal
     # and carries about 7 digits
-    powers = [1.0] + [2.0 * j for j in range(1, 12)]
+    powers = [1.0] + [2.0 * j for j in range(1, 19)]
     orders = sorted({2 * a * p if a > 0.5 else p / (2 * a)
                      for a in (0.25, 0.55, 0.75) for p in powers})
-    assert orders[0] > 1.0 and orders[-1] == 44.0
+    assert orders[0] > 1.0 and orders[-1] == 72.0
     tiny = mp.mpf(np.finfo(float).tiny)
     worst = ref_dev = 0.0
     compared = 0
     for s in orders:
+        dps = 180 if s <= 44 else 300
         for lo in (1, 2, 33, 1e3, 12345, 1e9, 1e100):
-            with mp.workdps(180):
+            with mp.workdps(dps):
                 ref = mp.zeta(s, lo)
             if ref < tiny:
                 continue
-            with mp.workdps(200):
+            with mp.workdps(dps + 20):
                 ref_dev = max(ref_dev, float(abs(mp.zeta(s, lo) / ref - 1)))
                 own = _power_range_sum(s, lo, np.inf)
                 worst = max(worst, float(abs(own / ref - 1)))
             compared += 1
     print(f"Hurwitz zeta vs mpmath over {compared} points: max rel err {worst:.1e}, "
-          f"180 vs 200 digits {ref_dev:.1e}")
+          f"reference vs 20 more digits {ref_dev:.1e}")
     assert ref_dev <= 1e-18
     assert worst <= 1e-14
     # zeta(s, inf) = 0 (gamma_eps overflowed); past s <= 1 the sum diverges
@@ -193,24 +197,49 @@ def test_point_alone_matches_grid(alpha):
 
 
 def test_direct_terms_follow_point_cutoffs(monkeypatch):
-    # direct factors are summed only up to each point's own block-rounded
-    # cutoff floor(phi(2e|x|)), not up to the evaluator's k_cut for every point
+    # each point sums the direct factors n = 1, 2, ... contiguously up to at
+    # least its own cutoff floor(phi(e|x|)), past which |x / a_n| < 1, not up
+    # to the evaluator's k_cut for every point; merged stretches raise a
+    # point's cutoff, never lower it, and keep the call count bounded
     eps, alpha = 0.1, 0.75
     xg = np.logspace(-2, 5, 200)
     ev = MultiplierEvaluator(eps, alpha, z_max=float(xg[-1]))
-    terms = []
+    calls = []
     log_factor_range = MultiplierEvaluator.log_factor_range
 
-    def count(self, lo, hi, z):
-        terms.append(np.size(z) * max(0, hi - lo + 1))
+    def record(self, lo, hi, z):
+        calls.append((lo, hi, np.asarray(z).real.copy()))
         return log_factor_range(self, lo, hi, z)
 
-    monkeypatch.setattr(MultiplierEvaluator, "log_factor_range", count)
+    monkeypatch.setattr(MultiplierEvaluator, "log_factor_range", record)
     ev.log_eval_start(1, xg.astype(complex))
-    cut = np.minimum(np.ceil(np.floor(phi_eps(2.0 * E * xg, eps, alpha)) / 256) * 256,
-                     ev.k_cut)
-    assert sum(terms) <= np.sum(cut)
-    assert 8 * sum(terms) <= xg.size * ev.k_cut     # 609,478 against 6,183,600
+    reach = dict.fromkeys(xg.tolist(), 0)
+    for lo, hi, z in calls:
+        for x in z.tolist():
+            assert reach[x] == lo - 1
+            reach[x] = hi
+    own = np.minimum(np.floor(phi_eps(E * xg, eps, alpha)), ev.k_cut)
+    assert np.all(np.array([reach[x] for x in xg.tolist()]) >= own)
+    terms = sum(z.size * (hi - lo + 1) for lo, hi, z in calls)
+    print(f"{len(calls)} calls, {terms} direct terms (own cutoffs {int(own.sum())})")
+    assert len(calls) <= 16          # 12 measured; 54 with 256-node blocks
+    assert terms <= 1.25 * own.sum()  # 429,321 against 369,434; 609,478 before
+
+
+def test_fft_half_grid_pass_memory():
+    # the 4097-point FFT half-grid of an alpha 0.75 family build: factors are
+    # formed in bounded tiles, not as one points x 256-node block (18.4 MB
+    # of traced memory before; 0.9 MB measured)
+    half, n = 225.0, 8192
+    z = 2.0 * half / n * np.arange(n // 2 + 1) + 0j
+    ev = MultiplierEvaluator(0.1, 0.75, z_max=half)
+    tracemalloc.start()
+    try:
+        ev.log_eval_start(1, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def _phi_mp(x, eps, alpha):
@@ -263,14 +292,24 @@ def _log_multiplier_mp(m, z, eps, alpha):
 
 def test_multiplier_matches_mpmath():
     # 40-digit reference sharing no code with the evaluator; the error in
-    # log M is taken modulo 2 pi i and scaled by max(1, |log M|)
+    # log M is taken modulo 2 pi i and scaled by max(1, |log M|).  Besides
+    # fixed points, z straddles |z / a_33| = 1, real and complex: just inside,
+    # the tail series starts at node 33 with |w| = 1 - 1e-9 (32 is a tail
+    # table node); just outside, node 33 is a direct factor with |w| > 1.
+    # (At node 17, alpha 0.25, the real z / a_1 sits 0.007 from 92 pi, where
+    # log|sinc| turns the nodes' rounding into an 8e-14 error, old and new.)
     mp.mp.dps = 40
     worst = 0.0
     for alpha in (0.25, 0.75):
         ev = MultiplierEvaluator(0.1, alpha)
+        a33 = float(_node_mp(33, mp.mpf(0.1), mp.mpf(alpha)))
+        straddle = [a33 * (1.0 + d) * rot for d in (-1e-9, 1e-9)
+                    for rot in (1.0, np.exp(0.3j))]
         for m in (1, 3):
             node = 1j * np.conj(complex(lambda_vals(m, 0.1, alpha)))
-            for z in (0.37, 12.5, 950.0, node):
+            cut = ev._cutoffs(node_start(m, 0.1, alpha), np.abs(straddle))
+            assert cut[:2].tolist() == [32, 32] and min(cut[2:]) >= 33
+            for z in [0.37, 12.5, 950.0, node] + straddle:
                 ref = complex(_log_multiplier_mp(m, z, 0.1, alpha))
                 d = complex(ev.log_eval(m, complex(z))) - ref
                 d -= 2j * np.pi * round(d.imag / (2 * np.pi))
@@ -291,8 +330,8 @@ def test_tail_bound_dominates_refinement():
     for m in (1, 2, 5):
         drift = float(np.abs(ev.log_eval(m, z) - ref.log_eval(m, z))[0])
         az = np.abs(z)
-        _, col = ev._cutoffs(node_start(m, ev.eps, ev.alpha), az)
-        bound = float(np.max(az * az / 6.0 * ev._tail_sums[0, col]))
+        k = int(ev._cutoffs(node_start(m, ev.eps, ev.alpha), az)[0])
+        bound = float(np.max(az * az / 6.0 * node_power_sum(k, ev.eps, ev.alpha, 2.0)))
         assert drift <= bound
 
 
@@ -330,3 +369,21 @@ def test_property_report(eps, alpha):
     for entry in rep.values():
         assert entry["ok"]
         assert entry["margin"] >= 0.0
+
+
+def test_power_sum_high_power_at_tiny_eps():
+    # at alpha 0.75, eps 1e-10 the factor (e/eps)^36 = 1e374 of the outer sum
+    # overflows a double against a zeta that underflows (the outer sum is
+    # 8e-687): it is formed relative to its first node instead, so S_36 is
+    # the inner sum, 9e-244, and the evaluator that needs it builds
+    mp.mp.dps = 40
+    eps, alpha = 1e-10, 0.75
+    ng = mp.floor((1 / mp.mpf(eps)) ** (1 / (2 * mp.mpf(alpha) - 1)))
+    for power in (22.0, 36.0):
+        s = power / (2 * mp.mpf(alpha))
+        outer = (mp.e / eps) ** power * mp.zeta(2 * mp.mpf(alpha) * power, ng + 1)
+        inner = mp.e ** power * mp.mpf(eps) ** s * (mp.zeta(s, 6) - mp.zeta(s, ng + 1))
+        assert abs(node_power_sum(5, eps, alpha, power) / (inner + outer) - 1) <= 1e-13
+    assert node_power_sum(10 ** 21, eps, alpha, 36.0) == 0.0     # 8e-740 underflows
+    ev = MultiplierEvaluator(eps, alpha, z_max=10.0)
+    assert np.isfinite(ev.log_eval(1, np.array([3.0, 2.0 + 1.0j])).real).all()
