@@ -207,7 +207,8 @@ def weierstrass_check(config, out, alpha, epsilon, modes) -> None:
                 for m, q, b in rows_q]
         write_outputs(out_path, ("m", "q_m", "bound", "status"), rows,
                       {"c_hat": c_hat, "max_interp_deviation": max_dev,
-                       "interp_tolerance": 1e-6, "truncation_floor": wei.N_MIN}, cfg)
+                       "interp_tolerance": 1e-6, "direct_stride": wei.STRIDE,
+                       "series_terms": wei.SERIES_TERMS}, cfg)
         click.echo(f"interpolation max deviation {max_dev:.3e} "
                    f"({'pass' if ok_dev else 'FAIL'})")
         click.echo(f"growth bound with c_hat={c_hat:.4f} "

@@ -51,6 +51,9 @@ _TILE = 16384
 # log_eval_start merges the stretches between consecutive point cutoffs until
 # one holds at least this many point x node terms
 _MIN_TERMS = 32768
+# past this |Im w| a complex factor's log sinc w is formed from the dominant
+# exponential of sin w (`_log_sinc_far`); sin w itself overflows past ~710
+_BIG_IM = 20.0
 
 
 # B_2j/(2j)! for Euler-Maclaurin past 32 directly summed terms (from n = 33
@@ -98,6 +101,15 @@ def _power_range_sum(s: float, lo: float, hi: float, scale: float = 1.0) -> floa
 _SER_J = np.arange(1, 19)
 _SER_C = np.array([_power_range_sum(2.0 * j, 1, np.inf) / (j * np.pi ** (2 * j))
                    for j in _SER_J])
+
+
+def _log_sinc_far(w: np.ndarray) -> np.ndarray:
+    """log sinc w at |Im w| > _BIG_IM, modulo 2 pi i, without forming sin w:
+    log sin w = -/+ i w + log(1 - e^{+/-2iw}) - log(-/+2i) for Im w >< 0,
+    where |e^{+/-2iw}| = e^{-2|Im w|} < 5e-18."""
+    sgn = np.sign(w.imag)
+    return (-1j * sgn * w + np.log1p(-np.exp(2j * sgn * w)) - np.log(2.0)
+            + 0.5j * np.pi * sgn - np.log(w))
 
 
 def node_power_sum(k_cut: int, eps: float, alpha: float, power: float) -> float:
@@ -228,9 +240,14 @@ class MultiplierEvaluator:
                     out[p:p + rows] += np.sum(np.log(np.abs(sw, out=sw), out=sw), axis=-1)
                 else:
                     small = np.abs(w) < 1e-8
+                    big = np.abs(w.imag) > _BIG_IM
+                    w_s = np.where(big, 1.0, w)
                     sw = np.where(small, 1.0 - w * w / 6.0,
-                                  np.sin(w) / np.where(small, 1.0, w))
-                    out[p:p + rows] += np.sum(np.log(sw), axis=-1)
+                                  np.sin(w_s) / np.where(small, 1.0, w_s))
+                    log_sw = np.log(sw)
+                    if big.any():
+                        log_sw[big] = _log_sinc_far(w[big])
+                    out[p:p + rows] += np.sum(log_sw, axis=-1)
         if real:
             out = out + 1j * np.pi * negative
         return out.reshape(z.shape)

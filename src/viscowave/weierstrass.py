@@ -1,91 +1,59 @@
 """Entire interpolation product over the damped eigenvalue lattice.
 
-The product P_m attaches value 1 at the node node_m = i*conj(lambda_m) and
-0 at every other node.  All members are Lagrange basis functions of one
-generating function (Fattorini & Russell, ARMA 1971):
+The product P_m is 1 at node_m = i conj(lambda_m) and 0 at every other
+node.  All members are Lagrange basis functions of one generating function
+(Fattorini & Russell, ARMA 1971):
 
-    F(z) = prod_n (1 - z/node_n),
-    P_m(z) = F(z) / ((1 - z/node_m) G_m(node_m)),   G_m(z) = F(z)/(1 - z/node_m),
+    F(z) = prod_n (1 - z/node_n),   node_n = n + i b_n,   b_n = eps |n|^{2a},
+    log P_m(z) = log F(z) - [log(conj(lambda_m) + iz) - log conj(lambda_m)] - C_m,
 
-so in log form
+C_m = log G_m(node_m), G_m(z) = F(z)/(1 - z/node_m).  One log F pass serves
+every member; per m only the linear factor and C_m remain, and P_m(node_m)
+is set to exactly 1.  Pairing n with -n (node_{-n} = -conj(node_n)) gives
+the factor ((b + iz)^2 + t^2) / (b^2 + t^2), t = |n|, whose logs are
+absolutely summable for alpha < 1; all sums are in log space, so growth like
+exp(C m^{2a}) never overflows.  F(-conj z) = conj F(z): a pass folds Re z < 0
+onto -conj z and sums over the distinct folded points only.
 
-    log P_m(z) = log F(z) - [log(conj(lambda_m) + iz) - log conj(lambda_m)] - C_m
+Evaluation scheme.  A point z sums its pairs n <= K directly, K the smallest
+multiple of STRIDE = 16 at or above 2|z| + 1.  Past K |z/node_n| < 1/2, and
+the rest of the lattice is one power series (Levin, Distribution of Zeros
+of Entire Functions, ch. I):
 
-with the per-m constant C_m = log G_m(node_m), a one-point sum over the
-lattice without index m, summed to the same cutoff as the log F pass it is
-combined with so that their tail-scheme errors cancel next to node_m.  One
-pass for log F serves every member on a set of points; per m only the
-linear factor and C_m remain, and P_m(node_m) is set to exactly 1.
+    -sum_{k=1}^{J} z^k P_k(K)/k,   P_k(K) = sum_{n>K} node_n^{-k} + (-1)^k conj(node_n)^{-k},
 
-The product over n is only conditionally convergent; combining indices n
-and -n gives the paired factor of F
+real for even k, imaginary for odd k.  J = SERIES_TERMS = 48 leaves at most
+4|z| 2^{-J} / (J (J+1)) = 6.0e-18 |z|: past k = J each log(1 - w) is at most
+2|w|^{J+1}/(J+1), and sum_{n>K} (|z|/n)^{J+1} <= |z|^{J+1} K^{-J}/J.  The
+P_k(K) are tabulated once per evaluator (`_lattice_sums`, `_lattice_tail`).
 
-    ((b + iz)^2 + t^2) / (b^2 + t^2),   t = |n|, b = eps t^{2a},
+The direct sums (`_direct_sums`) run over blocks of _BLOCK terms by at most
+_COLS points, all on four float work arrays (`_work_arrays`) allocated once
+per pass.  A pass that needs only |F| (`log_abs_generating`) forms no
+imaginary parts, on the real axis not even in the series; it is the real
+part of the full pass bit for bit.
 
-which is 1 + O(t^{2a-2} + t^{-2}), absolutely summable for alpha < 1.
-Everything is accumulated in log space, so growth like exp(C m^{2a}) never
-overflows.
-
-The lattice is mirror-symmetric, node_{-n} = -conj(node_n), so F(-conj z) =
-conj F(z).  A pass folds every point with Re z < 0 onto -conj z, sums over the
-distinct folded points only (a real grid symmetric about 0 costs half) and
-conjugates back.
-
-Evaluation scheme (per pass): paired terms are summed directly up to a cutoff
-N = max(N_MIN, 2 max|z| + 1), N_MIN = 512, beyond which the paired term
-w = factor - 1 stays inside |w| < 3/4 (no branch crossings, smooth tail); the
-remaining tail sum is replaced by its integral via a power substitution that
-flattens the t^{-p} decay, evaluated with 64-point Gauss-Legendre, plus the
-first Euler-Maclaurin midpoint correction f'(N+1/2)/24 (`_tail`).  Above
-alpha = 1/2 the decay changes at the kink t = eps^{-1/(2a-1)}; past N the
-integral is split there, (N, kink) taking 64 nodes in log t.  No error
-bound is declared: accuracy is measured against the mpmath references below
-(tail: 2.3e-11 at eps 1e-3, alpha 0.75, x = 150, where one substitution
-left 3.3e-9; test_tail_at_small_eps_against_mpmath).
-
-The direct sum runs over blocks of _BLOCK terms by at most _COLS points,
-near-equal column blocks all on four float work arrays (`_work_arrays`)
-allocated once per pass.  Real and imaginary parts are summed apart, every
-column row by row in the same order whatever the split.  No block has a
-single column unless the pass has one point (numpy sums one column
-pairwise), and a one-point pass sums one complex array.  A pass that needs
-only |F| (`log_abs_generating`) forms no imaginary parts but the tail's two
-derivative points; it is the real part of the full pass bit for bit.
-
-Numerical care in the paired term:
-  * w = iz (2b + iz) / (b^2 + t^2) comes from the factorization of the
-    numerator minus the denominator, never from subtracting the quadratics,
-    whose difference loses everything at large t.  It is formed in real
-    arithmetic, iz = p + iq: Re w = ((2b + p) p - q^2) / den and
-    Im w = 2q (b + p) / den, the factors 2b + p and b + p keeping w's
-    relative accuracy at both its zeros.
+Numerical care in the paired term (`_pair_log`):
+  * w = iz (2b + iz) / den, den = b^2 + t^2, from the factorization of the
+    numerator minus the denominator, in real arithmetic, iz = p + iq:
+    Re w = ((2b + p) p - q^2) / den, Im w = 2q (b + p) / den.
   * log(1+w) is core.log1p_c's 1/2 log1p(s) + i atan2(Im w, 1 + Re w),
-    s = |1+w|^2 - 1, which keeps tiny w (numpy's log1p drops it), with
-    log|1+w| where |1+w| < 1/2.
-  * On the real axis (p = 0) s = Re w (Re w - c), c = 2 (b - t)(b + t) / den
-    per term, with Re w = -q^2/den: three array passes where w and s took
-    seven, and no cancellation for tiny w or where b crosses t.  One scan of
-    s splits |1+w| < 1/2 into log1p_c's far entries and, below 1/4, the
-    near branch's.  Im w is formed over the block only for the imaginary
-    part, else at the far entries alone, and s is scanned for overflow
-    only when max q^2 x max 1/den allows one.  Off the axis log1p_c forms s
-    and the near entries are taken from its far ones.
+    s = |1+w|^2 - 1, with log|1+w| where |1+w| < 1/2.  On the real axis
+    s = Re w (Re w - c), c = 2 (b - t)(b + t) / den, without cancellation.
   * Near a zero of the factor (|1+w| < 1/4) the term is log(b + i(z - t)) +
-    log(b + i(z + t)) - log den in real arithmetic, each linear factor
-    a + i(Re z -+ t), a = b - Im z, formed without cancellation and read
-    from the term and point vectors (`_entries`).  So F keeps full relative
-    accuracy next to its zeros.  The factor at t = |m| equals log_eval's
-    conj(lambda_m) + iz to rounding (1.5e-14 next to node_m, below); at a
-    node both are literal 0, so interpolation checks see exact deltas.
+    log(b + i(z + t)) - log den from the linear factors a + i(Re z -+ t),
+    a = b - Im z (`_entries`): F keeps full relative accuracy next to its
+    zeros, and a node gives a literal 0, so interpolation checks see exact
+    deltas.
 
-Accuracy against a 40-digit mpmath reference with its own paired sum and
-Euler-Maclaurin tail (test_product_matches_mpmath, eps 0.1, alpha 0.25 and
-0.75, m 1/3/7, real x up to 390, one complex point and points 1e-4 and
-1e-11 from node_m): relative errors 2e-16 .. 3.3e-11, the largest at
-x = 390, 2.5e-13 at the complex point and 1.5e-14 next to node_m.  The
-paired term alone is within 1.0e-15 (test_pair_log_matches_mpmath), the
-real-axis terms of the fit and FFT grids within 9.1e-16
-(test_real_axis_terms_match_mpmath).
+Accuracy against a 40-digit mpmath reference (test_product_matches_mpmath,
+eps 0.1, alpha 0.25 and 0.75, m 1/3/7, real x up to 390, a complex point,
+points 1e-4 and 1e-11 from node_m): at most 3.4e-13 at the real points
+(3.3e-11 with the tail quadrature the series replaced), 3.5e-14 at the
+complex point, 8.9e-15 next to node_m; mostly the rounding of log F's phase,
+which x P_1(K) makes large (933 at x = 150, eps 1e-3, alpha 0.75).  Table
+entries are within 2.0e-15 relative, the series within 6.3e-16 of its
+modulus (test_lattice_sums_against_mpmath).
 """
 
 from __future__ import annotations
@@ -98,9 +66,21 @@ from .core import ConfigError, gauss_legendre_01, log1p_c
 from .spectrum import gamma_eps, lambda_conj_vals, phi_eps
 
 _GL64 = gauss_legendre_01(64)
-N_MIN = 512   # floor of the direct paired-sum cutoff
 _BLOCK = 256  # paired terms summed per numpy pass
-_COLS = 512   # most points per numpy pass, split evenly (see _pair_sum)
+# a point z sums its pairs n <= K directly, K the smallest multiple of STRIDE
+# at or above _RATIO |z| + 1, so |z/node_n| < 1/_RATIO past K; the lattice
+# sums are tabulated at every multiple of STRIDE
+STRIDE = 16
+_RATIO = 2.0
+# series terms past K: the remainder is at most 4|z| 2^-J / (J (J+1)),
+# 6.0e-18 |z| (module docstring)
+SERIES_TERMS = 48
+# smallest end N_0 of the lattice-sum table, which stays at 4x the largest
+# direct cutoff or more: the Euler-Maclaurin remainder past N_0 scales like
+# z^2 N_0^-5
+_TABLE_END = 4096
+_CHUNK = 32768  # nodes per table temporary (512 KB complex)
+_COLS = 512   # most points per numpy pass, split evenly (see _direct_sums)
 # s = |1+w|^2 - 1 below _FAR: |1+w| < 1/2 (far); below _NEAR: |1+w| < 1/4
 _FAR, _NEAR = -0.75, -15.0 / 16.0
 # max q^2 x max 1/den below this: s = Re w (Re w - c), |c| < 2, cannot overflow
@@ -223,164 +203,255 @@ def _work_arrays(rows: int, cols: int) -> list:
 
 
 def _tail_exponent(eps: float, alpha: float) -> float:
-    # decay exponent p of the paired log term: den ~ t^2 below alpha=1/2,
-    # den ~ eps^2 t^{4a} above, and exactly t^{-2} in the undamped limit
+    # decay exponent p of Im node(t)^-1, the slowest lattice term: t^{2a-2}
+    # below alpha = 1/2, t^{-2a} above, and 2 in the undamped limit
     if eps == 0:
         return 2.0
     return 2.0 - 2.0 * alpha if alpha < 0.5 else 2.0 * alpha
 
 
-def _tail(m_cut: float, z, eps, alpha, work=None, imag: bool = True) -> np.ndarray:
-    """Paired terms beyond m_cut: their integral over t in (m_cut, inf) plus
-    the first Euler-Maclaurin midpoint correction f'(m_cut)/24.  The integral
-    is taken by the substitution t = t0 * s^{-q}, which maps t^{-p} decay
-    to a smooth integrand on (0, 1), with 64-point Gauss-Legendre.  t0 is
-    m_cut, or above alpha = 1/2 the kink t = gamma_eps = eps^{-1/(2a-1)}
-    where b crosses t and the decay turns from t^{2a-2} to t^{-2a}, if it
-    lies past m_cut; (m_cut, kink) then takes 64 more Gauss-Legendre
-    nodes in log t.
+def _part(x, k: int):
+    # the part of node^-k that P_k keeps: real for even k, imaginary for odd
+    return x.real if k % 2 == 0 else x.imag
 
-    With work, a pass's `_work_arrays`, the integral's terms run on them;
-    with imag=False as well, only the result's real part is the tail's."""
+
+def _lattice_tail(end: int, eps: float, alpha: float) -> np.ndarray:
+    """`_part` of sum_{n > end} node_n^{-k}, k = 1..SERIES_TERMS: the
+    integral of node(t)^{-k}, node(t) = t + i eps t^{2a}, over (end + 1/2,
+    inf) plus the first Euler-Maclaurin midpoint correction, the derivative
+    at end + 1/2 over 24.
+
+    The integral is taken over the substitution t = t0 s^{-q}, which maps a
+    t^{-p} decay (`_tail_exponent`) to a smooth integrand on (0, 1), by
+    64-point Gauss-Legendre.  t0 is end + 1/2, or above alpha = 1/2 the kink
+    gamma_eps = eps^{-1/(2a-1)}, where b crosses t and the decay turns from
+    t^{2a-2} to t^{-2a}, if it lies past end + 1/2; (end + 1/2, kink) then
+    takes 64 more Gauss-Legendre nodes in log t."""
     p = _tail_exponent(eps, alpha)
     s, w = _GL64
+    cut = end + 0.5
     kink = gamma_eps(eps, alpha) if eps > 0 and alpha > 0.5 else 0.0
-    t0 = kink if m_cut < kink < np.inf else m_cut
+    t0 = kink if cut < kink < np.inf else cut
     with np.errstate(over="ignore", divide="ignore"):
         q = np.divide(1.0, p - 1.0)  # inf at alpha = 1/2
         t = t0 * s ** (-q)
         jac = t0 * q * s ** (-q - 1.0)
         if not np.isfinite(t[0] * t[0]):
             # p -> 1 as alpha -> 1/2: the substitution sends the first node
-            # past the float range, where the paired term can no longer be
-            # formed (it squares t)
+            # past the float range
             raise ConfigError(f"alpha = {alpha} is too close to 1/2: the product "
                               f"tail decays like t^-{p:.4g}, too slowly for its quadrature")
-    if t0 > m_cut:
-        span = np.log(t0 / m_cut)
-        below = m_cut * np.exp(span * s)
+    if t0 > cut:
+        span = np.log(t0 / cut)
+        below = cut * np.exp(span * s)
         t, jac, w = (np.concatenate(pair) for pair in ((below, t), (span * below, jac), (w, w)))
-    wj = (w * jac)[:, None]
-    if work is None:
-        integral = np.sum(wj * _pair_log(t[:, None], z[None, :], eps, alpha), axis=0)
-    else:
-        views = [a[:t.size * z.size].reshape(t.size, z.size) for a in work]
-        re, im = _pair_log(t[:, None], z[None, :], eps, alpha, out=views, imag=imag)
-        integral = np.zeros(z.size, dtype=complex)
-        integral.real = np.sum(np.multiply(wj, re, out=re), axis=0)
-        if imag:
-            integral.imag = np.sum(np.multiply(wj, im, out=im), axis=0)
-    h = 1e-5 * m_cut
-    ends = _pair_log(np.array([[m_cut + h], [m_cut - h]]), z[None, :], eps, alpha)
-    fp = (ends[0] - ends[1]) / (2.0 * h)
-    return integral + fp / 24.0
+    a2 = 2.0 * alpha
+    inv = 1.0 / (t + 1j * eps * t ** a2)
+    wj = w * jac
+    # d/dt node^{-k} = -k node^{-k-1} node'(t), node' = 1 + i eps 2a t^{2a-1}
+    inv_cut = 1.0 / (cut + 1j * eps * cut ** a2)
+    slope = inv_cut * (1.0 + 1j * eps * a2 * cut ** (a2 - 1.0))
+    power, at_cut = np.ones_like(inv), 1.0 + 0j
+    out = np.empty(SERIES_TERMS)
+    for k in range(1, SERIES_TERMS + 1):
+        power *= inv
+        at_cut *= inv_cut
+        out[k - 1] = _part(wj @ power - k * at_cut * slope / 24.0, k)
+    return out
+
+
+def _lattice_sums(end: int, eps: float, alpha: float) -> np.ndarray:
+    """P_k(K)/k at K = STRIDE c, c = 0..end/(4 STRIDE), in row k-1, column
+    c: the real part for even k, the imaginary part for odd k.  P_k(K) is
+    2 `_part` of sum_{n>K} node_n^{-k}: from the sum past end
+    (`_lattice_tail`) the stride sums of node_n^{-k} are added from the far
+    end, one row at a time on at most _CHUNK nodes."""
+    keep = end // (4 * STRIDE) + 1
+    tab = np.empty((SERIES_TERMS, keep))
+    carry = _lattice_tail(end, eps, alpha)
+    for hi in range(end, 0, -_CHUNK):
+        lo = max(hi - _CHUNK, 0)
+        n = np.arange(lo + 1.0, hi + 1.0)
+        inv = 1.0 / (n + 1j * eps * n ** (2.0 * alpha))
+        power = np.ones_like(inv)
+        starts = np.arange(0, n.size, STRIDE)
+        c0 = lo // STRIDE
+        for k, row in enumerate(tab, 1):
+            power *= inv
+            sums = np.add.reduceat(_part(power, k), starts)[::-1]
+            sums[0] += carry[k - 1]
+            sums = np.cumsum(sums)[::-1]  # P_k(STRIDE c) / 2, c = c0, c0 + 1, ...
+            carry[k - 1] = sums[0]
+            stop = min(c0 + len(sums), keep)
+            row[c0:stop] = sums[:max(stop - c0, 0)]
+    tab *= (2.0 / np.arange(1, SERIES_TERMS + 1))[:, None]
+    return tab
+
+
+def _series(z: np.ndarray, col: np.ndarray, tab: np.ndarray, imag: bool) -> np.ndarray:
+    """-sum_{k=1}^{J} z^k P_k(K)/k at the points z, K = STRIDE col, by
+    Horner in z.  With imag=False and real z only the real part is formed,
+    from the even k: the real part of the complex Horner bit for bit, since
+    Re(x acc) = x Re(acc) - 0 Im(acc) rounds as x Re(acc)."""
+    real = not imag and not z.imag.any()
+    x = z.real if real else z
+    acc = tab[-1, col].astype(x.dtype)
+    for k in range(SERIES_TERMS - 1, 0, -1):
+        acc *= x
+        if real:
+            if k % 2 == 0:
+                acc += tab[k - 1, col]
+        elif k % 2 == 0:
+            acc.real += tab[k - 1, col]
+        else:
+            acc.imag += tab[k - 1, col]
+    acc *= x
+    return -acc
+
+
+def _stride_partials(part: np.ndarray, acc: np.ndarray, lo: int, cuts: np.ndarray,
+                     dest: np.ndarray, idx: np.ndarray) -> None:
+    """Adds `part`, the terms lo+1..lo+rows of a column block, onto its
+    running sums acc stride by stride, and writes each column's sum at its
+    own cutoff, if that lies in these rows, to dest at its index idx.  A
+    stride is summed row by row and the strides in order, so a column's sum
+    does not depend on the block's width (unless that is one column, which
+    numpy sums pairwise)."""
+    rows, cols = part.shape
+    sums = part.reshape(rows // STRIDE, STRIDE, cols).sum(axis=1)
+    sums[0] += acc
+    np.cumsum(sums, axis=0, out=sums)
+    acc[...] = sums[-1]
+    here = np.flatnonzero((cuts > lo) & (cuts <= lo + rows))
+    dest[idx[here]] = sums[(cuts[here] - lo) // STRIDE - 1, here]
+
+
+def _direct_sums(z: np.ndarray, cuts: np.ndarray, eps: float, alpha: float,
+                 imag: bool) -> np.ndarray:
+    """The paired log terms |n| = 1..cuts[i] summed at the points z[i] (two
+    or more), or with imag=False their real part.  The points go, in order
+    of cutoff, in near-equal column blocks of at most _COLS, all on one set
+    of work arrays; a block's rows run to its largest cutoff, and each point
+    reads its own sum (`_stride_partials`)."""
+    # np.unique's order is that of the cutoffs on the real axis
+    order = None if np.all(cuts[:-1] <= cuts[1:]) else np.argsort(cuts, kind="stable")
+    blocks = np.array_split(np.arange(len(z)), -(-len(z) // _COLS))
+    work = _work_arrays(min(_BLOCK, int(np.max(cuts))), len(blocks[0]))
+    out = np.empty(len(z), dtype=complex if imag else float)
+    dests = (out.real, out.imag) if imag else (out,)
+    for idx in blocks:
+        idx = idx if order is None else order[idx]
+        zb, kb = z[idx], cuts[idx]
+        accs = [np.zeros(len(zb)) for _ in dests]
+        for lo in range(0, int(kb[-1]), _BLOCK):
+            t = np.arange(lo + 1.0, min(lo + _BLOCK, kb[-1]) + 1.0)[:, None]
+            size = len(t) * len(zb)
+            views = [a[:size].reshape(len(t), len(zb)) for a in work]
+            parts = _pair_log(t, zb[None, :], eps, alpha, out=views, imag=imag)
+            for part, acc, dest in zip(parts, accs, dests):
+                _stride_partials(part, acc, lo, kb, dest, idx)
+    return out
 
 
 @dataclass(frozen=True)
 class ProductEvaluator:
     """Evaluator for the interpolation product at fixed (eps, alpha).
 
-    The per-m constants log conj(lambda_m) - C_m are cached per (m, cutoff).
+    Holds the series coefficients P_k(K)/k at every STRIDE-th K up to the
+    largest direct cutoff seen or past it (`_lattice`), and caches the per-m
+    constants log conj(lambda_m) - C_m.
     """
     eps: float
     alpha: float
     _scales: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def _cut(self, z_max: float) -> int:
-        return max(N_MIN, int(2.0 * z_max) + 1)
+    @staticmethod
+    def _cuts(r) -> np.ndarray:
+        """Direct pair count K at |z| = r: the smallest multiple of STRIDE at
+        or above _RATIO r + 1, so |z/node_n| < 1/_RATIO for every n > K."""
+        return STRIDE * np.ceil((_RATIO * np.asarray(r) + 1.0) / STRIDE).astype(np.int64)
 
     def cutoff(self, m: int, z_max: float) -> int:
-        """Direct pair count behind P_m on |z| <= z_max: the constant C_m is
-        summed to max(N_MIN, 2 max(z_max, |node_m|) + 1) pairs, the log F
-        pass to at most as many."""
+        """Direct pair count K of a point at |z| = max(z_max, |node_m|): the
+        one-point sum of C_m runs to cutoff(m, 0), and a log F pass sums at
+        most cutoff(m, max|z|) pairs directly at any of its points."""
         lam_c_m = complex(lambda_conj_vals(m, self.eps, self.alpha))
-        return self._cut(max(z_max, abs(lam_c_m)))
+        return int(self._cuts(max(z_max, abs(lam_c_m))))
 
-    def _pair_sum(self, z: np.ndarray, n_cut: int, skip: int = 0,
+    def _lattice(self, k_max: int) -> np.ndarray:
+        """The `_lattice_sums` table, rebuilt with end max(_TABLE_END, 6 k_max)
+        when k_max lies past its last column."""
+        if not self._tables or k_max > (self._tables[0].shape[1] - 1) * STRIDE:
+            end = 4 * STRIDE * -(-max(_TABLE_END, 6 * k_max) // (4 * STRIDE))
+            self._tables[:] = [_lattice_sums(end, self.eps, self.alpha)]
+        return self._tables[0]
+
+    def _pair_sum(self, z: np.ndarray, cuts: np.ndarray, skip: int = 0,
                   imag: bool = True) -> np.ndarray:
-        """Paired log terms of F summed over |n| = 1..n_cut except |n| =
-        skip, plus the tail beyond n_cut + 1/2, at the 1-d points z; with
-        imag=False only the real part.
-
-        The points go in near-equal column blocks of at most _COLS, and
-        every block runs on one set of work arrays for the whole pass; the
-        real and imaginary parts are summed apart, each column row by row in
-        the same order whatever the blocking.  A one-point z would make a
+        """log F at the 1-d points z, with imag=False its real part: pairs
+        1..cuts[i] directly, the rest as `_series`.  One point would make a
         one-column block, which numpy sums pairwise, and a pairwise complex
         sum pairs its real parts differently from a float sum: it is summed
-        as a complex array, and imag=False takes its real part."""
-        eps, alpha = self.eps, self.alpha
-        ns = np.arange(1, n_cut + 1, dtype=float)
+        as a complex array, without |n| = skip, and imag=False takes its
+        real part."""
+        if len(z) > 1:
+            # the table is built after the work arrays are freed: its
+            # temporaries then stay below the pass's peak memory
+            out = _direct_sums(z, cuts, self.eps, self.alpha, imag)
+            ser = _series(z, cuts // STRIDE, self._lattice(int(np.max(cuts))), imag)
+            out += ser if imag else ser.real
+            return out
+        tab = self._lattice(int(cuts[0]))
+        ns = np.arange(1.0, cuts[0] + 1.0)
         ns = ns[ns != skip]
-        rows = [ns[lo:lo + _BLOCK, None] for lo in range(0, len(ns), _BLOCK)]
-        if len(z) == 1:
-            acc = np.zeros_like(z)
-            for t in rows:
-                acc += np.sum(_pair_log(t, z[None, :], eps, alpha), axis=0)
-            out = acc + _tail(n_cut + 0.5, z, eps, alpha)
-            return out if imag else out.real
-        blocks = np.array_split(np.arange(len(z)), -(-len(z) // _COLS))
-        work = _work_arrays(len(rows[0]), len(blocks[0]))
-        out = np.empty(len(z), dtype=complex if imag else float)
-        for cols in blocks:
-            cols = slice(cols[0], cols[-1] + 1)
-            zb = z[cols]
-            acc_re, acc_im = np.zeros(len(zb)), np.zeros(len(zb))
-            for t in rows:
-                size = len(t) * len(zb)
-                views = [a[:size].reshape(len(t), len(zb)) for a in work]
-                re, im = _pair_log(t, zb[None, :], eps, alpha, out=views, imag=imag)
-                acc_re += np.sum(re, axis=0)
-                if imag:
-                    acc_im += np.sum(im, axis=0)
-            tail = _tail(n_cut + 0.5, zb, eps, alpha, work, imag)
-            out.real[cols] = acc_re + tail.real
-            if imag:
-                out.imag[cols] = acc_im + tail.imag
-        return out
+        acc = np.zeros_like(z)
+        for lo in range(0, len(ns), _BLOCK):
+            acc += np.sum(_pair_log(ns[lo:lo + _BLOCK, None], z[None, :], self.eps, self.alpha),
+                          axis=0)
+        out = acc + _series(z, cuts // STRIDE, tab, True)
+        return out if imag else out.real
 
     def log_generating(self, z) -> np.ndarray:
         """log F(z) at complex z (scalar or 1-d array): one pass serves every m.
 
         Points with Re z < 0 are folded onto -conj z, since F(-conj z) =
-        conj F(z); the sum runs once per distinct folded point, to
-        max(N_MIN, 2 max|z| + 1) pairs.
+        conj F(z); the sum runs once per distinct folded point, each point
+        summing its first 16 ceil((2|z| + 1)/16) pairs directly and the rest
+        of the lattice as a power series in z.
         """
-        flip, key, inv, n_cut = self._fold(z)
-        out = self._pair_sum(key, n_cut)[inv]
+        flip, key, inv, cuts = self._fold(z)
+        out = self._pair_sum(key, cuts)[inv]
         return np.where(flip, out.conj(), out)
 
     def log_abs_generating(self, z) -> np.ndarray:
         """log|F(z)|, the real part of `log_generating` bit for bit, from a
         pass whose direct terms form no imaginary part: no arctan2 and half
-        the sums."""
-        _, key, inv, n_cut = self._fold(z)
-        return self._pair_sum(key, n_cut, imag=False)[inv]
+        the sums, and on the real axis a real series."""
+        _, key, inv, cuts = self._fold(z)
+        return self._pair_sum(key, cuts, imag=False)[inv]
 
     def _fold(self, z):
-        """(flip, key, inv, n_cut): the points z with Re z < 0 (flip) folded
+        """(flip, key, inv, cuts): the points z with Re z < 0 (flip) folded
         onto -conj z, the distinct folded points key with z's index into
-        them, and the pass's cutoff."""
+        them, and each key point's direct cutoff."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         flip = z.real < 0
         key, inv = np.unique(np.where(flip, -z.conj(), z), return_inverse=True)
-        return flip, key, inv, self._cut(float(np.max(np.abs(key), initial=0.0)))
+        return flip, key, inv, self._cuts(np.abs(key))
 
-    def _log_scale(self, m: int, n_cut: int) -> complex:
-        """log conj(lambda_m) - C_m with C_m = log G_m(node_m): the paired
-        sum at node_m without |m|, plus the factor of the lone partner -m.
-
-        Summed to the cutoff of the log F pass it is combined with (when
-        |node_m| does not set a larger one), so that the two tail-scheme
-        errors cancel next to node_m and shrink with |z - node_m| elsewhere.
-        """
-        scale = self._scales.get((m, n_cut))
+    def _log_scale(self, m: int) -> complex:
+        """log conj(lambda_m) - C_m with C_m = log G_m(node_m): the one-point
+        sum at node_m without |m|, its direct range cutoff(m, 0), plus the
+        factor of the lone partner -m."""
+        scale = self._scales.get(m)
         if scale is None:
             lam_c_m = complex(lambda_conj_vals(m, self.eps, self.alpha))
             lone = complex(lambda_conj_vals(-m, self.eps, self.alpha))
-            c_m = complex(self._pair_sum(np.array([1j * lam_c_m]), n_cut, skip=abs(m))[0])
+            c_m = complex(self._pair_sum(np.array([1j * lam_c_m]),
+                                         np.array([self.cutoff(m, 0.0)]), skip=abs(m))[0])
             c_m += np.log(lone - lam_c_m) - np.log(lone)
-            scale = self._scales[m, n_cut] = np.log(lam_c_m) - c_m
+            scale = self._scales[m] = np.log(lam_c_m) - c_m
         return scale
 
     def log_eval(self, m: int, z, log_f=None) -> np.ndarray:
@@ -393,7 +464,7 @@ class ProductEvaluator:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         if log_f is None:
             log_f = self.log_generating(z)
-        scale = self._log_scale(m, self.cutoff(m, float(np.max(np.abs(z), initial=0.0))))
+        scale = self._log_scale(m)
         lin = complex(lambda_conj_vals(m, self.eps, self.alpha)) + 1j * z
         with np.errstate(divide="ignore", invalid="ignore"):
             out = log_f - np.log(lin) + scale

@@ -60,11 +60,13 @@ def count_pair_work(monkeypatch) -> SimpleNamespace:
     return work
 
 
-def pass_terms(points: int, n_cut: int) -> int:
-    """Paired terms of one pair sum over `points` points to cutoff n_cut:
-    the direct terms, the tail's Gauss-Legendre nodes and the two points of
-    its Euler-Maclaurin derivative, at every point."""
-    return points * (n_cut + len(wei._GL64[0]) + 2)
+def pass_terms(cuts) -> int:
+    """Paired terms `_pair_log` forms in one log F pass over several points
+    whose direct cutoffs are `cuts`: the points go, sorted by cutoff, in
+    near-equal column blocks of at most `_COLS`, and each block's rows run
+    to its largest cutoff.  The series past the cutoffs forms none."""
+    k = np.sort(np.asarray(cuts))
+    return sum(len(b) * int(b[-1]) for b in np.array_split(k, -(-len(k) // wei._COLS)))
 
 
 def gauss_legendre(lo: float, hi: float, panels: int = 64, order: int = 48):

@@ -235,8 +235,8 @@ def test_family_build_work_counts(monkeypatch):
     assert max(work.sums) == n // 2 + 1 and work.sums.count(n // 2 + 1) == 1
     assert max(work.points) <= wei._COLS < n // 2 + 1
     # every paired term of the grid pass went through `_pair_log`
-    cut = ProductEvaluator(CFG.epsilon, CFG.alpha)._cut(fam.meta["dx"] * (n // 2))
-    assert work.sum_elements[work.sums.index(n // 2 + 1)] == pass_terms(n // 2 + 1, cut)
+    cuts = ProductEvaluator._cuts(fam.meta["dx"] * np.arange(n // 2 + 1))
+    assert work.sum_elements[work.sums.index(n // 2 + 1)] == pass_terms(cuts)
     assert max(bulk_sizes) == n // 2 + 1
     assert bulk_sizes.count(n // 2 + 1) == 1
     assert max(prefix_sizes) <= n // 2 + 1
@@ -255,7 +255,8 @@ def test_resolve_omega_work_counts(monkeypatch):
     assert len(hats) == 4 and omega >= 1
     assert sorted(work.sums) == [1, 1, 1, 1, 3000]
     assert max(work.points) <= wei._COLS
-    assert work.sum_elements[work.sums.index(3000)] == pass_terms(3000, 801)
+    cuts = ProductEvaluator._cuts(np.linspace(0.0, bio.OMEGA_FIT_HALF_WIDTH, 3000))
+    assert work.sum_elements[work.sums.index(3000)] == pass_terms(cuts) == 1_432_000
 
 
 @pytest.mark.parametrize("alpha, omega, hats", [

@@ -320,6 +320,32 @@ def test_multiplier_matches_mpmath():
     assert worst <= 5e-14          # about 10x the 5.2e-15 measured before per-point cutoffs
 
 
+@pytest.mark.filterwarnings("error")
+def test_far_off_axis_matches_mpmath():
+    # at eps 0.1, alpha 0.25, z = |z| e^{0.3i} with |z| = a_65 = 1.55e5 puts
+    # Im(z/a_1) at 1250, where sin w overflows a double: the direct factors
+    # past |Im w| = 20 take log sinc from the dominant exponential of sin w,
+    # finite and without RuntimeWarnings (inf + nan i before).  Points with
+    # Im(z/a_1) just either side of 20 check that the two forms join
+    mp.mp.dps = 40
+    eps, alpha = 0.1, 0.25
+    ev = MultiplierEvaluator(eps, alpha)
+    a1 = float(_node_mp(1, mp.mpf(eps), mp.mpf(alpha)))
+    rot = np.exp(0.3j)
+    pts = [1.55e5 * rot, -1.55e5 * np.conj(rot), 2e4 * rot]
+    pts += [a1 * (20.0 + d) / rot.imag * rot for d in (-1e-9, 1e-9)]
+    worst = 0.0
+    for z in pts:
+        got = complex(ev.log_eval(1, z))
+        ref = complex(_log_multiplier_mp(1, z, eps, alpha))
+        d = got - ref
+        d -= 2j * np.pi * round(d.imag / (2 * np.pi))
+        err = abs(d) / max(1.0, abs(ref))
+        print(f"z {z:.6g}: log M {ref.real:.6g}, scaled error {err:.2e}")
+        worst = max(worst, err)
+    assert worst <= 5e-14
+
+
 def test_tail_bound_dominates_refinement():
     # the certified integral-comparison bound on the truncated log tail,
     # |z|^2/6 * S_2(K_p) at the point's own cutoff K_p, covers the change

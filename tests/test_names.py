@@ -8,11 +8,13 @@ claim it checks.  Click commands are exempt: the command line reaches them.
 """
 
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import re
 
 import click
+import pytest
 
 import viscowave
 
@@ -54,3 +56,57 @@ def test_every_public_name_has_a_reader():
         if uses <= definitions:
             unread.append(qual)
     assert unread == [], f"no reader in src/: {unread}"
+
+
+# STATS entries whose span no longer exists in the package: their metrics read
+# 0 until the benchmark's own files drop them
+_DEAD_STATS = {"pde.mode_propagate"}
+
+
+def _load_spans():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def _resolve(key: str):
+    obj = importlib.import_module(f"viscowave.{key.split('.')[0]}")
+    for attr in key.split(".")[1:]:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_benchmark_tracer_names_resolve(tmp_path):
+    # the benchmark's tracer (perfbench/spans.py) wraps package callables by
+    # name and its counters read attributes off their arguments and results
+    # (`ProductEvaluator.cutoff`, `MultiplierEvaluator.k_cut`, a family's
+    # `meta`, a solve's `cond`).  A renamed one fails here, not in a traced
+    # benchmark run: every COUNTERS and STATS key resolves to a package
+    # callable, and a series and an oracle solve under the tracer run every
+    # counter, each recording its count
+    from click.testing import CliRunner
+
+    from viscowave.cli import main
+
+    spans = _load_spans()
+    keys = set(spans.COUNTERS) | {key for key, _ in spans.STATS.values()}
+    assert _DEAD_STATS <= set(spans.STATS)
+    for key in sorted(keys - _DEAD_STATS):
+        assert callable(_resolve(key)), key
+    for key in _DEAD_STATS:
+        with pytest.raises(AttributeError):
+            _resolve(spans.STATS[key][0])
+    tracer = spans.Tracer()
+    tracer.install(viscowave)
+    try:
+        for route in ("--series", "--oracle"):
+            res = CliRunner().invoke(main, ["control", "solve", route, "--epsilon", "0.1",
+                                            "--modes", "1", "--alpha", "0.75",
+                                            "--out", str(tmp_path / "out.csv")])
+            assert res.exit_code == 0, res.output
+    finally:
+        tracer.uninstall()
+    recorded = set(tracer.sums) | set(tracer.maxes)
+    assert set(spans.SUM_COUNTS) | set(spans.MAX_COUNTS) <= recorded

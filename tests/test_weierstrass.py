@@ -145,8 +145,7 @@ FFT_HALF_GRID = 300.0 / 8192 * np.arange(4097)  # |x| = j dx, n 8192, half-width
 
 
 def _pass_terms(grids) -> int:
-    return sum(pass_terms(len(x), ProductEvaluator(0.1, 0.25)._cut(float(np.max(x))))
-               for x in grids)
+    return sum(pass_terms(ProductEvaluator._cuts(x)) for x in grids)
 
 
 # |log F - log F_complex| <= this x max(|log F|, 1) on both grids: 10x the
@@ -159,9 +158,12 @@ def test_real_axis_pass_is_blocking_invariant(monkeypatch, alpha):
     # the real-axis pass summed in column blocks is, bit for bit, the same
     # pass summed over every point at once: on the envelope fit's 3000-point
     # grid and on the n/2 + 1 points j dx of an FFT grid (n 8192, half-width
-    # 150).  No paired-term call sees more than _BLOCK x _COLS entries, and
-    # none sees a single point, which numpy would sum pairwise instead of
-    # row by row.  Both passes send every paired term through `_pair_log`.
+    # 150).  A block's rows run to its largest cutoff, so the two passes form
+    # different terms (1,432,000 + 720,848 against 2,448,000 + 1,245,488),
+    # but each point reads its own direct sum at its own cutoff.  No
+    # paired-term call sees more than _BLOCK x _COLS entries, and none sees a
+    # single point, which numpy would sum pairwise instead of row by row.
+    # Both passes send every paired term through `_pair_log`.
     # s = |1+w|^2 - 1 by factorization is not the complex formula's
     # rounding: the two agree to _COMPLEX_FORMULA_BOUND
     grids = (FIT_GRID, FFT_HALF_GRID)
@@ -169,12 +171,12 @@ def test_real_axis_pass_is_blocking_invariant(monkeypatch, alpha):
     got = [ProductEvaluator(0.1, alpha).log_generating(x) for x in grids]
     assert max(work.elements) <= wei._BLOCK * wei._COLS
     assert max(work.points) <= wei._COLS and min(work.points) >= 2
-    assert sum(work.elements) == _pass_terms(grids)
+    assert sum(work.elements) == _pass_terms(grids) == 1_432_000 + 720_848
     monkeypatch.setattr(wei, "_COLS", 10 ** 6)
     one = count_pair_work(monkeypatch)
     for x, g in zip(grids, got):
         assert np.array_equal(g, ProductEvaluator(0.1, alpha).log_generating(x))
-    assert sum(one.elements) == _pass_terms(grids)
+    assert sum(one.elements) == _pass_terms(grids) == 2_448_000 + 1_245_488
     assert max(one.points) == len(FFT_HALF_GRID)
     monkeypatch.setattr(wei, "_pair_log", _pair_log_complex)
     for x, g in zip(grids, got):
@@ -222,7 +224,7 @@ def test_real_axis_terms_match_mpmath(alpha):
     # only two terms of each grid are near
     eps, rng = 0.1, np.random.default_rng(19)
     for x in (FIT_GRID, FFT_HALF_GRID):
-        ts = np.arange(1.0, ProductEvaluator(eps, alpha)._cut(float(x[-1])) + 1.0)
+        ts = np.arange(1.0, ProductEvaluator._cuts(x[-1]) + 1.0)
         picked = {"near": [], "far": [], "small w": []}
         for lo in range(0, len(ts), 64):
             t = ts[lo:lo + 64, None]
@@ -295,10 +297,11 @@ def test_modulus_pass_is_bitwise_the_real_part(alpha):
 
 
 def test_pass_allocates_work_arrays_once(monkeypatch):
-    # a 3000-point pass at cutoff 801 sums 6 column blocks x 4 row blocks of
-    # direct terms and one of tail-integral terms; every block runs on the
+    # a 3000-point pass on [0, 400] sums 6 column blocks of 500 points, whose
+    # rows run to their largest cutoffs 144, 272, 416, 544, 672 and 816: 1,
+    # 2, 2, 3, 3 and 4 row blocks of direct terms; every block runs on the
     # one set of work arrays allocated for the pass, in the full pass and in
-    # the modulus pass alike
+    # the modulus pass alike, and the series forms no paired term
     allocs, on_work = [], []
     work_arrays, pair_log = wei._work_arrays, wei._pair_log
 
@@ -318,7 +321,7 @@ def test_pass_allocates_work_arrays_once(monkeypatch):
     ev.log_abs_generating(FIT_GRID)
     assert len(allocs) == 2
     assert all(len(a) == 4 and a[0].size == wei._BLOCK * 500 for a in allocs)
-    assert len(on_work) == 2 * 6 * (4 + 1) and all(on_work)
+    assert len(on_work) == 2 * (1 + 2 + 2 + 3 + 3 + 4) and all(on_work)
 
 
 # ---------------------------------------------------------------------------
@@ -434,76 +437,127 @@ def test_index_zero_rejected():
 # ---------------------------------------------------------------------------
 
 def test_truncation_grows_with_argument():
+    # each point sums its pairs directly up to the smallest multiple of 16 at
+    # or above 2|z| + 1; C_m's one-point sum at node_m up to that of |node_m|
     ev = ProductEvaluator(0.1, 0.25)
-    assert ev.cutoff(1, 10.0) == wei.N_MIN == 512    # floor
-    assert ev.cutoff(1, 5000.0) == 10001              # 2 z + 1 rule
+    assert ev.cutoff(1, 0.0) == 16                     # |node_1| = 1.005
+    assert ev.cutoff(1, 10.0) == 32                    # 21 rounded up
+    assert ev.cutoff(1, 7.5) == 16                     # 16 itself
+    assert ev.cutoff(1, 5000.0) == 10016               # 10001 rounded up
+    assert ev.cutoff(40, 0.0) == 96                    # |node_40| = 40.5
+    assert list(ProductEvaluator._cuts(np.array([0.0, 7.5, 7.6, 150.0]))) == [16, 16, 32, 304]
 
 
 def test_cutoff_refinement_moves_little(monkeypatch):
-    # quadrupling the direct cutoff floor (N_MIN 512 -> 2048) trades tail
-    # quadrature for direct terms; log P_m moves by at most 4.5e-12 here
+    # more direct pairs (ratio 2 -> 3 in K >= ratio |z| + 1) and a later
+    # table end (4096 -> 16384, so the quadrature past it starts 4x further
+    # out) trade series and tail terms for direct sums.  log P_m moves by at
+    # most 1e-12 on |z| <= 30 (3.4e-13 and 5.7e-13 measured); at x = 390 its
+    # phase reaches 1.1e4 at alpha 0.55 (P_1(K) ~ -28i there: Im 1/node_n
+    # decays like n^-0.9 up to the kink at 1e10), so there the move is
+    # bounded relative to max(1, |log P_m|) (1.8e-15 and 3.6e-15 measured)
     rng = np.random.default_rng(3)
-    z = rng.uniform(-30, 30, 25) + 1j * rng.uniform(-3, 3, 25)
-    params, ms = [(0.1, 0.25), (0.1, 0.75)], (1, 2, 7)
+    z = np.concatenate([rng.uniform(-30, 30, 25) + 1j * rng.uniform(-3, 3, 25),
+                        [150.0, 390.0, -255.0 + 0.5j]])
+    params, ms = [(0.1, 0.25), (0.1, 0.55), (0.1, 0.75)], (1, 2, 7)
     got = {p: [ProductEvaluator(*p).log_eval(m, z) for m in ms] for p in params}
-    monkeypatch.setattr(wei, "N_MIN", 2048)
+    for name, value in (("_RATIO", 3.0), ("_TABLE_END", 16384)):
+        with monkeypatch.context() as patch:
+            patch.setattr(wei, name, value)
+            near, scaled = 0.0, 0.0
+            for p in params:
+                ref = ProductEvaluator(*p)
+                for m, v in zip(ms, got[p]):
+                    d = np.abs(ref.log_eval(m, z) - v)
+                    near = max(near, float(np.max(d[:25])))
+                    scaled = max(scaled, float(np.max(d / np.maximum(np.abs(v), 1.0))))
+            print(f"{name} -> {value}: max |delta log P| {near:.2e} on |z| <= 30, "
+                  f"{scaled:.2e} relative to max(1, |log P|)")
+            assert near <= 1e-12 and scaled <= 1e-14
+
+
+def _mp_lattice_sum(f, t0, e, a2):
+    """sum over n >= t0 of f(n) in working precision, by Euler-Maclaurin
+    summation (mpmath.sumem) around an integral split at the kink
+    eps^{-1/(2a-1)} above alpha = 1/2 when it lies past t0: Gauss-Legendre
+    in log t below it, and past it the substitution t = t1 s^-k, k =
+    1/(p-1), that makes the t^-p decay of the lattice's slowest terms smooth
+    on (0, 1] (p = 2 - 2a below alpha 1/2, 2a above)."""
+    p = 2 - a2 if a2 < 1 else a2
+    t1, below = mp.mpf(t0), 0
+    if a2 > 1 and e ** (-1 / (a2 - 1)) > t0:
+        t1 = e ** (-1 / (a2 - 1))
+        below = mp.quad(lambda u: f(mp.exp(u)) * mp.exp(u), [mp.log(t0), mp.log(t1)],
+                        method="gauss-legendre")
+    k = 1 / (p - 1)
+    above = mp.quad(lambda s: f(t1 / s ** k) * k * t1 / s ** (k + 1), [0, 1],
+                    method="gauss-legendre")
+    return mp.sumem(f, [t0, mp.inf], integral=below + above)
+
+
+# 10x the worst measured.  Table entries, relative: 2.0e-15 (eps 0.1,
+# alpha 0.75; 1.6e-14 with numpy's leggauss weights).  The series at
+# x = 150, relative to its modulus: 6.3e-16 at eps 1e-3, alpha 0.75, where
+# it is -76.7 + 933.0i and 3 ulps of P_1 make 5.9e-13 absolute (the tail
+# quadrature it replaces read 2.3e-11 there, and 2.1e-11 at eps 0.1,
+# alpha 0.6)
+_TABLE_BOUNDS = {"entry": 2.0e-14, "series": 6.3e-15}
+
+
+@pytest.mark.parametrize("eps, alpha", [(0.1, 0.25), (0.1, 0.55), (0.1, 0.75), (1e-3, 0.75)])
+def test_lattice_sums_against_mpmath(eps, alpha):
+    # the table P_k(K)/k, P_k(K) = sum_{n>K} node_n^-k + (-1)^k conj(node_n)^-k,
+    # at the cutoff K = 304 of x = 150, and the quadrature past the table's
+    # end 4096 that it starts from, k = 1..3, and the series
+    # -sum_k x^k P_k(K)/k, against the pairs past K summed in 40 digits.  The kink eps^{-1/(2a-1)} lies at 1e10 (alpha
+    # 0.55) and 1e6 (eps 1e-3, alpha 0.75), past the table's end, so the
+    # sum past the end is split there; at alpha 0.75, eps 0.1 it is 100
+    x = 150.0
+    ev = ProductEvaluator(eps, alpha)
+    k_cut = int(ev._cuts(x))
+    tab = ev._lattice(k_cut)
+    end = 4 * (tab.shape[1] - 1) * wei.STRIDE  # the table keeps K <= end/4
+    assert (k_cut, end) == (304, 4096)
+    past_end = 2.0 * wei._lattice_tail(end, eps, alpha) / np.arange(1, wei.SERIES_TERMS + 1)
+    got = complex(wei._series(np.array([x + 0j]), np.array([k_cut // wei.STRIDE]), tab,
+                              True)[0])
     worst = 0.0
-    for p in params:
-        ref = ProductEvaluator(*p)
-        assert ref.cutoff(1, 30.0) == 2048
-        for m, v in zip(ms, got[p]):
-            worst = max(worst, float(np.max(np.abs(v - ref.log_eval(m, z)))))
-    print(f"cutoff floor 512 -> 2048: max |delta log P| {worst:.2e}")
-    assert worst <= 1e-10
-
-
-def _mp_tail_split(z, e, a2, t0, kink):
-    """sum over t >= t0 of the paired log term in working precision, by
-    Euler-Maclaurin summation (mpmath.sumem) around an integral split at
-    `kink`, where the term's decay changes: Gauss-Legendre in log t below
-    it, and above it, where the term decays like t^-a2, the substitution
-    t = kink s^-k, k = 1/(a2 - 1), which makes the integrand smooth on
-    (0, 1] (k = 2 at alpha 3/4, as in `_mp_tail`)."""
-    def term(t):
-        b = e * t ** a2
-        return mp.log(((b + 1j * z) ** 2 + t ** 2) / (b ** 2 + t ** 2))
-
-    k = 1 / (a2 - 1)
-    below = mp.quad(lambda u: term(mp.exp(u)) * mp.exp(u), [mp.log(t0), mp.log(kink)],
-                    method="gauss-legendre")
-    above = mp.quad(lambda s: term(kink / s ** k) * k * kink / s ** (k + 1), [0, 1],
-                    method="gauss-legendre")
-    return mp.sumem(term, [t0, mp.inf], integral=below + above)
-
-
-def _tail_error(eps: float, alpha: float, x: float) -> float:
-    """|error| of log F's tail from the direct cutoff N_MIN at real x against
-    a 40-digit reference split at the kink eps^{-1/(2a-1)}."""
-    n_cut = wei.N_MIN
-    got = complex(wei._tail(n_cut + 0.5, np.array([x], dtype=complex), eps, alpha)[0])
     with mp.workdps(40):
         e, a2 = mp.mpf(eps), 2 * mp.mpf(alpha)
-        kink = e ** (-1 / (a2 - 1))
-        ref = _mp_tail_split(mp.mpf(x), e, a2, n_cut + 1, kink)
-        err = float(abs(mp.mpc(got.real, got.imag) - ref))
-    print(f"product tail from N = {n_cut} at x = {x:g}, eps {eps:g}, alpha {alpha}: "
-          f"error {err:.2e} vs 40-digit mpmath")
-    return err
+        for c, entries in ((k_cut, tab[:, k_cut // wei.STRIDE]), (end, past_end)):
+            for k in (1, 2, 3):
+                def g(t, k=k):
+                    node = t + 1j * e * t ** a2
+                    return node ** -k + (-1) ** k * mp.conj(node) ** -k
+                ref = _mp_lattice_sum(g, c + 1, e, a2) / k
+                ref = ref.real if k % 2 == 0 else ref.imag
+                worst = max(worst, float(abs(entries[k - 1] - ref) / abs(ref)))
+
+        def term(t):
+            b = e * t ** a2
+            return mp.log(((b + 1j * x) ** 2 + t ** 2) / (b ** 2 + t ** 2))
+
+        ref = _mp_lattice_sum(term, k_cut + 1, e, a2)
+        err = float(abs(mp.mpc(got.real, got.imag) - ref) / abs(ref))
+    print(f"eps {eps:g}, alpha {alpha}: table entries {worst:.2e}, series at x = {x:g} "
+          f"{err:.2e}, relative to 40-digit mpmath")
+    assert worst <= _TABLE_BOUNDS["entry"]
+    assert err <= _TABLE_BOUNDS["series"]
 
 
-def test_tail_at_small_eps_against_mpmath():
-    # at eps 1e-3, alpha 0.75 the paired term decays like t^-1/2 up to the
-    # kink t = eps^{-1/(2a-1)} = 1e6 and like t^-3/2 beyond it, and one power
-    # substitution cannot flatten both: it read 3.28e-9 at x = 150 before
-    # the tail integral was split at the kink, 2.3e-11 after; the bound is
-    # 10x that
-    assert _tail_error(1e-3, 0.75, 150.0) <= 2.3e-10
-
-
-def test_tail_split_at_the_kink_against_mpmath():
-    # eps 0.1, alpha 0.6: kink at 1e5, past the cutoff 512.5, so the split
-    # runs at the benchmark's eps too (measured 2.1e-11; the bound is 10x)
-    assert _tail_error(0.1, 0.6, 150.0) <= 2.1e-10
+def test_lattice_table_chunks(monkeypatch):
+    # the table is formed on at most _CHUNK nodes at a time: a pass at
+    # |z| = 3000 (K = 6016, table end 36,096, two chunks) and a table formed
+    # in 48-node chunks hold the same bits as tables formed in one chunk
+    ev = ProductEvaluator(0.1, 0.75)
+    assert np.all(np.isfinite(ev.log_generating(np.array([3000.0, -2999.5 + 1j]))))
+    two = ev._tables[0]
+    assert 4 * wei.STRIDE * (two.shape[1] - 1) == 36096 > wei._CHUNK
+    small = wei._lattice_sums(4096, 0.1, 0.75)
+    monkeypatch.setattr(wei, "_CHUNK", 48)
+    assert np.array_equal(wei._lattice_sums(4096, 0.1, 0.75), small)
+    monkeypatch.setattr(wei, "_CHUNK", 10 ** 6)
+    assert np.array_equal(wei._lattice_sums(36096, 0.1, 0.75), two)
 
 
 @given(m=st.integers(1, 12), x=st.floats(-40.0, 40.0), y=st.floats(-2.0, 2.0))
