@@ -35,28 +35,34 @@ def control_values(ctrl, t) -> np.ndarray:
 def count_pair_work(monkeypatch) -> SimpleNamespace:
     """Record the work of the product's paired terms: per `_pair_log` call
     its point count (`points`) and its broadcast size in terms times points
-    (`elements`), and per pair sum (log F pass or one-point constant) its
-    point count (`sums`) and the elements of the `_pair_log` calls it made
-    (`sum_elements`), which `pass_terms` predicts when every paired term of
-    the pass goes through `_pair_log`."""
-    work = SimpleNamespace(points=[], elements=[], sums=[], sum_elements=[])
+    (`elements`); per point-by-point pair sum (`_pair_sum`: a one-point
+    constant, a pass, or a panel pass's nodes) its point count (`sums`) and
+    the elements of the `_pair_log` calls it made (`sum_elements`), which
+    `pass_terms` predicts; and per log F pass (`_pass`, after the fold) its
+    point count (`passes`) and elements (`pass_elements`)."""
+    work = SimpleNamespace(points=[], elements=[], sums=[], sum_elements=[], passes=[],
+                           pass_elements=[])
     pair_log = wei._pair_log
-    pair_sum = wei.ProductEvaluator._pair_sum
 
     def count_terms(t, z, *rest, **kw):
         work.points.append(np.size(z))
         work.elements.append(np.broadcast(t, z).size)
         return pair_log(t, z, *rest, **kw)
 
-    def count_sums(self, z, *rest, **kw):
-        work.sums.append(np.size(z))
-        start = len(work.elements)
-        out = pair_sum(self, z, *rest, **kw)
-        work.sum_elements.append(sum(work.elements[start:]))
-        return out
+    def counted(method, sizes, totals):
+        def run(self, z, *rest, **kw):
+            sizes.append(np.size(z))
+            start = len(work.elements)
+            out = method(self, z, *rest, **kw)
+            totals.append(sum(work.elements[start:]))
+            return out
+        return run
 
     monkeypatch.setattr(wei, "_pair_log", count_terms)
-    monkeypatch.setattr(wei.ProductEvaluator, "_pair_sum", count_sums)
+    for name, sizes, totals in (("_pair_sum", work.sums, work.sum_elements),
+                                ("_pass", work.passes, work.pass_elements)):
+        method = getattr(wei.ProductEvaluator, name)
+        monkeypatch.setattr(wei.ProductEvaluator, name, counted(method, sizes, totals))
     return work
 
 

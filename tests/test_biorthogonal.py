@@ -200,9 +200,11 @@ def test_theta_mirror_members_match_direct_evaluation(alpha, theta_family,
 def test_family_build_work_counts(monkeypatch):
     # one log F pass on the n/2 + 1 points |x| = j dx serves every member and
     # forms its paired terms in column blocks of at most _COLS points, never
-    # on the full n-point grid; one multiplier evaluator serves the probe and
-    # the grid, and its bulk and per-m prefixes run on the same n/2 + 1
-    # points.  Smoothing runs one kernel DFT per |m|
+    # on the full n-point grid; it is a panel pass (`weierstrass` module
+    # docstring), 176,558 paired terms where point by point it would form
+    # 720,848; one multiplier evaluator serves the probe and the grid, and
+    # its bulk and per-m prefixes run on the same n/2 + 1 points.  Smoothing
+    # runs one kernel DFT per |m|
     work = count_pair_work(monkeypatch)
     bulk_sizes, prefix_sizes, evaluators, dfts = [], [], [], []
     init = MultiplierEvaluator.__init__
@@ -232,11 +234,12 @@ def test_family_build_work_counts(monkeypatch):
     monkeypatch.setattr(np.fft, "fft", count_fft)
     fam = bio.build_theta_family(CFG, MS)
     n = fam.meta["n_fft"]
-    assert max(work.sums) == n // 2 + 1 and work.sums.count(n // 2 + 1) == 1
+    assert max(work.passes) == n // 2 + 1 and work.passes.count(n // 2 + 1) == 1
     assert max(work.points) <= wei._COLS < n // 2 + 1
-    # every paired term of the grid pass went through `_pair_log`
+    assert max(work.sums) <= wei._NODE_COLS
     cuts = ProductEvaluator._cuts(fam.meta["dx"] * np.arange(n // 2 + 1))
-    assert work.sum_elements[work.sums.index(n // 2 + 1)] == pass_terms(cuts)
+    grid = work.pass_elements[work.passes.index(n // 2 + 1)]
+    assert (n, grid, pass_terms(cuts)) == (8192, 176_558, 720_848)
     assert max(bulk_sizes) == n // 2 + 1
     assert bulk_sizes.count(n // 2 + 1) == 1
     assert max(prefix_sizes) <= n // 2 + 1
@@ -249,14 +252,20 @@ def test_family_build_work_counts(monkeypatch):
 def test_resolve_omega_work_counts(monkeypatch):
     # the envelope fit over modes 1..4 makes one log F pass on its 3000
     # points, in column blocks; per mode only the one-point constant C_m is
-    # summed
+    # summed.  The pass is a panel pass: 25 panels of 120 points, whose 600
+    # Chebyshev nodes are summed point by point in 7 calls of 85-86 points
+    # (280,576 paired terms) and whose bands form 110,448 more, against
+    # 1,432,000 point by point
     work = count_pair_work(monkeypatch)
     omega, hats = bio.resolve_omega((1, 2, 3, 4), ProductEvaluator(0.1, 0.75))
     assert len(hats) == 4 and omega >= 1
-    assert sorted(work.sums) == [1, 1, 1, 1, 3000]
+    assert work.passes == [3000]
+    assert sorted(work.sums) == [1, 1, 1, 1, 85, 85, 86, 86, 86, 86, 86]
     assert max(work.points) <= wei._COLS
     cuts = ProductEvaluator._cuts(np.linspace(0.0, bio.OMEGA_FIT_HALF_WIDTH, 3000))
-    assert work.sum_elements[work.sums.index(3000)] == pass_terms(cuts) == 1_432_000
+    assert sum(e for n, e in zip(work.sums, work.sum_elements) if n > 1) == 280_576
+    assert work.pass_elements == [280_576 + 110_448]
+    assert pass_terms(cuts) == 1_432_000
 
 
 @pytest.mark.parametrize("alpha, omega, hats", [

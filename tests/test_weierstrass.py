@@ -158,32 +158,130 @@ def test_real_axis_pass_is_blocking_invariant(monkeypatch, alpha):
     # the real-axis pass summed in column blocks is, bit for bit, the same
     # pass summed over every point at once: on the envelope fit's 3000-point
     # grid and on the n/2 + 1 points j dx of an FFT grid (n 8192, half-width
-    # 150).  A block's rows run to its largest cutoff, so the two passes form
-    # different terms (1,432,000 + 720,848 against 2,448,000 + 1,245,488),
-    # but each point reads its own direct sum at its own cutoff.  No
-    # paired-term call sees more than _BLOCK x _COLS entries, and none sees a
-    # single point, which numpy would sum pairwise instead of row by row.
-    # Both passes send every paired term through `_pair_log`.
-    # s = |1+w|^2 - 1 by factorization is not the complex formula's
-    # rounding: the two agree to _COMPLEX_FORMULA_BOUND
+    # 150).  Both are panel passes: 25 panels of 120 points and 10 of
+    # 409-410, whose 600 and 240 Chebyshev nodes are summed point by point
+    # in calls of at most _NODE_COLS (280,576 and 49,920 paired terms), and
+    # whose bands of 31 and 30 pairs (23 and 22 at the origin) form 110,448
+    # and 126,638 at the nodes and points.  A block's rows run to its
+    # largest cutoff, so the nodes summed in one block form more terms
+    # (600,048 + 199,598 against 391,024 + 176,558), but each point reads
+    # its own direct sum at its own cutoff.  No paired-term call sees more
+    # than _BLOCK x _COLS entries, and none sees a single point, which numpy
+    # would sum pairwise instead of row by row.  Both passes send every
+    # paired term through `_pair_log`.  s = |1+w|^2 - 1 by factorization is
+    # not the complex formula's rounding: the two agree to
+    # _COMPLEX_FORMULA_BOUND
     grids = (FIT_GRID, FFT_HALF_GRID)
     work = count_pair_work(monkeypatch)
     got = [ProductEvaluator(0.1, alpha).log_generating(x) for x in grids]
     assert max(work.elements) <= wei._BLOCK * wei._COLS
     assert max(work.points) <= wei._COLS and min(work.points) >= 2
-    assert sum(work.elements) == _pass_terms(grids) == 1_432_000 + 720_848
+    assert work.pass_elements == [280_576 + 110_448, 49_920 + 126_638]
+    assert sum(work.elements) == sum(work.pass_elements)
     monkeypatch.setattr(wei, "_COLS", 10 ** 6)
+    monkeypatch.setattr(wei, "_NODE_COLS", 10 ** 6)
     one = count_pair_work(monkeypatch)
     for x, g in zip(grids, got):
         assert np.array_equal(g, ProductEvaluator(0.1, alpha).log_generating(x))
-    assert sum(one.elements) == _pass_terms(grids) == 2_448_000 + 1_245_488
-    assert max(one.points) == len(FFT_HALF_GRID)
+    assert one.pass_elements == [600_048, 199_598]
+    assert one.sums == [600, 240] and max(one.points) == 600
     monkeypatch.setattr(wei, "_pair_log", _pair_log_complex)
     for x, g in zip(grids, got):
         ref = ProductEvaluator(0.1, alpha).log_generating(x)
         err = float(np.max(np.abs(g - ref) / np.maximum(np.abs(ref), 1.0)))
         print(f"alpha={alpha}, {len(x)} points: {err:.2e} off the complex formula")
         assert err <= _COMPLEX_FORMULA_BOUND
+
+
+def _point_pass(x, eps, alpha, imag=True):
+    """log F at the sorted distinct real points x >= 0 summed point by point
+    (`_pair_sum`), as every pass was before the panel layer, by a new
+    evaluator: its lattice table is the panel pass's when x holds the
+    largest point."""
+    return ProductEvaluator(eps, alpha)._pair_sum(x.astype(complex), ProductEvaluator._cuts(x),
+                                                  imag=imag)
+
+
+WIDE_GRID = np.linspace(0.0, 1000.0, 16385)
+# |log F_panel - log F_point| <= this x max(1, |log F|): 10x the worst
+# measured (2.8e-14, the FFT half-grid at alpha 0.55, where the phase of
+# log F reaches 1e4), well inside 1e-12
+_PANEL_BOUND = 3e-13
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.45, 0.55, 0.75, 0.95])
+def test_panel_pass_matches_point_pass(alpha):
+    # the panel pass against the pass that sums every point point by point,
+    # on the fit grid, the FFT half-grid and 16,385 points on [0, 1000],
+    # eps from the undamped limit to 0.5; point by point at every 5th point
+    # (every 23rd on the wide grid) and the last, whose cutoff sets the
+    # table.  At eps = 0 F vanishes at the integers: both passes give -inf
+    # there (x = 400 on the fit grid, 75 and 150 on the FFT half-grid, 125 j
+    # on the wide one) and finite values elsewhere
+    worst = 0.0
+    for eps in (0.0, 1e-5, 1e-3, 0.1, 0.5):
+        for x, step in ((FIT_GRID, 5), (FFT_HALF_GRID, 5), (WIDE_GRID, 23)):
+            got = ProductEvaluator(eps, alpha).log_generating(x)
+            pick = np.union1d(np.arange(0, len(x), step), np.flatnonzero(x == np.round(x)))
+            pick = np.union1d(pick, [len(x) - 1])
+            ref = _point_pass(x[pick], eps, alpha)
+            zero = np.isinf(ref.real)
+            assert np.array_equal(np.isinf(got.real), np.isin(np.arange(len(x)), pick[zero]))
+            assert np.all(got.real[pick[zero]] == -np.inf) and np.all(np.isfinite(got.imag))
+            assert zero.any() == (eps == 0.0)
+            g, r = got[pick[~zero]], ref[~zero]
+            worst = max(worst, float(np.max(np.abs(g - r) / np.maximum(np.abs(r), 1.0))))
+    print(f"alpha {alpha}: panel pass within {worst:.2e} of max(1, |log F|) point by point")
+    assert worst <= _PANEL_BOUND
+
+
+# 10x the worst measured, 1.0e-15 (x = 0.13 on the fit grid, alpha 0.75)
+_PANEL_MP_BOUND = 1e-14
+
+
+def test_panel_pass_matches_mpmath():
+    # points of the fit grid's and the FFT half-grid's panel passes (first,
+    # middle and last, each at its own place in its panel) against a
+    # 40-digit reference, the pairs up to _MP_DIRECT multiplied out and the
+    # sum past them (`_mp_tail`), modulo 2 pi i, relative to max(1, |log F|)
+    # on the pass's branch: at x = 400, alpha 1/4, the phase of log F is
+    # about 1257 and its principal value 5.0
+    eps, worst = 0.1, 0.0
+    with mp.workdps(40):
+        e = mp.mpf(eps)
+        for alpha in (0.25, 0.75):
+            a2 = 2 * mp.mpf(alpha)
+            for x, js in ((FIT_GRID, (1, 1234, 2999)), (FFT_HALF_GRID, (2, 2047, 4096))):
+                got = ProductEvaluator(eps, alpha).log_generating(x)
+                for j in js:
+                    z = mp.mpf(x[j])
+                    prod = mp.mpf(1)
+                    for n in range(1, _MP_DIRECT + 1):
+                        b = e * mp.mpf(n) ** a2
+                        prod *= ((b + 1j * z) ** 2 + n ** 2) / (b ** 2 + n ** 2)
+                    ref = mp.log(prod) + _mp_tail(z, e, a2)
+                    d = mp.mpc(got[j].real, got[j].imag) - ref
+                    d -= 2j * mp.pi * mp.nint(d.imag / (2 * mp.pi))
+                    worst = max(worst, float(abs(d)) / max(1.0, abs(got[j])))
+    print(f"panel passes: {worst:.2e} of max(1, |log F|) off 40-digit mpmath")
+    assert worst <= _PANEL_MP_BOUND
+
+
+def test_panel_nodes_on_a_point_or_an_integer(monkeypatch):
+    # a point on a Chebyshev node reads that node's value; a panel with a
+    # node on an integer, where F vanishes at eps = 0, is summed point by
+    # point: a centre node 8 (the 25th of 49, set to 0 on [-1, 1]) on the
+    # 401 points of [0, 16] gives the point-by-point pass bit for bit
+    assert np.array_equal(wei._barycentric(wei._CHEB[[3, 0]]), np.eye(wei._PANEL_NODES)[[3, 0]])
+    x = np.linspace(0.0, 16.0, 401)
+    cheb = np.cos((2.0 * np.arange(49) + 1.0) * np.pi / 98)[::-1]
+    cheb[24] = 0.0
+    weights = ((-1.0) ** np.arange(49) * np.sin((2.0 * np.arange(49) + 1.0) * np.pi / 98))[::-1]
+    for name, value in (("_PANEL_NODES", 49), ("_CHEB", cheb), ("_CHEB_W", weights)):
+        monkeypatch.setattr(wei, name, value)
+    for eps in (0.0, 0.1):
+        assert np.array_equal(ProductEvaluator(eps, 0.25).log_generating(x),
+                              _point_pass(x, eps, 0.25))
 
 
 def _mp_pair_log(t, z, b):
@@ -283,12 +381,20 @@ def test_pair_log_near_branch_on_scalar_and_1d_t():
 def test_modulus_pass_is_bitwise_the_real_part(alpha):
     # log|F| from the pass without imaginary parts is the real part of the
     # full log F pass bit for bit, on the fit grid and the FFT half-grid
-    for x in (FIT_GRID, FFT_HALF_GRID):
-        ev = ProductEvaluator(0.1, alpha)
+    # (panel passes, at eps = 0 with -inf at the zeros 75 and 150), on a
+    # grid whose dense panels sit next to points summed point by point, and
+    # on each of that grid's two parts alone
+    mixed = np.concatenate([np.linspace(0.0, 40.0, 500), [57.5, 100.0, 200.25, 300.0]])
+    for eps, x in ((0.1, FIT_GRID), (0.1, FFT_HALF_GRID), (0.0, FFT_HALF_GRID),
+                   (0.1, mixed), (0.1, mixed[:500]), (0.1, mixed[500:])):
+        ev = ProductEvaluator(eps, alpha)
         full = ev.log_generating(x)
         modulus = ev.log_abs_generating(x)
         assert modulus.dtype == float
         assert np.array_equal(modulus, full.real)
+        assert np.isinf(modulus).sum() == (2 if eps == 0.0 else 0)
+    got, ref = ProductEvaluator(0.1, alpha).log_generating(mixed), _point_pass(mixed, 0.1, alpha)
+    assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= _PANEL_BOUND
     # folded and one-point passes too: |F(-conj z)| = |F(z)|, and a one-point
     # pass takes the real part of its complex sum
     z = np.array([-3.0 + 0.2j, 2.0, 5.0 - 1.0j, -7.5])
@@ -297,11 +403,13 @@ def test_modulus_pass_is_bitwise_the_real_part(alpha):
 
 
 def test_pass_allocates_work_arrays_once(monkeypatch):
-    # a 3000-point pass on [0, 400] sums 6 column blocks of 500 points, whose
-    # rows run to their largest cutoffs 144, 272, 416, 544, 672 and 816: 1,
-    # 2, 2, 3, 3 and 4 row blocks of direct terms; every block runs on the
-    # one set of work arrays allocated for the pass, in the full pass and in
-    # the modulus pass alike, and the series forms no paired term
+    # a 3000-point panel pass on [0, 400] sums its 600 Chebyshev nodes point
+    # by point in 7 calls of 85-86 points, whose rows run to their largest
+    # cutoffs 816, 688, 592, 464, 352, 240 and 128: 4, 3, 3, 2, 2, 1 and 1
+    # row blocks of direct terms, each call on the one set of work arrays it
+    # allocates; then the bands of its 25 panels, one block each, on one
+    # more set; so in the full pass and in the modulus pass alike, and the
+    # series forms no paired term
     allocs, on_work = [], []
     work_arrays, pair_log = wei._work_arrays, wei._pair_log
 
@@ -319,9 +427,11 @@ def test_pass_allocates_work_arrays_once(monkeypatch):
     ev = ProductEvaluator(0.1, 0.25)
     ev.log_generating(FIT_GRID)
     ev.log_abs_generating(FIT_GRID)
-    assert len(allocs) == 2
-    assert all(len(a) == 4 and a[0].size == wei._BLOCK * 500 for a in allocs)
-    assert len(on_work) == 2 * (1 + 2 + 2 + 3 + 3 + 4) and all(on_work)
+    assert len(allocs) == 2 * (7 + 1) and all(len(a) == 4 for a in allocs)
+    sizes = [a[0].size for a in allocs[:8]]
+    assert sizes == [256 * 85, 256 * 85, 256 * 86, 256 * 86, 256 * 86, 240 * 86, 128 * 86,
+                     34 * (24 + 120)]
+    assert len(on_work) == 2 * (4 + 3 + 3 + 2 + 2 + 1 + 1 + 25) and all(on_work)
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +442,13 @@ _MP_DIRECT = 801  # pairs summed directly: past 2|z| at every point below
 
 
 def _mp_tail(z, e, a2):
-    """sum over t > _MP_DIRECT of log(((b + iz)^2 + t^2) / (b^2 + t^2)),
-    b = e t^a2, by Euler-Maclaurin summation (mpmath.sumem, the routine
-    behind nsum's euler-maclaurin method, run once instead of nsum's
-    repeated tries).  Its integral is taken over s = (t / t0)^(-1/2) on
-    (0, 1], where the t^-1.5 decay of the term (alpha = 1/4 and 3/4)
-    becomes a smooth integrand, by Gauss-Legendre: tanh-sinh samples s so
-    close to 0 that the term's log of 1 + tiny loses the tiny part."""
-    t0 = _MP_DIRECT + 1
-
+    """sum over t > _MP_DIRECT of log(((b + iz)^2 + t^2) / (b^2 + t^2)) =
+    log1p(iz (2b + iz) / (b^2 + t^2)), b = e t^a2, by `_mp_lattice_sum`."""
     def term(t):
         b = e * t ** a2
-        return mp.log(((b + 1j * z) ** 2 + t ** 2) / (b ** 2 + t ** 2))
+        return mp.log1p(1j * z * (2 * b + 1j * z) / (b ** 2 + t ** 2))
 
-    integral = mp.quad(lambda s: term(t0 / s ** 2) * 2 * t0 / s ** 3, [0, 1],
-                       method="gauss-legendre")
-    return mp.sumem(term, [t0, mp.inf], integral=integral)
+    return _mp_lattice_sum(term, _MP_DIRECT + 1, e, a2)
 
 
 def _mp_log_product(m, z, e, bs, tail):
@@ -478,19 +579,30 @@ def test_cutoff_refinement_moves_little(monkeypatch):
 
 def _mp_lattice_sum(f, t0, e, a2):
     """sum over n >= t0 of f(n) in working precision, by Euler-Maclaurin
-    summation (mpmath.sumem) around an integral split at the kink
-    eps^{-1/(2a-1)} above alpha = 1/2 when it lies past t0: Gauss-Legendre
-    in log t below it, and past it the substitution t = t1 s^-k, k =
-    1/(p-1), that makes the t^-p decay of the lattice's slowest terms smooth
-    on (0, 1] (p = 2 - 2a below alpha 1/2, 2a above)."""
+    summation (mpmath.sumem, the routine behind nsum's euler-maclaurin
+    method, run once instead of nsum's repeated tries) around an integral
+    split at the kink eps^{-1/(2a-1)} above alpha = 1/2 when it lies past
+    t0: Gauss-Legendre in log t below it, and past it over the substitution
+    t = t1 s^-k on (0, 1].  k = N/(p-1) for the t^-p decay of the lattice's
+    slowest terms (p = 2 - 2a below alpha 1/2, 2a above), N the smallest
+    integer with k >= 4: every term of f, whose decays are t^-p times powers
+    of t^-(p-1) and t^-1, becomes s^g times a power series in s^N with g >=
+    N - 1 or g >= 3, smooth enough for Gauss-Legendre (k = 1/(p-1) leaves
+    s^(1/4) at alpha 0.1).  The log t integral is split in 4 equal pieces
+    and the s-integral at 1/4 and 1/2, so that Gauss-Legendre converges at
+    low degree on each piece (tanh-sinh would sample s so close to 0 that a
+    difference of conjugate powers in f loses its digits); a log term of f
+    is log1p(w), which keeps a tiny w far out."""
     p = 2 - a2 if a2 < 1 else a2
     t1, below = mp.mpf(t0), 0
     if a2 > 1 and e ** (-1 / (a2 - 1)) > t0:
         t1 = e ** (-1 / (a2 - 1))
-        below = mp.quad(lambda u: f(mp.exp(u)) * mp.exp(u), [mp.log(t0), mp.log(t1)],
-                        method="gauss-legendre")
+        below = mp.quad(lambda u: f(mp.exp(u)) * mp.exp(u),
+                        mp.linspace(mp.log(t0), mp.log(t1), 5), method="gauss-legendre")
     k = 1 / (p - 1)
-    above = mp.quad(lambda s: f(t1 / s ** k) * k * t1 / s ** (k + 1), [0, 1],
+    k *= max(1, mp.ceil(4 / k))
+    above = mp.quad(lambda s: f(t1 / s ** k) * k * t1 / s ** (k + 1),
+                    [0, mp.mpf(1) / 4, mp.mpf(1) / 2, 1],
                     method="gauss-legendre")
     return mp.sumem(f, [t0, mp.inf], integral=below + above)
 
@@ -504,7 +616,8 @@ def _mp_lattice_sum(f, t0, e, a2):
 _TABLE_BOUNDS = {"entry": 2.0e-14, "series": 6.3e-15}
 
 
-@pytest.mark.parametrize("eps, alpha", [(0.1, 0.25), (0.1, 0.55), (0.1, 0.75), (1e-3, 0.75)])
+@pytest.mark.parametrize("eps, alpha", [(0.1, 0.1), (0.1, 0.25), (0.1, 0.3), (0.1, 0.55),
+                                        (0.1, 0.75), (1e-3, 0.75)])
 def test_lattice_sums_against_mpmath(eps, alpha):
     # the table P_k(K)/k, P_k(K) = sum_{n>K} node_n^-k + (-1)^k conj(node_n)^-k,
     # at the cutoff K = 304 of x = 150, and the quadrature past the table's
@@ -535,7 +648,7 @@ def test_lattice_sums_against_mpmath(eps, alpha):
 
         def term(t):
             b = e * t ** a2
-            return mp.log(((b + 1j * x) ** 2 + t ** 2) / (b ** 2 + t ** 2))
+            return mp.log1p(1j * x * (2 * b + 1j * x) / (b ** 2 + t ** 2))
 
         ref = _mp_lattice_sum(term, k_cut + 1, e, a2)
         err = float(abs(mp.mpc(got.real, got.imag) - ref) / abs(ref))
