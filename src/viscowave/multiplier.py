@@ -5,25 +5,30 @@ a_n = phi_inv(n)/e.  On the real axis every factor has modulus <= 1, so the
 product trades polynomial growth of an interpolation product for decay like
 exp(-phi(x)), at the price of an exponential type set by sum 1/a_n.
 
-Evaluation is per point.  A point z multiplies the factors with a_n < |z|,
-where |z/a_n| > 1, directly: K = floor(phi(e|z|)) of them, or n_m - 1 if
-that is more (the first node n_m = floor(phi(e|lambda_m|)) + 1 already has
-a_n >= |lambda_m|), rounded up to a multiple of _STRIDE = 16 and capped at
-the evaluator's cutoff k_cut (the K of the largest |z| seen).  Its remaining
-log-tail, where |z/a_n| <= 1, is resummed through the series
-log sinc w = -sum_j zeta(2j)/(j pi^{2j}) w^{2j}, which converges for
-|w| < pi, with the node power sums S_{2j}(K) = sum_{n>K} a_n^{-2j}.
-S_{2j}(k_cut) has a closed form: Hurwitz zeta past the weight's branch point
-gamma_eps, and an Euler-Maclaurin sum of n^-s for the finite range below it.
-Both are `_power_range_sum`, the zeta being its hi = inf case, so the series
-constants C_j = zeta(2j)/(j pi^{2j}) come from it too.  S_{2j} at the
-multiples of _STRIDE below k_cut add the per-stride sums of a_n^{-2j}.
-J = 18 series terms bound the remainder by
-1.12 C_19 |z|^38 S_38(K) <= 1.12 C_19 sum_{n>K} |z/a_n|^38, C_19 = 6.7e-21,
-since C_{j+1}/C_j < 1/pi^2 and |z/a_n| <= 1 past K; against a 40-digit
-mpmath product the scaled error in log M is at most 1.3e-15, points on
-both sides of |z/a_n| = 1 included.  On the real axis the direct factors are
-summed in real arithmetic: log|sinc| plus i pi for each negative factor.
+Evaluation is per point.  A point z multiplies the factors with
+|z/a_n| > R = _RATIO = 2, that is a_n < |z|/R, directly: K =
+floor(phi(e|z|/R)) of them, or n_m - 1 if that is more (the first node n_m
+= floor(phi(e|lambda_m|)) + 1 already has a_n >= |lambda_m|), rounded up to
+a multiple of _STRIDE = 16 and capped at the evaluator's cutoff k_cut (the
+K of the largest |z| seen).  Its remaining log-tail, where |z/a_n| <= R, is
+resummed through the series log sinc w = -sum_j zeta(2j)/(j pi^{2j}) w^{2j},
+which converges for |w| < pi, with the node power sums S_{2j}(K) =
+sum_{n>K} a_n^{-2j}.  S_{2j}(k_cut) has a closed form: Hurwitz zeta past
+the weight's branch point gamma_eps, and an Euler-Maclaurin sum of n^-s for
+the finite range below it, each taken relative to its first node.  Both are
+`_power_range_sum`, the zeta being its hi = inf case, over an array of
+orders: one call gives every S_{2j}(k_cut), and one the series constants
+C_j = zeta(2j)/(j pi^{2j}).  S_{2j} at the multiples of _STRIDE below k_cut
+add the per-stride sums of a_n^{-2j}.  J = 39 series terms leave at most
+sum_{j>J} C_j |w|^{2j} <= 8.5e-18 (|w|/R)^80 per node, 8.5e-18 =
+sum_{j>39} C_j R^{2j} (40-digit mpmath), so the remainder is at most
+8.5e-18 sum_{n>K} |z/(R a_n)|^80; against a 40-digit mpmath product the
+scaled error in log M is at most 4.9e-15, points on both sides of
+|z/a_n| = R included.  S_{2j}(K) underflows where a_{K+1}^{2j} passes
+1e308, from j = 33 at |z| = 1e5: the terms lost stay below 1.7e-17 of
+max(1, |log M|) up to the largest |z| evaluated, 1.55e5, and reach 2e-15
+at |z| = 1e6.  On the real axis the direct factors are summed in real
+arithmetic: log|sinc| plus i pi for each negative factor.
 Points are sorted by K, and the nodes between consecutive cutoffs are summed
 over the points that still need them, in stretches merged until each holds
 _MIN_TERMS point x node terms (a merged point's cutoff rises to its
@@ -46,6 +51,9 @@ from .spectrum import (E, gamma_eps, lambda_vals, node_start, node_sum_bound,
 # tail sums S_2j(K) are tabulated at every _STRIDE-th node K, so a point's
 # direct range is rounded up to one of them
 _STRIDE = 16
+# a point z multiplies the factors with |z/a_n| > _RATIO directly and resums
+# the rest, |z/a_n| <= _RATIO < pi, as the sinc series
+_RATIO = 2.0
 # log_factor_range forms at most this many point x node factors at once
 _TILE = 16384
 # log_eval_start merges the stretches between consecutive point cutoffs until
@@ -63,9 +71,10 @@ _EM_C = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
                   -691 / 1307674368000])
 
 
-def _power_range_sum(s: float, lo: float, hi: float, scale: float = 1.0) -> float:
-    """sum_{n=lo}^{hi} (n/scale)^-s for s > 0; the Hurwitz zeta(s, lo) if hi
-    = inf and scale = 1.
+def _power_range_sum(s, lo: float, hi: float, scale: float = 1.0):
+    """sum_{n=lo}^{hi} (n/scale)^-s for s > 0, a scalar or a 1-d array of
+    orders (the result takes its shape); the Hurwitz zeta(s, lo) if hi = inf
+    and scale = 1.
 
     The Euler-Maclaurin integral term scale (c/scale)^{1-s}
     expm1((1-s) log(hi/c))/(1-s) has no cancellation near s = 1, and is
@@ -74,33 +83,33 @@ def _power_range_sum(s: float, lo: float, hi: float, scale: float = 1.0) -> floa
     zeta(s, inf) = 0.  A scale near lo keeps every term in range where
     lo^-s alone would underflow.
     """
+    s = np.asarray(s, dtype=float)
     if np.isinf(lo):
-        return 0.0
-    if np.isinf(hi) and s <= 1.0:
-        return np.inf
+        return np.zeros_like(s)[()]
     top = min(hi, lo + _EM_HEAD - 1.0)
-    out = float(np.sum((np.arange(lo, top + 1.0) / scale) ** -s))
+    out = np.sum((np.arange(lo, top + 1.0) / scale) ** -s[..., None], axis=-1)
     c, t = top + 1.0, 1.0 - s
-    if c > hi:
-        return out
-    with np.errstate(over="ignore"):
-        out += scale * ((c / scale) ** t * np.expm1(t * np.log(hi / c)) / t
-                        if t != 0.0 else np.log(hi / c))
-    out += 0.5 * ((c / scale) ** -s + (hi / scale) ** -s)
-    rising = s  # (s)_m, m = 2j - 1: d^m/dx^m x^-s = -(s)_m x^{-s-m}
-    for m, b in zip(range(1, 12, 2), _EM_C):
-        out -= b * rising * ((hi / scale) ** (-s - m) - (c / scale) ** (-s - m)) \
-            * scale ** -m
-        rising *= (s + m) * (s + m + 1)
-    return float(out)
+    if c <= hi:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out += np.where(t != 0.0, scale * (c / scale) ** t
+                            * np.expm1(t * np.log(hi / c)) / np.where(t != 0.0, t, 1.0),
+                            scale * np.log(hi / c))
+        out += 0.5 * ((c / scale) ** -s + (hi / scale) ** -s)
+        rising = s  # (s)_m, m = 2j - 1: d^m/dx^m x^-s = -(s)_m x^{-s-m}
+        for m, b in zip(range(1, 12, 2), _EM_C):
+            out -= b * rising * ((hi / scale) ** (-s - m) - (c / scale) ** (-s - m)) \
+                * scale ** -m
+            rising = rising * (s + m) * (s + m + 1)
+        if np.isinf(hi):
+            out = np.where(s <= 1.0, np.inf, out)
+    return out[()]
 
 
 # log sinc w = -sum_j C_j w^{2j}, C_j = zeta(2j)/(j pi^{2j}); valid |w| < pi,
-# used only where |w| <= 1, so past J = 18 terms each node leaves at most
-# sum_{j>18} C_j |w|^2j <= 1.12 C_19 |w|^38, C_19 = 6.7e-21
-_SER_J = np.arange(1, 19)
-_SER_C = np.array([_power_range_sum(2.0 * j, 1, np.inf) / (j * np.pi ** (2 * j))
-                   for j in _SER_J])
+# used only where |w| <= _RATIO, so past J = 39 terms each node leaves at most
+# sum_{j>39} C_j |w|^2j <= 8.5e-18 (|w|/_RATIO)^80
+_SER_J = np.arange(1, 40)
+_SER_C = _power_range_sum(2.0 * _SER_J, 1, np.inf) / (_SER_J * np.pi ** (2.0 * _SER_J))
 
 
 def _log_sinc_far(w: np.ndarray) -> np.ndarray:
@@ -112,35 +121,47 @@ def _log_sinc_far(w: np.ndarray) -> np.ndarray:
             + 0.5j * np.pi * sgn - np.log(w))
 
 
-def node_power_sum(k_cut: int, eps: float, alpha: float, power: float) -> float:
-    """sum_{n > k_cut} a_n^{-power} in closed form, a_n = phi_inv(n)/e.
+def node_power_sum(k_cut: int, eps: float, alpha: float, power):
+    """sum_{n > k_cut} a_n^{-power} in closed form, a_n = phi_inv(n)/e, for a
+    scalar power or a 1-d array of them (the result takes its shape).
 
     Up to ng = floor(gamma_eps) the nodes are (n/eps)^{1/2a}/e, a sum
-    E^p eps^s sum n^-s, s = p/(2a); past it they are eps n^{2a}/e, a Hurwitz
-    zeta of order 2ap > 1, and zeta(., inf) = 0 covers gamma_eps = inf.
-    Every piece is `_power_range_sum`; the Hurwitz zeta is its hi = inf case.
+    a_lo^-p sum (n/lo)^-s, s = p/(2a); past it they are eps n^{2a}/e, a
+    Hurwitz zeta of order 2ap > 1, and zeta(., inf) = 0 covers gamma_eps =
+    inf.  Each piece is taken relative to its first node a_lo, so it
+    underflows only where a_lo^-p does: (E/eps)^p zeta(2ap, lo) lost S_50 =
+    8e-233 at eps 0.01, alpha 0.75, lo 56953 to a zeta of 1e-356.  Every
+    piece is `_power_range_sum`; the Hurwitz zeta is its hi = inf case.
     """
     if eps == 0 or alpha == 0:
         raise ConfigError("node sequence requires eps > 0 and alpha > 0")
-    s = power / (2.0 * alpha)
+    power = np.asarray(power, dtype=float)
+    a2 = 2.0 * alpha
+    lo = k_cut + 1.0
+
+    def inner(hi):  # the nodes k_cut + 1..hi of the inner branch, inf past 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_lo = np.power(lo / eps, 1.0 / a2) / E
+            return a_lo ** -power * _power_range_sum(power / a2, lo, hi, scale=lo)
+
     if alpha < 0.5:
-        return E ** power * eps ** s * _power_range_sum(s, k_cut + 1, np.inf)
+        return inner(np.inf)
     ng = np.floor(gamma_eps(eps, alpha))
-    lo = float(max(k_cut, ng) + 1)
-    # gamma_eps = inf saturates (E / eps)^p to inf against a zero zeta: the
-    # nan is refused below with the sum that overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.power(E / eps, power) * _power_range_sum(2.0 * alpha * power, lo, np.inf)
-        if not np.isfinite(out) and np.isfinite(lo):
-            # (E / eps)^p alone overflows (eps below 7e-9 at p = 36): the same
-            # sum as a_lo^-p sum_{n >= lo} (n / lo)^-2ap
-            out = (E / (eps * lo ** (2.0 * alpha))) ** power \
-                * _power_range_sum(2.0 * alpha * power, lo, np.inf, scale=lo)
+        if np.isfinite(ng):
+            n0 = max(lo, ng + 1.0)
+            out = (eps * n0 ** a2 / E) ** -power * _power_range_sum(a2 * power, n0, np.inf,
+                                                                    scale=n0)
+        else:
+            # gamma_eps = inf saturates (E / eps)^p to inf against a zero
+            # zeta: the nan is refused below with the sum that overflows
+            out = np.power(E / eps, power) * 0.0
         if k_cut < ng:
-            out += E ** power * eps ** s * _power_range_sum(s, k_cut + 1, ng)
-    if not np.isfinite(out):
+            out += inner(ng)
+    bad = ~np.isfinite(np.atleast_1d(out))
+    if bad.any():
         raise ConfigError(f"gamma_eps = {ng:.3e} at alpha = {alpha}: the node sum "
-                          f"of power {power:g} below it overflows")
+                          f"of power {np.atleast_1d(power)[bad][0]:g} below it overflows")
     return out
 
 
@@ -164,13 +185,13 @@ class MultiplierEvaluator:
 
     def _grow(self, z_max: float) -> None:
         self.z_max = z_max
-        # direct range keeps |z / a_n| <= 1 for every tail index
-        self.k_cut = max(1, int(np.floor(phi_eps(E * z_max, self.eps, self.alpha))))
+        # direct range keeps |z / a_n| <= _RATIO for every tail index
+        self.k_cut = max(1, int(np.floor(phi_eps(E / _RATIO * z_max, self.eps, self.alpha))))
         ns = np.arange(1, self.k_cut + 1, dtype=float)
         self.nodes = phi_eps_inverse(ns, self.eps, self.alpha) / E
         # column c of _tail_sums is S_2j(c * _STRIDE), the last one S_2j(k_cut):
         # the closed form at k_cut plus the stride sums of a_n^-2j from the far end
-        at_cut = [node_power_sum(self.k_cut, self.eps, self.alpha, 2.0 * j) for j in _SER_J]
+        at_cut = node_power_sum(self.k_cut, self.eps, self.alpha, 2.0 * _SER_J)
         inv_sq = self.nodes ** -2.0
         power = np.ones_like(inv_sq)
         strides = np.empty((len(_SER_J), -(-self.k_cut // _STRIDE)))
@@ -190,19 +211,19 @@ class MultiplierEvaluator:
         # needs the direct range extended up to its n_m
         if n_from - 1 > self.k_cut:
             z_need = float(phi_eps_inverse(float(n_from - 1), self.eps, self.alpha)) \
-                / E * 1.01
+                * (_RATIO / E * 1.01)
             self._grow(max(z_need, self.z_max))
 
     def _cutoffs(self, n_from: int, az: np.ndarray) -> np.ndarray:
         """Per-point direct cutoff K_p.
 
-        K_p = max(n_from - 1, floor(phi(e|z_p|))), rounded up to a multiple
-        of _STRIDE and capped at k_cut, so that S_2j(K_p) is tabulated; the
-        nodes past it have a_n > |z_p|, that is |z_p / a_n| < 1.
+        K_p = max(n_from - 1, floor(phi(e|z_p|/_RATIO))), rounded up to a
+        multiple of _STRIDE and capped at k_cut, so that S_2j(K_p) is
+        tabulated; the nodes past it have |z_p / a_n| < _RATIO.
         """
         self._ensure(float(np.max(az, initial=0.0)))
         self._ensure_start(n_from)
-        k = np.minimum(np.floor(phi_eps(E * az, self.eps, self.alpha)), self.k_cut)
+        k = np.minimum(np.floor(phi_eps(E / _RATIO * az, self.eps, self.alpha)), self.k_cut)
         k = np.maximum(k.astype(np.int64), n_from - 1)
         return np.minimum(-(-k // _STRIDE) * _STRIDE, self.k_cut)
 
@@ -287,9 +308,11 @@ class MultiplierEvaluator:
         col[order] = -(-k_sorted // _STRIDE)
         zt = flat.real if not np.any(flat.imag) else flat
         z2 = zt * zt
-        acc = _SER_C[-1] * self._tail_sums[-1, col]
-        for c, s in zip(_SER_C[-2::-1], self._tail_sums[-2::-1]):
-            acc = c * s[col] + z2 * acc
+        terms = _SER_C[:, None] * self._tail_sums
+        acc = terms[-1, col].astype(z2.dtype)
+        for row in terms[-2::-1]:
+            acc *= z2
+            acc += row[col]
         out -= z2 * acc
         return out.reshape(z.shape)
 

@@ -49,15 +49,22 @@ x 1.4, so about 1e-15 at P = 24, below the 2.8e-14 that rounding leaves
 (the phase of log F reaches 1e4 at alpha 0.55).  A panel with more than P
 points takes R at its nodes from the point-by-point pass and adds to its
 barycentric interpolant (Berrut & Trefethen, SIAM Review 2004) each point's
-own band through `_pair_log`, the real and imaginary parts by the same real
-arithmetic, so the modulus pass stays the real part of the full pass bit
-for bit, and an exact zero (eps = 0) stays a literal -inf.  Per unit length
+own band (`_band_sum`), each pair from its two linear factors b + i(x -+ t):
+one log and one atan2 per term and no branch, where `_pair_log` took its
+factored near branch for most band terms (|1+w| < 1/4 holds for
+|t - x + ib| < t/8, wider than the band past x = 64).  The real and
+imaginary parts go through the same real arithmetic, so the modulus pass
+stays the real part of the full pass bit for bit, and an exact zero (eps =
+0) stays a literal -inf.  Per unit length
 a panel sums H + 2W - 1 band pairs per point and 2xP/H direct pairs at its
 nodes; at W = H/2 (fixed rho) H = 16 forms the fewest terms over the fit
 grid (7.5 points per unit up to 400) and the FFT half-grid (27 per unit up
 to 150) together: 567,582 at alpha 1/4, against 621,455 at H = 12, 576,370
-at 20 and 2,152,848 point by point.  Other points and passes (C_m, the
-probe, `interpolation_check`) sum point by point.
+at 20 and 2,152,848 point by point.  Of these the fit grid's pass forms
+280,576 direct terms at its 600 nodes and 110,448 band terms, the FFT
+half-grid's 49,920 and 126,638; a band term costs about 11 ns and a direct
+one about 22 ns (alpha 1/4, 2 vCPU, numpy 2.4).  Other points and passes
+(C_m, the probe, `interpolation_check`) sum point by point.
 
 Numerical care in the paired term (`_pair_log`):
   * w = iz (2b + iz) / den, den = b^2 + t^2, from the factorization of the
@@ -233,6 +240,7 @@ def _entries(flat, cols: int, *arrays) -> list:
 def _work_arrays(rows: int, cols: int) -> list:
     """The four float work arrays of `_pair_log`, flat, for blocks of up to
     rows x cols paired terms: a smaller block takes a contiguous prefix.
+    One set serves each `_direct_sums` call; a panel's band sums take none.
     Four arrays, not one (4, rows x cols) block: freeing a 4 MB block lifts
     glibc's mmap threshold to 4 MB, so later arrays that size stay on the
     heap, which raised perfbench series_route's peak RSS from 61.1 to
@@ -387,6 +395,37 @@ def _barycentric(u: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _band_sum(t, x, eps: float, alpha: float, imag: bool) -> list:
+    """F's paired log terms at |n| = t, a column, summed over t at the real
+    points x >= 0, a row: [real part] with imag=False, else [real part,
+    imaginary part].  Each pair is summed from its linear factors:
+
+        (b + ix)^2 + t^2 = (b + i(x - t)) (b + i(x + t)) = u + iv,
+        u = (t - x)(t + x) + b^2,   v = 2bx,
+
+    whose log less log den is 1/2 log((u^2 + v^2)/den^2) + i atan2(v, u).
+    u has no cancellation but where u is small against v, so both parts keep
+    full relative accuracy next to a zero of F; at a zero (eps = 0, x = t)
+    the real part is a literal -inf.  arg(b + i(x - t)) + arg(b + i(x + t))
+    lies in (-pi/2, pi), so atan2 gives it: the principal branch, as
+    `_pair_log`'s."""
+    b = eps * t ** (2.0 * alpha)
+    den = b * b + t * t
+    u = t - x
+    u *= t + x
+    u += b * b
+    v = (2.0 * b) * x
+    im = np.arctan2(v, u).sum(axis=0) if imag else None
+    u *= u
+    v *= v
+    u += v
+    u *= 1.0 / (den * den)
+    with np.errstate(divide="ignore"):
+        np.log(u, out=u)
+    re = 0.5 * u.sum(axis=0)
+    return [re, im] if imag else [re]
+
+
 def _direct_sums(z: np.ndarray, cuts: np.ndarray, eps: float, alpha: float,
                  imag: bool) -> np.ndarray:
     """The paired log terms |n| = 1..cuts[i] summed at the points z[i] (two
@@ -479,8 +518,9 @@ class ProductEvaluator:
         is cut into equal panels at most _PANEL_WIDTH wide.  A panel with
         more than _PANEL_NODES points and no node on an integer (a zero of F
         at eps = 0) reads R = log F minus its band at its Chebyshev nodes;
-        each of its points takes R's interpolant plus its own band, the real
-        and imaginary parts in the same real arithmetic.  The nodes and the
+        each of its points takes R's interpolant plus its own band
+        (`_band_sum`), the real and imaginary parts in the same real
+        arithmetic, in column chunks of at most _COLS.  The nodes and the
         other points are summed point by point (`_pair_sum`), in calls of at
         most _NODE_COLS points so that no call's rows run far past its
         points' cutoffs, the largest first so that one table serves all."""
@@ -507,19 +547,14 @@ class ProductEvaluator:
         parts = (out.real, out.imag) if imag else (out,)
         node_parts = (node_vals.real, node_vals.imag) if imag else (node_vals,)
         p = _PANEL_NODES
-        work = _work_arrays(int(h + 2.0 * _BAND) + 2, min(_COLS, p + int(np.max(count))))
         for i, (a, c) in enumerate(zip(first, count)):
             # the band: pairs n with |n - x| < _BAND somewhere on the panel
             t = np.arange(max(1.0, np.floor(lo[i] - _BAND) + 1.0),
                           np.ceil(lo[i] + h + _BAND))[:, None]
             cols = np.concatenate([nodes[i], x[a:a + c]])
-            bands = [np.empty(len(cols)) for _ in parts]
-            for j in range(0, len(cols), _COLS):
-                z = cols[None, j:j + _COLS]
-                views = [w[:t.size * z.size].reshape(t.size, z.size) for w in work]
-                terms = _pair_log(t, z, self.eps, self.alpha, out=views, imag=imag)
-                for term, band in zip(terms, bands):
-                    term.sum(axis=0, out=band[j:j + _COLS])
+            sums = [_band_sum(t, z[None, :], self.eps, self.alpha, imag)
+                    for z in np.array_split(cols, -(-len(cols) // _COLS))]
+            bands = [np.concatenate(band) for band in zip(*sums)]
             mat = _barycentric((x[a:a + c] - lo[i]) * (2.0 / h) - 1.0)
             for band, dest, node_part in zip(bands, parts, node_parts):
                 dest[a:a + c] = mat @ (node_part[i] - band[:p]) + band[p:]

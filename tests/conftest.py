@@ -38,31 +38,42 @@ def count_pair_work(monkeypatch) -> SimpleNamespace:
     (`elements`); per point-by-point pair sum (`_pair_sum`: a one-point
     constant, a pass, or a panel pass's nodes) its point count (`sums`) and
     the elements of the `_pair_log` calls it made (`sum_elements`), which
-    `pass_terms` predicts; and per log F pass (`_pass`, after the fold) its
-    point count (`passes`) and elements (`pass_elements`)."""
-    work = SimpleNamespace(points=[], elements=[], sums=[], sum_elements=[], passes=[],
-                           pass_elements=[])
-    pair_log = wei._pair_log
+    `pass_terms` predicts; per panel band sum (`_band_sum`, from the linear
+    factors) its terms times points (`bands`); and per log F pass (`_pass`,
+    after the fold) its point count (`passes`), its `_pair_log` elements
+    (`pass_elements`) and its band elements (`pass_bands`)."""
+    work = SimpleNamespace(points=[], elements=[], sums=[], sum_elements=[], bands=[],
+                           passes=[], pass_elements=[], pass_bands=[])
+    pair_log, band_sum = wei._pair_log, wei._band_sum
 
     def count_terms(t, z, *rest, **kw):
         work.points.append(np.size(z))
         work.elements.append(np.broadcast(t, z).size)
         return pair_log(t, z, *rest, **kw)
 
-    def counted(method, sizes, totals):
+    def count_band(t, x, *rest, **kw):
+        work.bands.append(np.broadcast(t, x).size)
+        return band_sum(t, x, *rest, **kw)
+
+    def counted(method, sizes, totals, band_totals=None):
         def run(self, z, *rest, **kw):
             sizes.append(np.size(z))
-            start = len(work.elements)
+            start, band_start = len(work.elements), len(work.bands)
             out = method(self, z, *rest, **kw)
             totals.append(sum(work.elements[start:]))
+            if band_totals is not None:
+                band_totals.append(sum(work.bands[band_start:]))
             return out
         return run
 
     monkeypatch.setattr(wei, "_pair_log", count_terms)
-    for name, sizes, totals in (("_pair_sum", work.sums, work.sum_elements),
-                                ("_pass", work.passes, work.pass_elements)):
+    monkeypatch.setattr(wei, "_band_sum", count_band)
+    for name, sizes, totals, band_totals in (
+            ("_pair_sum", work.sums, work.sum_elements, None),
+            ("_pass", work.passes, work.pass_elements, work.pass_bands)):
         method = getattr(wei.ProductEvaluator, name)
-        monkeypatch.setattr(wei.ProductEvaluator, name, counted(method, sizes, totals))
+        monkeypatch.setattr(wei.ProductEvaluator, name,
+                            counted(method, sizes, totals, band_totals))
     return work
 
 

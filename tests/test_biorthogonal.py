@@ -201,8 +201,9 @@ def test_family_build_work_counts(monkeypatch):
     # one log F pass on the n/2 + 1 points |x| = j dx serves every member and
     # forms its paired terms in column blocks of at most _COLS points, never
     # on the full n-point grid; it is a panel pass (`weierstrass` module
-    # docstring), 176,558 paired terms where point by point it would form
-    # 720,848; one multiplier evaluator serves the probe and the grid, and
+    # docstring), 49,920 paired terms at its Chebyshev nodes and 126,638
+    # band terms from their linear factors where point by point it would
+    # form 720,848; one multiplier evaluator serves the probe and the grid, and
     # its bulk and per-m prefixes run on the same n/2 + 1 points.  Smoothing
     # runs one kernel DFT per |m|
     work = count_pair_work(monkeypatch)
@@ -238,8 +239,9 @@ def test_family_build_work_counts(monkeypatch):
     assert max(work.points) <= wei._COLS < n // 2 + 1
     assert max(work.sums) <= wei._NODE_COLS
     cuts = ProductEvaluator._cuts(fam.meta["dx"] * np.arange(n // 2 + 1))
-    grid = work.pass_elements[work.passes.index(n // 2 + 1)]
-    assert (n, grid, pass_terms(cuts)) == (8192, 176_558, 720_848)
+    grid = work.passes.index(n // 2 + 1)
+    assert (n, work.pass_elements[grid], work.pass_bands[grid]) == (8192, 49_920, 126_638)
+    assert pass_terms(cuts) == 720_848
     assert max(bulk_sizes) == n // 2 + 1
     assert bulk_sizes.count(n // 2 + 1) == 1
     assert max(prefix_sizes) <= n // 2 + 1
@@ -254,8 +256,8 @@ def test_resolve_omega_work_counts(monkeypatch):
     # points, in column blocks; per mode only the one-point constant C_m is
     # summed.  The pass is a panel pass: 25 panels of 120 points, whose 600
     # Chebyshev nodes are summed point by point in 7 calls of 85-86 points
-    # (280,576 paired terms) and whose bands form 110,448 more, against
-    # 1,432,000 point by point
+    # (280,576 paired terms) and whose bands form 110,448 more from their
+    # linear factors, against 1,432,000 paired terms point by point
     work = count_pair_work(monkeypatch)
     omega, hats = bio.resolve_omega((1, 2, 3, 4), ProductEvaluator(0.1, 0.75))
     assert len(hats) == 4 and omega >= 1
@@ -264,7 +266,7 @@ def test_resolve_omega_work_counts(monkeypatch):
     assert max(work.points) <= wei._COLS
     cuts = ProductEvaluator._cuts(np.linspace(0.0, bio.OMEGA_FIT_HALF_WIDTH, 3000))
     assert sum(e for n, e in zip(work.sums, work.sum_elements) if n > 1) == 280_576
-    assert work.pass_elements == [280_576 + 110_448]
+    assert work.pass_elements == [280_576] and work.pass_bands == [110_448]
     assert pass_terms(cuts) == 1_432_000
 
 

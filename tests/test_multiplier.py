@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viscowave.core import ConfigError
-from viscowave.multiplier import (_SER_C, _SER_J, MultiplierEvaluator,
-                                  _power_range_sum, multiplier_property_check,
-                                  node_power_sum)
+from viscowave.multiplier import (_RATIO, _SER_C, _SER_J, _STRIDE,
+                                  MultiplierEvaluator, _power_range_sum,
+                                  multiplier_property_check, node_power_sum)
 from viscowave.spectrum import (E, gamma_eps, lambda_vals, node_start, phi_eps,
                                 phi_eps_inverse)
 
@@ -123,6 +123,35 @@ def test_sinc_series_constants_match_mpmath():
     assert np.max(np.abs(_SER_C / ref - 1.0)) <= 1e-14
 
 
+def test_power_sums_take_an_array_of_orders():
+    # one call over the series orders 2j gives each scalar call's value to
+    # an ulp or two (numpy's vector pow), zeros included; the constants
+    # C_j come from one such call
+    orders = 2.0 * _SER_J
+    for eps, alpha, k in ((0.1, 0.25, 0), (0.1, 0.75, 5), (0.01, 0.75, 56952),
+                          (0.5, 0.95, 3), (1e-10, 0.75, 5)):
+        got = node_power_sum(k, eps, alpha, orders)
+        one = np.array([node_power_sum(k, eps, alpha, p) for p in orders])
+        assert got.shape == orders.shape and np.array_equal(got == 0.0, one == 0.0)
+        assert np.allclose(got, one, rtol=5e-16, atol=0.0)
+    got = _power_range_sum(orders, 1, np.inf)
+    assert np.array_equal(got, [_power_range_sum(p, 1, np.inf) for p in orders])
+    assert np.array_equal(_power_range_sum([0.5, 1.0, 3.0], 5, np.inf) == np.inf,
+                          [True, True, False])
+
+
+def test_power_sum_relative_to_its_first_node():
+    # at eps 0.01, alpha 0.75 the nodes past k = 56952 start at a = 5.0e4:
+    # S_50 = 8.0e-233 is a double, though (e/eps)^50 = 1e122 and its zeta
+    # of order 75 at 56953, 1e-356, are not both; each piece of the closed
+    # form is taken relative to its first node, so the sum is kept
+    mp.mp.dps = 40
+    eps, alpha, k = 0.01, 0.75, 56952
+    for power in (2.0, 50.0, 66.0):
+        ref = (mp.e / mp.mpf(eps)) ** power * mp.zeta(2 * mp.mpf(alpha) * power, k + 1)
+        assert abs(node_power_sum(k, eps, alpha, power) / ref - 1) <= 1e-13
+
+
 def test_power_sum_requires_nodes():
     with pytest.raises(ConfigError):
         node_power_sum(10, 0.0, 0.25, 2.0)
@@ -193,14 +222,15 @@ def test_point_alone_matches_grid(alpha):
             alone = complex(MultiplierEvaluator(0.1, alpha).log_eval(m, complex(x)))
             worst = max(worst, abs(alone - g) / max(1.0, abs(g)))
     print(f"alpha {alpha}: point alone vs in grid, max rel dev {worst:.2e}")
-    assert worst <= 1e-14          # observed 7.8e-16 (0.25), 2.3e-15 (0.75)
+    assert worst <= 1e-14          # observed 4.7e-16 (0.25), 5.3e-15 (0.75)
 
 
 def test_direct_terms_follow_point_cutoffs(monkeypatch):
     # each point sums the direct factors n = 1, 2, ... contiguously up to at
-    # least its own cutoff floor(phi(e|x|)), past which |x / a_n| < 1, not up
-    # to the evaluator's k_cut for every point; merged stretches raise a
-    # point's cutoff, never lower it, and keep the call count bounded
+    # least its own cutoff floor(phi(e|x|/R)), R = _RATIO, past which
+    # |x / a_n| < R, not up to the evaluator's k_cut for every point; merged
+    # stretches raise a point's cutoff, never lower it, and keep the call
+    # count bounded
     eps, alpha = 0.1, 0.75
     xg = np.logspace(-2, 5, 200)
     ev = MultiplierEvaluator(eps, alpha, z_max=float(xg[-1]))
@@ -218,12 +248,12 @@ def test_direct_terms_follow_point_cutoffs(monkeypatch):
         for x in z.tolist():
             assert reach[x] == lo - 1
             reach[x] = hi
-    own = np.minimum(np.floor(phi_eps(E * xg, eps, alpha)), ev.k_cut)
+    own = np.minimum(np.floor(phi_eps(E / _RATIO * xg, eps, alpha)), ev.k_cut)
     assert np.all(np.array([reach[x] for x in xg.tolist()]) >= own)
     terms = sum(z.size * (hi - lo + 1) for lo, hi, z in calls)
     print(f"{len(calls)} calls, {terms} direct terms (own cutoffs {int(own.sum())})")
-    assert len(calls) <= 16          # 12 measured; 54 with 256-node blocks
-    assert terms <= 1.25 * own.sum()  # 429,321 against 369,434; 609,478 before
+    assert len(calls) <= 16          # 9 measured (12 with R = 1); 54 with 256-node blocks
+    assert terms <= 1.25 * own.sum()  # 290,237 against 232,321; R = 1: 429,321 against 369,434
 
 
 def test_fft_half_grid_pass_memory():
@@ -293,9 +323,10 @@ def _log_multiplier_mp(m, z, eps, alpha):
 def test_multiplier_matches_mpmath():
     # 40-digit reference sharing no code with the evaluator; the error in
     # log M is taken modulo 2 pi i and scaled by max(1, |log M|).  Besides
-    # fixed points, z straddles |z / a_33| = 1, real and complex: just inside,
-    # the tail series starts at node 33 with |w| = 1 - 1e-9 (32 is a tail
-    # table node); just outside, node 33 is a direct factor with |w| > 1.
+    # fixed points, z straddles |z / a_33| = R = _RATIO, real and complex:
+    # just inside, the tail series starts at node 33 with |w| = R (1 - 1e-9)
+    # (32 is a tail table node); just outside, node 33 is a direct factor
+    # with |w| > R.
     # (At node 17, alpha 0.25, the real z / a_1 sits 0.007 from 92 pi, where
     # log|sinc| turns the nodes' rounding into an 8e-14 error, old and new.)
     mp.mp.dps = 40
@@ -303,7 +334,7 @@ def test_multiplier_matches_mpmath():
     for alpha in (0.25, 0.75):
         ev = MultiplierEvaluator(0.1, alpha)
         a33 = float(_node_mp(33, mp.mpf(0.1), mp.mpf(alpha)))
-        straddle = [a33 * (1.0 + d) * rot for d in (-1e-9, 1e-9)
+        straddle = [_RATIO * a33 * (1.0 + d) * rot for d in (-1e-9, 1e-9)
                     for rot in (1.0, np.exp(0.3j))]
         for m in (1, 3):
             node = 1j * np.conj(complex(lambda_vals(m, 0.1, alpha)))
@@ -344,6 +375,34 @@ def test_far_off_axis_matches_mpmath():
         print(f"z {z:.6g}: log M {ref.real:.6g}, scaled error {err:.2e}")
         worst = max(worst, err)
     assert worst <= 5e-14
+
+
+def test_tail_sums_that_matter_do_not_underflow():
+    # S_2j(K) = sum_{n>K} a_n^-2j underflows where a_{K+1}^2j passes 1e308,
+    # from j = 33 at |z| = 1e5.  Past the last normal entry j0 of a point's
+    # column, a_n >= a_{K+1} bounds S_2j(K) <= a_{K+1}^{-2(j - j0)} S_2j0(K),
+    # so the series terms C_j |z|^2j S_2j(K) lost to underflow are at most
+    # the sum of those bounds, taken in logs.  At the largest |z| evaluated,
+    # `multiplier check`'s grid up to 1e5 and the points of
+    # test_far_off_axis_matches_mpmath up to 1.55e5, they stay below the
+    # rounding of log M: measured 1.7e-17 and 1.8e-18 of max(1, |log M|)
+    # (2e-15 at |z| = 1e6, where columns scaled by their first node would
+    # be needed)
+    rot = np.exp(0.3j)
+    for eps, alpha, z in ((0.1, 0.75, np.logspace(-2, 5, 200) + 0j),
+                          (0.1, 0.25, np.array([1.55e5 * rot, 2e4 * rot]))):
+        ev = MultiplierEvaluator(eps, alpha, z_max=float(np.max(np.abs(z))))
+        for n_from in (1, node_start(1, eps, alpha)):
+            log_m = np.abs(ev.log_eval_start(n_from, z))
+            cuts = ev._cutoffs(n_from, np.abs(z))
+            for az, k, scale in zip(np.abs(z), cuts, np.maximum(1.0, log_m)):
+                col = ev._tail_sums[:, -(-k // _STRIDE)]
+                j0 = np.flatnonzero(col >= np.finfo(float).tiny)[-1]
+                j = np.arange(j0 + 1, len(col))
+                a_next = float(phi_eps_inverse(k + 1.0, eps, alpha)) / E
+                log_lost = (np.log(_SER_C[j]) + 2.0 * (j + 1) * np.log(az)
+                            - 2.0 * (j - j0) * np.log(a_next) + np.log(col[j0]))
+                assert np.sum(np.exp(log_lost)) <= 1e-16 * scale
 
 
 def test_tail_bound_dominates_refinement():

@@ -162,28 +162,30 @@ def test_real_axis_pass_is_blocking_invariant(monkeypatch, alpha):
     # 409-410, whose 600 and 240 Chebyshev nodes are summed point by point
     # in calls of at most _NODE_COLS (280,576 and 49,920 paired terms), and
     # whose bands of 31 and 30 pairs (23 and 22 at the origin) form 110,448
-    # and 126,638 at the nodes and points.  A block's rows run to its
-    # largest cutoff, so the nodes summed in one block form more terms
-    # (600,048 + 199,598 against 391,024 + 176,558), but each point reads
-    # its own direct sum at its own cutoff.  No paired-term call sees more
-    # than _BLOCK x _COLS entries, and none sees a single point, which numpy
-    # would sum pairwise instead of row by row.  Both passes send every
-    # paired term through `_pair_log`.  s = |1+w|^2 - 1 by factorization is
-    # not the complex formula's rounding: the two agree to
-    # _COMPLEX_FORMULA_BOUND
+    # and 126,638 at the nodes and points, from their linear factors
+    # (`_band_sum`).  A block's rows run to its largest cutoff, so the nodes
+    # summed in one block form more terms (489,600 + 72,960 against
+    # 280,576 + 49,920), but each point reads its own direct sum at its own
+    # cutoff.  No paired-term call sees more than _BLOCK x _COLS entries, and
+    # none sees a single point, which numpy would sum pairwise instead of
+    # row by row.  Both passes send every direct term at the nodes through
+    # `_pair_log`.  s = |1+w|^2 - 1 by factorization is not the complex
+    # formula's rounding: the two agree to _COMPLEX_FORMULA_BOUND
     grids = (FIT_GRID, FFT_HALF_GRID)
     work = count_pair_work(monkeypatch)
     got = [ProductEvaluator(0.1, alpha).log_generating(x) for x in grids]
     assert max(work.elements) <= wei._BLOCK * wei._COLS
     assert max(work.points) <= wei._COLS and min(work.points) >= 2
-    assert work.pass_elements == [280_576 + 110_448, 49_920 + 126_638]
+    assert work.pass_elements == [280_576, 49_920]
+    assert work.pass_bands == [110_448, 126_638]
     assert sum(work.elements) == sum(work.pass_elements)
     monkeypatch.setattr(wei, "_COLS", 10 ** 6)
     monkeypatch.setattr(wei, "_NODE_COLS", 10 ** 6)
     one = count_pair_work(monkeypatch)
     for x, g in zip(grids, got):
         assert np.array_equal(g, ProductEvaluator(0.1, alpha).log_generating(x))
-    assert one.pass_elements == [600_048, 199_598]
+    assert one.pass_elements == [489_600, 72_960]
+    assert one.pass_bands == [110_448, 126_638]
     assert one.sums == [600, 240] and max(one.points) == 600
     monkeypatch.setattr(wei, "_pair_log", _pair_log_complex)
     for x, g in zip(grids, got):
@@ -203,6 +205,11 @@ def _point_pass(x, eps, alpha, imag=True):
 
 
 WIDE_GRID = np.linspace(0.0, 1000.0, 16385)
+# points 1e-9 and 1e-3 either side of Re node_n = n, n = 7 and 100, added to
+# the FFT half-grid: its panels are unchanged, and each of these points
+# sums the pair n, next to its zero, in its panel's band
+NEAR_NODES = np.array([n + d for n in (7.0, 100.0) for d in (-1e-3, -1e-9, 1e-9, 1e-3)])
+NEAR_GRID = np.union1d(FFT_HALF_GRID, NEAR_NODES)
 # |log F_panel - log F_point| <= this x max(1, |log F|): 10x the worst
 # measured (2.8e-14, the FFT half-grid at alpha 0.55, where the phase of
 # log F reaches 1e4), well inside 1e-12
@@ -212,17 +219,19 @@ _PANEL_BOUND = 3e-13
 @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.45, 0.55, 0.75, 0.95])
 def test_panel_pass_matches_point_pass(alpha):
     # the panel pass against the pass that sums every point point by point,
-    # on the fit grid, the FFT half-grid and 16,385 points on [0, 1000],
-    # eps from the undamped limit to 0.5; point by point at every 5th point
-    # (every 23rd on the wide grid) and the last, whose cutoff sets the
-    # table.  At eps = 0 F vanishes at the integers: both passes give -inf
-    # there (x = 400 on the fit grid, 75 and 150 on the FFT half-grid, 125 j
-    # on the wide one) and finite values elsewhere
+    # on the fit grid, the FFT half-grid (also with NEAR_NODES, 1e-9 and
+    # 1e-3 from a zero's real part) and 16,385 points on [0, 1000], eps from
+    # the undamped limit to 0.5; point by point at every 5th point (every
+    # 23rd on the wide grid), the near points and the last, whose cutoff
+    # sets the table.  At eps = 0 F vanishes at the integers: both passes
+    # give -inf there (x = 400 on the fit grid, 75 and 150 on the FFT
+    # half-grid, 125 j on the wide one) and finite values elsewhere
     worst = 0.0
     for eps in (0.0, 1e-5, 1e-3, 0.1, 0.5):
-        for x, step in ((FIT_GRID, 5), (FFT_HALF_GRID, 5), (WIDE_GRID, 23)):
+        for x, step in ((FIT_GRID, 5), (FFT_HALF_GRID, 5), (NEAR_GRID, 5), (WIDE_GRID, 23)):
             got = ProductEvaluator(eps, alpha).log_generating(x)
             pick = np.union1d(np.arange(0, len(x), step), np.flatnonzero(x == np.round(x)))
+            pick = np.union1d(pick, np.flatnonzero(np.isin(x, NEAR_NODES)))
             pick = np.union1d(pick, [len(x) - 1])
             ref = _point_pass(x[pick], eps, alpha)
             zero = np.isinf(ref.real)
@@ -235,7 +244,8 @@ def test_panel_pass_matches_point_pass(alpha):
     assert worst <= _PANEL_BOUND
 
 
-# 10x the worst measured, 1.0e-15 (x = 0.13 on the fit grid, alpha 0.75)
+# about 10x the worst measured: 1.2e-15 at the grid points (1.0e-15 with
+# the band through `_pair_log`), 7.0e-16 next to the zeros
 _PANEL_MP_BOUND = 1e-14
 
 
@@ -245,8 +255,20 @@ def test_panel_pass_matches_mpmath():
     # 40-digit reference, the pairs up to _MP_DIRECT multiplied out and the
     # sum past them (`_mp_tail`), modulo 2 pi i, relative to max(1, |log F|)
     # on the pass's branch: at x = 400, alpha 1/4, the phase of log F is
-    # about 1257 and its principal value 5.0
-    eps, worst = 0.1, 0.0
+    # about 1257 and its principal value 5.0.  Then the band next to the
+    # zeros: the pass over NEAR_GRID at NEAR_NODES, eps 0 to 0.5, alpha 0.1
+    # to 0.95, against the 40-digit pairs up to each point's own cutoff K
+    # plus the lattice-table series past K, which the pass adds at the same
+    # point (its table entries and series are pinned to mpmath by
+    # test_lattice_sums_against_mpmath), and at eps = 0 against
+    # log(sin(pi x) / (pi x))
+    eps, worst, near_worst = 0.1, 0.0, 0.0
+
+    def off(g, ref):
+        d = mp.mpc(g.real, g.imag) - ref
+        d -= 2j * mp.pi * mp.nint(d.imag / (2 * mp.pi))
+        return float(abs(d)) / max(1.0, abs(g))
+
     with mp.workdps(40):
         e = mp.mpf(eps)
         for alpha in (0.25, 0.75):
@@ -260,11 +282,30 @@ def test_panel_pass_matches_mpmath():
                         b = e * mp.mpf(n) ** a2
                         prod *= ((b + 1j * z) ** 2 + n ** 2) / (b ** 2 + n ** 2)
                     ref = mp.log(prod) + _mp_tail(z, e, a2)
-                    d = mp.mpc(got[j].real, got[j].imag) - ref
-                    d -= 2j * mp.pi * mp.nint(d.imag / (2 * mp.pi))
-                    worst = max(worst, float(abs(d)) / max(1.0, abs(got[j])))
-    print(f"panel passes: {worst:.2e} of max(1, |log F|) off 40-digit mpmath")
-    assert worst <= _PANEL_MP_BOUND
+                    worst = max(worst, off(got[j], ref))
+        near = np.flatnonzero(np.isin(NEAR_GRID, NEAR_NODES))
+        x = NEAR_GRID[near]
+        cuts = ProductEvaluator._cuts(x)
+        for eps in (0.0, 1e-3, 0.1, 0.5):
+            for alpha in (0.1, 0.25, 0.45, 0.55, 0.75, 0.95) if eps else (0.25,):
+                ev = ProductEvaluator(eps, alpha)
+                got = ev.log_generating(NEAR_GRID)[near]
+                series = wei._series(x + 0j, cuts // wei.STRIDE, ev._lattice(int(cuts[-1])), True)
+                e, a2 = mp.mpf(eps), 2 * mp.mpf(alpha)
+                bs = [e * mp.mpf(n) ** a2 for n in range(int(cuts[-1]) + 1)]
+                for g, xv, k, ser in zip(got, x, cuts, series):
+                    z = mp.mpf(xv)
+                    if eps == 0.0:
+                        ref = mp.log(mp.sin(mp.pi * z) / (mp.pi * z))
+                    else:
+                        prod = mp.mpf(1)
+                        for n in range(1, int(k) + 1):
+                            prod *= ((bs[n] + 1j * z) ** 2 + n * n) / (bs[n] ** 2 + n * n)
+                        ref = mp.log(prod) + mp.mpc(ser.real, ser.imag)
+                    near_worst = max(near_worst, off(g, ref))
+    print(f"panel passes: {worst:.2e} of max(1, |log F|) off 40-digit mpmath, "
+          f"{near_worst:.2e} next to the zeros")
+    assert max(worst, near_worst) <= _PANEL_MP_BOUND
 
 
 def test_panel_nodes_on_a_point_or_an_integer(monkeypatch):
@@ -407,9 +448,9 @@ def test_pass_allocates_work_arrays_once(monkeypatch):
     # by point in 7 calls of 85-86 points, whose rows run to their largest
     # cutoffs 816, 688, 592, 464, 352, 240 and 128: 4, 3, 3, 2, 2, 1 and 1
     # row blocks of direct terms, each call on the one set of work arrays it
-    # allocates; then the bands of its 25 panels, one block each, on one
-    # more set; so in the full pass and in the modulus pass alike, and the
-    # series forms no paired term
+    # allocates; the bands of its 25 panels take none (`_band_sum`); so in
+    # the full pass and in the modulus pass alike, and the series forms no
+    # paired term
     allocs, on_work = [], []
     work_arrays, pair_log = wei._work_arrays, wei._pair_log
 
@@ -427,11 +468,10 @@ def test_pass_allocates_work_arrays_once(monkeypatch):
     ev = ProductEvaluator(0.1, 0.25)
     ev.log_generating(FIT_GRID)
     ev.log_abs_generating(FIT_GRID)
-    assert len(allocs) == 2 * (7 + 1) and all(len(a) == 4 for a in allocs)
-    sizes = [a[0].size for a in allocs[:8]]
-    assert sizes == [256 * 85, 256 * 85, 256 * 86, 256 * 86, 256 * 86, 240 * 86, 128 * 86,
-                     34 * (24 + 120)]
-    assert len(on_work) == 2 * (4 + 3 + 3 + 2 + 2 + 1 + 1 + 25) and all(on_work)
+    assert len(allocs) == 2 * 7 and all(len(a) == 4 for a in allocs)
+    sizes = [a[0].size for a in allocs[:7]]
+    assert sizes == [256 * 85, 256 * 85, 256 * 86, 256 * 86, 256 * 86, 240 * 86, 128 * 86]
+    assert len(on_work) == 2 * (4 + 3 + 3 + 2 + 2 + 1 + 1) and all(on_work)
 
 
 # ---------------------------------------------------------------------------
