@@ -221,6 +221,48 @@ def gauss_legendre_01(k: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
 
 
+# the lattice-series tables of the product and the multiplier keep a column at
+# every STRIDE-th node, so a point's direct cutoff is rounded up to one of them
+STRIDE = 16
+
+
+def stride_tail_sums(inv: np.ndarray, powers: int, carry, part=None) -> np.ndarray:
+    """Tail power sums of a lattice at every STRIDE-th node: row k-1,
+    column c holds carry[k-1] + sum_{n > STRIDE c} part(inv_n^k, k), n
+    running over the nodes 1..len(inv) of the inverses inv, and the last
+    column is carry itself, the sums past the last node.  part maps the k-th
+    powers to the table's entries, the identity if None; the table has
+    carry's dtype.
+
+    The stride sums are formed one power at a time, so no powers x nodes
+    array is built, and added to carry from the far end, each entry one
+    sequential sum.  These are the series coefficients of a canonical
+    product over the lattice past a point's direct cutoff (Levin,
+    Distribution of Zeros of Entire Functions, ch. I)."""
+    carry = np.asarray(carry)
+    starts = np.arange(0, len(inv), STRIDE)
+    tab = np.empty((powers, len(starts) + 1), dtype=carry.dtype)
+    tab[:, -1] = carry
+    power = np.ones_like(inv)
+    for k, row in enumerate(tab[:, :-1], 1):
+        power *= inv
+        row[:] = np.add.reduceat(power if part is None else part(power, k), starts)
+    np.cumsum(tab[:, ::-1], axis=1, out=tab[:, ::-1])
+    return tab
+
+
+def power_series(tab: np.ndarray, col: np.ndarray, x) -> np.ndarray:
+    """sum_{k=1}^{rows} tab[k-1, col_i] x_i^k at the points x_i, each point
+    reading its own column col_i of a `stride_tail_sums`-shaped table, by
+    Horner in x, gathering one table row at a time."""
+    acc = tab[-1, col].astype(np.result_type(tab, x), copy=False)
+    for row in tab[-2::-1]:
+        acc *= x
+        acc += row[col]
+    acc *= x
+    return acc
+
+
 def log1p_c(x: np.ndarray, y: np.ndarray, out=None, imag: bool = True, s=None, far=None):
     """Complex log(1+w) at w = x + iy, given as its real and imaginary parts,
     in a closed form that keeps tiny w:

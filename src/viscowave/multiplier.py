@@ -9,26 +9,24 @@ Evaluation is per point.  A point z multiplies the factors with
 |z/a_n| > R = _RATIO = 2, that is a_n < |z|/R, directly: K =
 floor(phi(e|z|/R)) of them, or n_m - 1 if that is more (the first node n_m
 = floor(phi(e|lambda_m|)) + 1 already has a_n >= |lambda_m|), rounded up to
-a multiple of _STRIDE = 16 and capped at the evaluator's cutoff k_cut (the
-K of the largest |z| seen).  Its remaining log-tail, where |z/a_n| <= R, is
-resummed through the series log sinc w = -sum_j zeta(2j)/(j pi^{2j}) w^{2j},
-which converges for |w| < pi, with the node power sums S_{2j}(K) =
-sum_{n>K} a_n^{-2j}.  S_{2j}(k_cut) has a closed form: Hurwitz zeta past
-the weight's branch point gamma_eps, and an Euler-Maclaurin sum of n^-s for
-the finite range below it, each taken relative to its first node.  Both are
-`_power_range_sum`, the zeta being its hi = inf case, over an array of
-orders: one call gives every S_{2j}(k_cut), and one the series constants
-C_j = zeta(2j)/(j pi^{2j}).  S_{2j} at the multiples of _STRIDE below k_cut
-add the per-stride sums of a_n^{-2j}.  J = 39 series terms leave at most
-sum_{j>J} C_j |w|^{2j} <= 8.5e-18 (|w|/R)^80 per node, 8.5e-18 =
-sum_{j>39} C_j R^{2j} (40-digit mpmath), so the remainder is at most
-8.5e-18 sum_{n>K} |z/(R a_n)|^80; against a 40-digit mpmath product the
-scaled error in log M is at most 4.9e-15, points on both sides of
-|z/a_n| = R included.  S_{2j}(K) underflows where a_{K+1}^{2j} passes
-1e308, from j = 33 at |z| = 1e5: the terms lost stay below 1.7e-17 of
-max(1, |log M|) up to the largest |z| evaluated, 1.55e5, and reach 2e-15
-at |z| = 1e6.  On the real axis the direct factors are summed in real
-arithmetic: log|sinc| plus i pi for each negative factor.
+a multiple of core.STRIDE = 16 and capped at the evaluator's cutoff k_cut
+(the K of the largest |z| seen).  Its remaining log-tail, where |z/a_n| <=
+R < pi, is the series log sinc w = -sum_j C_j w^{2j}, C_j = zeta(2j)/(j
+pi^{2j}): -sum_j C_j S_{2j}(K) z^{2j} with the node power sums S_{2j}(K) =
+sum_{n>K} a_n^{-2j}, summed by `core.power_series` in z^2 from the table of
+`core.stride_tail_sums` (S_{2j} at every STRIDE-th node below k_cut).  The
+closure S_{2j}(k_cut) is `node_power_sum`: Hurwitz zeta past the weight's
+branch point gamma_eps and an Euler-Maclaurin sum below it, each relative
+to its first node, both `_power_range_sum` over an array of orders, which
+also gives the C_j.  J = 39 terms leave at most sum_{j>J} C_j |w|^{2j} <=
+8.5e-18 (|w|/R)^80 per node, 8.5e-18 = sum_{j>39} C_j R^{2j} (40-digit
+mpmath); against a 40-digit mpmath product the scaled error in log M is at
+most 4.9e-15, points on both sides of |z/a_n| = R included.  S_{2j}(K)
+underflows where a_{K+1}^{2j} passes 1e308, from j = 33 at |z| = 1e5: the
+terms lost stay below 1.7e-17 of max(1, |log M|) up to the largest |z|
+evaluated, 1.55e5, and reach 2e-15 at |z| = 1e6.  On the real axis the
+direct factors are summed in real arithmetic: log|sinc| plus i pi for each
+negative factor.
 Points are sorted by K, and the nodes between consecutive cutoffs are summed
 over the points that still need them, in stretches merged until each holds
 _MIN_TERMS point x node terms (a merged point's cutoff rises to its
@@ -44,13 +42,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ALPHA_DEGENERACY_TOL, ConfigError
+from .core import ALPHA_DEGENERACY_TOL, STRIDE, ConfigError, power_series, stride_tail_sums
 from .spectrum import (E, gamma_eps, lambda_vals, node_start, node_sum_bound,
                        node_tail_sq_constant, phi_eps, phi_eps_inverse)
 
-# tail sums S_2j(K) are tabulated at every _STRIDE-th node K, so a point's
-# direct range is rounded up to one of them
-_STRIDE = 16
 # a point z multiplies the factors with |z/a_n| > _RATIO directly and resums
 # the rest, |z/a_n| <= _RATIO < pi, as the sinc series
 _RATIO = 2.0
@@ -169,7 +164,7 @@ class MultiplierEvaluator:
     """Shared-bulk evaluator at fixed (eps, alpha).
 
     Holds the node table up to the direct cutoff k_cut of the largest |z|
-    seen, and the tail power sums S_2j(K) at every _STRIDE-th node K below
+    seen, and the tail power sums S_2j(K) at every STRIDE-th node K below
     it; grows itself if asked about larger |z|.
     """
 
@@ -189,17 +184,10 @@ class MultiplierEvaluator:
         self.k_cut = max(1, int(np.floor(phi_eps(E / _RATIO * z_max, self.eps, self.alpha))))
         ns = np.arange(1, self.k_cut + 1, dtype=float)
         self.nodes = phi_eps_inverse(ns, self.eps, self.alpha) / E
-        # column c of _tail_sums is S_2j(c * _STRIDE), the last one S_2j(k_cut):
-        # the closed form at k_cut plus the stride sums of a_n^-2j from the far end
+        # column c of _tail_sums is S_2j(c * STRIDE), the last one S_2j(k_cut):
+        # the closed form at k_cut plus the stride sums of a_n^-2j
         at_cut = node_power_sum(self.k_cut, self.eps, self.alpha, 2.0 * _SER_J)
-        inv_sq = self.nodes ** -2.0
-        power = np.ones_like(inv_sq)
-        strides = np.empty((len(_SER_J), -(-self.k_cut // _STRIDE)))
-        for row in strides:
-            power *= inv_sq
-            row[:] = np.add.reduceat(power, np.arange(0, self.k_cut, _STRIDE))
-        self._tail_sums = np.cumsum(np.column_stack([at_cut, strides[:, ::-1]]),
-                                    axis=1)[:, ::-1]
+        self._tail_sums = stride_tail_sums(self.nodes ** -2.0, len(_SER_J), at_cut)
 
     def _ensure(self, z_max: float) -> None:
         if z_max > self.z_max:
@@ -218,14 +206,14 @@ class MultiplierEvaluator:
         """Per-point direct cutoff K_p.
 
         K_p = max(n_from - 1, floor(phi(e|z_p|/_RATIO))), rounded up to a
-        multiple of _STRIDE and capped at k_cut, so that S_2j(K_p) is
+        multiple of STRIDE and capped at k_cut, so that S_2j(K_p) is
         tabulated; the nodes past it have |z_p / a_n| < _RATIO.
         """
         self._ensure(float(np.max(az, initial=0.0)))
         self._ensure_start(n_from)
         k = np.minimum(np.floor(phi_eps(E / _RATIO * az, self.eps, self.alpha)), self.k_cut)
         k = np.maximum(k.astype(np.int64), n_from - 1)
-        return np.minimum(-(-k // _STRIDE) * _STRIDE, self.k_cut)
+        return np.minimum(-(-k // STRIDE) * STRIDE, self.k_cut)
 
     def log_factor_range(self, lo: int, hi: int, z) -> np.ndarray:
         """sum of log sinc(z / a_n) for n in [lo, hi] by direct evaluation.
@@ -303,17 +291,11 @@ class MultiplierEvaluator:
             out[active] += self.log_factor_range(lo, k, flat[active])
             k_sorted[i0:end] = k
             lo, i0 = k + 1, end
-        # Horner in z^2, real on the real axis, one table row at a time
+        # the series in z^2, real on the real axis
         col = np.empty_like(k_sorted)
-        col[order] = -(-k_sorted // _STRIDE)
+        col[order] = -(-k_sorted // STRIDE)
         zt = flat.real if not np.any(flat.imag) else flat
-        z2 = zt * zt
-        terms = _SER_C[:, None] * self._tail_sums
-        acc = terms[-1, col].astype(z2.dtype)
-        for row in terms[-2::-1]:
-            acc *= z2
-            acc += row[col]
-        out -= z2 * acc
+        out -= power_series(_SER_C[:, None] * self._tail_sums, col, zt * zt)
         return out.reshape(z.shape)
 
     def log_eval(self, m: int, z) -> np.ndarray:

@@ -16,16 +16,19 @@ exp(C m^{2a}) never overflows.  F(-conj z) = conj F(z): a pass folds Re z < 0
 onto -conj z and sums over the distinct folded points only.
 
 Evaluation scheme.  A point z sums its pairs n <= K directly, K the smallest
-multiple of STRIDE = 16 at or above 2|z| + 1.  Past K |z/node_n| < 1/2, and
-the rest of the lattice is one power series (Levin, Distribution of Zeros
-of Entire Functions, ch. I):
+multiple of core.STRIDE = 16 at or above 2|z| + 1.  Past K |z/node_n| <
+1/2, and the rest of the lattice is one power series (Levin, Distribution
+of Zeros of Entire Functions, ch. I):
 
     -sum_{k=1}^{J} z^k P_k(K)/k,   P_k(K) = sum_{n>K} node_n^{-k} + (-1)^k conj(node_n)^{-k},
 
 real for even k, imaginary for odd k.  J = SERIES_TERMS = 48 leaves at most
 4|z| 2^{-J} / (J (J+1)) = 6.0e-18 |z|: past k = J each log(1 - w) is at most
 2|w|^{J+1}/(J+1), and sum_{n>K} (|z|/n)^{J+1} <= |z|^{J+1} K^{-J}/J.  The
-P_k(K) are tabulated once per evaluator (`_lattice_sums`, `_lattice_tail`).
+P_k(K)/k are tabulated once per evaluator (`_lattice_sums`): the stride sums
+by `core.stride_tail_sums` on the sum past the table's end (`_lattice_tail`),
+as a complex table whose odd rows are imaginary; `core.power_series` sums the
+series, over the real part of the table in a real modulus pass.
 
 The direct sums (`_direct_sums`) run over blocks of _BLOCK terms by at most
 _COLS points, all on four float work arrays (`_work_arrays`) allocated once
@@ -49,18 +52,16 @@ x 1.4, so about 1e-15 at P = 24, below the 2.8e-14 that rounding leaves
 (the phase of log F reaches 1e4 at alpha 0.55).  A panel with more than P
 points takes R at its nodes from the point-by-point pass and adds to its
 barycentric interpolant (Berrut & Trefethen, SIAM Review 2004) each point's
-own band (`_band_sum`), each pair from its two linear factors b + i(x -+ t):
-one log and one atan2 per term and no branch, where `_pair_log` took its
-factored near branch for most band terms (|1+w| < 1/4 holds for
-|t - x + ib| < t/8, wider than the band past x = 64).  The real and
-imaginary parts go through the same real arithmetic, so the modulus pass
-stays the real part of the full pass bit for bit, and an exact zero (eps =
-0) stays a literal -inf.  Per unit length
-a panel sums H + 2W - 1 band pairs per point and 2xP/H direct pairs at its
-nodes; at W = H/2 (fixed rho) H = 16 forms the fewest terms over the fit
-grid (7.5 points per unit up to 400) and the FFT half-grid (27 per unit up
-to 150) together: 567,582 at alpha 1/4, against 621,455 at H = 12, 576,370
-at 20 and 2,152,848 point by point.  Of these the fit grid's pass forms
+own band (`_band_sum`), each pair from its two linear factors b + i(x -+ t)
+(`_factor_logs`): one log and one atan2 per term and no branch.  The real
+and imaginary parts go through the same real arithmetic, so the modulus
+pass stays the real part of the full pass bit for bit, and an exact zero
+(eps = 0) stays a literal -inf.  Per unit length a panel sums H + 2W - 1
+band pairs per point and 2xP/H direct pairs at its nodes; at W = H/2 (fixed
+rho) H = 16 forms the fewest terms over the fit grid (7.5 points per unit up
+to 400) and the FFT half-grid (27 per unit up to 150) together: 567,582
+at alpha 1/4, against 621,455 at H = 12, 576,370 at 20 and 2,152,848 point
+by point.  Of these the fit grid's pass forms
 280,576 direct terms at its 600 nodes and 110,448 band terms, the FFT
 half-grid's 49,920 and 126,638; a band term costs about 11 ns and a direct
 one about 22 ns (alpha 1/4, 2 vCPU, numpy 2.4).  Other points and passes
@@ -73,19 +74,19 @@ Numerical care in the paired term (`_pair_log`):
   * log(1+w) is core.log1p_c's 1/2 log1p(s) + i atan2(Im w, 1 + Re w),
     s = |1+w|^2 - 1, with log|1+w| where |1+w| < 1/2.  On the real axis
     s = Re w (Re w - c), c = 2 (b - t)(b + t) / den, without cancellation.
-  * Near a zero of the factor (|1+w| < 1/4) the term is log(b + i(z - t)) +
-    log(b + i(z + t)) - log den from the linear factors a + i(Re z -+ t),
-    a = b - Im z (`_entries`): F keeps full relative accuracy next to its
-    zeros, and a node gives a literal 0, so interpolation checks see exact
-    deltas.
+  * Near a zero of the factor (|1+w| < 1/4) the term is taken from the
+    linear factors a + i(Re z -+ t), a = b - Im z, read at those entries
+    (`_entries`), by `_factor_logs`, which also sums the panel bands: F
+    keeps full relative accuracy next to its zeros, and a node gives a
+    literal 0, so interpolation checks see exact deltas.
 
 Accuracy against a 40-digit mpmath reference (test_product_matches_mpmath,
 eps 0.1, alpha 0.25 and 0.75, m 1/3/7, real x up to 390, a complex point,
 points 1e-4 and 1e-11 from node_m): at most 3.4e-13 at the real points
-(3.3e-11 with the tail quadrature the series replaced), 3.5e-14 at the
+(3.3e-11 with the tail quadrature the series replaced), 3.6e-14 at the
 complex point, 8.9e-15 next to node_m; mostly the rounding of log F's phase,
 which x P_1(K) makes large (933 at x = 150, eps 1e-3, alpha 0.75).  Table
-entries are within 2.0e-15 relative, the series within 6.3e-16 of its
+entries are within 1.7e-15 relative, the series within 4.9e-16 of its
 modulus (test_lattice_sums_against_mpmath).
 """
 
@@ -95,15 +96,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, gauss_legendre_01, log1p_c
+from .core import (STRIDE, ConfigError, gauss_legendre_01, log1p_c, power_series,
+                   stride_tail_sums)
 from .spectrum import gamma_eps, lambda_conj_vals, phi_eps
 
 _GL64 = gauss_legendre_01(64)
 _BLOCK = 256  # paired terms summed per numpy pass
-# a point z sums its pairs n <= K directly, K the smallest multiple of STRIDE
-# at or above _RATIO |z| + 1, so |z/node_n| < 1/_RATIO past K; the lattice
-# sums are tabulated at every multiple of STRIDE
-STRIDE = 16
+# a point z sums its pairs n <= K directly, K the smallest multiple of
+# core.STRIDE at or above _RATIO |z| + 1, so |z/node_n| < 1/_RATIO past K
 _RATIO = 2.0
 # series terms past K: the remainder is at most 4|z| 2^-J / (J (J+1)),
 # 6.0e-18 |z| (module docstring)
@@ -114,7 +114,6 @@ SERIES_TERMS = 48
 _TABLE_END = 4096
 # least exponent q of the tail substitution t = t0 s^-q (`_lattice_tail`)
 _Q_MIN = 4.0
-_CHUNK = 32768  # nodes per table temporary (512 KB complex)
 _COLS = 512   # most points per numpy pass, split evenly (see _direct_sums)
 # s = |1+w|^2 - 1 below _FAR: |1+w| < 1/2 (far); below _NEAR: |1+w| < 1/4
 _FAR, _NEAR = -0.75, -15.0 / 16.0
@@ -187,28 +186,13 @@ def _pair_log(t, z, eps: float, alpha: float, out=None, imag: bool = True):
             w_im.reshape(-1)[far] = y_f * q_f
         log1p_c(w_re, w_im, out=(re, im), imag=imag, s=re, far=far)
     if near.size:
-        # log(b + i(z - t)) + log(b + i(z + t)) - log(den) with the linear
-        # factors a + i(Re z -+ t), a = b - Im z = b + p, in place
-        a, t_n, lo, p_n, log_den = _entries(near, cols, b, t, q, p, np.log(den))
+        # the linear factors a + i(Re z -+ t), a = b - Im z = b + p
+        a, t_n, x_n, p_n, den_n = _entries(near, cols, b, t, q, p, den)
         a += p_n
-        hi = lo + t_n
-        lo -= t_n
-        del t_n, p_n
+        re_n, im_n = _factor_logs(t_n, x_n, a, den_n, imag)
+        re.reshape(-1)[near] = re_n
         if imag:
-            ang = np.arctan2(lo, a)
-            ang += np.arctan2(hi, a)
-            im.reshape(-1)[near] = ang
-            del ang
-        a *= a
-        with np.errstate(divide="ignore"):
-            for f in (lo, hi):
-                f *= f
-                f += a
-                np.log(f, out=f)
-        lo += hi
-        lo *= 0.5
-        lo -= log_den
-        re.reshape(-1)[near] = lo
+            im.reshape(-1)[near] = im_n
     return (re, im) if res is None else res
 
 
@@ -316,52 +300,28 @@ def _lattice_tail(end: int, eps: float, alpha: float) -> np.ndarray:
 
 def _lattice_sums(end: int, eps: float, alpha: float) -> np.ndarray:
     """P_k(K)/k at K = STRIDE c, c = 0..end/(4 STRIDE), in row k-1, column
-    c: the real part for even k, the imaginary part for odd k.  P_k(K) is
-    2 `_part` of sum_{n>K} node_n^{-k}: from the sum past end
-    (`_lattice_tail`) the stride sums of node_n^{-k} are added from the far
-    end, one row at a time on at most _CHUNK nodes."""
-    keep = end // (4 * STRIDE) + 1
-    tab = np.empty((SERIES_TERMS, keep))
-    carry = _lattice_tail(end, eps, alpha)
-    for hi in range(end, 0, -_CHUNK):
-        lo = max(hi - _CHUNK, 0)
-        n = np.arange(lo + 1.0, hi + 1.0)
-        inv = 1.0 / (n + 1j * eps * n ** (2.0 * alpha))
-        power = np.ones_like(inv)
-        starts = np.arange(0, n.size, STRIDE)
-        c0 = lo // STRIDE
-        for k, row in enumerate(tab, 1):
-            power *= inv
-            sums = np.add.reduceat(_part(power, k), starts)[::-1]
-            sums[0] += carry[k - 1]
-            sums = np.cumsum(sums)[::-1]  # P_k(STRIDE c) / 2, c = c0, c0 + 1, ...
-            carry[k - 1] = sums[0]
-            stop = min(c0 + len(sums), keep)
-            row[c0:stop] = sums[:max(stop - c0, 0)]
-    tab *= (2.0 / np.arange(1, SERIES_TERMS + 1))[:, None]
+    c, complex: real for even k, imaginary for odd k.  P_k(K) is 2 `_part`
+    of sum_{n>K} node_n^{-k}: the sum past end (`_lattice_tail`) plus the
+    stride sums of node_n^{-k} (`core.stride_tail_sums`)."""
+    n = np.arange(1.0, end + 1.0)
+    sums = stride_tail_sums(1.0 / (n + 1j * eps * n ** (2.0 * alpha)), SERIES_TERMS,
+                            _lattice_tail(end, eps, alpha), part=_part)
+    sums = sums[:, :end // (4 * STRIDE) + 1] * (2.0 / np.arange(1, SERIES_TERMS + 1))[:, None]
+    tab = np.zeros(sums.shape, dtype=complex)
+    tab.real[1::2] = sums[1::2]
+    tab.imag[::2] = sums[::2]
     return tab
 
 
 def _series(z: np.ndarray, col: np.ndarray, tab: np.ndarray, imag: bool) -> np.ndarray:
-    """-sum_{k=1}^{J} z^k P_k(K)/k at the points z, K = STRIDE col, by
-    Horner in z.  With imag=False and real z only the real part is formed,
-    from the even k: the real part of the complex Horner bit for bit, since
-    Re(x acc) = x Re(acc) - 0 Im(acc) rounds as x Re(acc)."""
-    real = not imag and not z.imag.any()
-    x = z.real if real else z
-    rows = tab[:, col]
-    acc = rows[-1].astype(x.dtype)
-    for k in range(SERIES_TERMS - 1, 0, -1):
-        acc *= x
-        if real:
-            if k % 2 == 0:
-                acc += rows[k - 1]
-        elif k % 2 == 0:
-            acc.real += rows[k - 1]
-        else:
-            acc.imag += rows[k - 1]
-    acc *= x
-    return -acc
+    """-sum_{k=1}^{J} z^k P_k(K)/k at the points z, K = STRIDE col.  With
+    imag=False and real z only the real part is formed, from the real part
+    of the table, whose odd rows are 0: the real part of the complex series
+    bit for bit, since Re(x acc) = x Re(acc) - 0 Im(acc) rounds as x
+    Re(acc)."""
+    if not imag and not z.imag.any():
+        return -power_series(tab.real, col, z.real)
+    return -power_series(tab, col, z)
 
 
 def _stride_partials(part: np.ndarray, acc: np.ndarray, lo: int, cuts: np.ndarray,
@@ -395,35 +355,41 @@ def _barycentric(u: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _band_sum(t, x, eps: float, alpha: float, imag: bool) -> list:
-    """F's paired log terms at |n| = t, a column, summed over t at the real
-    points x >= 0, a row: [real part] with imag=False, else [real part,
-    imaginary part].  Each pair is summed from its linear factors:
+def _factor_logs(t, x, a, den, imag: bool):
+    """(real part, imaginary part or None) of the paired log term at |n| = t
+    from its two linear factors, which broadcast with x and a:
 
-        (b + ix)^2 + t^2 = (b + i(x - t)) (b + i(x + t)) = u + iv,
-        u = (t - x)(t + x) + b^2,   v = 2bx,
+        (a + i(x - t)) (a + i(x + t)) = u + iv,
+        u = (t - x)(t + x) + a^2,   v = 2ax,
 
-    whose log less log den is 1/2 log((u^2 + v^2)/den^2) + i atan2(v, u).
-    u has no cancellation but where u is small against v, so both parts keep
-    full relative accuracy next to a zero of F; at a zero (eps = 0, x = t)
-    the real part is a literal -inf.  arg(b + i(x - t)) + arg(b + i(x + t))
-    lies in (-pi/2, pi), so atan2 gives it: the principal branch, as
-    `_pair_log`'s."""
-    b = eps * t ** (2.0 * alpha)
-    den = b * b + t * t
+    less log den: 1/2 log((u^2 + v^2)/den^2) + i atan2(v, u), the principal
+    log of 1 + w = (u + iv)/den.  u has no cancellation but where u is small
+    against v, so both parts keep full relative accuracy next to a zero of
+    F, and an exact zero (u = v = 0) gives a literal -inf."""
     u = t - x
     u *= t + x
-    u += b * b
-    v = (2.0 * b) * x
-    im = np.arctan2(v, u).sum(axis=0) if imag else None
+    u += a * a
+    v = (2.0 * a) * x
+    im = np.arctan2(v, u) if imag else None
     u *= u
     v *= v
     u += v
     u *= 1.0 / (den * den)
     with np.errstate(divide="ignore"):
         np.log(u, out=u)
-    re = 0.5 * u.sum(axis=0)
-    return [re, im] if imag else [re]
+    u *= 0.5
+    return u, im
+
+
+def _band_sum(t, x, eps: float, alpha: float, imag: bool) -> list:
+    """F's paired log terms at |n| = t, a column, summed over t at the real
+    points x >= 0, a row: [real part] with imag=False, else [real part,
+    imaginary part].  Each pair is summed from its linear factors b + i(x -+
+    t) (`_factor_logs`, a = b); at a zero (eps = 0, x = t) the real part is
+    a literal -inf."""
+    b = eps * t ** (2.0 * alpha)
+    re, im = _factor_logs(t, x, b, b * b + t * t, imag)
+    return [re.sum(axis=0), im.sum(axis=0)] if imag else [re.sum(axis=0)]
 
 
 def _direct_sums(z: np.ndarray, cuts: np.ndarray, eps: float, alpha: float,

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viscowave.core import (ConfigError, ControlSignal, DegenerateAlphaError,
+from viscowave.core import (STRIDE, ConfigError, ControlSignal, DegenerateAlphaError,
                             ModalState, ProblemConfig, exp_integral,
                             gauss_legendre_01, h0_norm_sq, load_config, log1p_c,
-                            next_pow2, sinc_c, sinhc, validate_config)
+                            next_pow2, power_series, sinc_c, sinhc,
+                            stride_tail_sums, validate_config)
 from viscowave.spectrum import gamma_eps
 
 
@@ -302,3 +303,49 @@ def test_gauss_legendre_nodes_and_weights():
     assert worst <= 1e-13
     for j in range(128):
         assert math.fsum(w * s ** j) == pytest.approx(1.0 / (j + 1), rel=1e-14)
+
+
+def _part(power, k):
+    # the product's part: real for even powers, imaginary for odd
+    return power.real if k % 2 == 0 else power.imag
+
+
+@pytest.mark.parametrize("nodes", [5, 16, 37, 50])
+def test_stride_tail_sums_match_direct_tail_sums(nodes):
+    # entry (k-1, c) is carry[k-1] plus the tail sum past node STRIDE c,
+    # the last column is carry, one column per started stride: real
+    # inverses, complex ones, and complex ones through a part function;
+    # 5 nodes are fewer than one stride, 37 and 50 not a multiple of it
+    n = np.arange(1.0, nodes + 1.0)
+    powers = 6
+    cases = [(n ** -2.0, np.linspace(0.5, 1.0, powers), None),
+             (1.0 / (n + 0.3j * n ** 0.5), np.linspace(0.5, 1.0, powers) * (1 - 0.5j), None),
+             (1.0 / (n + 0.3j * n ** 0.5), np.linspace(-1.0, 1.0, powers), _part)]
+    for inv, carry, part in cases:
+        tab = stride_tail_sums(inv, powers, carry, part)
+        assert tab.shape == (powers, -(-nodes // STRIDE) + 1)
+        assert tab.dtype == carry.dtype
+        assert np.array_equal(tab[:, -1], carry)
+        for k in range(1, powers + 1):
+            terms = inv ** k if part is None else part(inv ** k, k)
+            for c in range(tab.shape[1]):
+                tail = terms[STRIDE * c:]
+                ref = carry[k - 1] + complex(math.fsum(np.real(tail)), math.fsum(np.imag(tail)))
+                scale = abs(carry[k - 1]) + np.sum(np.abs(tail))
+                assert abs(tab[k - 1, c] - ref) <= 1e-15 * scale
+
+
+def test_power_series_matches_direct_powers():
+    # sum_k tab[k-1, col_i] x_i^k by Horner against the powers formed one by
+    # one, for real and complex points, real and complex tables, each point
+    # on its own column
+    rng = np.random.default_rng(2)
+    tab = rng.uniform(-1.0, 1.0, (7, 4))
+    col = np.array([0, 3, 1, 1, 2])
+    for t in (tab, tab * (1.0 - 0.5j)):
+        for x in (rng.uniform(-1.5, 1.5, 5), rng.uniform(-1.0, 1.0, 5) * np.exp(0.7j)):
+            got = power_series(t, col, x)
+            assert got.dtype == np.result_type(t, x) and got.shape == x.shape
+            terms = np.array([t[k - 1, col] * x ** k for k in range(1, 8)])
+            assert np.all(np.abs(got - terms.sum(axis=0)) <= 1e-15 * np.abs(terms).sum(axis=0))
+    assert np.array_equal(power_series(tab.real, col, np.zeros(5)), np.zeros(5))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from viscowave.core import ConfigError
-from viscowave.multiplier import (_RATIO, _SER_C, _SER_J, _STRIDE,
+from viscowave.core import STRIDE, ConfigError
+from viscowave.multiplier import (_RATIO, _SER_C, _SER_J,
                                   MultiplierEvaluator, _power_range_sum,
                                   multiplier_property_check, node_power_sum)
 from viscowave.spectrum import (E, gamma_eps, lambda_vals, node_start, phi_eps,
@@ -396,7 +396,7 @@ def test_tail_sums_that_matter_do_not_underflow():
             log_m = np.abs(ev.log_eval_start(n_from, z))
             cuts = ev._cutoffs(n_from, np.abs(z))
             for az, k, scale in zip(np.abs(z), cuts, np.maximum(1.0, log_m)):
-                col = ev._tail_sums[:, -(-k // _STRIDE)]
+                col = ev._tail_sums[:, -(-k // STRIDE)]
                 j0 = np.flatnonzero(col >= np.finfo(float).tiny)[-1]
                 j = np.arange(j0 + 1, len(col))
                 a_next = float(phi_eps_inverse(k + 1.0, eps, alpha)) / E

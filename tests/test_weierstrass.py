@@ -70,8 +70,7 @@ def test_pair_log_matches_mpmath(alpha):
     # accuracy there.  Off the real axis: the nodes i conj(lambda_n) of other
     # indices n of both signs (the one-point constants C_m are summed there)
     # and points with Im z = +-0.5, +-20 and Re z of both signs.  Compared
-    # modulo 2 pi i: the factored sum of logs may leave the principal branch,
-    # and only its exponential is ever used.
+    # modulo 2 pi i, since only its exponential is ever used.
     eps = 0.1
     rng = np.random.default_rng(5)
     ts = np.concatenate([np.unique(np.round(np.geomspace(1.0, 1e4, 30))),
@@ -115,8 +114,9 @@ def test_pair_log_matches_mpmath(alpha):
 def _pair_log_complex(t, z, eps, alpha, out=None, imag=True):
     """The paired log term in complex arithmetic: w = iz (2b + iz) / den by
     numpy's complex multiply and divide, then log(1+w) in core.log1p_c's
-    closed form from the complex w, and the same near-zero branch.  Takes
-    and fills `_pair_log`'s work arrays like it."""
+    closed form from the complex w, and near a zero (|1+w| < 1/4) the sum
+    of the two linear factors' complex logs less log den.  Takes and fills
+    `_pair_log`'s work arrays like it."""
     t = np.asarray(t, dtype=float)
     b = eps * t ** (2.0 * alpha)
     den = b * b + t * t
@@ -348,9 +348,10 @@ def _worst_vs_mp(t, z, eps, alpha) -> float:
     return worst
 
 
-# the near branch sums three logs, the largest log(den) <= 2 log(801)
-# = 13.4, so a few of its ulps (1.8e-15) over the smallest near |log(1+w)|,
-# log 4: 4e-15; measured 1.4e-15 (near, fit grid, alpha 1/4)
+# set for a near branch that summed three logs, the largest log(den) <=
+# 2 log(801) = 13.4, so a few of its ulps (1.8e-15) over the smallest near
+# |log(1+w)|, log 4: 4e-15; the one log of `_factor_logs` measures 1.5e-16
+# (near, FFT half-grid, alpha 1/4)
 _REAL_AXIS_MP_BOUND = 4e-15
 
 
@@ -440,7 +441,9 @@ def test_modulus_pass_is_bitwise_the_real_part(alpha):
     # pass takes the real part of its complex sum
     z = np.array([-3.0 + 0.2j, 2.0, 5.0 - 1.0j, -7.5])
     assert np.array_equal(ev.log_abs_generating(z), ev.log_generating(z).real)
-    assert np.array_equal(ev.log_abs_generating(150.0), ev.log_generating(150.0).real)
+    for x in (150.0, 3000.0):  # a table end of 4096, and of 36,096
+        assert np.array_equal(ev.log_abs_generating(x), ev.log_generating(x).real)
+    assert np.all(np.isfinite(ev.log_generating(np.array([3000.0, -2999.5 + 1j]))))
 
 
 def test_pass_allocates_work_arrays_once(monkeypatch):
@@ -652,7 +655,8 @@ def _mp_lattice_sum(f, t0, e, a2):
 # x = 150, relative to its modulus: 6.3e-16 at eps 1e-3, alpha 0.75, where
 # it is -76.7 + 933.0i and 3 ulps of P_1 make 5.9e-13 absolute (the tail
 # quadrature it replaces read 2.3e-11 there, and 2.1e-11 at eps 0.1,
-# alpha 0.6)
+# alpha 0.6).  The complex table reads 1.7e-15 and 4.9e-16, both at eps
+# 0.1, alpha 0.75.
 _TABLE_BOUNDS = {"entry": 2.0e-14, "series": 6.3e-15}
 
 
@@ -660,18 +664,22 @@ _TABLE_BOUNDS = {"entry": 2.0e-14, "series": 6.3e-15}
                                         (0.1, 0.75), (1e-3, 0.75)])
 def test_lattice_sums_against_mpmath(eps, alpha):
     # the table P_k(K)/k, P_k(K) = sum_{n>K} node_n^-k + (-1)^k conj(node_n)^-k,
-    # at the cutoff K = 304 of x = 150, and the quadrature past the table's
-    # end 4096 that it starts from, k = 1..3, and the series
-    # -sum_k x^k P_k(K)/k, against the pairs past K summed in 40 digits.  The kink eps^{-1/(2a-1)} lies at 1e10 (alpha
-    # 0.55) and 1e6 (eps 1e-3, alpha 0.75), past the table's end, so the
-    # sum past the end is split there; at alpha 0.75, eps 0.1 it is 100
+    # real for even k and imaginary for odd k, as the table stores it, at the
+    # cutoff K = 304 of x = 150, and the quadrature past the table's end 4096
+    # that it starts from, k = 1..3, and the series -sum_k x^k P_k(K)/k,
+    # against the pairs past K summed in 40 digits.  The kink
+    # eps^{-1/(2a-1)} lies at 1e10 (alpha 0.55) and 1e6 (eps 1e-3, alpha
+    # 0.75), past the table's end, so the sum past the end is split there; at
+    # alpha 0.75, eps 0.1 it is 100
     x = 150.0
     ev = ProductEvaluator(eps, alpha)
     k_cut = int(ev._cuts(x))
     tab = ev._lattice(k_cut)
     end = 4 * (tab.shape[1] - 1) * wei.STRIDE  # the table keeps K <= end/4
     assert (k_cut, end) == (304, 4096)
-    past_end = 2.0 * wei._lattice_tail(end, eps, alpha) / np.arange(1, wei.SERIES_TERMS + 1)
+    ks = np.arange(1, wei.SERIES_TERMS + 1)
+    past_end = 2.0 * wei._lattice_tail(end, eps, alpha) / ks * np.where(ks % 2, 1j, 1.0)
+    assert tab.dtype == complex and not tab.real[::2].any() and not tab.imag[1::2].any()
     got = complex(wei._series(np.array([x + 0j]), np.array([k_cut // wei.STRIDE]), tab,
                               True)[0])
     worst = 0.0
@@ -683,8 +691,8 @@ def test_lattice_sums_against_mpmath(eps, alpha):
                     node = t + 1j * e * t ** a2
                     return node ** -k + (-1) ** k * mp.conj(node) ** -k
                 ref = _mp_lattice_sum(g, c + 1, e, a2) / k
-                ref = ref.real if k % 2 == 0 else ref.imag
-                worst = max(worst, float(abs(entries[k - 1] - ref) / abs(ref)))
+                got_k = mp.mpc(entries[k - 1].real, entries[k - 1].imag)
+                worst = max(worst, float(abs(got_k - ref) / abs(ref)))
 
         def term(t):
             b = e * t ** a2
@@ -696,21 +704,6 @@ def test_lattice_sums_against_mpmath(eps, alpha):
           f"{err:.2e}, relative to 40-digit mpmath")
     assert worst <= _TABLE_BOUNDS["entry"]
     assert err <= _TABLE_BOUNDS["series"]
-
-
-def test_lattice_table_chunks(monkeypatch):
-    # the table is formed on at most _CHUNK nodes at a time: a pass at
-    # |z| = 3000 (K = 6016, table end 36,096, two chunks) and a table formed
-    # in 48-node chunks hold the same bits as tables formed in one chunk
-    ev = ProductEvaluator(0.1, 0.75)
-    assert np.all(np.isfinite(ev.log_generating(np.array([3000.0, -2999.5 + 1j]))))
-    two = ev._tables[0]
-    assert 4 * wei.STRIDE * (two.shape[1] - 1) == 36096 > wei._CHUNK
-    small = wei._lattice_sums(4096, 0.1, 0.75)
-    monkeypatch.setattr(wei, "_CHUNK", 48)
-    assert np.array_equal(wei._lattice_sums(4096, 0.1, 0.75), small)
-    monkeypatch.setattr(wei, "_CHUNK", 10 ** 6)
-    assert np.array_equal(wei._lattice_sums(36096, 0.1, 0.75), two)
 
 
 @given(m=st.integers(1, 12), x=st.floats(-40.0, 40.0), y=st.floats(-2.0, 2.0))
