@@ -27,6 +27,9 @@ i x_j, j = 0..n, x_n = half.  They are orthogonal over their common period
 The window is measured once from each member's FFT samples (the
 Paley-Wiener type bounds the support but does not say where the mass sits),
 and the biorthogonality check, the control and its horizon all read it.
+The check integrates every member over that window in closed form by the
+resolvent sum of `core.exp_integral`'s contracted form: per n one Cauchy row
+1/(conj(lambda_n) + i x_j), contracted with all members' weights at once.
 
 The multiplier power omega must be an integer: the multiplier ratio is an
 entire function, but a non-integer power of it is not (branch points at its
@@ -387,14 +390,16 @@ def biorthogonality_matrix(family: BiorthogonalFamily, m_range, n_range):
 
     Every member of every kind is an exponential sum on the family's shared
     rates and zero outside its window, so B is integrated in closed form
-    through `core.exp_integral` over that window: the same integral, family
-    and window the control's moment check reads.
+    over that window by `core.exp_integral`'s contracted form, all members
+    at once: one resolvent row per n, contracted with the members' weights
+    by a matmul.  It is the same integral, family and window the control's
+    moment check reads.
     """
     ms = [m for m in m_range if m != 0]
     ns = [n for n in n_range if n != 0]
     lam_cs = lambda_conj_vals(np.asarray(ns), family.eps, family.alpha)
     lo, hi = family.window
-    basis = exp_integral(lam_cs[:, None], 0.0, family.rates, 0.0, lo, hi)
-    out = np.array([basis @ family.weights[m] for m in ms]).reshape(len(ms), len(ns))
+    weights = np.array([family.weights[m] for m in ms]).reshape(len(ms), len(family.rates))
+    out = exp_integral(lam_cs, 0.0, family.rates, 0.0, lo, hi, weights).T
     target = np.equal.outer(ms, ns).astype(float)
     return out, float(np.max(np.abs(out - target)))

@@ -315,27 +315,61 @@ def log1p_c(x: np.ndarray, y: np.ndarray, out=None, imag: bool = True, s=None, f
 
 
 def sinhc(w: np.ndarray) -> np.ndarray:
-    """sinh(w)/w with the removable singularity filled (complex-safe)."""
+    """sinh(w)/w with the removable singularity filled (complex-safe): sinh(w)/w
+    everywhere, then the Taylor series 1 + w^2/6 (1 + w^2/20 (1 + w^2/42)) at
+    the flat indices where |w| < 1e-3, so no full-array select is formed."""
     w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < 1e-3
-    ws = np.where(small, 0.0, w)
+    out = np.empty(w.shape, dtype=complex)   # an array even for 0-d w
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.sinh(ws) / np.where(small, 1.0, w)
-    w2 = w * w
-    series = 1.0 + w2 / 6.0 * (1.0 + w2 / 20.0 * (1.0 + w2 / 42.0))
-    return np.where(small, series, direct)
+        np.sinh(w, out=out)
+        out /= w
+    small = np.flatnonzero(np.abs(w) < 1e-3)
+    if small.size:
+        w2 = w.reshape(-1)[small]
+        w2 = w2 * w2
+        out.reshape(-1)[small] = 1.0 + w2 / 6.0 * (1.0 + w2 / 20.0 * (1.0 + w2 / 42.0))
+    return out
 
 
-def exp_integral(p, a, rho, c, lo, hi) -> np.ndarray:
+def exp_integral(p, a, rho, c, lo, hi, weights=None) -> np.ndarray:
     """int_lo^hi e^{p(s-a)} e^{rho(s-c)} ds in closed form, 0 where hi <= lo.
 
-    Evaluated as L e^{p(mid-a) + rho(mid-c)} sinhc((p+rho) L/2) with
-    L = hi - lo and mid = (lo+hi)/2, so on (-T/2, T/2) with a = c = 0 it is
-    bit for bit T sinhc((p+rho) T/2).  Every argument broadcasts and nothing
-    is summed: callers contract with their own weights.  This is the one
-    exponential-sum integral behind the Gram matrices, the exact
-    biorthogonality and moment checks, and the exact propagation.
+    Broadcast form (weights None): every argument broadcasts and each entry
+    is L e^{p(mid-a) + rho(mid-c)} sinhc((p+rho) L/2) with L = hi - lo and
+    mid = (lo+hi)/2, so on (-T/2, T/2) with a = c = 0 it is bit for bit
+    T sinhc((p+rho) T/2).  The Gram matrices read this form.
+
+    Contracted form: rho is 1-D, the K rates of the exponential sum
+    v(s) = sum_k W_k e^{rho_k (s-c)}, weights is W, of shape (K,) or (M, K)
+    for M sums on the same rates, lo and hi are scalars and p and a
+    broadcast to a shape S.  The result, of shape S or S + (M,), is
+    int_lo^hi e^{p(s-a)} v(s) ds, which is the broadcast form @ weights.T.
+    With q_k = p + rho_k and g_k(s) = W_k e^{rho_k(s-c)}, the resolvent
+    (Cauchy-matrix) identity gives it as
+
+        e^{p(hi-a)} sum_k g_k(hi)/q_k - e^{p(lo-a)} sum_k g_k(lo)/q_k,
+
+    so the 2K exponentials g_k(lo) and g_k(hi) are shared by every p, and
+    each p costs one Cauchy row 1/q_k, contracted by a matmul.  Each factor
+    is formed on its own, so e^{p(s-a)} and g_k(s) must each be finite at
+    lo and hi, where the broadcast form needs only their product.  The near
+    rule: where |q_k| L < 1 the two endpoint terms cancel, leaving a
+    relative rounding error of about 2^-53 / (|q_k| L), and at q_k = 0 each
+    is infinite.  Those entries, gathered by flat index, keep the broadcast
+    form's sinhc expression, written as
+    e^{p(lo-a)} g_k(lo) L e^{q_k L/2} sinhc(q_k L/2); sinhc is called only
+    if there are any.  At K = n_fft + 1 rates and a few dozen p the dense
+    Cauchy product is cheap; fast Cauchy and multipole methods (Rokhlin,
+    J. Comput. Phys. 1985) are not needed.
+
+    This is the one exponential-sum integral: the Gram matrices read the
+    broadcast form (and so does the Gram control's moment check, through
+    G beta); the exact propagation, the series control's moment check and
+    the biorthogonality matrix read the contracted form.
     """
+    if weights is not None:
+        return _resolvent_sum(np.asarray(p), np.asarray(a, dtype=float), np.asarray(rho),
+                              c, float(lo), float(hi), np.asarray(weights))
     lo = np.asarray(lo, dtype=float)
     hi = np.maximum(hi, lo)
     length = hi - lo
@@ -344,6 +378,35 @@ def exp_integral(p, a, rho, c, lo, hi) -> np.ndarray:
         val = length * np.exp(p * (mid - a) + rho * (mid - c)) \
             * sinhc((p + rho) * length / 2.0)
     return np.where(length > 0.0, val, 0.0)
+
+
+def _resolvent_sum(p, a, rho, c, lo, hi, weights):
+    """`exp_integral`'s contracted form; see there."""
+    length = hi - lo
+    if not length > 0.0:
+        return np.zeros(np.broadcast_shapes(p.shape, a.shape) + weights.shape[:-1],
+                        dtype=complex)
+    ends = np.array([hi, lo])
+    q = (p[..., None] + rho).reshape(-1, len(rho))   # one Cauchy row per p
+    g = weights[..., None, :] * np.exp(rho * (ends - c)[:, None])   # g_k(hi), g_k(lo)
+    near = np.flatnonzero(np.abs(q) < 1.0 / length)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cauchy = 1.0 / q
+        edge = np.exp(p[..., None] * (ends - a[..., None]))   # e^{p(hi-a)}, e^{p(lo-a)}
+    cauchy.reshape(-1)[near] = 0.0
+    cauchy_lo = cauchy
+    if near.size:
+        w = q.reshape(-1)[near] * (0.5 * length)
+        cauchy_lo = cauchy.copy()
+        # negated: the lo sum is subtracted below
+        cauchy_lo.reshape(-1)[near] = -length * np.exp(w) * sinhc(w)
+    sums = p.shape + weights.shape[:-1]
+    s_hi = (cauchy @ g[..., 0, :].T).reshape(sums)
+    s_lo = (cauchy_lo @ g[..., 1, :].T).reshape(sums)
+    e_hi, e_lo = edge[..., 0], edge[..., 1]
+    if weights.ndim > 1:
+        e_hi, e_lo = e_hi[..., None], e_lo[..., None]
+    return e_hi * s_hi - e_lo * s_lo
 
 
 def sinc_c(w: np.ndarray) -> np.ndarray:

@@ -18,12 +18,14 @@ independent routes are implemented:
 The Gram matrix has the closed form G_{nk} = T sinhc((conj(lambda_n) +
 lambda_k) T/2), diagonal-limit entry T included, so no quadrature enters
 the oracle.  It, the exact moment check of both routes' controls and the
-Ingham numerator all come from the shared kernel `core.exp_integral`, and
-both routes refuse a control whose exact moment residual exceeds
-MOMENT_TOL of the largest moment.  The Gram eigenvalue solve reports its
-condition number and never regularizes it away.  That number does not single
-out the excluded exponent alpha = 1/2: measured in mpmath it grows smoothly
-in alpha through 1/2, and alpha 0.6 and 0.75 are worse conditioned.  What
+Ingham numerator all come from the shared kernel `core.exp_integral` (the
+series control's moment check from its contracted form, which sums the
+control's terms by the resolvent identity, one Cauchy row per moment), and
+both routes refuse a control whose exact moment residual exceeds MOMENT_TOL
+of the largest moment.  The Gram eigenvalue solve reports its condition
+number and never regularizes it away.  That number does not single out
+the excluded exponent alpha = 1/2: measured in mpmath it grows smoothly in
+alpha through 1/2, and alpha 0.6 and 0.75 are worse conditioned.  What
 diverges as alpha -> 1/2+ is the biorthogonal construction's constants
 (`spectrum.node_sum_bound`).
 """
@@ -60,16 +62,22 @@ def _check_moments(route: str, residual: float, rhs) -> None:
                                   f" > {MOMENT_TOL:g} x max |c_n| = {limit:.3e}")
 
 
-def moment_rhs(n: int, data: ModalState, T: float, eps: float, alpha: float) -> complex:
-    """c_n = -e^{-conj(lambda_n) T/2} (u1_|n| + lambda_n u0_|n|) / f_|n|."""
-    if n == 0:
+def moment_rhs(n, data: ModalState, T: float, eps: float, alpha: float):
+    """c_n = -e^{-conj(lambda_n) T/2} (u1_|n| + lambda_n u0_|n|) / f_|n|, for one
+    index n or an array of them (then an array of the same shape)."""
+    n = np.asarray(n)
+    if np.any(n == 0):
         raise ConfigError("index 0 is not in the lattice")
-    if abs(n) not in data.indices:
-        raise ConfigError(f"data has no mode {abs(n)}")
-    pos = data.indices.index(abs(n))  # ModalState keeps every profile entry nonzero
-    lam = complex(lambda_vals(n, eps, alpha))
-    return -np.exp(-np.conj(lam) * T / 2.0) * (data.u1[pos] + lam * data.u0[pos]) \
-        / data.profile[pos]
+    modes, mode = np.asarray(data.indices), np.abs(n)
+    pos = np.searchsorted(modes, mode)   # ModalState's indices ascend
+    missing = mode[np.append(modes, 0)[pos] != mode]   # past the last mode reads 0
+    if missing.size:
+        raise ConfigError(f"data has no mode {int(missing.flat[0])}")
+    lam = lambda_vals(n, eps, alpha)
+    u0, u1, profile = (np.asarray(v, dtype=complex)[pos]
+                       for v in (data.u0, data.u1, data.profile))
+    # ModalState keeps every profile entry nonzero
+    return -np.exp(-np.conj(lam) * T / 2.0) * (u1 + lam * u0) / profile
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ class MomentSystem:
         for n in data.indices:
             idx.extend([-n, n])
         idx = tuple(sorted(idx))
-        rhs = tuple(moment_rhs(n, data, T, eps, alpha) for n in idx)
+        rhs = tuple(moment_rhs(idx, data, T, eps, alpha))
         return cls(indices=idx, eps=eps, alpha=alpha, horizon=T, rhs=rhs)
 
     @property
@@ -195,10 +203,11 @@ def synthesize_control_series(data: ModalState, family, T: float) -> SeriesResul
 
 def moment_verification(control: ControlSignal, system: MomentSystem) -> float:
     """max_n |int v(t+T/2) e^{conj(lambda_n) t} dt - c_n|, exactly: the
-    control is an exponential sum, integrated through `exp_integral`."""
+    control is an exponential sum, integrated by `exp_integral`'s contracted
+    form, one resolvent row per moment."""
     lo, hi = control.support
-    out = exp_integral(np.conj(system.lambdas)[:, None], system.horizon / 2.0,
-                       control.rates, control.center, lo, hi) @ control.weights
+    out = exp_integral(np.conj(system.lambdas), system.horizon / 2.0, control.rates,
+                       control.center, lo, hi, control.weights)
     return float(np.max(np.abs(out - np.asarray(system.rhs))))
 
 

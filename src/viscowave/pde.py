@@ -16,7 +16,8 @@ t = 0 at every record time,
 
     z(t) = e^{rt} z(0) + f_n sum_k w_k int_lo^{min(t,hi)} e^{r(t-s)} e^{rho_k(s-c)} ds,
 
-each integral being the shared kernel `core.exp_integral`, so nothing
+the sum over the control's terms being the contracted form of the shared
+kernel `core.exp_integral`, one resolvent row per root, so nothing
 accumulates from step to step.
 """
 
@@ -27,8 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ControlSignal, ModalState, exp_integral
-
-_BLOCK = 1 << 18
 
 
 def mode_roots(n, eps: float, alpha: float):
@@ -51,18 +50,18 @@ def _propagate(r1, r2, f, u0, v0, control: ControlSignal | None, times: np.ndarr
     z = np.exp(r * times) * z0[:, None]
     if control is not None:
         lo, hi = max(control.support[0], 0.0), control.support[1]
-        # record times up to lo see an empty control integral (an exact 0),
-        # so the loop starts past them.  Blocks of record times bound the
-        # (roots, times, terms) arrays by about _BLOCK elements; one block
-        # took an N = 64 solve to 606 MB.  The terms are contracted by a
-        # sum, not a stacked matmul, which makes one BLAS call per
-        # (root, time) and ran 100x slower
-        step = max(1, _BLOCK // (len(r) * len(control.rates)))
-        for k in range(int(np.searchsorted(times, lo, side="right")), len(times), step):
-            t = times[k:k + step, None]
-            z[:, k:k + step] += f * np.sum(
-                exp_integral(-r[..., None], t, control.rates, control.center,
-                             lo, np.minimum(t, hi)) * control.weights, axis=-1)
+        # a record time t integrates the control over (lo, min(t, hi)):
+        # times up to lo see an exact 0 and are skipped, each time inside the
+        # support has a window of its own, and the times from hi on share
+        # (lo, hi), so one contracted call serves them all
+        first = int(np.searchsorted(times, lo, side="right"))
+        last = max(first, int(np.searchsorted(times, hi, side="left")))
+        windows = [(k, k + 1, times[k]) for k in range(first, last)]
+        if last < len(times):
+            windows.append((last, len(times), hi))
+        for k, stop, end in windows:
+            z[:, k:stop] += f * exp_integral(-r, times[k:stop], control.rates,
+                                             control.center, lo, end, control.weights)
     y, w = np.split(z, 2)
     r1, r2 = r1[:, None], r2[:, None]
     return (y - w) / (r1 - r2), (r1 * y - r2 * w) / (r1 - r2)

@@ -221,7 +221,7 @@ def test_control_solve_series_eps0_checks_horizon(runner, tmp_path):
     assert _run(runner, args, tmp_path).exit_code == 0
     assert (tmp_path / "out.csv").read_text() == (
         "epsilon,alpha,n_modes,horizon,v_norm,gram_cond,final_residual\n"
-        "0,0.25,2,6.2831853071795862,0.32174666020248921,nan,1.2574350136561766e-32\n")
+        "0,0.25,2,6.2831853071795862,0.32174666020248921,nan,1.2795997616996278e-32\n")
     meta = json.loads((tmp_path / "out.json").read_text())
     assert meta["omega"] == 0 and meta["beta_hat"] == 0.0
 

@@ -276,6 +276,116 @@ def test_exp_integral_empty_interval_is_zero():
     assert exp_integral(np.ones((2, 1)), 0.0, np.zeros(3), 0.0, 0.0, 1.0).shape == (2, 3)
 
 
+_RESOLVENT_REGIONS = ("cancellation", "large_re", "complex", "short")
+
+
+def _resolvent_rows(region: str):
+    """20 rows (p, a, rho, c, lo, hi, weights), each an exponential sum of 40
+    terms whose q_k = p + rho_k lie in the region, set through y = q L/2.
+
+    As in `_exp_integral_points`, endpoints and centres sit on a 1/64 grid,
+    c within 1/8 of mid and a within 3 of it.  "cancellation" has one q
+    exactly 0 and |qL| log-uniform over 1e-8 .. 1, across the near rule
+    |q| L < 1; "short" is a record time just past the support's start:
+    L = 2^-40 .. 2^-10 at the q of the "complex" region.
+    """
+    rng = np.random.default_rng({"cancellation": 11, "large_re": 12, "complex": 13,
+                                 "short": 14}[region])
+    rows = []
+    for _ in range(20):
+        lo = rng.integers(-192, 64) / 64.0
+        if region == "short":
+            length = 2.0 ** -rng.integers(10, 41)
+        else:
+            length = rng.integers(16, 128) / 64.0
+        hi = lo + length
+        mid = 0.5 * (lo + hi)
+        a = mid + rng.integers(-192, 193) / 64.0
+        c = mid + rng.integers(-8, 9) / 64.0
+        p = complex(rng.normal(), rng.normal())
+        phase = np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+        if region == "cancellation":
+            y = 0.5 * 10.0 ** rng.uniform(-8.0, 0.0, 40) * phase
+        elif region == "large_re":
+            # Re(qL/2) = +-(5 .. 20), growing and decaying terms mixed
+            y = rng.choice([-1.0, 1.0], 40) * rng.uniform(5.0, 20.0, 40) \
+                + 1j * rng.normal(size=40)
+        else:
+            y = 10.0 ** rng.uniform(-1.0, np.log10(20.0), 40) * phase
+            if region == "short":
+                y *= length     # q itself as in "complex", so qL is tiny
+        rho = 2.0 * y / length - p
+        if region == "cancellation":
+            rho[0] = -p         # exact resonance, q = 0
+        weights = rng.normal(size=40) + 1j * rng.normal(size=40)
+        rows.append((p, a, rho, c, lo, hi, weights))
+    return rows
+
+
+@pytest.mark.parametrize("region", _RESOLVENT_REGIONS)
+def test_exp_integral_contracted_matches_mpmath(region):
+    # reference: sum_k W_k (e^{q_k hi} - e^{q_k lo})/q_k e^{-pa - rho_k c}
+    # (L e^{-pa - rho_k c} at q_k = 0) at 40 digits, against the sum of the
+    # moduli |W_k I_k|, so the cancelling near terms are held to it too
+    worst = 0.0
+    with mp.workdps(40):
+        for p, a, rho, c, lo, hi, weights in _resolvent_rows(region):
+            got = exp_integral(p, a, rho, c, lo, hi, weights)
+            assert np.shape(got) == ()
+            pm = mp.mpc(p.real, p.imag)
+            total, scale = mp.mpc(0), mp.mpf(0)
+            for r, w in zip(rho, weights):
+                rm, wm = mp.mpc(r.real, r.imag), mp.mpc(w.real, w.imag)
+                q = pm + rm
+                anti = (mp.exp(q * hi) - mp.exp(q * lo)) / q if q != 0 else mp.mpf(hi - lo)
+                term = wm * anti * mp.exp(-pm * a - rm * c)
+                total += term
+                scale += abs(term)
+            worst = max(worst, float(abs(mp.mpc(got.real, got.imag) - total) / scale))
+    print(f"contracted exp_integral {region}: max error {worst:.2e} of sum |W_k I_k|")
+    assert worst < 1e-14
+
+
+def test_exp_integral_contracted_empty_interval_is_zero():
+    rho = np.array([0.5j, -800.0, 800.0 + 1j])
+    w = np.ones(3, dtype=complex)
+    p = np.array([1.0 + 2.0j, 800.0, -800.0 + 1j])
+    for lo, hi in [(1.0, 1.0), (2.0, 1.0), (2.0, -4.0)]:
+        got = exp_integral(p, -5.0, rho, 3.0, lo, hi, w)
+        assert got.shape == (3,) and np.all(got == 0.0)
+        got = exp_integral(p[:, None], np.zeros(4), rho, 3.0, lo, hi, np.ones((2, 3)))
+        assert got.shape == (3, 4, 2) and np.all(got == 0.0)
+
+
+def test_exp_integral_contracted_is_the_broadcast_form_summed():
+    # vector weights: rows p (5, 1) against record times a (4,) give (5, 4);
+    # matrix weights: M sums at once give (p's shape, M).  Rates include an
+    # exact resonance with p[0] and near ones, so both branches run
+    rng = np.random.default_rng(21)
+    rho = 3.0 * (rng.normal(size=30) + 1j * rng.normal(size=30))
+    p = rng.normal(size=5) + 1j * rng.normal(size=5)
+    rho[0] = -p[0]
+    rho[1] = -p[1] + 1e-7
+    rho[2] = -p[2] + 0.3j
+    w = rng.normal(size=30) + 1j * rng.normal(size=30)
+    a = np.array([-0.5, 0.25, 1.0, 2.5])
+    lo, hi = -0.75, 1.25
+    full = exp_integral(p[:, None, None], a[:, None], rho, 0.4, lo, hi)
+    got = exp_integral(p[:, None], a, rho, 0.4, lo, hi, w)
+    assert got.shape == (5, 4)
+    scale = np.abs(full) @ np.abs(w)
+    assert np.max(np.abs(got - full @ w) / scale) < 1e-14
+    mat = rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30))
+    full = exp_integral(p[:, None], 0.3, rho, 0.4, lo, hi)
+    got = exp_integral(p, 0.3, rho, 0.4, lo, hi, mat)
+    assert got.shape == (5, 3)
+    scale = np.abs(full) @ np.abs(mat).T
+    assert np.max(np.abs(got - full @ mat.T) / scale) < 1e-14
+    # one sum of the matrix is that sum alone
+    assert np.max(np.abs(got[:, 1] - exp_integral(p, 0.3, rho, 0.4, lo, hi, mat[1]))) \
+        <= 1e-15 * np.max(scale)
+
+
 def test_next_pow2():
     assert next_pow2(1) == 1
     assert next_pow2(2) == 2

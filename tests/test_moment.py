@@ -67,6 +67,29 @@ def test_rhs_requires_known_mode():
         moment_rhs(2, data, TWO_PI, 0.0, 0.0)
 
 
+def test_rhs_array_of_indices():
+    # one call on an array of n gives the closed form at each n, in the
+    # array's shape, and names the first bad index as a scalar call would
+    data = ModalState.from_arrays([1, 3, 4], [0.5, -1.0j, 2.0], [1.0, 0.25, -0.5j],
+                                  [1.0, 0.5, 2.0])
+    n = np.array([[-4, -3, -1], [1, 3, 4]])
+    got = moment_rhs(n, data, 9.0, 0.1, 0.75)
+    assert got.shape == (2, 3)
+    pos = {1: 0, 3: 1, 4: 2}
+    for k, m in np.ndenumerate(n):
+        i = pos[abs(m)]
+        lam = complex(0.1 * abs(m) ** 1.5, m)
+        want = -np.exp(-lam.conjugate() * 4.5) * (data.u1[i] + lam * data.u0[i]) \
+            / data.profile[i]
+        assert got[k] == pytest.approx(want, rel=1e-14)
+    with pytest.raises(ConfigError, match="index 0 is not in the lattice"):
+        moment_rhs(np.array([1, 0, 2]), data, 9.0, 0.1, 0.75)
+    with pytest.raises(ConfigError, match="data has no mode 2"):
+        moment_rhs(np.array([1, -2, 5]), data, 9.0, 0.1, 0.75)
+    with pytest.raises(ConfigError, match="data has no mode 5"):
+        moment_rhs(5, data, 9.0, 0.1, 0.75)
+
+
 # ---------------------------------------------------------------------------
 # minimal-norm solve
 # ---------------------------------------------------------------------------

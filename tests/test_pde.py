@@ -105,6 +105,20 @@ def test_forced_resonant_wave_mode():
         assert u[0] == pytest.approx(want, rel=1e-13)   # measured 1.4e-16
 
 
+def test_record_times_inside_and_past_the_support():
+    # record times inside the control's support each integrate over their
+    # own window, those past it share the support's window in one call;
+    # either way the energy at t is that of a run with horizon t
+    v = ControlSignal(weights=[0.3 - 0.1j, 0.2j, -0.4], rates=[1j, -0.05 + 2j, -0.1],
+                      center=1.0, support=(0.5, 4.0))
+    state = ModalState.from_arrays([1, 2], [0.4, -0.2j], [0.1j, 0.3], [1.0, 0.7])
+    kw = dict(alpha=0.75, eps=0.1)
+    traj = simulate(_cfg(horizon_T=6.0, **kw), state, v, record_points=12)
+    for t, energy in zip(traj.times[1:], traj.energy[1:]):
+        alone = simulate(_cfg(horizon_T=float(t), **kw), state, v)
+        assert energy == pytest.approx(alone.energy[-1], rel=1e-13)
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
 def test_final_state_independent_of_record_points(alpha, eight_modes):
     # the closed form runs from t = 0 at each record time, so the final
