@@ -23,7 +23,8 @@ discrete convolution that makes zeta_m multiplies the weights by the
 kernel's discrete-time transform.  Member -m is the conjugate sum on the
 mirrored rates -i x_j = i x_{n-j}, so the shared rates are the n + 1 points
 i x_j, j = 0..n, x_n = half.  They are orthogonal over their common period
-2pi/dx, so Parseval gives every norm from the weights (`exp_sum_norm`).
+2pi/dx, so Parseval gives every norm from the weights
+(`core.exp_sum_norm`).
 The window is measured once from each member's FFT samples (the
 Paley-Wiener type bounds the support but does not say where the mass sits),
 and the biorthogonality check, the control and its horizon all read it.
@@ -64,8 +65,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ConfigError, ProblemConfig, exp_integral, next_pow2, sinc_c,
-                   validate_config)
+from .core import (ConfigError, ProblemConfig, exp_integral, exp_sum_norm, next_pow2,
+                   sinc_c, validate_config)
 from .multiplier import MultiplierEvaluator
 from .spectrum import lambda_conj_vals, node_start, node_sum_bound
 from .weierstrass import ProductEvaluator, envelope_fit
@@ -137,14 +138,6 @@ def fourier_to_time(psi: np.ndarray, half_width: float, dx: float):
     return np.fft.fftshift(tg), th
 
 
-def exp_sum_norm(weights, period: float) -> float:
-    """||sum_k w_k e^{r_k t}||_2 = sqrt(period sum_k |w_k|^2) over one common
-    period of distinct orthogonal rates (Parseval).  Outside its window a
-    member is below WINDOW_FLOOR of its peak, so this is its norm over the
-    window to about 1e-26 relative."""
-    return float(np.sqrt(period * np.sum(np.abs(weights) ** 2)))
-
-
 @dataclass(frozen=True)
 class BiorthogonalFamily:
     """Biorthogonal family as exponential sums.
@@ -154,7 +147,7 @@ class BiorthogonalFamily:
     on window and zero outside, with rates shared by every member,
     orthogonal over period (2pi/dx, or 2pi for sinc_limit) and
     mirror-symmetric for a mirror-closed index set; norms are
-    `exp_sum_norm` of the weights.  theta's window is measured
+    `core.exp_sum_norm` of the weights.  theta's window is measured
     (`_measured_window`), zeta widens it by the kernel half-width,
     sinc_limit's is (-pi, pi).  support_half is the declared half-support
     the theorem gives (T~/2, T0/2, or pi).

@@ -409,6 +409,14 @@ def _resolvent_sum(p, a, rho, c, lo, hi, weights):
     return e_hi * s_hi - e_lo * s_lo
 
 
+def exp_sum_norm(weights, period: float) -> float:
+    """||sum_k w_k e^{r_k t}||_2 = sqrt(period sum_k |w_k|^2) over one common
+    period of distinct orthogonal rates (Parseval).  Outside its window a
+    family member is below `biorthogonal.WINDOW_FLOOR` of its peak, so this
+    is its norm over the window to about 1e-26 relative."""
+    return float(np.sqrt(period * np.sum(np.abs(weights) ** 2)))
+
+
 def sinc_c(w: np.ndarray) -> np.ndarray:
     """sin(w)/w for complex w (equals sinhc(iw))."""
     return sinhc(1j * np.asarray(w, dtype=complex))

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biorthogonal import exp_sum_norm
-from .core import ConfigError, ControlSignal, ModalState, exp_integral, h0_norm_sq
+from .core import (ConfigError, ControlSignal, ModalState, exp_integral, exp_sum_norm,
+                   h0_norm_sq)
 from .spectrum import lambda_vals
 
 
@@ -168,7 +168,7 @@ def synthesize_control_series(data: ModalState, family, T: float) -> SeriesResul
     with weights W = sum_m c_m weights[m], supported on the window shifted
     by T/2.  T below the family's `min_horizon` is refused (ConfigError),
     and the moments' exact residual is checked.  The norm is
-    `exp_sum_norm(W, period)`.  For conjugate-symmetric moments
+    `core.exp_sum_norm(W, period)`.  For conjugate-symmetric moments
     imag_residual = sum_j |W_j - conj W_{n-j}| / 2 bounds sup_t |Im v(t)|:
     the rates are mirror-symmetric, so conj(v) has weights conj(W[::-1]).
     """

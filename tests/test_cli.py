@@ -22,19 +22,53 @@ def _run(runner, args, cwd):
                          catch_exceptions=False)
 
 
+CONSTRUCTION = ("viscowave.biorthogonal", "viscowave.multiplier", "viscowave.weierstrass")
+
+
+def _fresh_modules(code: str, *args: str) -> list:
+    """The last line `code` prints in a fresh interpreter, read as a list."""
+    src = str(Path(viscowave.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    return json.loads(res.stdout.strip().splitlines()[-1])
+
+
 def test_cli_import_leaves_scipy_out():
     # every command is a fresh process that pays for what importing the CLI
     # loads; scipy would cost more than numpy, click and the package together,
     # a module-level mpmath import 30-45 ms, configparser, which only
     # --config reads, 2 ms, and numpy.polynomial, once read for Gauss-Legendre
-    # nodes, 2.5 ms and 0.77 MB of peak memory
-    src = str(Path(viscowave.__file__).resolve().parents[1])
-    code = ("import sys, viscowave.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'mpmath', 'configparser') "
-            "or m.startswith('numpy.polynomial')))")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert res.stdout.strip() == "[]"
+    # nodes, 2.5 ms and 0.77 MB of peak memory.  The construction layers cost
+    # about 20 ms to compile and run without a bytecode cache; only the
+    # commands that build a family or check the product import them
+    code = ("import json, sys, viscowave.cli; print(json.dumps(sorted(m for m in "
+            "sys.modules if m.split('.')[0] in ('scipy', 'mpmath', 'configparser') "
+            f"or m.startswith('numpy.polynomial') or m in {CONSTRUCTION!r})))")
+    assert _fresh_modules(code) == []
+
+
+# runs one command in a fresh interpreter, then prints the construction
+# layers it imported
+_COMMAND_MODULES = ("import json, sys, viscowave.cli\n"
+                    "try:\n    viscowave.cli.main(sys.argv[1:])\n"
+                    "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+                    f"print(json.dumps(sorted(m for m in sys.modules if m in {CONSTRUCTION!r})))")
+
+
+@pytest.mark.parametrize("args, loaded", [
+    (["sweep", "epsilon", "--alpha", "0.25", "--modes", "2", "--epsilons", "1e-1,1e-2"], []),
+    (["control", "solve", "--epsilon", "0.1", "--alpha", "0.25", "--modes", "2"], []),
+    (["spectrum", "dump", "--epsilon", "0.1", "--alpha", "0.25"], []),
+    (["degeneracy", "--sizes", "2,4"], []),
+    (["control", "solve", "--series", "--epsilon", "0.1", "--alpha", "0.25", "--modes", "1"],
+     list(CONSTRUCTION)),
+], ids=["sweep_epsilon", "control_solve_oracle", "spectrum_dump", "degeneracy",
+        "control_solve_series"])
+def test_commands_import_the_construction_only_to_build_a_family(tmp_path, args, loaded):
+    # the Gram oracle, propagation and the spectrum tables never call the
+    # construction, so a fresh process running them does not import it
+    out = str(tmp_path / "out.csv")
+    assert _fresh_modules(_COMMAND_MODULES, *args, "--out", out) == loaded
 
 
 def test_spectrum_dump_csv(runner, tmp_path):

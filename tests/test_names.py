@@ -10,8 +10,12 @@ claim it checks.  Click commands are exempt: the command line reaches them.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import click
 import pytest
@@ -110,3 +114,21 @@ def test_benchmark_tracer_names_resolve(tmp_path):
         tracer.uninstall()
     recorded = set(tracer.sums) | set(tracer.maxes)
     assert set(spans.SUM_COUNTS) | set(spans.MAX_COUNTS) <= recorded
+
+
+def test_tracer_modules_resolve_after_importing_only_the_cli():
+    # the tracer takes getattr(viscowave, m) for every layer it lists; a
+    # command that builds no family imports only part of them, so the
+    # package imports the rest on first access
+    spans = _load_spans()
+    src = str(pathlib.Path(viscowave.__file__).resolve().parents[1])
+    code = ("import json, sys, types, viscowave, viscowave.cli\n"
+            "before = sorted(m for m in sys.modules if m.startswith('viscowave.'))\n"
+            "got = {m: isinstance(getattr(viscowave, m), types.ModuleType) and "
+            "getattr(viscowave, m).__name__ == 'viscowave.' + m for m in sys.argv[1:]}\n"
+            "print(json.dumps([before, got]))")
+    res = subprocess.run([sys.executable, "-c", code, *spans.MODULES], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    before, got = json.loads(res.stdout)
+    assert "viscowave.biorthogonal" not in before
+    assert got == {m: True for m in spans.MODULES}
