@@ -124,7 +124,7 @@ def seeded_data(cfg: ProblemConfig, seed: int, kind: str = "random") -> ModalSta
 _SHARED = {  # flags several commands take; each command names the ones it reads
     "config": dict(type=click.Path(exists=True), help="INI config file"),
     "out": dict(help="output CSV path"),
-    "seed": dict(type=int, default=7, show_default=True),
+    "seed": dict(type=click.IntRange(min=0), default=7, show_default=True),
     "alpha": dict(type=float), "epsilon": dict(type=float),
     "modes": dict(type=int), "horizon": dict(type=float),
 }
@@ -324,6 +324,10 @@ def biorth_build(config, out, alpha, epsilon, modes) -> None:
 def biorth_verify(config, out, alpha, epsilon, modes, tolerance) -> None:
     def go():
         from . import biorthogonal as bio
+        # click.FloatRange lets nan through, and nan or inf would also reach
+        # the sidecar as NaN or Infinity, which is not JSON
+        if not (np.isfinite(tolerance) and tolerance > 0):
+            raise ConfigError(f"--tolerance must be finite and positive, got {tolerance}")
         cfg = _build_cfg(config, alpha, epsilon, modes, for_synthesis=True)
         out_path = out or "biorth_verify.csv"
         theta = _theta_for(cfg)

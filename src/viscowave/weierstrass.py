@@ -30,11 +30,13 @@ by `core.stride_tail_sums` on the sum past the table's end (`_lattice_tail`),
 as a complex table whose odd rows are imaginary; `core.power_series` sums the
 series, over the real part of the table in a real modulus pass.
 
-The direct sums (`_direct_sums`) run over blocks of _BLOCK terms by at most
+Every direct sum, a pass's or a one-point constant's, is one `_direct_sums`
+call: its points go in order of cutoff in blocks of _BLOCK terms by at most
 _COLS points, all on four float work arrays (`_work_arrays`) allocated once
-per pass.  A pass that needs only |F| (`log_abs_generating`) forms no
-imaginary parts, on the real axis not even in the series; it is the real
-part of the full pass bit for bit.
+per call.  C_m drops the pair |n| = m by zeroing its row, so it takes its
+terms from the same code as log F.  A pass that needs only |F|
+(`log_abs_generating`) forms no imaginary parts, on the real axis not even
+in the series; it is the real part of the full pass bit for bit.
 
 Panel layer (`_panel_sum`).  A pass of more than P = 24 folded points, all
 real, cuts [x_0, x_end] into equal panels of width h <= H = 16.  Without
@@ -60,12 +62,14 @@ pass stays the real part of the full pass bit for bit, and an exact zero
 band pairs per point and 2xP/H direct pairs at its nodes; at W = H/2 (fixed
 rho) H = 16 forms the fewest terms over the fit grid (7.5 points per unit up
 to 400) and the FFT half-grid (27 per unit up to 150) together: 567,582
-at alpha 1/4, against 621,455 at H = 12, 576,370 at 20 and 2,152,848 point
-by point.  Of these the fit grid's pass forms
-280,576 direct terms at its 600 nodes and 110,448 band terms, the FFT
-half-grid's 49,920 and 126,638; a band term costs about 11 ns and a direct
-one about 22 ns (alpha 1/4, 2 vCPU, numpy 2.4).  Other points and passes
-(C_m, the probe, `interpolation_check`) sum point by point.
+at alpha 1/4, against 621,455 at H = 12, 576,370 at 20 and 1,928,496 point
+by point.  Of these the fit grid's pass forms 280,576 direct terms at its
+600 nodes and 110,448 band terms, the FFT half-grid's 49,920 and 126,638; a
+band term costs about 11 ns and a direct one about 22 ns (alpha 1/4, 2
+vCPU, numpy 2.4).  A panel pass sums its nodes and the points of its sparse
+panels in one `_pair_sum` call, and each dense panel's band in one
+`_band_sum` call.  Other passes (complex points, P points or fewer: the
+probe, `interpolation_check`) and C_m sum every point directly.
 
 Numerical care in the paired term (`_pair_log`):
   * w = iz (2b + iz) / den, den = b^2 + t^2, from the factorization of the
@@ -92,8 +96,6 @@ modulus (test_lattice_sums_against_mpmath).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core import (STRIDE, ConfigError, gauss_legendre_01, log1p_c, power_series,
@@ -114,7 +116,7 @@ SERIES_TERMS = 48
 _TABLE_END = 4096
 # least exponent q of the tail substitution t = t0 s^-q (`_lattice_tail`)
 _Q_MIN = 4.0
-_COLS = 512   # most points per numpy pass, split evenly (see _direct_sums)
+_COLS = 96  # most points per numpy pass, split evenly (see _direct_sums)
 # s = |1+w|^2 - 1 below _FAR: |1+w| < 1/2 (far); below _NEAR: |1+w| < 1/4
 _FAR, _NEAR = -0.75, -15.0 / 16.0
 # max q^2 x max 1/den below this: s = Re w (Re w - c), |c| < 2, cannot overflow
@@ -125,7 +127,6 @@ _NO_OVERFLOW = 1e150
 # its _PANEL_NODES first-kind Chebyshev nodes (_CHEB, ascending on [-1, 1],
 # barycentric weights _CHEB_W)
 _PANEL_WIDTH, _BAND, _PANEL_NODES = 16.0, 8.0, 24
-_NODE_COLS = 4 * _PANEL_NODES  # most points per point-by-point call of a panel pass
 _THETA = (2.0 * np.arange(_PANEL_NODES) + 1.0) * np.pi / (2 * _PANEL_NODES)
 _CHEB = np.cos(_THETA)[::-1].copy()
 _CHEB_W = ((-1.0) ** np.arange(_PANEL_NODES) * np.sin(_THETA))[::-1].copy()
@@ -393,12 +394,13 @@ def _band_sum(t, x, eps: float, alpha: float, imag: bool) -> list:
 
 
 def _direct_sums(z: np.ndarray, cuts: np.ndarray, eps: float, alpha: float,
-                 imag: bool) -> np.ndarray:
-    """The paired log terms |n| = 1..cuts[i] summed at the points z[i] (two
-    or more), or with imag=False their real part.  The points go, in order
-    of cutoff, in near-equal column blocks of at most _COLS, all on one set
-    of work arrays; a block's rows run to its largest cutoff, and each point
-    reads its own sum (`_stride_partials`)."""
+                 imag: bool, skip: int = 0) -> np.ndarray:
+    """The paired log terms |n| = 1..cuts[i] summed at the points z[i], or
+    with imag=False their real part, without the pair |n| = skip (none at
+    skip = 0), whose row is zeroed in the block that holds it.  The points
+    go, in order of cutoff, in near-equal column blocks of at most _COLS,
+    all on one set of work arrays; a block's rows run to its largest cutoff,
+    and each point reads its own sum (`_stride_partials`)."""
     # np.unique's order is that of the cutoffs on the real axis
     order = None if np.all(cuts[:-1] <= cuts[1:]) else np.argsort(cuts, kind="stable")
     blocks = np.array_split(np.arange(len(z)), -(-len(z) // _COLS))
@@ -415,11 +417,12 @@ def _direct_sums(z: np.ndarray, cuts: np.ndarray, eps: float, alpha: float,
             views = [a[:size].reshape(len(t), len(zb)) for a in work]
             parts = _pair_log(t, zb[None, :], eps, alpha, out=views, imag=imag)
             for part, acc, dest in zip(parts, accs, dests):
+                if lo < skip <= lo + len(t):
+                    part[skip - lo - 1] = 0.0
                 _stride_partials(part, acc, lo, kb, dest, idx)
     return out
 
 
-@dataclass(frozen=True)
 class ProductEvaluator:
     """Evaluator for the interpolation product at fixed (eps, alpha).
 
@@ -427,10 +430,12 @@ class ProductEvaluator:
     largest direct cutoff seen or past it (`_lattice`), and caches the per-m
     constants log conj(lambda_m) - C_m.
     """
-    eps: float
-    alpha: float
-    _scales: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _tables: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __init__(self, eps: float, alpha: float):
+        self.eps = eps
+        self.alpha = alpha
+        self._table = None
+        self._scales = {}
 
     @staticmethod
     def _cuts(r) -> np.ndarray:
@@ -448,35 +453,23 @@ class ProductEvaluator:
     def _lattice(self, k_max: int) -> np.ndarray:
         """The `_lattice_sums` table, rebuilt with end max(_TABLE_END, 6 k_max)
         when k_max lies past its last column."""
-        if not self._tables or k_max > (self._tables[0].shape[1] - 1) * STRIDE:
+        if self._table is None or k_max > (self._table.shape[1] - 1) * STRIDE:
             end = 4 * STRIDE * -(-max(_TABLE_END, 6 * k_max) // (4 * STRIDE))
-            self._tables[:] = [_lattice_sums(end, self.eps, self.alpha)]
-        return self._tables[0]
+            self._table = _lattice_sums(end, self.eps, self.alpha)
+        return self._table
 
     def _pair_sum(self, z: np.ndarray, cuts: np.ndarray, skip: int = 0,
                   imag: bool = True) -> np.ndarray:
-        """log F at the 1-d points z, with imag=False its real part: pairs
-        1..cuts[i] directly, the rest as `_series`.  One point would make a
-        one-column block, which numpy sums pairwise, and a pairwise complex
-        sum pairs its real parts differently from a float sum: it is summed
-        as a complex array, without |n| = skip, and imag=False takes its
-        real part."""
-        if len(z) > 1:
-            # the table is built after the work arrays are freed: its
-            # temporaries then stay below the pass's peak memory
-            out = _direct_sums(z, cuts, self.eps, self.alpha, imag)
-            ser = _series(z, cuts // STRIDE, self._lattice(int(np.max(cuts))), imag)
-            out += ser if imag else ser.real
-            return out
-        tab = self._lattice(int(cuts[0]))
-        ns = np.arange(1.0, cuts[0] + 1.0)
-        ns = ns[ns != skip]
-        acc = np.zeros_like(z)
-        for lo in range(0, len(ns), _BLOCK):
-            acc += np.sum(_pair_log(ns[lo:lo + _BLOCK, None], z[None, :], self.eps, self.alpha),
-                          axis=0)
-        out = acc + _series(z, cuts // STRIDE, tab, True)
-        return out if imag else out.real
+        """log F at the 1-d points z, with imag=False its real part, without
+        the pair |n| = skip (none at skip = 0): pairs 1..cuts[i] directly
+        (`_direct_sums`), the rest as `_series`: the one path of every
+        pass, panel node set and one-point constant."""
+        # the table is built after the work arrays are freed: its
+        # temporaries then stay below the pass's peak memory
+        out = _direct_sums(z, cuts, self.eps, self.alpha, imag, skip)
+        ser = _series(z, cuts // STRIDE, self._lattice(int(np.max(cuts))), imag)
+        out += ser if imag else ser.real
+        return out
 
     def _panel_sum(self, x: np.ndarray, imag: bool) -> np.ndarray:
         """log F at the sorted distinct real points x >= 0, with imag=False
@@ -484,12 +477,12 @@ class ProductEvaluator:
         is cut into equal panels at most _PANEL_WIDTH wide.  A panel with
         more than _PANEL_NODES points and no node on an integer (a zero of F
         at eps = 0) reads R = log F minus its band at its Chebyshev nodes;
-        each of its points takes R's interpolant plus its own band
-        (`_band_sum`), the real and imaginary parts in the same real
-        arithmetic, in column chunks of at most _COLS.  The nodes and the
-        other points are summed point by point (`_pair_sum`), in calls of at
-        most _NODE_COLS points so that no call's rows run far past its
-        points' cutoffs, the largest first so that one table serves all."""
+        each of its points takes R's interpolant plus its own band, one
+        `_band_sum` over the panel's nodes and points, the real and
+        imaginary parts in the same real arithmetic.  The nodes of every
+        dense panel and the points of the others are summed point by point
+        in one `_pair_sum` call, whose column blocks keep each block's rows
+        near its points' cutoffs."""
         panels = max(1, int(np.ceil((x[-1] - x[0]) / _PANEL_WIDTH)))
         h = (x[-1] - x[0]) / panels
         index = np.minimum(((x - x[0]) / h).astype(np.int64), panels - 1)
@@ -497,16 +490,10 @@ class ProductEvaluator:
         lo = x[0] + h * ids
         nodes = (lo + 0.5 * h)[:, None] + 0.5 * h * _CHEB[None, :]
         dense = (count > _PANEL_NODES) & ~np.any(nodes == np.round(nodes), axis=1)
-        if not dense.any():
-            return self._pair_sum(x.astype(complex), self._cuts(x), imag=imag)
         alone = ~np.repeat(dense, count)
         lo, first, count, nodes = lo[dense], first[dense], count[dense], nodes[dense]
         pts = np.concatenate([nodes.ravel(), x[alone]])
-        order = np.argsort(pts, kind="stable")
-        vals = np.empty(len(pts), dtype=complex if imag else float)
-        for idx in np.array_split(order, -(-len(pts) // _NODE_COLS))[::-1]:
-            vals[idx] = self._pair_sum(pts[idx].astype(complex), self._cuts(pts[idx]),
-                                       imag=imag)
+        vals = self._pair_sum(pts.astype(complex), self._cuts(pts), imag=imag)
         out = np.empty(len(x), dtype=vals.dtype)
         out[alone] = vals[nodes.size:]
         node_vals = vals[:nodes.size].reshape(nodes.shape)
@@ -518,9 +505,7 @@ class ProductEvaluator:
             t = np.arange(max(1.0, np.floor(lo[i] - _BAND) + 1.0),
                           np.ceil(lo[i] + h + _BAND))[:, None]
             cols = np.concatenate([nodes[i], x[a:a + c]])
-            sums = [_band_sum(t, z[None, :], self.eps, self.alpha, imag)
-                    for z in np.array_split(cols, -(-len(cols) // _COLS))]
-            bands = [np.concatenate(band) for band in zip(*sums)]
+            bands = _band_sum(t, cols[None, :], self.eps, self.alpha, imag)
             mat = _barycentric((x[a:a + c] - lo[i]) * (2.0 / h) - 1.0)
             for band, dest, node_part in zip(bands, parts, node_parts):
                 dest[a:a + c] = mat @ (node_part[i] - band[:p]) + band[p:]

@@ -36,11 +36,12 @@ def count_pair_work(monkeypatch) -> SimpleNamespace:
     """Record the work of the product's paired terms: per `_pair_log` call
     its point count (`points`) and its broadcast size in terms times points
     (`elements`); per point-by-point pair sum (`_pair_sum`: a one-point
-    constant, a pass, or a panel pass's nodes) its point count (`sums`) and
-    the elements of the `_pair_log` calls it made (`sum_elements`), which
-    `pass_terms` predicts; per panel band sum (`_band_sum`, from the linear
-    factors) its terms times points (`bands`); and per log F pass (`_pass`,
-    after the fold) its point count (`passes`), its `_pair_log` elements
+    constant, a pass, or a panel pass's nodes and lone points, one call per
+    pass) its point count (`sums`) and the elements of the `_pair_log` calls
+    it made (`sum_elements`), which `pass_terms` predicts; per panel band
+    sum (`_band_sum`, from the linear factors, one call per dense panel) its
+    terms times points (`bands`); and per log F pass (`_pass`, after the
+    fold) its point count (`passes`), its `_pair_log` elements
     (`pass_elements`) and its band elements (`pass_bands`)."""
     work = SimpleNamespace(points=[], elements=[], sums=[], sum_elements=[], bands=[],
                            passes=[], pass_elements=[], pass_bands=[])

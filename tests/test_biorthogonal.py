@@ -203,7 +203,7 @@ def test_family_build_work_counts(monkeypatch):
     # on the full n-point grid; it is a panel pass (`weierstrass` module
     # docstring), 49,920 paired terms at its Chebyshev nodes and 126,638
     # band terms from their linear factors where point by point it would
-    # form 720,848; one multiplier evaluator serves the probe and the grid, and
+    # form 664,896; one multiplier evaluator serves the probe and the grid, and
     # its bulk and per-m prefixes run on the same n/2 + 1 points.  Smoothing
     # runs one kernel DFT per |m|
     work = count_pair_work(monkeypatch)
@@ -237,11 +237,13 @@ def test_family_build_work_counts(monkeypatch):
     n = fam.meta["n_fft"]
     assert max(work.passes) == n // 2 + 1 and work.passes.count(n // 2 + 1) == 1
     assert max(work.points) <= wei._COLS < n // 2 + 1
-    assert max(work.sums) <= wei._NODE_COLS
+    # one pair sum per pass or constant: the fit grid's 600 Chebyshev nodes,
+    # C_1 and C_2, the probe's 2 folded points and the half-grid's 240 nodes
+    assert work.sums == [600, 1, 1, 2, 240]
     cuts = ProductEvaluator._cuts(fam.meta["dx"] * np.arange(n // 2 + 1))
     grid = work.passes.index(n // 2 + 1)
     assert (n, work.pass_elements[grid], work.pass_bands[grid]) == (8192, 49_920, 126_638)
-    assert pass_terms(cuts) == 720_848
+    assert pass_terms(cuts) == 664_896
     assert max(bulk_sizes) == n // 2 + 1
     assert bulk_sizes.count(n // 2 + 1) == 1
     assert max(prefix_sizes) <= n // 2 + 1
@@ -255,19 +257,20 @@ def test_resolve_omega_work_counts(monkeypatch):
     # the envelope fit over modes 1..4 makes one log F pass on its 3000
     # points, in column blocks; per mode only the one-point constant C_m is
     # summed.  The pass is a panel pass: 25 panels of 120 points, whose 600
-    # Chebyshev nodes are summed point by point in 7 calls of 85-86 points
-    # (280,576 paired terms) and whose bands form 110,448 more from their
-    # linear factors, against 1,432,000 paired terms point by point
+    # Chebyshev nodes are summed point by point in one call, in 7 column
+    # blocks of 85-86 points (280,576 paired terms), and whose bands form
+    # 110,448 more from their linear factors, against 1,263,600 paired terms
+    # point by point
     work = count_pair_work(monkeypatch)
     omega, hats = bio.resolve_omega((1, 2, 3, 4), ProductEvaluator(0.1, 0.75))
     assert len(hats) == 4 and omega >= 1
     assert work.passes == [3000]
-    assert sorted(work.sums) == [1, 1, 1, 1, 85, 85, 86, 86, 86, 86, 86]
+    assert sorted(work.sums) == [1, 1, 1, 1, 600]
     assert max(work.points) <= wei._COLS
     cuts = ProductEvaluator._cuts(np.linspace(0.0, bio.OMEGA_FIT_HALF_WIDTH, 3000))
     assert sum(e for n, e in zip(work.sums, work.sum_elements) if n > 1) == 280_576
     assert work.pass_elements == [280_576] and work.pass_bands == [110_448]
-    assert pass_terms(cuts) == 1_432_000
+    assert pass_terms(cuts) == 1_263_600
 
 
 @pytest.mark.parametrize("alpha, omega, hats", [

@@ -408,6 +408,47 @@ def test_commands_refuse_flags_they_do_not_read(runner, command, flag):
     assert "No such option" in res.output
 
 
+def _commands(group, path=()):
+    """(argv path, command) of every command under the click group."""
+    for name, cmd in group.commands.items():
+        if hasattr(cmd, "commands"):
+            yield from _commands(cmd, path + (name,))
+        else:
+            yield list(path + (name,)), cmd
+
+
+SEEDED = [argv for argv, cmd in _commands(main) if any(p.name == "seed" for p in cmd.params)]
+
+
+@pytest.mark.parametrize("command", SEEDED, ids=["_".join(c) for c in SEEDED])
+def test_negative_seed_is_invalid_input(runner, tmp_path, command):
+    # numpy's generator takes no negative seed, so the flag refuses one
+    # before numpy's ValueError can end the command (exit 1) or fail one of
+    # verify's checks
+    res = runner.invoke(main, command + ["--seed", "-1", "--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--seed'" in res.output
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_every_seeded_command_is_checked():
+    assert sorted(map(tuple, SEEDED)) == [("control", "solve"), ("ingham", "run"),
+                                          ("multiplier", "check"), ("sweep", "epsilon"),
+                                          ("verify",)]
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_biorth_verify_refuses_bad_tolerance(runner, tmp_path, tolerance):
+    # nan or a tolerance <= 0 fails every check, inf passes every one, and
+    # nan and inf would reach the sidecar as NaN and Infinity, which is not
+    # JSON
+    res = runner.invoke(main, ["biorth", "verify", *_A25, "--modes", "1", "--tolerance",
+                               tolerance, "--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == 2, res.output
+    assert "--tolerance must be finite and positive" in res.output
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_degeneracy_study(runner, tmp_path):
     res = _run(runner, ["degeneracy", "--sizes", "4,8"], tmp_path)
     assert res.exit_code == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_pair_work, pass_terms
+from conftest import count_pair_work
 from viscowave import biorthogonal as bio
 from viscowave import weierstrass as wei
 from viscowave.core import ConfigError
@@ -144,10 +144,6 @@ FIT_GRID = np.linspace(0.0, bio.OMEGA_FIT_HALF_WIDTH, 3000)  # resolve_omega's g
 FFT_HALF_GRID = 300.0 / 8192 * np.arange(4097)  # |x| = j dx, n 8192, half-width 150
 
 
-def _pass_terms(grids) -> int:
-    return sum(pass_terms(ProductEvaluator._cuts(x)) for x in grids)
-
-
 # |log F - log F_complex| <= this x max(|log F|, 1) on both grids: 10x the
 # worst measured (4.1e-16, the FFT half-grid at alpha 0.75)
 _COMPLEX_FORMULA_BOUND = 4e-15
@@ -155,22 +151,22 @@ _COMPLEX_FORMULA_BOUND = 4e-15
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
 def test_real_axis_pass_is_blocking_invariant(monkeypatch, alpha):
-    # the real-axis pass summed in column blocks is, bit for bit, the same
-    # pass summed over every point at once: on the envelope fit's 3000-point
-    # grid and on the n/2 + 1 points j dx of an FFT grid (n 8192, half-width
-    # 150).  Both are panel passes: 25 panels of 120 points and 10 of
-    # 409-410, whose 600 and 240 Chebyshev nodes are summed point by point
-    # in calls of at most _NODE_COLS (280,576 and 49,920 paired terms), and
-    # whose bands of 31 and 30 pairs (23 and 22 at the origin) form 110,448
-    # and 126,638 at the nodes and points, from their linear factors
-    # (`_band_sum`).  A block's rows run to its largest cutoff, so the nodes
-    # summed in one block form more terms (489,600 + 72,960 against
-    # 280,576 + 49,920), but each point reads its own direct sum at its own
-    # cutoff.  No paired-term call sees more than _BLOCK x _COLS entries, and
-    # none sees a single point, which numpy would sum pairwise instead of
-    # row by row.  Both passes send every direct term at the nodes through
-    # `_pair_log`.  s = |1+w|^2 - 1 by factorization is not the complex
-    # formula's rounding: the two agree to _COMPLEX_FORMULA_BOUND
+    # the real-axis pass summed in column blocks is, bit for bit, the same pass
+    # summed over every point at once: on the envelope fit's 3000-point grid
+    # and on the n/2 + 1 points j dx of an FFT grid (n 8192, half-width 150).
+    # Both are panel passes: 25 panels of 120 points and 10 of 409-410, whose
+    # 600 and 240 Chebyshev nodes are summed point by point in one call each,
+    # in column blocks of at most _COLS (280,576 and 49,920 paired terms), and
+    # whose bands of 31 and 30 pairs (23 and 22 at the origin) form 110,448 and
+    # 126,638 at the nodes and points, from their linear factors (`_band_sum`).
+    # A block's rows run to its largest cutoff, so the nodes summed in one
+    # block form more terms (489,600 + 72,960 against 280,576 + 49,920), but
+    # each point reads its own direct sum at its own cutoff.  No paired-term
+    # call sees more than _BLOCK x _COLS entries, and none sees a single point,
+    # which numpy would sum pairwise instead of row by row.  Both passes send
+    # every direct term at the nodes through `_pair_log`.  s = |1+w|^2 - 1 by
+    # factorization is not the complex formula's rounding: the two agree to
+    # _COMPLEX_FORMULA_BOUND
     grids = (FIT_GRID, FFT_HALF_GRID)
     work = count_pair_work(monkeypatch)
     got = [ProductEvaluator(0.1, alpha).log_generating(x) for x in grids]
@@ -179,8 +175,8 @@ def test_real_axis_pass_is_blocking_invariant(monkeypatch, alpha):
     assert work.pass_elements == [280_576, 49_920]
     assert work.pass_bands == [110_448, 126_638]
     assert sum(work.elements) == sum(work.pass_elements)
+    assert work.sums == [600, 240] and len(work.bands) == 25 + 10
     monkeypatch.setattr(wei, "_COLS", 10 ** 6)
-    monkeypatch.setattr(wei, "_NODE_COLS", 10 ** 6)
     one = count_pair_work(monkeypatch)
     for x, g in zip(grids, got):
         assert np.array_equal(g, ProductEvaluator(0.1, alpha).log_generating(x))
@@ -438,7 +434,7 @@ def test_modulus_pass_is_bitwise_the_real_part(alpha):
     got, ref = ProductEvaluator(0.1, alpha).log_generating(mixed), _point_pass(mixed, 0.1, alpha)
     assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= _PANEL_BOUND
     # folded and one-point passes too: |F(-conj z)| = |F(z)|, and a one-point
-    # pass takes the real part of its complex sum
+    # pass sums its one column as every pass does
     z = np.array([-3.0 + 0.2j, 2.0, 5.0 - 1.0j, -7.5])
     assert np.array_equal(ev.log_abs_generating(z), ev.log_generating(z).real)
     for x in (150.0, 3000.0):  # a table end of 4096, and of 36,096
@@ -448,12 +444,12 @@ def test_modulus_pass_is_bitwise_the_real_part(alpha):
 
 def test_pass_allocates_work_arrays_once(monkeypatch):
     # a 3000-point panel pass on [0, 400] sums its 600 Chebyshev nodes point
-    # by point in 7 calls of 85-86 points, whose rows run to their largest
-    # cutoffs 816, 688, 592, 464, 352, 240 and 128: 4, 3, 3, 2, 2, 1 and 1
-    # row blocks of direct terms, each call on the one set of work arrays it
-    # allocates; the bands of its 25 panels take none (`_band_sum`); so in
-    # the full pass and in the modulus pass alike, and the series forms no
-    # paired term
+    # by point in one call, in 7 column blocks of 85-86 points, whose rows
+    # run to their largest cutoffs 128, 240, 352, 464, 592, 688 and 816: 1,
+    # 1, 2, 2, 3, 3 and 4 row blocks of direct terms, all on the one set of
+    # work arrays the call allocates; the bands of its 25 panels take none
+    # (`_band_sum`); so in the full pass and in the modulus pass alike, and
+    # the series forms no paired term
     allocs, on_work = [], []
     work_arrays, pair_log = wei._work_arrays, wei._pair_log
 
@@ -471,10 +467,9 @@ def test_pass_allocates_work_arrays_once(monkeypatch):
     ev = ProductEvaluator(0.1, 0.25)
     ev.log_generating(FIT_GRID)
     ev.log_abs_generating(FIT_GRID)
-    assert len(allocs) == 2 * 7 and all(len(a) == 4 for a in allocs)
-    sizes = [a[0].size for a in allocs[:7]]
-    assert sizes == [256 * 85, 256 * 85, 256 * 86, 256 * 86, 256 * 86, 240 * 86, 128 * 86]
-    assert len(on_work) == 2 * (4 + 3 + 3 + 2 + 2 + 1 + 1) and all(on_work)
+    assert len(allocs) == 2 and all(len(a) == 4 for a in allocs)
+    assert [a[0].size for a in allocs] == [256 * 86, 256 * 86]
+    assert len(on_work) == 2 * (1 + 1 + 2 + 2 + 3 + 3 + 4) and all(on_work)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +548,39 @@ def test_product_matches_mpmath():
     print("worst relative error:", {k: f"{v:.2e}" for k, v in worst.items()})
     for kind, err in worst.items():
         assert err <= _MP_BOUNDS[kind], kind
+
+
+def test_log_scale_on_block_edge():
+    # C_m is node_m's direct sum without the pair |n| = m, whose row is
+    # zeroed in the block of _BLOCK = 256 rows that holds it: second to last
+    # at m = 255, last at 256, first of the next block at 257 (direct
+    # cutoffs 512-528 at alpha 1/4, 976 at 3/4).  The constant log
+    # conj(lambda_m) - C_m against the reference of
+    # test_product_matches_mpmath, modulo 2 pi i, within its complex-point
+    # bound (worst measured 2.7e-13): G_m(node_m) over pairs up to
+    # _MP_DIRECT and the lone partner -m multiplied out, the pairs beyond
+    # by `_mp_tail`
+    eps, worst = 0.1, 0.0
+    with mp.workdps(40):
+        e = mp.mpf(eps)
+        for alpha in (0.25, 0.75):
+            a2 = 2 * mp.mpf(alpha)
+            bs = [e * mp.mpf(n) ** a2 for n in range(_MP_DIRECT + 1)]
+            ev = ProductEvaluator(eps, alpha)
+            for m in (255, 256, 257):
+                lm, lone = bs[m] - 1j * m, bs[m] + 1j * m
+                g = (lone - lm) / lone
+                for n in range(1, _MP_DIRECT + 1):
+                    if n != m:
+                        g *= ((bs[n] - lm) ** 2 + n ** 2) / (bs[n] ** 2 + n ** 2)
+                ref = mp.log(lm) - mp.log(g) - _mp_tail(1j * lm, e, a2)
+                got = ev._log_scale(m)
+                d = mp.mpc(got.real, got.imag) - ref
+                d -= 2j * mp.pi * mp.nint(d.imag / (2 * mp.pi))
+                err = float(abs(d))
+                print(f"alpha={alpha} m={m} cutoff {ev.cutoff(m, 0.0)}: error {err:.2e}")
+                worst = max(worst, err)
+    assert worst <= _MP_BOUNDS["complex"]
 
 
 # ---------------------------------------------------------------------------
