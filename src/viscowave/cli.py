@@ -203,12 +203,7 @@ def weierstrass_check(config, out, alpha, epsilon, modes) -> None:
         out_path = out or "weierstrass_check.csv"
         ev = wei.ProductEvaluator(cfg.epsilon, cfg.alpha)
         dev, max_dev = wei.interpolation_check(range(-cfg.n_modes, cfg.n_modes + 1), ev)
-        m_max = max(2 * cfg.n_modes, 16)
-        if cfg.epsilon > 0:
-            rows_q, c_hat = wei.growth_bound_check(m_max, ev)
-        else:
-            rows_q, c_hat = [(m, abs(wei.product_eps0(m, 0.0)), 16.0)
-                             for m in range(1, m_max + 1)], 0.0
+        rows_q, c_hat = wei.growth_bound_check(max(2 * cfg.n_modes, 16), ev)
         ok_q = all(q <= b * (1 + 1e-12) for _, q, b in rows_q)
         ok_dev = max_dev <= 1e-6
         rows = [(m, q, b, "ok" if q <= b * (1 + 1e-12) else "violated")

@@ -224,6 +224,79 @@ def gauss_legendre_01(k: int) -> tuple[np.ndarray, np.ndarray]:
 # the lattice-series tables of the product and the multiplier keep a column at
 # every STRIDE-th node, so a point's direct cutoff is rounded up to one of them
 STRIDE = 16
+# most term x point entries one `direct_sums` kernel call forms
+BLOCK_TERMS = 24576
+
+
+def direct_sums(z: np.ndarray, cuts: np.ndarray, kernel, dests, work: int,
+                first: int = 1) -> None:
+    """The direct head of a canonical product: at each point z_i the terms
+    n = first..cuts[i] summed, into dests, one float array of len(z) per
+    part the kernel forms, which start at zero: a point with no term to sum
+    may be left as it is.
+
+    kernel(lo, hi, zc, views) forms the terms n = lo+1..hi at the points zc,
+    a 1-d array, on views, `work` float arrays of shape (hi - lo, len(zc)),
+    and returns one such array per dest.  Rows that no point may sum, below
+    first or past a cutoff that is not a multiple of STRIDE, or a skipped
+    term, it zeroes itself.
+
+    One policy serves both products.  The real points and the others are
+    walked apart, so they never share a kernel call.  A walk sorts its
+    points by cutoff and runs over the rows in STRIDE-multiple ranges, from
+    the stride that holds first, over the points whose cutoff lies past the
+    range's start: as many rows as BLOCK_TERMS allows at that point count,
+    at least STRIDE, and none past the largest cutoff.  Where one stride
+    already passes BLOCK_TERMS the columns are cut into near-equal blocks.
+    The work arrays are allocated once per call.  Each stride is summed row
+    by row, and the strides in order onto a point's running sum, and each
+    point reads its own sum after row STRIDE ceil(cuts[i]/STRIDE): so a
+    point gets the same bits alone as in any batch, of any width.
+    """
+    z = np.asarray(z)
+    cuts = -(-np.asarray(cuts) // STRIDE) * STRIDE   # the row each point reads at
+    start = STRIDE * ((first - 1) // STRIDE)
+    size = min(BLOCK_TERMS, len(z) * (int(np.max(cuts, initial=start)) - start))
+    # separate arrays, not one (work, size) block: freeing a 4 MB block once
+    # lifted glibc's mmap threshold and series_route's peak RSS, 61 -> 65 MB
+    arrays = [np.empty(size) for _ in range(work)]
+    real = z.imag == 0
+    for group in (np.flatnonzero(real), np.flatnonzero(~real)):
+        if not len(group):
+            continue
+        order = group[np.argsort(cuts[group], kind="stable")]
+        ends = cuts[order]
+        runs = np.zeros((len(dests), len(order)))
+        lo = start
+        active = int(np.searchsorted(ends, lo, side="right"))
+        while active < len(order):
+            count = len(order) - active
+            hi = min(lo + STRIDE * max(1, BLOCK_TERMS // (count * STRIDE)), int(ends[-1]))
+            rows = hi - lo
+            done = int(np.searchsorted(ends, hi, side="right"))   # points that end here
+            blocks = -(-count * rows // BLOCK_TERMS)
+            edges = active + np.arange(blocks + 1) * count // blocks
+            for c0, c1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
+                views = [a[:rows * (c1 - c0)].reshape(rows, c1 - c0) for a in arrays]
+                ended = min(c1, done)
+                at = (ends[c0:ended] - lo) // STRIDE - 1, np.arange(ended - c0)
+                for part, run, dest in zip(kernel(lo, hi, z[order[c0:c1]], views), runs, dests):
+                    sums = _stride_sums(part)
+                    sums[0] += run[c0:c1]
+                    np.cumsum(sums, axis=0, out=sums)
+                    run[c0:c1] = sums[-1]
+                    dest[order[c0:ended]] = sums[at]
+            lo, active = hi, done
+
+
+def _stride_sums(part: np.ndarray) -> np.ndarray:
+    """The sum of each STRIDE rows of part, row by row in every column:
+    numpy sums along the rows of a block of columns in order, but a lone
+    column pairwise, so that one is taken from its running sums."""
+    strides = part.reshape(-1, STRIDE, part.shape[1])
+    if part.shape[1] > 1:
+        return strides.sum(axis=1)
+    return np.cumsum(strides, axis=1)[:, -1]
 
 
 def stride_tail_sums(inv: np.ndarray, powers: int, carry, part=None) -> np.ndarray:
@@ -263,7 +336,7 @@ def power_series(tab: np.ndarray, col: np.ndarray, x) -> np.ndarray:
     return acc
 
 
-def log1p_c(x: np.ndarray, y: np.ndarray, out=None, imag: bool = True, s=None, far=None):
+def log1p_c(x: np.ndarray, y: np.ndarray, out, imag: bool = True, s=None, far=None):
     """Complex log(1+w) at w = x + iy, given as its real and imaginary parts,
     in a closed form that keeps tiny w:
     log(1+w) = 1/2 log1p(s) + i atan2(y, 1+x), s = |1+w|^2 - 1 = x(2+x) + y^2,
@@ -273,12 +346,11 @@ def log1p_c(x: np.ndarray, y: np.ndarray, out=None, imag: bool = True, s=None, f
     is exact.
 
     Taking the parts lets a caller that forms w in real arithmetic skip the
-    complex w; x and y have one shape.  Without out the result is a new
-    complex array.  A caller that keeps the parts apart passes out = (re,
-    im), two contiguous float arrays of that shape that share no memory
-    with x or y, and gets back the flat indices of the far entries, where
-    re is log|1+w|.  imag=False then skips the imaginary part and its
-    arctan2, and im is only scratch.
+    complex w; x and y have one shape.  The parts go to out = (re, im), two
+    contiguous float arrays of that shape that share no memory with x or y,
+    and the call returns the flat indices of the far entries, where re is
+    log|1+w|.  imag=False skips the imaginary part and its arctan2, and im
+    is only scratch.
 
     A caller that forms s its own way, without cancellation, hands it in as
     s (a float array of x's shape; it may be re, which is overwritten) with
@@ -287,10 +359,6 @@ def log1p_c(x: np.ndarray, y: np.ndarray, out=None, imag: bool = True, s=None, f
     then skipped, and with imag=False y is read only at far.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    res = None
-    if out is None:
-        res = np.empty(x.shape, dtype=complex)
-        out, imag = (res.real, res.imag), True
     re, im = out
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if s is None:
@@ -311,7 +379,7 @@ def log1p_c(x: np.ndarray, y: np.ndarray, out=None, imag: bool = True, s=None, f
         xf, yf = x.reshape(-1)[far], y.reshape(-1)[far]
         # numpy's complex abs: np.hypot differs from it in the last bit
         re.reshape(-1)[far] = np.log(np.abs((1.0 + xf) + 1j * yf))
-    return far if res is None else res
+    return far
 
 
 def sinhc(w: np.ndarray) -> np.ndarray:

@@ -212,15 +212,16 @@ def moment_verification(control: ControlSignal, system: MomentSystem) -> float:
 
 
 def ingham_ratio(indices, coeffs, eps: float, alpha: float, T: float,
-                 omega_weight: float) -> float:
+                 omega_weight: float, gram=None) -> float:
     """int_{-T}^{T} |sum beta_n e^{lambda_n t}|^2 dt divided by the weighted
     coefficient mass sum |beta_n|^2 e^{-omega_weight eps |n|^{2a}}.
 
     The integral runs over (-T, T), twice the moment interval, so the
-    numerator is the quadratic form of the Gram matrix at horizon 2T.  Its
-    entries grow like e^{2 eps |n|^{2a} T}; a numerator that overflows
-    raises ConfigError, as does a weighted mass that is not finite and
-    positive.
+    numerator is the quadratic form of the Gram matrix at horizon 2T; gram
+    is that matrix if the caller already has it (`ingham_trials` builds it
+    once for all its draws).  Its entries grow like e^{2 eps |n|^{2a} T}; a
+    numerator that overflows raises ConfigError, as does a weighted mass
+    that is not finite and positive.
     """
     idx = np.asarray(indices)
     b = np.asarray(coeffs, dtype=complex)
@@ -229,7 +230,9 @@ def ingham_ratio(indices, coeffs, eps: float, alpha: float, T: float,
     if not np.any(b):
         raise ConfigError("all-zero coefficient sequence")
     with np.errstate(over="ignore", invalid="ignore"):
-        num = float(np.real(np.vdot(b, gram_matrix(idx, eps, alpha, 2.0 * T) @ b)))
+        if gram is None:
+            gram = gram_matrix(idx, eps, alpha, 2.0 * T)
+        num = float(np.real(np.vdot(b, gram @ b)))
         den = float(np.sum(np.abs(b) ** 2 * np.exp(-omega_weight * eps
                                                    * np.abs(idx) ** (2.0 * alpha))))
     if not (np.isfinite(den) and den > 0):  # also every non-finite omega_weight
@@ -251,12 +254,15 @@ def ingham_trials(n_max: int, eps: float, alpha: float, T: float,
     from above, so the minimum over the draws is an upper bound on that
     constant, not the constant itself.  The draws put O(1) weight on the high
     modes, whose numerator mass grows like e^{2 eps |n|^{2 alpha} T}, so the
-    minimum can exceed the constant by many orders of magnitude.
+    minimum can exceed the constant by many orders of magnitude.  The 2T
+    Gram matrix is built once for every draw; a draw takes its real parts
+    first, then its imaginary parts.
     """
     idx = np.array([n for n in range(-n_max, n_max + 1) if n != 0])
+    gram = gram_matrix(idx, eps, alpha, 2.0 * T)
     rng = np.random.default_rng(seed)
     out = np.empty(n_trials)
     for k in range(n_trials):
         b = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
-        out[k] = ingham_ratio(idx, b, eps, alpha, T, omega_weight)
+        out[k] = ingham_ratio(idx, b, eps, alpha, T, omega_weight, gram)
     return out

@@ -24,13 +24,15 @@ mpmath); against a 40-digit mpmath product the scaled error in log M is at
 most 4.9e-15, points on both sides of |z/a_n| = R included.  S_{2j}(K)
 underflows where a_{K+1}^{2j} passes 1e308, from j = 33 at |z| = 1e5: the
 terms lost stay below 1.7e-17 of max(1, |log M|) up to the largest |z|
-evaluated, 1.55e5, and reach 2e-15 at |z| = 1e6.  On the real axis the
-direct factors are summed in real arithmetic: log|sinc| plus i pi for each
-negative factor.
-Points are sorted by K, and the nodes between consecutive cutoffs are summed
-over the points that still need them, in stretches merged until each holds
-_MIN_TERMS point x node terms (a merged point's cutoff rises to its
-stretch's end) and formed in tiles of at most _TILE factors.
+evaluated, 1.55e5, and reach 2e-15 at |z| = 1e6.
+
+The direct factors of every point, a bulk pass's or a per-m prefix's
+(`log_factor_range`), are summed by `core.direct_sums`, the engine the
+interpolation product's pairs share: the points go in order of cutoff, the
+real ones apart from the others, in STRIDE-multiple row ranges of at most
+core.BLOCK_TERMS factors, and each point reads its own sum at its own
+cutoff, in the same bits alone as in any batch.  A real point's factors are
+summed in real arithmetic: log|sinc| plus i pi for each negative factor.
 
 The node bulk (a_n table and the tail sums at the stride nodes) depends only on
 (eps, alpha) and the largest |z| requested, so one evaluator instance serves
@@ -42,18 +44,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ALPHA_DEGENERACY_TOL, STRIDE, ConfigError, power_series, stride_tail_sums
+from .core import (ALPHA_DEGENERACY_TOL, STRIDE, ConfigError, direct_sums, power_series,
+                   stride_tail_sums)
 from .spectrum import (E, gamma_eps, lambda_vals, node_start, node_sum_bound,
                        node_tail_sq_constant, phi_eps, phi_eps_inverse)
 
 # a point z multiplies the factors with |z/a_n| > _RATIO directly and resums
 # the rest, |z/a_n| <= _RATIO < pi, as the sinc series
 _RATIO = 2.0
-# log_factor_range forms at most this many point x node factors at once
-_TILE = 16384
-# log_eval_start merges the stretches between consecutive point cutoffs until
-# one holds at least this many point x node terms
-_MIN_TERMS = 32768
 # past this |Im w| a complex factor's log sinc w is formed from the dominant
 # exponential of sin w (`_log_sinc_far`); sin w itself overflows past ~710
 _BIG_IM = 20.0
@@ -114,6 +112,18 @@ def _log_sinc_far(w: np.ndarray) -> np.ndarray:
     sgn = np.sign(w.imag)
     return (-1j * sgn * w + np.log1p(-np.exp(2j * sgn * w)) - np.log(2.0)
             + 0.5j * np.pi * sgn - np.log(w))
+
+
+def _log_sinc(w: np.ndarray) -> np.ndarray:
+    """log sinc w at complex w: 1 - w^2/6 where |w| < 1e-8, and
+    `_log_sinc_far` where |Im w| > _BIG_IM."""
+    small = np.abs(w) < 1e-8
+    big = np.abs(w.imag) > _BIG_IM
+    w_s = np.where(big, 1.0, w)
+    out = np.log(np.where(small, 1.0 - w * w / 6.0, np.sin(w_s) / np.where(small, 1.0, w_s)))
+    if big.any():
+        out[big] = _log_sinc_far(w[big])
+    return out
 
 
 def node_power_sum(k_cut: int, eps: float, alpha: float, power):
@@ -215,87 +225,73 @@ class MultiplierEvaluator:
         k = np.maximum(k.astype(np.int64), n_from - 1)
         return np.minimum(-(-k // STRIDE) * STRIDE, self.k_cut)
 
-    def log_factor_range(self, lo: int, hi: int, z) -> np.ndarray:
-        """sum of log sinc(z / a_n) for n in [lo, hi] by direct evaluation.
+    def _direct(self, z: np.ndarray, cuts: np.ndarray, first: int, last: int) -> np.ndarray:
+        """sum of log sinc(z_p / a_n) over n = first..cuts[p] at the 1-d
+        points z, each cut a multiple of STRIDE or last, by
+        `core.direct_sums`: the rows below first or past last are zeroed in
+        the block that holds them.  A real point's factors are summed in
+        real arithmetic, log|sinc| plus i pi times the number of negative
+        factors (a 0/1 part, so the imaginary part is pi times the count bit
+        for bit); any other point sums the complex factor logs."""
+        nodes = self.nodes
 
-        Requires hi <= the current direct cutoff.  A real z (every imag == 0)
-        is summed in real arithmetic, log|sinc| plus i pi times the number of
-        negative factors; complex z sums the complex factor logs.  Either way
-        the result is branch-consistent with any other range of the same
-        nodes, so ranges can be added and subtracted freely.  The points x
-        nodes factors are formed in tiles of at most _TILE elements.
+        def factors(lo, hi, zc, views):
+            keep = max(first - 1 - lo, 0)
+            stop = max(min(last, hi) - lo, keep)
+            for part in views:
+                part[:keep] = 0.0
+                part[stop:] = 0.0
+            re, im = (part[keep:stop] for part in views)
+            a_n = nodes[lo + keep:lo + stop, None]
+            if zc.imag.any():
+                log_sw = _log_sinc(zc / a_n)
+                re[...], im[...] = log_sw.real, log_sw.imag
+                return views
+            w = np.divide(zc.real, a_n, out=re)
+            sw = np.sin(w, out=im)
+            with np.errstate(invalid="ignore"):   # 0/0 where w is 0
+                sw /= w
+            sw[w == 0.0] = 1.0  # z = 0, or a subnormal z / a_n underflowing
+            np.log(np.abs(sw, out=re), out=re)
+            np.less(sw, 0.0, out=im)   # the negative factors
+            return views
+
+        re, im = np.zeros(len(z)), np.zeros(len(z))
+        direct_sums(z, cuts, factors, (re, im), 2, first)
+        out = np.empty(len(z), dtype=complex)
+        out.real = re
+        out.imag = np.where(z.imag == 0, np.pi * im, im)
+        return out
+
+    def log_factor_range(self, lo: int, hi: int, z) -> np.ndarray:
+        """sum of log sinc(z / a_n) for n in [lo, hi] by direct evaluation
+        (`_direct`, every point with cutoff hi).
+
+        Requires hi <= the current direct cutoff.  The result is
+        branch-consistent with any other range of the same nodes, so ranges
+        can be added and subtracted freely.
         """
         z = np.asarray(z, dtype=complex)
         if hi < lo:
             return np.zeros_like(z)
         if hi > self.k_cut:
             raise ConfigError("factor range beyond the direct cutoff")
-        real = not np.any(z.imag)
-        flat = (z.real if real else z).ravel()
-        out = np.zeros_like(flat)
-        negative = np.zeros(flat.shape, dtype=np.int64)
-        nodes = self.nodes[lo - 1:hi]
-        cols = min(nodes.size, _TILE)
-        rows = max(1, _TILE // cols)
-        for p in range(0, flat.size, rows):
-            zp = flat[p:p + rows, None]
-            for c in range(0, nodes.size, cols):
-                w = zp / nodes[c:c + cols]
-                if real:
-                    with np.errstate(invalid="ignore"):   # 0/0 where w is 0
-                        sw = np.sin(w) / w
-                    sw[w == 0.0] = 1.0  # z = 0, or a subnormal z / a_n underflowing
-                    negative[p:p + rows] += np.count_nonzero(sw < 0.0, axis=-1)
-                    out[p:p + rows] += np.sum(np.log(np.abs(sw, out=sw), out=sw), axis=-1)
-                else:
-                    small = np.abs(w) < 1e-8
-                    big = np.abs(w.imag) > _BIG_IM
-                    w_s = np.where(big, 1.0, w)
-                    sw = np.where(small, 1.0 - w * w / 6.0,
-                                  np.sin(w_s) / np.where(small, 1.0, w_s))
-                    log_sw = np.log(sw)
-                    if big.any():
-                        log_sw[big] = _log_sinc_far(w[big])
-                    out[p:p + rows] += np.sum(log_sw, axis=-1)
-        if real:
-            out = out + 1j * np.pi * negative
-        return out.reshape(z.shape)
+        return self._direct(z.ravel(), np.full(z.size, hi), lo, hi).reshape(z.shape)
 
     def log_eval_start(self, n_from: int, z) -> np.ndarray:
         """log prod_{n >= n_from} sinc(z / a_n) for complex z (array ok).
 
         Each point z_p gets its own direct range [n_from, K_p] (see
-        _cutoffs) and its own tail from K_p + 1, resummed as
-        -sum_j C_j z^2j S_2j(K_p).  The points are sorted by K_p once; the
-        nodes between consecutive cutoffs are summed over only the points
-        that still need them, in stretches merged until each holds
-        _MIN_TERMS point x node terms (or reaches the last cutoff).  A
-        merged point's cutoff is raised to the end of its stretch, so it
-        gets more direct factors, never fewer.
+        _cutoffs), summed by `_direct`, and its own tail from K_p + 1,
+        resummed as -sum_j C_j z^2j S_2j(K_p).
         """
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
-        k_sorted = self._cutoffs(n_from, np.abs(flat))
-        order = np.argsort(k_sorted, kind="stable")
-        k_sorted = k_sorted[order]
-        out = np.zeros_like(flat)
-        cuts, first = np.unique(k_sorted, return_index=True)
-        ends = np.append(first[1:], flat.size)
-        lo = n_from
-        i0 = int(np.searchsorted(k_sorted, n_from))   # first point with direct factors
-        for c, (k, end) in enumerate(zip(cuts.tolist(), ends.tolist())):
-            if k < lo or (c + 1 < cuts.size
-                          and (flat.size - i0) * (k - lo + 1) < _MIN_TERMS):
-                continue
-            active = order[i0:]
-            out[active] += self.log_factor_range(lo, k, flat[active])
-            k_sorted[i0:end] = k
-            lo, i0 = k + 1, end
+        cuts = self._cutoffs(n_from, np.abs(flat))
+        out = self._direct(flat, cuts, n_from, self.k_cut)
         # the series in z^2, real on the real axis
-        col = np.empty_like(k_sorted)
-        col[order] = -(-k_sorted // STRIDE)
         zt = flat.real if not np.any(flat.imag) else flat
-        out -= power_series(_SER_C[:, None] * self._tail_sums, col, zt * zt)
+        out -= power_series(_SER_C[:, None] * self._tail_sums, -(-cuts // STRIDE), zt * zt)
         return out.reshape(z.shape)
 
     def log_eval(self, m: int, z) -> np.ndarray:

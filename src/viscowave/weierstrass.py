@@ -30,11 +30,14 @@ by `core.stride_tail_sums` on the sum past the table's end (`_lattice_tail`),
 as a complex table whose odd rows are imaginary; `core.power_series` sums the
 series, over the real part of the table in a real modulus pass.
 
-Every direct sum, a pass's or a one-point constant's, is one `_direct_sums`
-call: its points go in order of cutoff in blocks of _BLOCK terms by at most
-_COLS points, all on four float work arrays (`_work_arrays`) allocated once
-per call.  C_m drops the pair |n| = m by zeroing its row, so it takes its
-terms from the same code as log F.  A pass that needs only |F|
+Every direct sum, a pass's or a one-point constant's, is one
+`core.direct_sums` call with `_pair_log` as its term kernel, the engine the
+multiplier's direct factors share: the points go in order of cutoff, the
+real ones apart from the others, in STRIDE-multiple row ranges of at most
+core.BLOCK_TERMS terms on four float work arrays, and each point reads its
+own sum at its own cutoff, in the same bits alone as in any batch.  C_m
+drops the pair |n| = m by zeroing its row in the block that holds it, so it
+takes its terms from the same code as log F.  A pass that needs only |F|
 (`log_abs_generating`) forms no imaginary parts, on the real axis not even
 in the series; it is the real part of the full pass bit for bit.
 
@@ -61,10 +64,10 @@ pass stays the real part of the full pass bit for bit, and an exact zero
 (eps = 0) stays a literal -inf.  Per unit length a panel sums H + 2W - 1
 band pairs per point and 2xP/H direct pairs at its nodes; at W = H/2 (fixed
 rho) H = 16 forms the fewest terms over the fit grid (7.5 points per unit up
-to 400) and the FFT half-grid (27 per unit up to 150) together: 567,582
-at alpha 1/4, against 621,455 at H = 12, 576,370 at 20 and 1,928,496 point
-by point.  Of these the fit grid's pass forms 280,576 direct terms at its
-600 nodes and 110,448 band terms, the FFT half-grid's 49,920 and 126,638; a
+to 400) and the FFT half-grid (27 per unit up to 150) together: 555,134
+at alpha 1/4, against 608,591 at H = 12, 556,178 at 20 and 1,896,496 point
+by point.  Of these the fit grid's pass forms 268,416 direct terms at its
+600 nodes and 110,448 band terms, the FFT half-grid's 49,632 and 126,638; a
 band term costs about 11 ns and a direct one about 22 ns (alpha 1/4, 2
 vCPU, numpy 2.4).  A panel pass sums its nodes and the points of its sparse
 panels in one `_pair_sum` call, and each dense panel's band in one
@@ -98,12 +101,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (STRIDE, ConfigError, gauss_legendre_01, log1p_c, power_series,
-                   stride_tail_sums)
+from .core import (STRIDE, ConfigError, direct_sums, gauss_legendre_01, log1p_c,
+                   power_series, stride_tail_sums)
 from .spectrum import gamma_eps, lambda_conj_vals, phi_eps
 
 _GL64 = gauss_legendre_01(64)
-_BLOCK = 256  # paired terms summed per numpy pass
 # a point z sums its pairs n <= K directly, K the smallest multiple of
 # core.STRIDE at or above _RATIO |z| + 1, so |z/node_n| < 1/_RATIO past K
 _RATIO = 2.0
@@ -116,7 +118,6 @@ SERIES_TERMS = 48
 _TABLE_END = 4096
 # least exponent q of the tail substitution t = t0 s^-q (`_lattice_tail`)
 _Q_MIN = 4.0
-_COLS = 96  # most points per numpy pass, split evenly (see _direct_sums)
 # s = |1+w|^2 - 1 below _FAR: |1+w| < 1/2 (far); below _NEAR: |1+w| < 1/4
 _FAR, _NEAR = -0.75, -15.0 / 16.0
 # max q^2 x max 1/den below this: s = Re w (Re w - c), |c| < 2, cannot overflow
@@ -132,15 +133,14 @@ _CHEB = np.cos(_THETA)[::-1].copy()
 _CHEB_W = ((-1.0) ** np.arange(_PANEL_NODES) * np.sin(_THETA))[::-1].copy()
 
 
-def _pair_log(t, z, eps: float, alpha: float, out=None, imag: bool = True):
+def _pair_log(t, z, eps: float, alpha: float, out, imag: bool = True):
     """log of F's paired (n, -n) factor at |n| = t, vectorized over t and z
     jointly, which broadcast in at most two dimensions; the module
     docstring gives the arithmetic.
 
-    Without out the result is a new complex array, at least 1-d.  A pass
-    hands in out = (re, im, w_re, w_im), contiguous float arrays of the
-    broadcast shape (views of `_work_arrays`), and gets back (re, im): the
-    parts of the log.  imag=False skips the imaginary part; im, w_re and
+    out = (re, im, w_re, w_im) are contiguous float arrays of the broadcast
+    shape (the `core.direct_sums` work arrays); the call returns (re, im),
+    the parts of the log.  imag=False skips the imaginary part; im, w_re and
     w_im are scratch."""
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=complex)
@@ -148,12 +148,6 @@ def _pair_log(t, z, eps: float, alpha: float, out=None, imag: bool = True):
     b = eps * t ** (2.0 * alpha)
     den = b * b + t * t
     scale = 1.0 / den
-    res = None
-    if out is None:
-        shape = np.broadcast_shapes(t.shape, z.shape, (1,))
-        res = np.empty(shape, dtype=complex)
-        out = res.real, res.imag, np.empty(shape), np.empty(shape)
-        imag = True
     re, im, w_re, w_im = out
     cols = re.shape[-1]
     if p.any():
@@ -194,7 +188,7 @@ def _pair_log(t, z, eps: float, alpha: float, out=None, imag: bool = True):
         re.reshape(-1)[near] = re_n
         if imag:
             im.reshape(-1)[near] = im_n
-    return (re, im) if res is None else res
+    return re, im
 
 
 def _times(a, b, out) -> None:
@@ -220,17 +214,6 @@ def _entries(flat, cols: int, *arrays) -> list:
         idx = (flat if n > 1 else row) if rows > 1 else (col if n > 1 else 0 * flat)
         out.append(a.reshape(-1).take(idx))
     return out
-
-
-def _work_arrays(rows: int, cols: int) -> list:
-    """The four float work arrays of `_pair_log`, flat, for blocks of up to
-    rows x cols paired terms: a smaller block takes a contiguous prefix.
-    One set serves each `_direct_sums` call; a panel's band sums take none.
-    Four arrays, not one (4, rows x cols) block: freeing a 4 MB block lifts
-    glibc's mmap threshold to 4 MB, so later arrays that size stay on the
-    heap, which raised perfbench series_route's peak RSS from 61.1 to
-    65.2 MB."""
-    return [np.empty(rows * cols) for _ in range(4)]
 
 
 def _tail_exponent(eps: float, alpha: float) -> float:
@@ -325,23 +308,6 @@ def _series(z: np.ndarray, col: np.ndarray, tab: np.ndarray, imag: bool) -> np.n
     return -power_series(tab, col, z)
 
 
-def _stride_partials(part: np.ndarray, acc: np.ndarray, lo: int, cuts: np.ndarray,
-                     dest: np.ndarray, idx: np.ndarray) -> None:
-    """Adds `part`, the terms lo+1..lo+rows of a column block, onto its
-    running sums acc stride by stride, and writes each column's sum at its
-    own cutoff, if that lies in these rows, to dest at its index idx.  A
-    stride is summed row by row and the strides in order, so a column's sum
-    does not depend on the block's width (unless that is one column, which
-    numpy sums pairwise)."""
-    rows, cols = part.shape
-    sums = part.reshape(rows // STRIDE, STRIDE, cols).sum(axis=1)
-    sums[0] += acc
-    np.cumsum(sums, axis=0, out=sums)
-    acc[...] = sums[-1]
-    here = np.flatnonzero((cuts > lo) & (cuts <= lo + rows))
-    dest[idx[here]] = sums[(cuts[here] - lo) // STRIDE - 1, here]
-
-
 def _barycentric(u: np.ndarray) -> np.ndarray:
     """The matrix that takes values at the nodes _CHEB to the interpolant's
     values at the points u of [-1, 1] (barycentric formula of the second
@@ -393,36 +359,6 @@ def _band_sum(t, x, eps: float, alpha: float, imag: bool) -> list:
     return [re.sum(axis=0), im.sum(axis=0)] if imag else [re.sum(axis=0)]
 
 
-def _direct_sums(z: np.ndarray, cuts: np.ndarray, eps: float, alpha: float,
-                 imag: bool, skip: int = 0) -> np.ndarray:
-    """The paired log terms |n| = 1..cuts[i] summed at the points z[i], or
-    with imag=False their real part, without the pair |n| = skip (none at
-    skip = 0), whose row is zeroed in the block that holds it.  The points
-    go, in order of cutoff, in near-equal column blocks of at most _COLS,
-    all on one set of work arrays; a block's rows run to its largest cutoff,
-    and each point reads its own sum (`_stride_partials`)."""
-    # np.unique's order is that of the cutoffs on the real axis
-    order = None if np.all(cuts[:-1] <= cuts[1:]) else np.argsort(cuts, kind="stable")
-    blocks = np.array_split(np.arange(len(z)), -(-len(z) // _COLS))
-    work = _work_arrays(min(_BLOCK, int(np.max(cuts))), len(blocks[0]))
-    out = np.empty(len(z), dtype=complex if imag else float)
-    dests = (out.real, out.imag) if imag else (out,)
-    for idx in blocks:
-        idx = idx if order is None else order[idx]
-        zb, kb = z[idx], cuts[idx]
-        accs = [np.zeros(len(zb)) for _ in dests]
-        for lo in range(0, int(kb[-1]), _BLOCK):
-            t = np.arange(lo + 1.0, min(lo + _BLOCK, kb[-1]) + 1.0)[:, None]
-            size = len(t) * len(zb)
-            views = [a[:size].reshape(len(t), len(zb)) for a in work]
-            parts = _pair_log(t, zb[None, :], eps, alpha, out=views, imag=imag)
-            for part, acc, dest in zip(parts, accs, dests):
-                if lo < skip <= lo + len(t):
-                    part[skip - lo - 1] = 0.0
-                _stride_partials(part, acc, lo, kb, dest, idx)
-    return out
-
-
 class ProductEvaluator:
     """Evaluator for the interpolation product at fixed (eps, alpha).
 
@@ -462,11 +398,23 @@ class ProductEvaluator:
                   imag: bool = True) -> np.ndarray:
         """log F at the 1-d points z, with imag=False its real part, without
         the pair |n| = skip (none at skip = 0): pairs 1..cuts[i] directly
-        (`_direct_sums`), the rest as `_series`: the one path of every
+        (`core.direct_sums` over `_pair_log`, the skipped row zeroed in the
+        block that holds it), the rest as `_series`: the one path of every
         pass, panel node set and one-point constant."""
+        eps, alpha = self.eps, self.alpha
+
+        def pairs(lo, hi, zc, views):
+            t = np.arange(lo + 1.0, hi + 1.0)[:, None]
+            parts = _pair_log(t, zc[None, :], eps, alpha, views, imag)[:1 + imag]
+            if lo < skip <= hi:
+                for part in parts:
+                    part[skip - lo - 1] = 0.0
+            return parts
+
+        out = np.zeros(len(z), dtype=complex if imag else float)
+        direct_sums(z, cuts, pairs, (out.real, out.imag) if imag else (out,), 4)
         # the table is built after the work arrays are freed: its
         # temporaries then stay below the pass's peak memory
-        out = _direct_sums(z, cuts, self.eps, self.alpha, imag, skip)
         ser = _series(z, cuts // STRIDE, self._lattice(int(np.max(cuts))), imag)
         out += ser if imag else ser.real
         return out
@@ -481,8 +429,7 @@ class ProductEvaluator:
         `_band_sum` over the panel's nodes and points, the real and
         imaginary parts in the same real arithmetic.  The nodes of every
         dense panel and the points of the others are summed point by point
-        in one `_pair_sum` call, whose column blocks keep each block's rows
-        near its points' cutoffs."""
+        in one `_pair_sum` call."""
         panels = max(1, int(np.ceil((x[-1] - x[0]) / _PANEL_WIDTH)))
         h = (x[-1] - x[0]) / panels
         index = np.minimum(((x - x[0]) / h).astype(np.int64), panels - 1)
@@ -578,19 +525,6 @@ class ProductEvaluator:
             out = log_f - np.log(lin) + scale
         out[lin == 0] = 0.0  # z is node_m: P_m = 1 exactly
         return out
-
-
-def product_eps0(m: int, z) -> complex:
-    """Closed form of the product in the undamped limit:
-    (-1)^m m sin(pi z) / (pi z (z - m)), removable points filled."""
-    z = complex(z)
-    if m == 0:
-        raise ConfigError("index 0 is not in the lattice")
-    if abs(z) < 1e-12:
-        return complex((-1) ** (m + 1))
-    if abs(z - m) < 1e-12:
-        return 1.0 + 0.0j
-    return (-1) ** m * m * np.sin(np.pi * z) / (np.pi * z * (z - m))
 
 
 def interpolation_check(m_range, ev: ProductEvaluator):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from viscowave import core
+from viscowave import multiplier as mul
 from viscowave import weierstrass as wei
-from viscowave.core import ModalState
+from viscowave.core import ConfigError, ModalState
 from viscowave.spectrum import lambda_vals
 
 
@@ -32,59 +34,104 @@ def control_values(ctrl, t) -> np.ndarray:
     return np.where((t >= lo) & (t <= hi), v, 0.0)
 
 
-def count_pair_work(monkeypatch) -> SimpleNamespace:
-    """Record the work of the product's paired terms: per `_pair_log` call
-    its point count (`points`) and its broadcast size in terms times points
-    (`elements`); per point-by-point pair sum (`_pair_sum`: a one-point
-    constant, a pass, or a panel pass's nodes and lone points, one call per
-    pass) its point count (`sums`) and the elements of the `_pair_log` calls
-    it made (`sum_elements`), which `pass_terms` predicts; per panel band
-    sum (`_band_sum`, from the linear factors, one call per dense panel) its
-    terms times points (`bands`); and per log F pass (`_pass`, after the
-    fold) its point count (`passes`), its `_pair_log` elements
-    (`pass_elements`) and its band elements (`pass_bands`)."""
-    work = SimpleNamespace(points=[], elements=[], sums=[], sum_elements=[], bands=[],
-                           passes=[], pass_elements=[], pass_bands=[])
-    pair_log, band_sum = wei._pair_log, wei._band_sum
+def count_work(monkeypatch) -> SimpleNamespace:
+    """Record the direct-head work of both canonical products at their one
+    engine, `core.direct_sums`, as `weierstrass` and `multiplier` call it.
+    Per engine call (`sums`): the calling module (`owner`), its point count
+    (`points`), the terms its kernel calls formed (`terms`) and those calls
+    (`calls`: the rows lo+1..hi, the points `z`, and `work`, the address and
+    size of each work array the call's views lie in).  Per panel band sum
+    of the product (`_band_sum`, from the linear factors, one call per dense
+    panel) its terms times points (`bands`); per log F pass (`_pass`, after
+    the fold) its point count, direct terms and band terms (`passes`)."""
+    work = SimpleNamespace(sums=[], bands=[], passes=[])
+    band_sum, one_pass = wei._band_sum, wei.ProductEvaluator._pass
 
-    def count_terms(t, z, *rest, **kw):
-        work.points.append(np.size(z))
-        work.elements.append(np.broadcast(t, z).size)
-        return pair_log(t, z, *rest, **kw)
+    def engine(owner):
+        def run(z, cuts, kernel, *rest, **kw):
+            rec = SimpleNamespace(owner=owner, points=len(z), terms=0, calls=[])
+            work.sums.append(rec)
+
+            def counted(lo, hi, zc, views):
+                rec.terms += (hi - lo) * len(zc)
+                rec.calls.append(SimpleNamespace(
+                    lo=lo, hi=hi, z=zc.copy(),
+                    work=[(v.__array_interface__["data"][0], v.base.size) for v in views]))
+                return kernel(lo, hi, zc, views)
+            return core.direct_sums(z, cuts, counted, *rest, **kw)
+        return run
 
     def count_band(t, x, *rest, **kw):
         work.bands.append(np.broadcast(t, x).size)
         return band_sum(t, x, *rest, **kw)
 
-    def counted(method, sizes, totals, band_totals=None):
-        def run(self, z, *rest, **kw):
-            sizes.append(np.size(z))
-            start, band_start = len(work.elements), len(work.bands)
-            out = method(self, z, *rest, **kw)
-            totals.append(sum(work.elements[start:]))
-            if band_totals is not None:
-                band_totals.append(sum(work.bands[band_start:]))
-            return out
-        return run
+    def count_pass(self, key, *rest, **kw):
+        sums, bands = len(work.sums), len(work.bands)
+        out = one_pass(self, key, *rest, **kw)
+        work.passes.append(SimpleNamespace(
+            points=len(key), terms=sum(s.terms for s in work.sums[sums:]),
+            bands=sum(work.bands[bands:])))
+        return out
 
-    monkeypatch.setattr(wei, "_pair_log", count_terms)
+    monkeypatch.setattr(wei, "direct_sums", engine("weierstrass"))
+    monkeypatch.setattr(mul, "direct_sums", engine("multiplier"))
     monkeypatch.setattr(wei, "_band_sum", count_band)
-    for name, sizes, totals, band_totals in (
-            ("_pair_sum", work.sums, work.sum_elements, None),
-            ("_pass", work.passes, work.pass_elements, work.pass_bands)):
-        method = getattr(wei.ProductEvaluator, name)
-        monkeypatch.setattr(wei.ProductEvaluator, name,
-                            counted(method, sizes, totals, band_totals))
+    monkeypatch.setattr(wei.ProductEvaluator, "_pass", count_pass)
     return work
 
 
 def pass_terms(cuts) -> int:
-    """Paired terms `_pair_log` forms in one log F pass over several points
-    whose direct cutoffs are `cuts`: the points go, sorted by cutoff, in
-    near-equal column blocks of at most `_COLS`, and each block's rows run
-    to its largest cutoff.  The series past the cutoffs forms none."""
-    k = np.sort(np.asarray(cuts))
-    return sum(len(b) * int(b[-1]) for b in np.array_split(k, -(-len(k) // wei._COLS)))
+    """Terms `core.direct_sums` forms over points of one kind whose direct
+    cutoffs are `cuts`: sorted by cutoff, walked in ranges of STRIDE
+    multiples over the points whose cutoff lies past the range's start, as
+    many rows as BLOCK_TERMS allows at that point count, at least STRIDE,
+    up to the largest cutoff."""
+    k = np.sort(-(-np.asarray(cuts) // core.STRIDE) * core.STRIDE)
+    lo, terms = 0, 0
+    while count := len(k) - int(np.searchsorted(k, lo, side="right")):
+        hi = min(lo + core.STRIDE * max(1, core.BLOCK_TERMS // (count * core.STRIDE)),
+                 int(k[-1]))
+        terms += count * (hi - lo)
+        lo = hi
+    return terms
+
+
+def pair_log(t, z, eps: float, alpha: float) -> np.ndarray:
+    """`weierstrass._pair_log` as a new complex array, at least 1-d, formed
+    on four work arrays of the broadcast shape allocated here."""
+    shape = np.broadcast_shapes(np.shape(t), np.shape(z), (1,))
+    re, im = wei._pair_log(t, z, eps, alpha, [np.empty(shape) for _ in range(4)])
+    return _complex(re, im)
+
+
+def log1p(x, y) -> np.ndarray:
+    """`core.log1p_c` as a new complex array of x's shape, formed on two
+    work arrays allocated here."""
+    x = np.asarray(x, dtype=float)
+    re, im = np.empty(x.shape), np.empty(x.shape)
+    core.log1p_c(x, y, (re, im))
+    return _complex(re, im)
+
+
+def _complex(re, im) -> np.ndarray:
+    # part by part: re + 1j * im would turn an infinite part into nan
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def product_eps0(m: int, z) -> complex:
+    """Closed form of the product in the undamped limit, an oracle the
+    product shares no code with: (-1)^m m sin(pi z) / (pi z (z - m)),
+    removable points filled."""
+    z = complex(z)
+    if m == 0:
+        raise ConfigError("index 0 is not in the lattice")
+    if abs(z) < 1e-12:
+        return complex((-1) ** (m + 1))
+    if abs(z - m) < 1e-12:
+        return 1.0 + 0.0j
+    return (-1) ** m * m * np.sin(np.pi * z) / (np.pi * z * (z - m))
 
 
 def gauss_legendre(lo: float, hi: float, panels: int = 64, order: int = 48):

@@ -4,9 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import count_pair_work, gauss_legendre, pass_terms
+from conftest import count_work, gauss_legendre, pass_terms
 from viscowave import biorthogonal as bio
-from viscowave import weierstrass as wei
 from viscowave.core import ProblemConfig, sinhc, validate_config
 from viscowave.multiplier import MultiplierEvaluator
 from viscowave.spectrum import lambda_conj_vals, node_sum_bound
@@ -198,19 +197,19 @@ def test_theta_mirror_members_match_direct_evaluation(alpha, theta_family,
 
 
 def test_family_build_work_counts(monkeypatch):
-    # one log F pass on the n/2 + 1 points |x| = j dx serves every member and
-    # forms its paired terms in column blocks of at most _COLS points, never
-    # on the full n-point grid; it is a panel pass (`weierstrass` module
-    # docstring), 49,920 paired terms at its Chebyshev nodes and 126,638
-    # band terms from their linear factors where point by point it would
-    # form 664,896; one multiplier evaluator serves the probe and the grid, and
-    # its bulk and per-m prefixes run on the same n/2 + 1 points.  Smoothing
-    # runs one kernel DFT per |m|
-    work = count_pair_work(monkeypatch)
-    bulk_sizes, prefix_sizes, evaluators, dfts = [], [], [], []
+    # one log F pass on the n/2 + 1 points |x| = j dx serves every member,
+    # and no direct sum sees the full n-point grid; it is a panel pass
+    # (`weierstrass` module docstring), 49,632 paired terms at its 240
+    # Chebyshev nodes in 3 row ranges and 126,638 band terms from their
+    # linear factors, where point by point it would form 655,088.  One
+    # multiplier evaluator serves the probe and the grid; its bulk runs on
+    # the same n/2 + 1 points, 2087 of which have direct factors: one
+    # stride each, 33,392 factors in two column blocks (one stride over
+    # them passes core.BLOCK_TERMS).  The prefixes of m = 1, 2 are empty
+    # (n_m = 1).  Smoothing runs one kernel DFT per |m|
+    work = count_work(monkeypatch)
+    evaluators, dfts = [], []
     init = MultiplierEvaluator.__init__
-    log_eval_start = MultiplierEvaluator.log_eval_start
-    log_factor_range = MultiplierEvaluator.log_factor_range
     fft = np.fft.fft
 
     def count_init(self, *args, **kw):
@@ -221,32 +220,27 @@ def test_family_build_work_counts(monkeypatch):
         dfts.append(np.size(a))
         return fft(a, *args, **kw)
 
-    def count_bulk(self, n_from, z):
-        bulk_sizes.append(np.size(z))
-        return log_eval_start(self, n_from, z)
-
-    def count_prefix(self, lo, hi, z):
-        prefix_sizes.append(np.size(z))
-        return log_factor_range(self, lo, hi, z)
-
     monkeypatch.setattr(MultiplierEvaluator, "__init__", count_init)
-    monkeypatch.setattr(MultiplierEvaluator, "log_eval_start", count_bulk)
-    monkeypatch.setattr(MultiplierEvaluator, "log_factor_range", count_prefix)
     monkeypatch.setattr(np.fft, "fft", count_fft)
     fam = bio.build_theta_family(CFG, MS)
     n = fam.meta["n_fft"]
-    assert max(work.passes) == n // 2 + 1 and work.passes.count(n // 2 + 1) == 1
-    assert max(work.points) <= wei._COLS < n // 2 + 1
-    # one pair sum per pass or constant: the fit grid's 600 Chebyshev nodes,
-    # C_1 and C_2, the probe's 2 folded points and the half-grid's 240 nodes
-    assert work.sums == [600, 1, 1, 2, 240]
-    cuts = ProductEvaluator._cuts(fam.meta["dx"] * np.arange(n // 2 + 1))
-    grid = work.passes.index(n // 2 + 1)
-    assert (n, work.pass_elements[grid], work.pass_bands[grid]) == (8192, 49_920, 126_638)
-    assert pass_terms(cuts) == 664_896
-    assert max(bulk_sizes) == n // 2 + 1
-    assert bulk_sizes.count(n // 2 + 1) == 1
-    assert max(prefix_sizes) <= n // 2 + 1
+    half = n // 2 + 1
+    sums = {owner: [s for s in work.sums if s.owner == owner]
+            for owner in ("weierstrass", "multiplier")}
+    assert [p.points for p in work.passes].count(half) == 1
+    assert max(s.points for s in work.sums) == half
+    # one product sum per pass or constant: the fit grid's 600 Chebyshev
+    # nodes, C_1 and C_2, the probe's 2 folded points and the half-grid's
+    # 240 nodes
+    assert [s.points for s in sums["weierstrass"]] == [600, 1, 1, 2, 240]
+    grid = next(p for p in work.passes if p.points == half)
+    assert (n, grid.terms, grid.bands) == (8192, 49_632, 126_638)
+    assert len(sums["weierstrass"][-1].calls) == 3
+    cuts = ProductEvaluator._cuts(fam.meta["dx"] * np.arange(half))
+    assert pass_terms(cuts) == 655_088
+    bulk = [s for s in sums["multiplier"] if s.points == half]
+    assert len(bulk) == 1 and bulk[0].terms == 33_392
+    assert [len(c.z) for c in bulk[0].calls] == [1043, 1044]
     assert len(evaluators) == 1
     assert dfts == []
     bio.zeta_eval(fam)
@@ -255,22 +249,21 @@ def test_family_build_work_counts(monkeypatch):
 
 def test_resolve_omega_work_counts(monkeypatch):
     # the envelope fit over modes 1..4 makes one log F pass on its 3000
-    # points, in column blocks; per mode only the one-point constant C_m is
-    # summed.  The pass is a panel pass: 25 panels of 120 points, whose 600
-    # Chebyshev nodes are summed point by point in one call, in 7 column
-    # blocks of 85-86 points (280,576 paired terms), and whose bands form
-    # 110,448 more from their linear factors, against 1,263,600 paired terms
-    # point by point
-    work = count_pair_work(monkeypatch)
+    # points; per mode only the one-point constant C_m is summed.  The pass
+    # is a panel pass: 25 panels of 120 points, whose 600 Chebyshev nodes are
+    # summed point by point in one `core.direct_sums` call, in 13 row ranges
+    # (268,416 paired terms), and whose bands form 110,448 more from their
+    # linear factors, against 1,241,408 paired terms point by point
+    work = count_work(monkeypatch)
     omega, hats = bio.resolve_omega((1, 2, 3, 4), ProductEvaluator(0.1, 0.75))
     assert len(hats) == 4 and omega >= 1
-    assert work.passes == [3000]
-    assert sorted(work.sums) == [1, 1, 1, 1, 600]
-    assert max(work.points) <= wei._COLS
+    assert [p.points for p in work.passes] == [3000]
+    assert sorted(s.points for s in work.sums) == [1, 1, 1, 1, 600]
+    nodes = next(s for s in work.sums if s.points == 600)
+    assert (nodes.terms, len(nodes.calls)) == (268_416, 13)
+    assert [(p.terms, p.bands) for p in work.passes] == [(268_416, 110_448)]
     cuts = ProductEvaluator._cuts(np.linspace(0.0, bio.OMEGA_FIT_HALF_WIDTH, 3000))
-    assert sum(e for n, e in zip(work.sums, work.sum_elements) if n > 1) == 280_576
-    assert work.pass_elements == [280_576] and work.pass_bands == [110_448]
-    assert pass_terms(cuts) == 1_263_600
+    assert pass_terms(cuts) == 1_241_408
 
 
 @pytest.mark.parametrize("alpha, omega, hats", [

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import log1p
 from viscowave.core import (STRIDE, ConfigError, ControlSignal, DegenerateAlphaError,
                             ModalState, ProblemConfig, exp_integral,
-                            gauss_legendre_01, h0_norm_sq, load_config, log1p_c,
+                            gauss_legendre_01, h0_norm_sq, load_config,
                             next_pow2, power_series, sinc_c, sinhc,
                             stride_tail_sums, validate_config)
 from viscowave.spectrum import gamma_eps
@@ -151,7 +152,7 @@ def test_control_signal_basics():
 
 def test_log1p_keeps_tiny_arguments():
     w = np.array([1e-20 + 1e-22j, 1e-3, 0.2j, 0.5 + 1j])
-    got = log1p_c(w.real, w.imag)
+    got = log1p(w.real, w.imag)
     assert got[0] == pytest.approx(1e-20 + 1e-22j, rel=1e-14)
     # cross-check the series region against mpmath-free reference: the real
     # part of log(1+w) equals 0.5 log|1+w|^2
@@ -164,7 +165,7 @@ def test_log1p_keeps_tiny_arguments():
 @settings(max_examples=80, deadline=None)
 def test_log1p_matches_real_log1p(re, im):
     w = complex(re, im)
-    got = complex(log1p_c(re, im))
+    got = complex(log1p(re, im))
     want = complex(np.log1p(re) if im == 0 else np.log(1 + w))
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -172,7 +173,7 @@ def test_log1p_matches_real_log1p(re, im):
 def _log1p_rel_err_mp(w) -> float:
     """Largest |log1p_c(Re w, Im w) - log(1+w)| / |log(1+w)| against 40-digit
     mpmath."""
-    got = log1p_c(w.real, w.imag)
+    got = log1p(w.real, w.imag)
     worst = 0.0
     with mp.workdps(40):
         for wi, gi in zip(w, got):
@@ -204,7 +205,7 @@ def test_log1p_closed_form_matches_mpmath(region):
 
 
 def test_log1p_saturating_inputs():
-    got = log1p_c(np.array([-1.0, 1e200, -2.0]), np.array([0.0, 1e200, 0.0]))
+    got = log1p(np.array([-1.0, 1e200, -2.0]), np.array([0.0, 1e200, 0.0]))
     assert got[0] == -np.inf
     assert got[1] == pytest.approx(complex(math.log(math.hypot(1e200, 1e200)), math.pi / 4),
                                    rel=1e-15)
@@ -459,3 +460,35 @@ def test_power_series_matches_direct_powers():
             terms = np.array([t[k - 1, col] * x ** k for k in range(1, 8)])
             assert np.all(np.abs(got - terms.sum(axis=0)) <= 1e-15 * np.abs(terms).sum(axis=0))
     assert np.array_equal(power_series(tab.real, col, np.zeros(5)), np.zeros(5))
+
+
+def test_direct_sums_give_a_point_its_bits_alone():
+    # both canonical products sum their direct heads through one engine, in
+    # which a point's sum depends on that point alone: each point of a batch
+    # gets the same bits evaluated by itself, on the same evaluator, whose
+    # series table the batch has already built.  The product: a batch of
+    # real and complex points (its pass is point by point), in the full and
+    # the modulus pass, and node_m's one-point constant sum without the pair
+    # |m| (C_m's), alone and inside the batch.  The multiplier: its bulk and
+    # its products from n_m on the 200-point grid of `multiplier check`
+    from viscowave.multiplier import MultiplierEvaluator
+    from viscowave.spectrum import lambda_conj_vals
+    from viscowave.weierstrass import ProductEvaluator
+
+    ev = ProductEvaluator(0.1, 0.75)
+    batch = np.array([0.37, 12.5, 150.0, 390.0, -240.25, -5.2 + 1.3j, 3.0 - 2.0j,
+                      77.0 + 0.5j, 1e-3j, -300.0 - 20.0j])
+    full, modulus = ev.log_generating(batch), ev.log_abs_generating(batch)
+    for z, f, a in zip(batch, full, modulus):
+        assert ev.log_generating(z)[0] == f and ev.log_abs_generating(z)[0] == a
+    for m in (3, 40):
+        node = 1j * complex(lambda_conj_vals(m, 0.1, 0.75))
+        pts = np.concatenate([[node], batch])
+        cut = ev.cutoff(m, 0.0)
+        in_batch = ev._pair_sum(pts, ProductEvaluator._cuts(np.abs(pts)), skip=m)[0]
+        assert ev._pair_sum(pts[:1], np.array([cut]), skip=m)[0] == in_batch
+    xg = np.logspace(-2, 5, 200)
+    mult = MultiplierEvaluator(0.1, 0.75, z_max=float(xg[-1]))
+    for n_from in (1, 3, 40):
+        grid = mult.log_eval_start(n_from, xg.astype(complex))
+        assert all(mult.log_eval_start(n_from, complex(x)) == g for x, g in zip(xg, grid))

@@ -283,3 +283,22 @@ def test_ingham_trials_deterministic():
     b = ingham_trials(6, 0.1, 0.25, 3 * math.pi, 1.0, n_trials=10, seed=123)
     assert np.array_equal(a, b)
     assert np.all(a > 0)
+
+
+def test_ingham_trials_build_the_gram_matrix_once(monkeypatch):
+    # one 2T Gram matrix serves every draw, and each ratio is the one
+    # `ingham_ratio` gives that draw alone (real parts drawn first)
+    from viscowave import moment as mom
+    built, gram = [], mom.gram_matrix
+
+    def count(*args):
+        built.append(args)
+        return gram(*args)
+
+    idx = np.array([n for n in range(-6, 7) if n != 0])
+    rng = np.random.default_rng(123)
+    draws = [rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx)) for _ in range(10)]
+    want = [ingham_ratio(idx, b, 0.1, 0.25, 3 * math.pi, 1.0) for b in draws]
+    monkeypatch.setattr(mom, "gram_matrix", count)
+    got = ingham_trials(6, 0.1, 0.25, 3 * math.pi, 1.0, n_trials=10, seed=123)
+    assert len(built) == 1 and got.tolist() == want

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import count_work
 from viscowave.core import STRIDE, ConfigError
 from viscowave.multiplier import (_RATIO, _SER_C, _SER_J,
                                   MultiplierEvaluator, _power_range_sum,
@@ -228,38 +229,31 @@ def test_point_alone_matches_grid(alpha):
 def test_direct_terms_follow_point_cutoffs(monkeypatch):
     # each point sums the direct factors n = 1, 2, ... contiguously up to at
     # least its own cutoff floor(phi(e|x|/R)), R = _RATIO, past which
-    # |x / a_n| < R, not up to the evaluator's k_cut for every point; merged
-    # stretches raise a point's cutoff, never lower it, and keep the call
-    # count bounded
+    # |x / a_n| < R, not up to the evaluator's k_cut for every point; the
+    # row ranges of `core.direct_sums` run past a point's cutoff only within
+    # the range that holds it, and keep the call count bounded
     eps, alpha = 0.1, 0.75
     xg = np.logspace(-2, 5, 200)
     ev = MultiplierEvaluator(eps, alpha, z_max=float(xg[-1]))
-    calls = []
-    log_factor_range = MultiplierEvaluator.log_factor_range
-
-    def record(self, lo, hi, z):
-        calls.append((lo, hi, np.asarray(z).real.copy()))
-        return log_factor_range(self, lo, hi, z)
-
-    monkeypatch.setattr(MultiplierEvaluator, "log_factor_range", record)
+    work = count_work(monkeypatch)
     ev.log_eval_start(1, xg.astype(complex))
+    (bulk,) = work.sums
     reach = dict.fromkeys(xg.tolist(), 0)
-    for lo, hi, z in calls:
-        for x in z.tolist():
-            assert reach[x] == lo - 1
-            reach[x] = hi
+    for call in bulk.calls:
+        for x in call.z.real.tolist():
+            assert reach[x] == call.lo
+            reach[x] = call.hi
     own = np.minimum(np.floor(phi_eps(E / _RATIO * xg, eps, alpha)), ev.k_cut)
     assert np.all(np.array([reach[x] for x in xg.tolist()]) >= own)
-    terms = sum(z.size * (hi - lo + 1) for lo, hi, z in calls)
-    print(f"{len(calls)} calls, {terms} direct terms (own cutoffs {int(own.sum())})")
-    assert len(calls) <= 16          # 9 measured (12 with R = 1); 54 with 256-node blocks
-    assert terms <= 1.25 * own.sum()  # 290,237 against 232,321; R = 1: 429,321 against 369,434
+    print(f"{len(bulk.calls)} calls, {bulk.terms} direct terms (own cutoffs {int(own.sum())})")
+    assert len(bulk.calls) <= 16     # 12 measured; 54 with 256-node blocks
+    assert bulk.terms <= 1.25 * own.sum()  # 274,640 against 232,321
 
 
 def test_fft_half_grid_pass_memory():
     # the 4097-point FFT half-grid of an alpha 0.75 family build: factors are
-    # formed in bounded tiles, not as one points x 256-node block (18.4 MB
-    # of traced memory before; 0.9 MB measured)
+    # formed in blocks of at most core.BLOCK_TERMS, not as one points x
+    # 256-node block (18.4 MB of traced memory before; 0.9 MB measured)
     half, n = 225.0, 8192
     z = 2.0 * half / n * np.arange(n // 2 + 1) + 0j
     ev = MultiplierEvaluator(0.1, 0.75, z_max=half)

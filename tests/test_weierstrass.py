@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_pair_work
+from conftest import count_work, pair_log, product_eps0
 from viscowave import biorthogonal as bio
+from viscowave import core
 from viscowave import weierstrass as wei
 from viscowave.core import ConfigError
 from viscowave.spectrum import lambda_conj_vals, phi_eps
-from viscowave.weierstrass import (ProductEvaluator, _pair_log, envelope_fit,
-                                   growth_bound_check, interpolation_check,
-                                   product_eps0)
+from viscowave.weierstrass import (ProductEvaluator, envelope_fit, growth_bound_check,
+                                   interpolation_check)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_pair_log_matches_mpmath(alpha):
     with mp.workdps(40):
         for t_arg, z_arg in cases:
             t_b, z_b = np.broadcast_arrays(t_arg, z_arg)
-            got = _pair_log(t_arg, z_arg, eps, alpha)
+            got = pair_log(t_arg, z_arg, eps, alpha)
             b_b = eps * t_b ** (2.0 * alpha)
             count += got.size
             for t, z, b, g in zip(t_b.ravel(), z_b.ravel(), b_b.ravel(), got.ravel()):
@@ -111,7 +111,7 @@ def test_pair_log_matches_mpmath(alpha):
     assert worst < 1e-12
 
 
-def _pair_log_complex(t, z, eps, alpha, out=None, imag=True):
+def _pair_log_complex(t, z, eps, alpha, out, imag=True):
     """The paired log term in complex arithmetic: w = iz (2b + iz) / den by
     numpy's complex multiply and divide, then log(1+w) in core.log1p_c's
     closed form from the complex w, and near a zero (|1+w| < 1/4) the sum
@@ -132,8 +132,6 @@ def _pair_log_complex(t, z, eps, alpha, out=None, imag=True):
         near = np.nonzero(res.real < np.log(0.25))
         b, z, t, den = (np.broadcast_to(a, w.shape)[near] for a in (b, z, t, den))
         res[near] = np.log(b + 1j * (z - t)) + np.log(b + 1j * (z + t)) - np.log(den)
-    if out is None:
-        return res
     out[0][...] = res.real
     if imag:
         out[1][...] = res.imag
@@ -151,38 +149,37 @@ _COMPLEX_FORMULA_BOUND = 4e-15
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
 def test_real_axis_pass_is_blocking_invariant(monkeypatch, alpha):
-    # the real-axis pass summed in column blocks is, bit for bit, the same pass
-    # summed over every point at once: on the envelope fit's 3000-point grid
-    # and on the n/2 + 1 points j dx of an FFT grid (n 8192, half-width 150).
-    # Both are panel passes: 25 panels of 120 points and 10 of 409-410, whose
-    # 600 and 240 Chebyshev nodes are summed point by point in one call each,
-    # in column blocks of at most _COLS (280,576 and 49,920 paired terms), and
-    # whose bands of 31 and 30 pairs (23 and 22 at the origin) form 110,448 and
-    # 126,638 at the nodes and points, from their linear factors (`_band_sum`).
-    # A block's rows run to its largest cutoff, so the nodes summed in one
-    # block form more terms (489,600 + 72,960 against 280,576 + 49,920), but
-    # each point reads its own direct sum at its own cutoff.  No paired-term
-    # call sees more than _BLOCK x _COLS entries, and none sees a single point,
-    # which numpy would sum pairwise instead of row by row.  Both passes send
-    # every direct term at the nodes through `_pair_log`.  s = |1+w|^2 - 1 by
-    # factorization is not the complex formula's rounding: the two agree to
+    # the real-axis pass summed in budgeted row ranges is, bit for bit, the
+    # same pass summed over every point in one block: on the envelope fit's
+    # 3000-point grid and on the n/2 + 1 points j dx of an FFT grid (n 8192,
+    # half-width 150).  Both are panel passes: 25 panels of 120 points and 10
+    # of 409-410, whose 600 and 240 Chebyshev nodes are summed point by point
+    # in one `core.direct_sums` call each, in 13 and 3 row ranges (268,416
+    # and 49,632 paired terms), and whose bands of 31 and 30 pairs (23 and 22
+    # at the origin) form 110,448 and 126,638 at the nodes and points, from
+    # their linear factors (`_band_sum`).  One block's rows run to the
+    # largest cutoff, so it forms more terms (489,600 + 72,960), but each
+    # point reads its own direct sum at its own cutoff.  No kernel call sees
+    # more than core.BLOCK_TERMS entries.  Both passes send every direct term
+    # at the nodes through `_pair_log`.  s = |1+w|^2 - 1 by factorization is
+    # not the complex formula's rounding: the two agree to
     # _COMPLEX_FORMULA_BOUND
     grids = (FIT_GRID, FFT_HALF_GRID)
-    work = count_pair_work(monkeypatch)
+    work = count_work(monkeypatch)
     got = [ProductEvaluator(0.1, alpha).log_generating(x) for x in grids]
-    assert max(work.elements) <= wei._BLOCK * wei._COLS
-    assert max(work.points) <= wei._COLS and min(work.points) >= 2
-    assert work.pass_elements == [280_576, 49_920]
-    assert work.pass_bands == [110_448, 126_638]
-    assert sum(work.elements) == sum(work.pass_elements)
-    assert work.sums == [600, 240] and len(work.bands) == 25 + 10
-    monkeypatch.setattr(wei, "_COLS", 10 ** 6)
-    one = count_pair_work(monkeypatch)
+    calls = [c for s in work.sums for c in s.calls]
+    assert max((c.hi - c.lo) * len(c.z) for c in calls) <= core.BLOCK_TERMS
+    assert [p.terms for p in work.passes] == [268_416, 49_632]
+    assert [p.bands for p in work.passes] == [110_448, 126_638]
+    assert [(s.points, len(s.calls)) for s in work.sums] == [(600, 13), (240, 3)]
+    assert len(work.bands) == 25 + 10
+    monkeypatch.setattr(core, "BLOCK_TERMS", 10 ** 9)
+    one = count_work(monkeypatch)
     for x, g in zip(grids, got):
         assert np.array_equal(g, ProductEvaluator(0.1, alpha).log_generating(x))
-    assert one.pass_elements == [489_600, 72_960]
-    assert one.pass_bands == [110_448, 126_638]
-    assert one.sums == [600, 240] and max(one.points) == 600
+    assert [p.terms for p in one.passes] == [489_600, 72_960]
+    assert [p.bands for p in one.passes] == [110_448, 126_638]
+    assert [(s.points, len(s.calls)) for s in one.sums] == [(600, 1), (240, 1)]
     monkeypatch.setattr(wei, "_pair_log", _pair_log_complex)
     for x, g in zip(grids, got):
         ref = ProductEvaluator(0.1, alpha).log_generating(x)
@@ -332,7 +329,7 @@ def _mp_pair_log(t, z, b):
 def _worst_vs_mp(t, z, eps, alpha) -> float:
     """Largest relative error of `_pair_log(t, z)`, t and z broadcast, against
     40-digit mpmath, modulo 2 pi i."""
-    got = _pair_log(t, z, eps, alpha)
+    got = pair_log(t, z, eps, alpha)
     t_b, z_b = (np.broadcast_to(a, got.shape) for a in (t, z))
     worst = 0.0
     with mp.workdps(40):
@@ -387,7 +384,7 @@ def test_pair_log_real_axis_saturating_inputs():
     z = np.array([1.0, 1e100, -1e150])
     t = np.array([[1.0], [7.0], [512.0]])
     for alpha in (0.25, 0.75):
-        got = _pair_log(t, z[None, :], 0.1, alpha)
+        got = pair_log(t, z[None, :], 0.1, alpha)
         assert np.all(np.isfinite(got))
         assert _worst_vs_mp(t, z[None, :], 0.1, alpha) <= 1e-15
 
@@ -400,14 +397,14 @@ def test_pair_log_near_branch_on_scalar_and_1d_t():
     eps, alpha, t0 = 0.1, 0.25, 7.0
     b0 = eps * t0 ** (2.0 * alpha)
     z = np.array([t0, t0 + 1e-3, t0 - 0.2, t0 + 1j * b0 + 1e-9 * (1 + 1j), 2.0, 0.5j])
-    scalar = _pair_log(t0, z, eps, alpha)
-    block = _pair_log(np.array([[t0, 3.0]]).T, z[None, :], eps, alpha)
+    scalar = pair_log(t0, z, eps, alpha)
+    block = pair_log(np.array([[t0, 3.0]]).T, z[None, :], eps, alpha)
     assert np.array_equal(scalar, block[0])
-    assert np.array_equal(_pair_log(t0, z[1], eps, alpha), scalar[1:2])
+    assert np.array_equal(pair_log(t0, z[1], eps, alpha), scalar[1:2])
     ts = np.array([t0, 3.0, t0, 40.0])
     zs = np.array([t0 + 1e-3, 3.0, t0 + 1j * b0 + 1e-9, 39.9])
-    diagonal = _pair_log(ts, zs, eps, alpha)
-    outer = _pair_log(ts[:, None], zs[None, :], eps, alpha)
+    diagonal = pair_log(ts, zs, eps, alpha)
+    outer = pair_log(ts[:, None], zs[None, :], eps, alpha)
     assert np.array_equal(diagonal, np.diagonal(outer))
     near = np.abs(1.0 + 1j * z * (2.0 * b0 + 1j * z) / (b0 * b0 + t0 * t0)) < 0.25
     assert near.sum() >= 3
@@ -444,32 +441,22 @@ def test_modulus_pass_is_bitwise_the_real_part(alpha):
 
 def test_pass_allocates_work_arrays_once(monkeypatch):
     # a 3000-point panel pass on [0, 400] sums its 600 Chebyshev nodes point
-    # by point in one call, in 7 column blocks of 85-86 points, whose rows
-    # run to their largest cutoffs 128, 240, 352, 464, 592, 688 and 816: 1,
-    # 1, 2, 2, 3, 3 and 4 row blocks of direct terms, all on the one set of
-    # work arrays the call allocates; the bands of its 25 panels take none
-    # (`_band_sum`); so in the full pass and in the modulus pass alike, and
-    # the series forms no paired term
-    allocs, on_work = [], []
-    work_arrays, pair_log = wei._work_arrays, wei._pair_log
-
-    def count_alloc(rows, cols):
-        allocs.append(work_arrays(rows, cols))
-        return allocs[-1]
-
-    def check_block(t, z, *rest, **kw):
-        if kw.get("out") is not None:
-            on_work.append(all(np.shares_memory(o, a) for o, a in zip(kw["out"], allocs[-1])))
-        return pair_log(t, z, *rest, **kw)
-
-    monkeypatch.setattr(wei, "_work_arrays", count_alloc)
-    monkeypatch.setattr(wei, "_pair_log", check_block)
+    # by point in one `core.direct_sums` call, in 13 row ranges that end at
+    # 112, 128, ..., 816 as the points with smaller cutoffs drop out, all on
+    # the four work arrays of core.BLOCK_TERMS the call allocates; the bands
+    # of its 25 panels take none (`_band_sum`); so in the full pass and in
+    # the modulus pass alike, and the series forms no paired term
+    work = count_work(monkeypatch)
     ev = ProductEvaluator(0.1, 0.25)
     ev.log_generating(FIT_GRID)
     ev.log_abs_generating(FIT_GRID)
-    assert len(allocs) == 2 and all(len(a) == 4 for a in allocs)
-    assert [a[0].size for a in allocs] == [256 * 86, 256 * 86]
-    assert len(on_work) == 2 * (1 + 1 + 2 + 2 + 3 + 3 + 4) and all(on_work)
+    assert [s.points for s in work.sums] == [600, 600]
+    for s in work.sums:
+        assert [c.lo for c in s.calls] == [0] + [c.hi for c in s.calls[:-1]]
+        assert s.calls[-1].hi == 816 and len(s.calls) == 13
+        arrays = s.calls[0].work
+        assert len(arrays) == 4 and all(size == core.BLOCK_TERMS for _, size in arrays)
+        assert all(c.work == arrays for c in s.calls)
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +539,10 @@ def test_product_matches_mpmath():
 
 def test_log_scale_on_block_edge():
     # C_m is node_m's direct sum without the pair |n| = m, whose row is
-    # zeroed in the block of _BLOCK = 256 rows that holds it: second to last
-    # at m = 255, last at 256, first of the next block at 257 (direct
-    # cutoffs 512-528 at alpha 1/4, 976 at 3/4).  The constant log
+    # zeroed in the block that holds it: a one-point sum is one block up to
+    # its cutoff (512-528 at alpha 1/4, 976 at 3/4), and m = 255, 256 and
+    # 257 are the second to last and last row of the 16th stride and the
+    # first of the 17th.  The constant log
     # conj(lambda_m) - C_m against the reference of
     # test_product_matches_mpmath, modulo 2 pi i, within its complex-point
     # bound (worst measured 2.7e-13): G_m(node_m) over pairs up to
