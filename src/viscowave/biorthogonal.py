@@ -11,9 +11,12 @@ with node_m = i conj(lambda_m).  The sign convention e^{+ixt} makes
     int theta_m(t) e^{conj(lambda_n) t} dt = psi_m(i conj(lambda_n))
 
 an identity, i.e. the biorthogonality matrix is exactly the interpolation
-value matrix; all quadrature error lives in the transform.  The eps = 0
-family has the closed form e^{imt}/(2pi) on (-pi, pi) and doubles as the
-end-to-end oracle for the transform path.
+value matrix; all quadrature error lives in the transform.  The chain runs
+unchanged at every eps >= 0 (at eps = 0 with no multiplier), so the eps = 0
+family is the eps -> 0 limit of the others.  Another biorthogonal family at
+eps = 0 has the closed form e^{imt}/(2pi) on (-pi, pi) (`build_sinc_family`);
+it shares no code with the transform path and is kept only as that path's
+reference.
 
 Every member of every family is an exponential sum on rates the family's
 members share, zero outside the family's window, and nothing else is kept.
@@ -142,9 +145,9 @@ def fourier_to_time(psi: np.ndarray, half_width: float, dx: float):
 class BiorthogonalFamily:
     """Biorthogonal family as exponential sums.
 
-    kind: "theta" (raw transform), "zeta" (smoothed), "sinc_limit" (eps=0
-    closed form).  Member m is exactly sum_k weights[m][k] e^{rates[k] t}
-    on window and zero outside, with rates shared by every member,
+    kind: "theta" (raw transform), "zeta" (smoothed), "sinc_limit" (the
+    eps = 0 closed-form reference).  Member m is exactly sum_k weights[m][k]
+    e^{rates[k] t} on window and zero outside, with rates shared by every member,
     orthogonal over period (2pi/dx, or 2pi for sinc_limit) and
     mirror-symmetric for a mirror-closed index set; norms are
     `core.exp_sum_norm` of the weights.  theta's window is measured

@@ -5,7 +5,9 @@ the config echo, tolerances, truncation values, and fitted constants, so a
 CSV is never an orphan number table.  No timestamps or machine identifiers
 go into either file: the same configuration and seed must produce identical bytes.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 invalid input.
+Exit codes: 0 all checks passed, 1 a check failed, 2 invalid input, an
+--out path that cannot be written included (`writable_out_path`, checked
+before any work).
 
 Every command is a fresh process that pays for what it imports.  At module
 level this file imports only the problem (`core`, `spectrum`), the Gram
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import replace
 from typing import TYPE_CHECKING
@@ -62,19 +65,39 @@ def _json_safe(obj):
     return obj
 
 
+def _sidecar(csv_path: str) -> str:
+    """The JSON sidecar's path: csv_path with .json for .csv, else .json appended."""
+    return csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
+
+
+def writable_out_path(out: str | None, default: str) -> str:
+    """The --out path, or the command's default, checked before any work:
+    its directory must exist and be writable, and neither it nor its sidecar
+    may be a directory.  Only stats, so a refused command writes nothing.
+    Public, so that perfbench's tracer times it as a span of its own."""
+    path = out or default
+    folder = os.path.dirname(path) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write {path}: directory {folder} is missing "
+                          "or not writable")
+    for target in (path, _sidecar(path)):
+        if os.path.isdir(target):
+            raise ConfigError(f"cannot write {path}: {target} is a directory")
+    return path
+
+
 def write_outputs(csv_path: str, header, rows, meta: dict,
                   cfg: ProblemConfig | None = None) -> None:
     """Write a command's CSV table, the header row then one line per row,
-    and its JSON sidecar: meta, with the config echoed under "config" when
-    cfg is given, at csv_path with .json for .csv."""
+    and its JSON sidecar (`_sidecar`): meta, with the config echoed under
+    "config" when cfg is given."""
     lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     if cfg is not None:
         meta = dict(meta)
         meta["config"] = dataclasses.asdict(cfg)
-    path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
-    with open(path, "w") as fh:
+    with open(_sidecar(csv_path), "w") as fh:
         fh.write(json.dumps(_json_safe(meta), indent=2, sort_keys=True) + "\n")
 
 
@@ -166,8 +189,8 @@ def spectrum() -> None:
 @_shared("config", "out", "alpha", "epsilon", "modes")
 def spectrum_dump(config, out, alpha, epsilon, modes) -> None:
     def go():
+        out_path = writable_out_path(out, "spectrum_dump.csv")
         cfg = _build_cfg(config, alpha, epsilon, modes)
-        out_path = out or "spectrum_dump.csv"
         rows = []
         have_nodes = cfg.epsilon > 0 and cfg.alpha not in (0.0,) \
             and not cfg.alpha_is_degenerate
@@ -198,9 +221,9 @@ def weierstrass() -> None:
 @_shared("config", "out", "alpha", "epsilon", "modes")
 def weierstrass_check(config, out, alpha, epsilon, modes) -> None:
     def go():
+        out_path = writable_out_path(out, "weierstrass_check.csv")
         from . import weierstrass as wei
         cfg = _build_cfg(config, alpha, epsilon, modes)
-        out_path = out or "weierstrass_check.csv"
         ev = wei.ProductEvaluator(cfg.epsilon, cfg.alpha)
         dev, max_dev = wei.interpolation_check(range(-cfg.n_modes, cfg.n_modes + 1), ev)
         rows_q, c_hat = wei.growth_bound_check(max(2 * cfg.n_modes, 16), ev)
@@ -234,11 +257,11 @@ def multiplier() -> None:
 @_shared("config", "out", "seed", "alpha", "epsilon", "modes")
 def multiplier_check(config, out, seed, alpha, epsilon, modes) -> None:
     def go():
+        out_path = writable_out_path(out, "multiplier_check.csv")
         from . import multiplier as mul
         cfg = _build_cfg(config, alpha, epsilon, modes)
         if cfg.epsilon == 0 or cfg.alpha == 0:
             raise ConfigError("multiplier is absent for eps = 0 or alpha = 0")
-        out_path = out or "multiplier_check.csv"
         xg = np.logspace(-2, 5, 200)
         ms = range(1, cfg.n_modes + 1)
         phi_x = np.asarray(sp.phi_eps(xg, cfg.epsilon, cfg.alpha))
@@ -278,29 +301,23 @@ def biorth() -> None:
 
 
 def _theta_for(cfg: ProblemConfig) -> BiorthogonalFamily:
-    """The unsmoothed family: the closed form at eps = 0, else the FFT build.
-    Only an FFT-built (kind "theta") family has a smoothed zeta family."""
+    """The unsmoothed family of members +-1..+-N, built by the FFT chain at
+    every eps >= 0, so the eps = 0 family is the eps -> 0 limit of the others."""
     from . import biorthogonal as bio
-    ms = [m for m in range(-cfg.n_modes, cfg.n_modes + 1) if m != 0]
-    if cfg.epsilon == 0:
-        return bio.build_sinc_family(ms)
-    return bio.build_theta_family(cfg, ms)
+    return bio.build_theta_family(cfg, range(-cfg.n_modes, cfg.n_modes + 1))
 
 
 @biorth.command("build")
 @_shared("config", "out", "alpha", "epsilon", "modes")
 def biorth_build(config, out, alpha, epsilon, modes) -> None:
     def go():
+        out_path = writable_out_path(out, "biorth_build.csv")
         from . import biorthogonal as bio
         cfg = _build_cfg(config, alpha, epsilon, modes, for_synthesis=True)
-        out_path = out or "biorth_build.csv"
         theta = _theta_for(cfg)
-        zeta = bio.zeta_eval(theta) if theta.kind == "theta" else None
-        rows = []
-        for m in theta.indices:
-            re_l = cfg.epsilon * abs(m) ** (2.0 * cfg.alpha)
-            zn = zeta.norms[m] if zeta is not None else None
-            rows.append((m, re_l, theta.norms[m], zn))
+        zeta = bio.zeta_eval(theta)
+        rows = [(m, cfg.epsilon * abs(m) ** (2.0 * cfg.alpha), theta.norms[m], zeta.norms[m])
+                for m in theta.indices]
         meta = {"kind": theta.kind, "omega": theta.omega,
                 "omega_hats": list(theta.omega_hats),
                 "beta_hat": theta.beta_hat, "c_hat": theta.c_hat,
@@ -318,13 +335,13 @@ def biorth_build(config, out, alpha, epsilon, modes) -> None:
 @click.option("--tolerance", type=float, default=1e-4, show_default=True)
 def biorth_verify(config, out, alpha, epsilon, modes, tolerance) -> None:
     def go():
+        out_path = writable_out_path(out, "biorth_verify.csv")
         from . import biorthogonal as bio
         # click.FloatRange lets nan through, and nan or inf would also reach
         # the sidecar as NaN or Infinity, which is not JSON
         if not (np.isfinite(tolerance) and tolerance > 0):
             raise ConfigError(f"--tolerance must be finite and positive, got {tolerance}")
         cfg = _build_cfg(config, alpha, epsilon, modes, for_synthesis=True)
-        out_path = out or "biorth_verify.csv"
         theta = _theta_for(cfg)
         ms = list(theta.indices)
         mat, max_dev = bio.biorthogonality_matrix(theta, ms, ms)
@@ -333,10 +350,9 @@ def biorth_verify(config, out, alpha, epsilon, modes, tolerance) -> None:
             for j, n in enumerate(ms):
                 tgt = 1.0 if m == n else 0.0
                 rows.append((m, n, abs(mat[i, j] - tgt)))
-        devs = {"max_deviation": max_dev}
-        if theta.kind == "theta":  # the smoothed family `control solve --series` uses
-            _, devs["zeta_max_deviation"] = bio.biorthogonality_matrix(bio.zeta_eval(theta),
-                                                                       ms, ms)
+        # the smoothed family that `control solve --series` uses is checked too
+        _, zeta_dev = bio.biorthogonality_matrix(bio.zeta_eval(theta), ms, ms)
+        devs = {"max_deviation": max_dev, "zeta_max_deviation": zeta_dev}
         write_outputs(out_path, ("m", "n", "deviation"), rows,
                       {**devs, "tolerance": tolerance, "omega": theta.omega,
                        "beta_hat": theta.beta_hat, "c_hat": theta.c_hat}, cfg)
@@ -365,12 +381,12 @@ def control() -> None:
 def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
                   use_oracle, data_kind) -> None:
     def go():
+        out_path = writable_out_path(out, "control_solve.csv")
         if not use_oracle:
             # before seeded_data loads numpy.random: in this order a fresh
             # series run at N 8 peaks about 0.5 MB lower
             from . import biorthogonal as bio
         cfg = _build_cfg(config, alpha, epsilon, modes, horizon, for_synthesis=True)
-        out_path = out or "control_solve.csv"
         data = seeded_data(cfg, seed, data_kind)
         meta: dict = {"path": "oracle" if use_oracle else "series",
                       "data": data_kind, "seed": seed, "moment_tolerance": mom.MOMENT_TOL}
@@ -381,9 +397,7 @@ def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
             ctrl, cond, vnorm = res.control, res.cond, res.norm
             meta["moment_residual"] = res.moment_residual
         else:
-            fam = _theta_for(cfg)
-            if fam.kind == "theta":
-                fam = bio.zeta_eval(fam)
+            fam = bio.zeta_eval(_theta_for(cfg))
             need = fam.min_horizon
             if T < need:
                 if horizon is None and config is None:
@@ -429,11 +443,11 @@ def sweep() -> None:
               help="comma-separated descending viscosity list")
 def sweep_epsilon(config, out, seed, alpha, modes, horizon, epsilons) -> None:
     def go():
+        out_path = writable_out_path(out, "sweep_epsilon.csv")
         eps_list = _number_list(epsilons, float, "--epsilons")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("epsilon list must be strictly descending")
         cfg0 = _build_cfg(config, alpha, eps_list[0], modes, horizon, for_synthesis=True)
-        out_path = out or "sweep_epsilon.csv"
         data = seeded_data(cfg0, seed, "random")
         T = cfg0.horizon_T
         rows = []
@@ -472,13 +486,13 @@ def degeneracy(epsilon, horizon, sizes, out) -> None:
     """Gram condition numbers at alpha 0.25, 0.5 and 0.75 as N grows; a cell is
     empty where the smallest eigenvalue is rounding: at most n u w_max, n = 2N."""
     def go():
+        out_path = writable_out_path(out, "degeneracy.csv")
         n_list = _number_list(sizes, int, "--sizes")
         if n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ConfigError(f"--sizes must be strictly ascending positive "
                               f"integers, got {sizes!r}")
         # epsilon and horizon take the ranges every other command accepts
         validate_config(ProblemConfig(alpha=0.0, epsilon=epsilon, horizon_T=horizon))
-        out_path = out or "degeneracy.csv"
         floor = {n_max: 2 * n_max * np.finfo(float).eps for n_max in n_list}
         conds: dict = {}
         for a in (0.25, 0.5, 0.75):
@@ -521,8 +535,8 @@ def ingham_run(config, out, seed, alpha, epsilon, modes, horizon,
     min_ratio, the smallest ratio over the draws, only bounds the Ingham lower
     constant from above (2.0e30 times it at eps 0.1, alpha 0.75, N 12, T 3 pi)."""
     def go():
+        out_path = writable_out_path(out, "ingham_run.csv")
         cfg = _build_cfg(config, alpha, epsilon, modes, horizon)
-        out_path = out or "ingham_run.csv"
         T = cfg.horizon_T
         w_mode = "given"
         if omega_weight is None:
@@ -560,6 +574,7 @@ def ingham_run(config, out, seed, alpha, epsilon, modes, horizon,
 def verify(config, out, seed, alpha, epsilon, horizon) -> None:
     """Quick property suite across modules at one config."""
     def go():
+        out_path = writable_out_path(out, "verify.csv")
         from . import biorthogonal as bio
         from . import multiplier as mul
         from . import weierstrass as wei
@@ -631,7 +646,6 @@ def verify(config, out, seed, alpha, epsilon, horizon) -> None:
         check("resonant null control", resonant)
         check("free energy decay", energy_law)
 
-        out_path = out or "verify.csv"
         write_outputs(out_path, ("check", "status", "detail"),
                       [(n, "pass" if ok else "fail", d) for n, ok, d in checks],
                       {"seed": seed}, cfg)

@@ -239,10 +239,13 @@ def ingham_ratio(indices, coeffs, eps: float, alpha: float, T: float,
         raise ConfigError(f"weighted coefficient mass {den} at omega weight "
                           f"{omega_weight} is not finite and positive")
     if not np.isfinite(num):
-        raise ConfigError(f"Gram numerator over (-{T:g}, {T:g}) is not finite: "
-                          f"modes up to |n| = {int(np.max(np.abs(idx)))} overflow "
-                          "double precision at this horizon")
+        raise _numerator_overflow(T, int(np.max(np.abs(idx))))
     return num / den
+
+
+def _numerator_overflow(T: float, n_max: int) -> ConfigError:
+    return ConfigError(f"Gram numerator over (-{T:g}, {T:g}) is not finite: modes up "
+                       f"to |n| = {n_max} overflow double precision at this horizon")
 
 
 def ingham_trials(n_max: int, eps: float, alpha: float, T: float,
@@ -257,7 +260,13 @@ def ingham_trials(n_max: int, eps: float, alpha: float, T: float,
     minimum can exceed the constant by many orders of magnitude.  The 2T
     Gram matrix is built once for every draw; a draw takes its real parts
     first, then its imaginary parts.
+
+    The matrix is positive semidefinite, so its largest entry is the
+    diagonal one at |n| = n_max; that entry alone is evaluated first, and a
+    horizon at which it overflows is refused before the matrix is built.
     """
+    if not np.all(np.isfinite(gram_matrix([n_max], eps, alpha, 2.0 * T))):
+        raise _numerator_overflow(T, n_max)
     idx = np.array([n for n in range(-n_max, n_max + 1) if n != 0])
     gram = gram_matrix(idx, eps, alpha, 2.0 * T)
     rng = np.random.default_rng(seed)

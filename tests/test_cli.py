@@ -244,20 +244,82 @@ def test_control_solve_zero_data(runner, tmp_path):
 
 
 def test_control_solve_series_eps0_checks_horizon(runner, tmp_path):
-    # eps = 0 takes the same family path as eps > 0: the sinc family's
-    # support is 2 pi, so a shorter explicit horizon is refused
+    # eps = 0 builds its family by the same FFT chain as eps > 0: the
+    # smoothed window is (-5.55, 5.55) at N 2, so a shorter explicit horizon
+    # is refused and the default one (2 pi) stretches to 14
     args = ["control", "solve", "--series", "--epsilon", "0", "--alpha", "0.25",
             "--modes", "2"]
     res = _run(runner, args + ["--horizon", "5"], tmp_path)
     assert res.exit_code == 2
     assert "below family support" in res.output
-    # the default horizon (2 pi) meets the support; its row is pinned
     assert _run(runner, args, tmp_path).exit_code == 0
-    assert (tmp_path / "out.csv").read_text() == (
-        "epsilon,alpha,n_modes,horizon,v_norm,gram_cond,final_residual\n"
-        "0,0.25,2,6.2831853071795862,0.32174666020248921,nan,1.2795997616996278e-32\n")
+    row = (tmp_path / "out.csv").read_text().splitlines()[1].split(",")
+    assert row[:4] == ["0", "0.25", "2", "14"]
+    assert float(row[4]) == pytest.approx(0.333509, abs=1e-6)     # v_norm
+    assert float(row[6]) <= 1e-29                                # final residual
     meta = json.loads((tmp_path / "out.json").read_text())
+    assert meta["horizon_auto"] == 14.0
     assert meta["omega"] == 0 and meta["beta_hat"] == 0.0
+
+
+@pytest.mark.parametrize("alpha, horizon, v_norm", [("0.25", "14", 0.607763),
+                                                    ("0.75", "36", 0.616703)])
+def test_control_solve_series_eps0_is_the_chain_control(runner, tmp_path, alpha, horizon,
+                                                        v_norm):
+    # the eps -> 0 limit of the eps > 0 series controls (tests/test_moment.py),
+    # not the closed-form sinc family's control (v_norm 0.545281)
+    res = _run(runner, ["control", "solve", "--series", "--epsilon", "0", "--alpha", alpha,
+                        "--modes", "8", "--horizon", horizon], tmp_path)
+    assert res.exit_code == 0, res.output
+    row = (tmp_path / "out.csv").read_text().splitlines()[1].split(",")
+    assert float(row[4]) == pytest.approx(v_norm, abs=1e-6)
+    assert float(row[6]) <= 1e-29
+
+
+def test_biorth_build_eps0_runs_the_chain(runner, tmp_path):
+    res = _run(runner, ["biorth", "build", "--epsilon", "0", "--alpha", "0.25",
+                        "--modes", "8"], tmp_path)
+    assert res.exit_code == 0, res.output
+    assert "built theta family, 16 members, omega=0" in res.output
+    meta = json.loads((tmp_path / "out.json").read_text())
+    assert meta["kind"] == "theta" and meta["omega"] == 0
+    assert (meta["half_width"], meta["n_fft"]) == (150.0, 8192)
+    assert meta["window"][1] == pytest.approx(5.07, abs=0.01)
+    assert meta["window"][0] == -meta["window"][1]
+    rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 16
+    # smoothing shrinks every member a little: zeta norms sit just below theta's
+    assert all(0.9 * float(th) < float(ze) < float(th) for _, _, th, ze in rows)
+
+
+def test_biorth_verify_eps0_checks_both_families(runner, tmp_path):
+    # measured 1.4e-15 (theta) and 1.7e-15 (zeta)
+    res = _run(runner, ["biorth", "verify", "--epsilon", "0", "--alpha", "0.25",
+                        "--modes", "8"], tmp_path)
+    assert res.exit_code == 0, res.output
+    meta = json.loads((tmp_path / "out.json").read_text())
+    assert meta["max_deviation"] <= 1e-12
+    assert meta["zeta_max_deviation"] <= 1e-12
+
+
+def test_verify_sinc_limit_keeps_the_closed_form(runner, tmp_path, monkeypatch):
+    # the closed-form sinc family is the transform path's reference: `verify`
+    # builds it and no other command does
+    import viscowave.biorthogonal as bio
+    built, sinc = [], bio.build_sinc_family
+
+    def count(ms):
+        built.append(sinc(ms))
+        return built[-1]
+
+    monkeypatch.setattr(bio, "build_sinc_family", count)
+    res = _run(runner, ["verify", "--epsilon", "0", "--alpha", "0.25"], tmp_path)
+    assert res.exit_code == 0, res.output
+    assert [fam.kind for fam in built] == ["sinc_limit"]
+    for args in (["biorth", "build"], ["biorth", "verify"], ["control", "solve", "--series"]):
+        assert _run(runner, args + ["--epsilon", "0", "--alpha", "0.25", "--modes", "2"],
+                    tmp_path).exit_code == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("modes", [4, 8, 16, 32])
@@ -537,3 +599,48 @@ def test_verify_runs_without_weight_inverse(runner, tmp_path, eps, alpha):
     assert res.exit_code == 0
     assert "pass  weight round-trip  skipped" in res.output
     assert res.output.count("pass") == 6
+
+
+# one command per family, each with its own flags; the --out check runs first
+_OUT_COMMANDS = {
+    "spectrum": ["spectrum", "dump", "--alpha", "0.25", "--epsilon", "0.1"],
+    "weierstrass": ["weierstrass", "check", "--alpha", "0.25", "--epsilon", "0.1",
+                    "--modes", "2"],
+    "multiplier": ["multiplier", "check", "--alpha", "0.25", "--epsilon", "0.1",
+                   "--modes", "1"],
+    "biorth": ["biorth", "build", "--alpha", "0.25", "--epsilon", "0.1", "--modes", "1"],
+    "control": ["control", "solve", "--alpha", "0.25", "--epsilon", "0.1", "--modes", "1"],
+    "sweep": ["sweep", "epsilon", "--alpha", "0.25", "--modes", "1"],
+    "degeneracy": ["degeneracy", "--sizes", "1"],
+    "ingham": ["ingham", "run", "--alpha", "0.25", "--epsilon", "0.1", "--modes", "1"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_OUT_COMMANDS))
+def test_unwritable_out_exits_2_before_any_work(runner, tmp_path, monkeypatch, family):
+    # a missing or unwritable directory, or a CSV or sidecar path that is a
+    # directory, is refused with the path named, before the configuration is
+    # even read, and nothing is written
+    import viscowave.cli as cli
+
+    def no_work(*args, **kw):
+        raise AssertionError("work started before the --out check")
+
+    monkeypatch.setattr(cli, "_build_cfg", no_work)
+    monkeypatch.setattr(cli, "_number_list", no_work)
+    (tmp_path / "taken.json").mkdir()
+    (tmp_path / "locked").mkdir()
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: (
+        False if str(path) == str(tmp_path / "locked") else real_access(path, mode)))
+    cases = {tmp_path / "missing" / "x.csv": f"directory {tmp_path / 'missing'} is missing",
+             tmp_path / "locked" / "x.csv": "not writable",
+             tmp_path: f"{tmp_path} is a directory",
+             tmp_path / "taken.csv": f"{tmp_path / 'taken.json'} is a directory"}
+    for out, message in cases.items():
+        res = runner.invoke(main, _OUT_COMMANDS[family] + ["--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"invalid input: cannot write {out}" in res.output
+        assert message in res.output
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["locked", "taken.json"]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import control_values, gauss_legendre, ingham_ratio_quad, seeded_data
 from viscowave import biorthogonal as bio
 from viscowave import pde
-from viscowave.core import ConfigError, ModalState, ProblemConfig, validate_config
+from viscowave.core import (ConfigError, ModalState, ProblemConfig, exp_sum_norm,
+                            validate_config)
 from viscowave.moment import (MomentSystem, SingularGramError, gram_matrix,
                               ingham_ratio, ingham_trials, minnorm_control,
                               moment_rhs, moment_verification,
@@ -229,6 +230,34 @@ def test_series_route_end_to_end_damped(alpha, eps, n):
     assert 0.0 < res.imag_residual <= 1e-15 * res.norm
 
 
+def test_series_controls_converge_to_the_eps0_control():
+    # the paper's question: as eps -> 0 the series controls at a fixed T tend
+    # to the control the same construction builds at eps = 0.  Every eps
+    # builds on one grid (half-width 150, n_fft 8192), so the controls are
+    # exponential sums on the same rates and their distance is Parseval's
+    # sum on the weight difference.  Measured at alpha 0.25, N 8, T 14:
+    # 6.41e-2, 6.83e-3, 6.88e-4 and 6.88e-5 at eps 1e-2 .. 1e-5, O(eps)
+    T, data = 14.0, seeded_data()
+    fams, ctrls = {}, {}
+    for eps in (0.0, 1e-2, 1e-3, 1e-4, 1e-5):
+        cfg = validate_config(ProblemConfig(alpha=0.25, epsilon=eps, n_modes=8),
+                              for_synthesis=True)
+        fams[eps] = bio.zeta_eval(bio.build_theta_family(cfg, range(-8, 9)))
+        ctrls[eps] = synthesize_control_series(data, fams[eps], T)
+    v0 = ctrls.pop(0.0)
+    assert v0.norm == pytest.approx(0.607763, abs=1e-6)
+    dists = []
+    for eps, res in ctrls.items():
+        assert np.array_equal(res.control.rates, v0.control.rates)
+        assert fams[eps].period == fams[0.0].period
+        assert res.control.center == v0.control.center == T / 2.0
+        dists.append(exp_sum_norm(res.control.weights - v0.control.weights,
+                                  fams[0.0].period))
+    print("||v_eps - v_0|| at eps 1e-2 .. 1e-5:", " ".join(f"{d:.3e}" for d in dists))
+    assert all(a >= 5.0 * b for a, b in zip(dists, dists[1:]))
+    assert 5e-2 <= dists[0] <= 8e-2
+
+
 def test_series_refuses_horizon_below_family_window():
     # the control is the family's window shifted by T/2; below min_horizon
     # that leaves (0, T), so the synthesis refuses instead of clipping
@@ -301,4 +330,20 @@ def test_ingham_trials_build_the_gram_matrix_once(monkeypatch):
     want = [ingham_ratio(idx, b, 0.1, 0.25, 3 * math.pi, 1.0) for b in draws]
     monkeypatch.setattr(mom, "gram_matrix", count)
     got = ingham_trials(6, 0.1, 0.25, 3 * math.pi, 1.0, n_trials=10, seed=123)
-    assert len(built) == 1 and got.tolist() == want
+    # the largest entry alone (the overflow probe), then the whole matrix once
+    assert [len(args[0]) for args in built] == [1, len(idx)]
+    assert got.tolist() == want
+
+
+def test_ingham_trials_refuse_an_overflowing_gram_before_building_it():
+    # the 2T Gram matrix of 4000 modes would take 256 MB; its largest entry,
+    # the diagonal one at |n| = N, overflows, so the refusal comes first
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="not finite: modes up to .n. = 2000"):
+            ingham_trials(2000, 0.5, 0.95, 30 * math.pi, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -89,7 +89,7 @@ def test_benchmark_tracer_names_resolve(tmp_path):
     # `meta`, a solve's `cond`).  A renamed one fails here, not in a traced
     # benchmark run: every COUNTERS and STATS key resolves to a package
     # callable, and a series and an oracle solve under the tracer run every
-    # counter, each recording its count
+    # counter, each recording its count, with every span nested in its parent
     from click.testing import CliRunner
 
     from viscowave.cli import main
@@ -114,6 +114,8 @@ def test_benchmark_tracer_names_resolve(tmp_path):
         tracer.uninstall()
     recorded = set(tracer.sums) | set(tracer.maxes)
     assert set(spans.SUM_COUNTS) | set(spans.MAX_COUNTS) <= recorded
+    # the traced benchmark run refuses spans that do not nest; so does tier-1
+    assert spans.analyse(tracer)["nest_errors"] == 0
 
 
 def test_tracer_modules_resolve_after_importing_only_the_cli():
