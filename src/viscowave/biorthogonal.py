@@ -242,7 +242,8 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     family.  log F, the multiplier bulk and the per-m prefixes are evaluated
     on |x| = j dx, j = 0..n/2, and gathered onto the grid x_j = (j - n/2) dx
     (F conjugated at x < 0); per |m| only the product's linear factor and
-    constant, the multiplier prefix and the sinc factor remain.  Member m > 0 keeps its weights
+    constant, the multiplier factors that extend the previous member's
+    prefix and the sinc factor remain.  Member m > 0 keeps its weights
     (dx/2pi) psi_m(x_j) on the shared rates; member -m is the conjugate of
     member m.  On the periodic DFT grid that is exact up to one sample: the
     reflection of x_0 = -half is its periodic partner +half (half t_k = pi
@@ -286,9 +287,16 @@ def build_theta_family(cfg: ProblemConfig, m_range) -> BiorthogonalFamily:
     members = {}
     edge_worst = 0.0
     lo, hi = np.inf, -np.inf
+    # the prefixes are nested (n_m does not decrease in |m|), so each member
+    # adds only its own factors n_{k-1} .. n_k - 1 to the previous prefix
+    prefix, n_prev = 0.0, 1
     for k in ks:
-        log_mult = None if mult is None else \
-            (base_mult - mult.log_factor_range(1, node_start(k, eps, alpha) - 1, z_abs))[fold]
+        log_mult = None
+        if mult is not None:
+            n_k = node_start(k, eps, alpha)
+            prefix = prefix + mult.log_factor_range(n_prev, n_k - 1, z_abs)
+            n_prev = n_k
+            log_mult = (base_mult - prefix)[fold]
         psi = np.exp(log_psi(k, zg, omega, product, mult, log_f, log_mult))
         edge_worst = max(edge_worst, float(np.max(np.abs(psi[[0, 1, -1]]))))
         k_lo, k_hi = _measured_window(*fourier_to_time(psi, half, dx))

@@ -112,13 +112,12 @@ def _build_cfg(config, alpha, epsilon, modes=None, horizon=None,
     return validate_config(cfg, for_synthesis=for_synthesis)
 
 
-def _number_list(text: str, conv, flag: str) -> list:
-    """The comma-separated values of a list flag; empty entries are skipped."""
+def _number_list(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of a list flag; empty entries are skipped."""
     try:
-        vals = [conv(s) for s in text.split(",") if s.strip()]
+        vals = [float(s) for s in text.split(",") if s.strip()]
     except ValueError:
-        kind = "integers" if conv is int else "numbers"
-        raise ConfigError(f"{flag} must be comma-separated {kind}, got {text!r}") from None
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
     if not vals:
         raise ConfigError(f"{flag} is empty")
     return vals
@@ -145,7 +144,7 @@ def seeded_data(cfg: ProblemConfig, seed: int, kind: str = "random") -> ModalSta
 
 
 _SHARED = {  # flags several commands take; each command names the ones it reads
-    "config": dict(type=click.Path(exists=True), help="INI config file"),
+    "config": dict(help="INI config file"),
     "out": dict(help="output CSV path"),
     "seed": dict(type=click.IntRange(min=0), default=7, show_default=True),
     "alpha": dict(type=float), "epsilon": dict(type=float),
@@ -444,7 +443,7 @@ def sweep() -> None:
 def sweep_epsilon(config, out, seed, alpha, modes, horizon, epsilons) -> None:
     def go():
         out_path = writable_out_path(out, "sweep_epsilon.csv")
-        eps_list = _number_list(epsilons, float, "--epsilons")
+        eps_list = _number_list(epsilons, "--epsilons")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("epsilon list must be strictly descending")
         cfg0 = _build_cfg(config, alpha, eps_list[0], modes, horizon, for_synthesis=True)
@@ -473,48 +472,6 @@ def sweep_epsilon(config, out, seed, alpha, modes, horizon, epsilons) -> None:
                       cfg0)
         click.echo(f"norm ratio {ratio:.4f}, weak-limit residual {resid_w:.3e}")
         return PASS
-    _run(go)
-
-
-@main.command("degeneracy")
-@click.option("--epsilon", type=float, default=0.5, show_default=True)
-@click.option("--horizon", type=float, default=2.0 * np.pi, show_default="2 pi")
-@click.option("--sizes", default="4,8,12,16", show_default=True,
-              help="comma-separated strictly ascending mode counts")
-@click.option("--out", default=None, help="output CSV path")
-def degeneracy(epsilon, horizon, sizes, out) -> None:
-    """Gram condition numbers at alpha 0.25, 0.5 and 0.75 as N grows; a cell is
-    empty where the smallest eigenvalue is rounding: at most n u w_max, n = 2N."""
-    def go():
-        out_path = writable_out_path(out, "degeneracy.csv")
-        n_list = _number_list(sizes, int, "--sizes")
-        if n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-            raise ConfigError(f"--sizes must be strictly ascending positive "
-                              f"integers, got {sizes!r}")
-        # epsilon and horizon take the ranges every other command accepts
-        validate_config(ProblemConfig(alpha=0.0, epsilon=epsilon, horizon_T=horizon))
-        floor = {n_max: 2 * n_max * np.finfo(float).eps for n_max in n_list}
-        conds: dict = {}
-        for a in (0.25, 0.5, 0.75):
-            for n_max in n_list:
-                idx = [n for n in range(-n_max, n_max + 1) if n != 0]
-                w = np.linalg.eigvalsh(mom.gram_matrix(idx, epsilon, a, horizon))
-                conds[(a, n_max)] = float(w[-1] / w[0]) \
-                    if w[0] > floor[n_max] * w[-1] else None
-        # the verdict and the gap read resolved cells only
-        half = [n for n in n_list if conds[(0.5, n)] is not None]
-        mono = all(conds[(0.5, a)] < conds[(0.5, b)] for a, b in zip(half, half[1:]))
-        n_gap = half[-1] if half else None
-        gap = conds[(0.5, n_gap)] / conds[(0.25, n_gap)] \
-            if half and conds[(0.25, n_gap)] is not None else None
-        write_outputs(out_path, ("alpha", "n_modes", "gram_cond"),
-                      [(a, n, c) for (a, n), c in conds.items()],
-                      {"epsilon": epsilon, "horizon": horizon, "eig_floor_over_max": floor,
-                       "alpha_half_monotone": mono, "degeneracy_gap_at_largest": gap,
-                       "degeneracy_gap_n_modes": n_gap})
-        shown = f"gap at N={n_gap}: {gap:.3e}" if gap is not None else "gap unresolved"
-        click.echo(f"alpha=1/2 cond monotone: {mono}; {shown}")
-        return PASS if mono else FAIL
     _run(go)
 
 

@@ -64,8 +64,9 @@ def validate_config(cfg: ProblemConfig, for_synthesis: bool = False) -> ProblemC
     for_synthesis=True additionally rejects alpha = 1/2, the exponent the
     paper excludes: the biorthogonal construction's constants diverge as
     alpha -> 1/2+ (`spectrum.node_sum_bound`), although the Gram matrix is
-    conditioned there as smoothly as at nearby alpha.  Diagnostics such as
-    `degeneracy` accept it.
+    conditioned there as smoothly as at nearby alpha.  The commands that
+    synthesize nothing (`spectrum dump`, `ingham run --omega-weight`)
+    accept it.
     """
     if not 0.0 <= cfg.alpha < 1.0:
         raise ConfigError(f"alpha must be in [0,1), got {cfg.alpha}")
@@ -77,8 +78,7 @@ def validate_config(cfg: ProblemConfig, for_synthesis: bool = False) -> ProblemC
         raise ConfigError("n_modes must be >= 1")
     if for_synthesis and cfg.alpha_is_degenerate:
         raise DegenerateAlphaError(
-            "alpha = 1/2 is spectrally degenerate; control synthesis refused "
-            "(degeneracy diagnostics still run)")
+            "alpha = 1/2 is spectrally degenerate; control synthesis refused")
     return cfg
 
 
@@ -102,7 +102,8 @@ def load_config(path: str) -> ProblemConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not a valid INI file: {exc}") from None
     if not read:
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"cannot read config file {path}: it is missing, "
+                          "a directory or unreadable")
     for section in parser.sections():
         if section != "problem":
             raise ConfigError(f"{path}: unknown section [{section}]; "

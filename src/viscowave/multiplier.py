@@ -338,19 +338,23 @@ def multiplier_property_check(m_range, x_grid, ev: MultiplierEvaluator) -> Prope
     d_const = node_tail_sq_constant(alpha)
 
     # one bulk pass over the grid; per-m values come from subtracting the
-    # short leading-factor prefix (branch-consistent, see log_factor_range)
+    # short leading-factor prefix (branch-consistent, see log_factor_range).
+    # n_m does not decrease in |m|, so taken in order of |m| each prefix is
+    # the previous one plus the factors from the previous start on
     base = ev.log_eval_start(1, xc)
+    prefix, n_prev = 0.0, 1
 
     up_margin = np.inf
     low_margin = np.inf
     nw_margin = np.inf
     type_margin = np.inf
     unit_worst = -np.inf
-    for m in ms:
+    for m in sorted(ms, key=abs):
         lam = complex(lambda_vals(m, eps, alpha))
         rl = abs(lam.real)
         n_m = node_start(m, eps, alpha)
-        prefix = ev.log_factor_range(1, n_m - 1, xc)
+        prefix = prefix + ev.log_factor_range(n_prev, n_m - 1, xc)
+        n_prev = n_m
         log_m = rep.log_abs[m] = (base - prefix).real
         up_margin = min(up_margin, float(np.min(-phi_x + 2.0 * E ** 2 * rl + 1.0 - log_m)))
         unit_worst = max(unit_worst, float(np.max(log_m)))

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import count_work, gauss_legendre, pass_terms
 from viscowave import biorthogonal as bio
+from viscowave import core
 from viscowave.core import ProblemConfig, sinhc, validate_config
 from viscowave.multiplier import MultiplierEvaluator
 from viscowave.spectrum import lambda_conj_vals, node_sum_bound
@@ -245,6 +246,34 @@ def test_family_build_work_counts(monkeypatch):
     assert dfts == []
     bio.zeta_eval(fam)
     assert dfts == [n, n]
+
+
+def test_family_build_sums_each_prefix_factor_once(monkeypatch):
+    # member m's multiplier prefix is member m-1's plus the factors
+    # n_{m-1} .. n_m - 1 (alpha 0.75, N 8: n_m = 1, 2, 3, 4, 6, 7, 9, 11),
+    # so the build sums each factor below n_8 once on the 4097-point
+    # half-grid, 10 factors per point.  Each range lies in one stride of
+    # `core.direct_sums`, so the engine forms one stride per member
+    work = count_work(monkeypatch)
+    ranges = []
+    factor_range = MultiplierEvaluator.log_factor_range
+
+    def count_range(self, lo, hi, z):
+        ranges.append((lo, hi, np.size(z)))
+        return factor_range(self, lo, hi, z)
+
+    monkeypatch.setattr(MultiplierEvaluator, "log_factor_range", count_range)
+    cfg = validate_config(ProblemConfig(alpha=0.75, epsilon=0.1, n_modes=8),
+                          for_synthesis=True)
+    fam = bio.build_theta_family(cfg, range(-8, 9))
+    half = fam.meta["n_fft"] // 2 + 1
+    assert [r[:2] for r in ranges] == [(1, 0), (1, 1), (2, 2), (3, 3), (4, 5), (6, 6),
+                                       (7, 8), (9, 10)]
+    # perfbench's multiplier.factor_terms: points times factors per call
+    assert sum(size * (hi - lo + 1) for lo, hi, size in ranges) == 40_970 == 10 * half
+    prefixes = [s.terms for s in work.sums if s.owner == "multiplier"
+                and s.points == half][1:]
+    assert prefixes == [core.STRIDE * half] * 7
 
 
 def test_resolve_omega_work_counts(monkeypatch):

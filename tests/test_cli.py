@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,10 +60,9 @@ _COMMAND_MODULES = ("import json, sys, viscowave.cli\n"
     (["sweep", "epsilon", "--alpha", "0.25", "--modes", "2", "--epsilons", "1e-1,1e-2"], []),
     (["control", "solve", "--epsilon", "0.1", "--alpha", "0.25", "--modes", "2"], []),
     (["spectrum", "dump", "--epsilon", "0.1", "--alpha", "0.25"], []),
-    (["degeneracy", "--sizes", "2,4"], []),
     (["control", "solve", "--series", "--epsilon", "0.1", "--alpha", "0.25", "--modes", "1"],
      list(CONSTRUCTION)),
-], ids=["sweep_epsilon", "control_solve_oracle", "spectrum_dump", "degeneracy",
+], ids=["sweep_epsilon", "control_solve_oracle", "spectrum_dump",
         "control_solve_series"])
 def test_commands_import_the_construction_only_to_build_a_family(tmp_path, args, loaded):
     # the Gram oracle, propagation and the spectrum tables never call the
@@ -376,7 +376,6 @@ DETERMINISTIC_ARGV = {
                              "--epsilon", "0.1", "--modes", "1", "--seed", "11"],
     "sweep_epsilon": ["sweep", "epsilon", "--alpha", "0.25", "--modes", "3",
                       "--epsilons", "1e-1,1e-2", "--seed", "11"],
-    "degeneracy": ["degeneracy", "--sizes", "4,8"],
     "ingham_run": ["ingham", "run", *_A25, "--modes", "2", "--trials", "5",
                    "--seed", "11"],
     "verify": ["verify", *_A25, "--seed", "11"],
@@ -414,41 +413,36 @@ def test_config_file_unknown_key_is_invalid_input(runner, tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_config_path_that_cannot_be_read_exits_2(runner, tmp_path, kind):
+    # load_config is the one check of --config: a missing path or a
+    # directory exits 2 naming the path, and nothing is written
+    ini = tmp_path / "run.ini"
+    if kind == "directory":
+        ini.mkdir()
+    res = _run(runner, ["spectrum", "dump", "--config", str(ini)], tmp_path)
+    assert res.exit_code == 2, res.output
+    assert f"invalid input: cannot read config file {ini}" in res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if kind == "missing"
+                                                          else ["run.ini"])
+
+
 @pytest.mark.parametrize("args,message", [
     (["sweep", "epsilon", "--alpha", "0.25", "--epsilons", "0.1,x"],
      "--epsilons must be comma-separated numbers"),
-    (["degeneracy", "--sizes", ""], "--sizes is empty"),
-    (["degeneracy", "--sizes", "4,x"], "--sizes must be comma-separated integers"),
-    (["degeneracy", "--sizes", "0"], "strictly ascending positive"),
-    (["degeneracy", "--sizes", "8,4"], "strictly ascending positive"),
-    (["degeneracy", "--sizes", "4,4"], "strictly ascending positive"),
-    (["degeneracy", "--sizes", "4", "--horizon", "nan"], "horizon_T"),
     (["ingham", "run", "--alpha", "0.25", "--epsilon", "0.1", "--trials", "0"],
      "--trials"),
 ] + [(["ingham", "run", "--alpha", "0.25", "--epsilon", "0.1", "--modes", "2",
        "--omega-weight", w], "not finite and positive")
      for w in ("nan", "inf", "-inf", "1e6", "-1e6")],
-    ids=["eps-list-word", "sizes-empty", "sizes-word", "sizes-zero",
-         "sizes-descending", "sizes-repeated", "degeneracy-horizon-nan",
-         "trials-zero", "weight-nan", "weight-inf", "weight-minus-inf", "weight-1e6",
-         "weight-minus-1e6"])
+    ids=["eps-list-word", "trials-zero", "weight-nan", "weight-inf", "weight-minus-inf",
+         "weight-1e6", "weight-minus-1e6"])
 def test_bad_list_and_count_flags_exit_2(runner, tmp_path, args, message):
     res = runner.invoke(main, args + ["--out", str(tmp_path / "out.csv")])
     assert res.exit_code == 2, res.output
     assert message in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert not (tmp_path / "out.csv").exists()
-
-
-@pytest.mark.parametrize("flag", [["--alpha", "0.3"], ["--modes", "4"],
-                                  ["--seed", "3"], ["--config", "run.ini"]])
-def test_degeneracy_refuses_flags_it_does_not_read(runner, flag):
-    # degeneracy always runs alpha 0.25, 0.5 and 0.75 at the --sizes counts;
-    # it used to accept these flags and ignore them
-    res = runner.invoke(main, ["degeneracy", "--sizes", "4"] + flag,
-                        catch_exceptions=False)
-    assert res.exit_code == 2
-    assert "No such option" in res.output
 
 
 # each flag a command used to accept without reading it
@@ -509,37 +503,6 @@ def test_biorth_verify_refuses_bad_tolerance(runner, tmp_path, tolerance):
     assert res.exit_code == 2, res.output
     assert "--tolerance must be finite and positive" in res.output
     assert not (tmp_path / "out.csv").exists()
-
-
-def test_degeneracy_study(runner, tmp_path):
-    res = _run(runner, ["degeneracy", "--sizes", "4,8"], tmp_path)
-    assert res.exit_code == 0
-    lines = (tmp_path / "out.csv").read_text().splitlines()
-    assert lines[0] == "alpha,n_modes,gram_cond"
-    assert len(lines) == 7                     # three alphas, two sizes
-    meta = json.loads((tmp_path / "out.json").read_text())
-    assert meta["alpha_half_monotone"] is True
-
-
-def test_degeneracy_defaults_write_resolved_cells_only(runner, tmp_path):
-    # at its defaults the alpha 0.5 Gram matrix is singular in double
-    # precision from N 12 on and the alpha 0.75 one from N 8 on: those cells
-    # are empty, not inf or rounding-level numbers, and the gap is taken at
-    # the largest N where alpha 0.5 is resolved
-    res = _run(runner, ["degeneracy"], tmp_path)
-    assert res.exit_code == 0, res.output
-    rows = [r.split(",") for r in (tmp_path / "out.csv").read_text().splitlines()[1:]]
-    cells = {(float(a), int(n)): c for a, n, c in rows}
-    assert "inf" not in (tmp_path / "out.csv").read_text()
-    assert {k for k, c in cells.items() if not c} == {
-        (0.5, 12), (0.5, 16), (0.75, 8), (0.75, 12), (0.75, 16)}
-    meta = json.loads((tmp_path / "out.json").read_text())
-    floor = meta["eig_floor_over_max"]
-    assert all(float(c) < 1 / floor[str(n)] for (_, n), c in cells.items() if c)
-    assert meta["degeneracy_gap_n_modes"] == 8
-    assert meta["degeneracy_gap_at_largest"] == pytest.approx(
-        float(cells[(0.5, 8)]) / float(cells[(0.25, 8)]), rel=1e-15)
-    assert floor["16"] == 32 * np.finfo(float).eps
 
 
 def test_ingham_run(runner, tmp_path):
@@ -611,7 +574,6 @@ _OUT_COMMANDS = {
     "biorth": ["biorth", "build", "--alpha", "0.25", "--epsilon", "0.1", "--modes", "1"],
     "control": ["control", "solve", "--alpha", "0.25", "--epsilon", "0.1", "--modes", "1"],
     "sweep": ["sweep", "epsilon", "--alpha", "0.25", "--modes", "1"],
-    "degeneracy": ["degeneracy", "--sizes", "1"],
     "ingham": ["ingham", "run", "--alpha", "0.25", "--epsilon", "0.1", "--modes", "1"],
     "verify": ["verify"],
 }
@@ -644,3 +606,23 @@ def test_unwritable_out_exits_2_before_any_work(runner, tmp_path, monkeypatch, f
         assert f"invalid input: cannot write {out}" in res.output
         assert message in res.output
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["locked", "taken.json"]
+
+
+def _leaf_commands(group, prefix=()) -> set:
+    """The full names of the commands under a click group, e.g. "biorth build"."""
+    out = set()
+    for name, cmd in group.commands.items():
+        path = prefix + (name,)
+        out |= _leaf_commands(cmd, path) if hasattr(cmd, "commands") else {" ".join(path)}
+    return out
+
+
+def test_readme_command_table_matches_the_cli():
+    # the first column of README's "Command line" table names every command
+    # the click tree has, and no other, so a deleted or renamed command
+    # cannot leave a stale row
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Command line", 1)[1].split("| command | flags |", 1)[1]
+    rows = table.split("\n\n", 1)[0].strip().splitlines()[1:]   # past the rule
+    named = {name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert named == _leaf_commands(main)

@@ -424,6 +424,26 @@ def test_prefix_identity():
         assert np.allclose(full, started, rtol=0, atol=1e-13)
 
 
+def test_factor_ranges_telescope():
+    # a family build and the property check sum each member's prefix as the
+    # previous member's plus the factors from the previous start on: the
+    # split sum agrees with the whole one on the FFT half-grid of an alpha
+    # 0.75, N 8 build (half-width 150, n_fft 8192), at every split where a
+    # member of N 32 starts
+    ev = MultiplierEvaluator(0.1, 0.75, z_max=150.0)
+    z = 300.0 / 8192 * np.arange(4097) + 0j
+    starts = [node_start(m, 0.1, 0.75) for m in range(1, 33)]
+    b = starts[-1] - 1
+    whole = ev.log_factor_range(1, b, z)
+    worst = 0.0
+    for a in sorted(set(starts[1:])):
+        split = ev.log_factor_range(1, a - 1, z) + ev.log_factor_range(a, b, z)
+        dev = np.abs(split - whole) / np.maximum(1.0, np.abs(whole))
+        worst = max(worst, float(np.max(dev)))
+    print(f"split against whole prefix 1..{b}: max rel dev {worst:.2e}")
+    assert worst <= 1e-13
+
+
 def test_grows_on_demand():
     ev = MultiplierEvaluator(0.1, 0.25, z_max=1.0)
     k0 = ev.k_cut

@@ -29,7 +29,8 @@ def test_lambda_literal():
 
 
 def test_lambda_allows_degenerate_alpha():
-    # the degeneracy study needs the eigenvalues at alpha = 1/2
+    # `spectrum dump` and `ingham run --omega-weight` read the eigenvalues
+    # at alpha = 1/2
     v = complex(lambda_vals(2, 0.5, 0.5))
     assert v == pytest.approx(complex(1.0, 2.0))
 
