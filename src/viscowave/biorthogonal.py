@@ -14,9 +14,9 @@ an identity, i.e. the biorthogonality matrix is exactly the interpolation
 value matrix; all quadrature error lives in the transform.  The chain runs
 unchanged at every eps >= 0 (at eps = 0 with no multiplier), so the eps = 0
 family is the eps -> 0 limit of the others.  Another biorthogonal family at
-eps = 0 has the closed form e^{imt}/(2pi) on (-pi, pi) (`build_sinc_family`);
-it shares no code with the transform path and is kept only as that path's
-reference.
+eps = 0 has the closed form e^{imt}/(2pi) on (-pi, pi); it shares no code
+with the transform path, and only the tests build it, as that path's
+oracle (`tests/conftest.py::build_sinc_family`).
 
 Every member of every family is an exponential sum on rates the family's
 members share, zero outside the family's window, and nothing else is kept.
@@ -47,7 +47,8 @@ density.  None of them is part of the problem (eps, alpha, T, N).
 
 A family build shares its lattice work: one product evaluator and one
 multiplier evaluator serve the envelope fit, the half-width probe and the FFT
-grid.  Every member's product is the Lagrange basis of one generating
+grid, and `log_psi` is the one assembly of psi_m that all three (and the
+tests) call.  Every member's product is the Lagrange basis of one generating
 function F (see `weierstrass`), so each point set (envelope-fit grid, probe
 points, FFT grid) gets one log F pass for the whole family; per m only a
 linear factor and a constant remain.  The lattice is mirror-symmetric,
@@ -55,8 +56,10 @@ lambda_{-m} = conj(lambda_m), so node_{-m} = -conj(node_m), F(-x) = conj F(x)
 on the real axis and the multiplier is even with real Taylor coefficients.
 Hence F and the multiplier are evaluated once on |x| over half the grid (the
 multiplier's per-m starting node handled by subtracting the short prefix of
-factor logs), psi_{-m}(x) = conj(psi_m(-x)), theta_{-m} = conj(theta_m) and,
-the smoothing kernel of -m being the conjugate of that of m, zeta_{-m} =
+factor logs; each member's prefix is the previous member's plus its own
+factors, so each factor below the last member's first node is summed once),
+psi_{-m}(x) = conj(psi_m(-x)), theta_{-m} = conj(theta_m) and, the
+smoothing kernel of -m being the conjugate of that of m, zeta_{-m} =
 conj(zeta_m): in both families members are assembled for m > 0 only, and the
 m < 0 members are conjugates.
 """
@@ -145,15 +148,14 @@ def fourier_to_time(psi: np.ndarray, half_width: float, dx: float):
 class BiorthogonalFamily:
     """Biorthogonal family as exponential sums.
 
-    kind: "theta" (raw transform), "zeta" (smoothed), "sinc_limit" (the
-    eps = 0 closed-form reference).  Member m is exactly sum_k weights[m][k]
-    e^{rates[k] t} on window and zero outside, with rates shared by every member,
-    orthogonal over period (2pi/dx, or 2pi for sinc_limit) and
+    kind: "theta" (raw transform) or "zeta" (smoothed).  Member m is exactly
+    sum_k weights[m][k] e^{rates[k] t} on window and zero outside, with rates
+    shared by every member, orthogonal over period 2pi/dx and
     mirror-symmetric for a mirror-closed index set; norms are
     `core.exp_sum_norm` of the weights.  theta's window is measured
-    (`_measured_window`), zeta widens it by the kernel half-width,
-    sinc_limit's is (-pi, pi).  support_half is the declared half-support
-    the theorem gives (T~/2, T0/2, or pi).
+    (`_measured_window`), zeta widens it by the kernel half-width.
+    support_half is the declared half-support the theorem gives (T~/2 or
+    T0/2).
     """
     kind: str
     eps: float
@@ -175,19 +177,6 @@ class BiorthogonalFamily:
     def min_horizon(self) -> float:
         """The shortest T whose recentred interval (-T/2, T/2) holds the window."""
         return 2.0 * max(-self.window[0], self.window[1])
-
-
-def build_sinc_family(m_range) -> BiorthogonalFamily:
-    ms = tuple(sorted(m for m in m_range if m != 0))
-    weights = {m: np.where(np.asarray(ms) == m, 1.0 / (2.0 * np.pi), 0.0) + 0j
-               for m in ms}
-    period = 2.0 * np.pi
-    return BiorthogonalFamily(kind="sinc_limit", eps=0.0, alpha=0.0, indices=ms,
-                              rates=1j * np.asarray(ms, dtype=float),
-                              weights=weights, window=(-np.pi, np.pi), period=period,
-                              norms={m: exp_sum_norm(weights[m], period) for m in ms},
-                              support_half=np.pi, beta_hat=0.0,
-                              c_hat=1.0 / np.sqrt(2.0 * np.pi), omega=0)
 
 
 def _probe_half_width(ks, omega: int, product: ProductEvaluator,

@@ -15,7 +15,7 @@ oracle (`moment`) and the propagation (`pde`); the construction layers
 `biorthogonal`, `weierstrass` and `multiplier` are imported inside the
 commands that build a family or check the product or the multiplier:
 `weierstrass check`, `multiplier check`, `biorth build`, `biorth verify`,
-`verify`, `control solve --series` and `ingham run` with a fitted omega.
+`control solve --series` and `ingham run` with a fitted omega.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import numpy as np
 from . import moment as mom
 from . import pde
 from . import spectrum as sp
-from .core import ConfigError, ModalState, ProblemConfig, load_config, validate_config
+from .core import (ConfigError, ModalState, ProblemConfig, load_config, read_config,
+                   validate_config)
 
 if TYPE_CHECKING:
     from .biorthogonal import BiorthogonalFamily
@@ -399,8 +400,10 @@ def control_solve(config, out, seed, alpha, epsilon, modes, horizon,
             fam = bio.zeta_eval(_theta_for(cfg))
             need = fam.min_horizon
             if T < need:
-                if horizon is None and config is None:
-                    # default horizon: stretch to fit the family's window
+                if horizon is None and (config is None
+                                        or "horizon_T" not in read_config(config)):
+                    # a horizon neither --horizon nor the file gave: stretch
+                    # it to fit the family's window
                     T = float(2.0 * np.ceil(need / 2.0 + 0.5))
                     meta["horizon_auto"] = T
                 else:
@@ -519,94 +522,6 @@ def ingham_run(config, out, seed, alpha, epsilon, modes, horizon,
         click.echo(f"min ratio {np.min(ratios):.6e} over {trials} trials "
                    f"({'pass' if ok else 'FAIL'})")
         return PASS if ok else FAIL
-    _run(go)
-
-
-# ---------------------------------------------------------------------------
-# aggregate verify
-# ---------------------------------------------------------------------------
-
-@main.command("verify")
-@_shared("config", "out", "seed", "alpha", "epsilon", "horizon")
-def verify(config, out, seed, alpha, epsilon, horizon) -> None:
-    """Quick property suite across modules at one config."""
-    def go():
-        out_path = writable_out_path(out, "verify.csv")
-        from . import biorthogonal as bio
-        from . import multiplier as mul
-        from . import weierstrass as wei
-        cfg = _build_cfg(config, alpha if alpha is not None else 0.25,
-                         epsilon if epsilon is not None else 0.1,
-                         horizon=horizon, for_synthesis=True)
-        checks = []
-
-        def check(name, fn):
-            try:
-                ok, detail = fn()
-            except ConfigError:
-                raise                         # refused input, not a failed check
-            except Exception as exc:          # noqa: BLE001 - report, not crash
-                ok, detail = False, f"error: {exc}"
-            checks.append((name, ok, detail))
-            click.echo(f"{'pass' if ok else 'FAIL'}  {name}  {detail}")
-
-        def weight_roundtrip():
-            if cfg.epsilon == 0 or cfg.alpha == 0:
-                return True, "skipped (phi has no inverse)"
-            ys = np.linspace(0.1, 50.0, 97)
-            xs = sp.phi_eps_inverse(ys, cfg.epsilon, cfg.alpha)
-            back = sp.phi_eps(xs, cfg.epsilon, cfg.alpha)
-            dev = float(np.max(np.abs(back - ys) / ys))
-            return dev <= 1e-12, f"max rel dev {dev:.2e}"
-
-        def interp_nodes():
-            ev = wei.ProductEvaluator(cfg.epsilon, cfg.alpha)
-            _, max_dev = wei.interpolation_check(range(-4, 5), ev)
-            return max_dev <= 1e-6, f"max dev {max_dev:.2e}"
-
-        def mult_props():
-            if cfg.epsilon == 0 or cfg.alpha == 0:
-                return True, "skipped (no multiplier)"
-            xg = np.logspace(-2, 4, 120)
-            ev = mul.MultiplierEvaluator(cfg.epsilon, cfg.alpha, z_max=float(xg[-1]))
-            rep = mul.multiplier_property_check(range(1, 9), xg, ev)
-            return rep.ok, "all margins positive" if rep.ok else "margin violated"
-
-        def sinc_bio():
-            fam = bio.build_sinc_family([m for m in range(-8, 9) if m != 0])
-            _, dev = bio.biorthogonality_matrix(fam, fam.indices, fam.indices)
-            return dev <= 1e-10, f"max dev {dev:.2e}"
-
-        def resonant():
-            data = ModalState.from_arrays([1], [np.pi / 2], [0.0], [np.pi / 2])
-            system = mom.MomentSystem.build(data, 2 * np.pi, 0.0, 0.0)
-            res = mom.minnorm_control(system)
-            cfg0 = validate_config(ProblemConfig(alpha=0.0, epsilon=0.0))
-            traj = pde.simulate(cfg0, data, res.control)
-            r = pde.final_residual(traj.final, data, 0.0, 0.0)
-            return r <= 1e-15, f"residual {r:.2e}"
-
-        def energy_law():
-            rng_ = np.random.default_rng(seed)
-            n = 8
-            data = ModalState.from_arrays(range(1, n + 1), rng_.normal(size=n),
-                                          rng_.normal(size=n), np.ones(n))
-            traj = pde.simulate(cfg, data, None, record_points=256)
-            drops = np.diff(traj.energy)
-            return bool(np.all(drops <= 1e-12 * traj.energy[0])), \
-                f"max energy rise {float(np.max(drops, initial=0.0)):.2e}"
-
-        check("weight round-trip", weight_roundtrip)
-        check("interpolation at nodes", interp_nodes)
-        check("multiplier properties", mult_props)
-        check("sinc-limit biorthogonality", sinc_bio)
-        check("resonant null control", resonant)
-        check("free energy decay", energy_law)
-
-        write_outputs(out_path, ("check", "status", "detail"),
-                      [(n, "pass" if ok else "fail", d) for n, ok, d in checks],
-                      {"seed": seed}, cfg)
-        return PASS if all(ok for _, ok, _ in checks) else FAIL
     _run(go)
 
 

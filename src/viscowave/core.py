@@ -5,6 +5,14 @@ biorthogonal family is built is fixed by constants in `biorthogonal`, so a
 config file (see `load_config`) has one [problem] section with those four
 keys and nothing else.
 
+The numerics other modules share live here too: `exp_integral`, the one
+exponential-sum integral (a broadcast form for the Gram matrices, a
+contracted resolvent form for exponential sums); `exp_sum_norm`, the
+Parseval norm that the families and the series control read; the
+direct-head engine (`direct_sums`) and the lattice-series engine
+(`stride_tail_sums`, `power_series`) that the interpolation product and the
+multiplier share; `log1p_c` and `sinhc`.
+
 Fourier convention is un-normalized throughout: g_hat_n = int_0^pi g(x) sin(nx) dx,
 so physical L2 norms carry a pi/2 factor (||g||^2 = (pi/2) sum |a_n|^2 when
 g = sum a_n sin(nx)).  Initial data enter as coefficient lists, never as
@@ -45,8 +53,9 @@ class ProblemConfig:
     n_modes: truncation N of the modal system.
 
     How the biorthogonal family is built (sinc width, extra sinc powers,
-    multiplier power, smoothing half-width, FFT density) is fixed by the
-    constants in `biorthogonal`.
+    smoothing half-width, FFT density) is fixed by the constants in
+    `biorthogonal`; the multiplier power is not a constant but fitted from
+    the product's envelope (`biorthogonal.resolve_omega`).
     """
     alpha: float
     epsilon: float
@@ -85,13 +94,14 @@ def validate_config(cfg: ProblemConfig, for_synthesis: bool = False) -> ProblemC
 _INI_KEYS = {"alpha": float, "epsilon": float, "horizon_T": float, "n_modes": int}
 
 
-def load_config(path: str) -> ProblemConfig:
-    """Read a ProblemConfig from an INI file.
+def read_config(path: str) -> dict:
+    """The [problem] keys an INI file sets, each parsed to its type.
 
-    The file holds one [problem] section with the keys alpha and epsilon
-    (required), horizon_T and n_modes (optional, defaults as in the
-    dataclass); keys are case-sensitive.  Any other section or key, a
-    non-numeric value or a non-integer n_modes raises ConfigError naming it.
+    The file holds one [problem] section with the keys alpha, epsilon,
+    horizon_T and n_modes; keys are case-sensitive.  Any other section or
+    key, a non-numeric value or a non-integer n_modes raises ConfigError
+    naming it.  A key the file leaves out is absent from the dict, so a
+    caller can tell a default from a value the file gives.
     """
     import configparser   # only --config reads it: off every command's import path
 
@@ -120,6 +130,13 @@ def load_config(path: str) -> ProblemConfig:
                 kind = "an integer" if key == "n_modes" else "a number"
                 raise ConfigError(f"{path}: {key} must be {kind}, "
                                   f"got {text!r}") from None
+    return kw
+
+
+def load_config(path: str) -> ProblemConfig:
+    """Read a ProblemConfig from an INI file (`read_config`): alpha and
+    epsilon are required, horizon_T and n_modes default as in the dataclass."""
+    kw = read_config(path)
     if "alpha" not in kw or "epsilon" not in kw:
         raise ConfigError("config must set problem.alpha and problem.epsilon")
     return validate_config(ProblemConfig(**kw))

@@ -72,15 +72,21 @@ band term costs about 11 ns and a direct one about 22 ns (alpha 1/4, 2
 vCPU, numpy 2.4).  A panel pass sums its nodes and the points of its sparse
 panels in one `_pair_sum` call, and each dense panel's band in one
 `_band_sum` call.  Other passes (complex points, P points or fewer: the
-probe, `interpolation_check`) and C_m sum every point directly.
+probe, `interpolation_check`, `growth_bound_check` at 0) and C_m sum every
+point directly.
 
 Numerical care in the paired term (`_pair_log`):
   * w = iz (2b + iz) / den, den = b^2 + t^2, from the factorization of the
     numerator minus the denominator, in real arithmetic, iz = p + iq:
-    Re w = ((2b + p) p - q^2) / den, Im w = 2q (b + p) / den.
+    Re w = ((2b + p) p - q^2) / den, Im w = 2q (b + p) / den.  The terms'
+    parts (b, den) and the points' (p, q) separate, so they broadcast and
+    no complex w is formed.
   * log(1+w) is core.log1p_c's 1/2 log1p(s) + i atan2(Im w, 1 + Re w),
     s = |1+w|^2 - 1, with log|1+w| where |1+w| < 1/2.  On the real axis
-    s = Re w (Re w - c), c = 2 (b - t)(b + t) / den, without cancellation.
+    s = Re w (Re w - c), c = 2 (b - t)(b + t) / den, without cancellation:
+    three array passes form Re w and s, one scan of s finds the far
+    (|1+w| < 1/2) and near-zero (|1+w| < 1/4) entries, and Im w is formed
+    only where it is read.
   * Near a zero of the factor (|1+w| < 1/4) the term is taken from the
     linear factors a + i(Re z -+ t), a = b - Im z, read at those entries
     (`_entries`), by `_factor_logs`, which also sums the panel bands: F

@@ -7,6 +7,7 @@ from scipy.integrate import simpson
 from viscowave import core
 from viscowave import multiplier as mul
 from viscowave import weierstrass as wei
+from viscowave.biorthogonal import BiorthogonalFamily
 from viscowave.core import ConfigError, ModalState
 from viscowave.spectrum import lambda_vals
 
@@ -132,6 +133,22 @@ def product_eps0(m: int, z) -> complex:
     if abs(z - m) < 1e-12:
         return 1.0 + 0.0j
     return (-1) ** m * m * np.sin(np.pi * z) / (np.pi * z * (z - m))
+
+
+def build_sinc_family(m_range) -> BiorthogonalFamily:
+    """Closed-form biorthogonal family of the undamped limit, an oracle the
+    FFT chain shares no code with: member m is e^{imt}/(2pi) on (-pi, pi),
+    one weight on the integer rates im, orthogonal over period 2pi."""
+    ms = tuple(sorted(m for m in m_range if m != 0))
+    weights = {m: np.where(np.asarray(ms) == m, 1.0 / (2.0 * np.pi), 0.0) + 0j
+               for m in ms}
+    period = 2.0 * np.pi
+    return BiorthogonalFamily(kind="sinc_limit", eps=0.0, alpha=0.0, indices=ms,
+                              rates=1j * np.asarray(ms, dtype=float),
+                              weights=weights, window=(-np.pi, np.pi), period=period,
+                              norms={m: core.exp_sum_norm(weights[m], period) for m in ms},
+                              support_half=np.pi, beta_hat=0.0,
+                              c_hat=1.0 / np.sqrt(2.0 * np.pi), omega=0)
 
 
 def gauss_legendre(lo: float, hi: float, panels: int = 64, order: int = 48):

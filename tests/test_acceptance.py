@@ -12,7 +12,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 
-from conftest import control_values, ingham_ratio_quad
+from conftest import build_sinc_family, control_values, ingham_ratio_quad
 from viscowave import biorthogonal as bio
 from viscowave import moment as mom
 from viscowave import multiplier as mul
@@ -27,7 +27,7 @@ def _line(num: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_sinc_limit_biorthogonality():
     t0 = time.perf_counter()
-    fam = bio.build_sinc_family([m for m in range(-16, 17) if m != 0])
+    fam = build_sinc_family([m for m in range(-16, 17) if m != 0])
     _, dev = bio.biorthogonality_matrix(fam, fam.indices, fam.indices)
     el = time.perf_counter() - t0
     ok = dev <= 1e-10 and el < 1.0
@@ -46,7 +46,7 @@ def test_criterion_02_resonant_oracle(resonant_data):
     ref = np.sin(grid) / np.pi
     dev_min = float(np.max(np.abs(control_values(res.control, grid) - ref)))
 
-    fam = bio.build_sinc_family([-1, 1])
+    fam = build_sinc_family([-1, 1])
     sres = mom.synthesize_control_series(resonant_data, fam, T)
     dev_ser = float(np.max(np.abs(control_values(sres.control, grid) - ref)))
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import count_work, gauss_legendre, pass_terms
+from conftest import build_sinc_family, count_work, gauss_legendre, pass_terms
 from viscowave import biorthogonal as bio
 from viscowave import core
 from viscowave.core import ProblemConfig, sinhc, validate_config
@@ -34,7 +34,7 @@ def zeta_family(theta_family):
 def test_sinc_theta_values():
     # the eps = 0 member m is e^{imt}/(2pi) on (-pi, pi), as its one-term
     # exponential sum evaluated on a grid
-    fam = bio.build_sinc_family([-1, 1, 3])
+    fam = build_sinc_family([-1, 1, 3])
     t = np.linspace(-math.pi, math.pi, 513)
     assert np.allclose(np.exp(np.outer(t, fam.rates)) @ fam.weights[3],
                        np.exp(3j * t) / (2 * math.pi), rtol=1e-14)
@@ -43,7 +43,7 @@ def test_sinc_theta_values():
 
 
 def test_sinc_family_exact_biorthogonality():
-    fam = bio.build_sinc_family([m for m in range(-8, 9) if m != 0])
+    fam = build_sinc_family([m for m in range(-8, 9) if m != 0])
     _, dev = bio.biorthogonality_matrix(fam, fam.indices, fam.indices)
     assert dev < 1e-12
     for m in (1, -4):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -56,19 +57,77 @@ _COMMAND_MODULES = ("import json, sys, viscowave.cli\n"
                     f"print(json.dumps(sorted(m for m in sys.modules if m in {CONSTRUCTION!r})))")
 
 
-@pytest.mark.parametrize("args, loaded", [
-    (["sweep", "epsilon", "--alpha", "0.25", "--modes", "2", "--epsilons", "1e-1,1e-2"], []),
-    (["control", "solve", "--epsilon", "0.1", "--alpha", "0.25", "--modes", "2"], []),
-    (["spectrum", "dump", "--epsilon", "0.1", "--alpha", "0.25"], []),
-    (["control", "solve", "--series", "--epsilon", "0.1", "--alpha", "0.25", "--modes", "1"],
-     list(CONSTRUCTION)),
-], ids=["sweep_epsilon", "control_solve_oracle", "spectrum_dump",
-        "control_solve_series"])
-def test_commands_import_the_construction_only_to_build_a_family(tmp_path, args, loaded):
-    # the Gram oracle, propagation and the spectrum tables never call the
-    # construction, so a fresh process running them does not import it
+def _commands(group, path=()):
+    """(argv path, command) of every command under the click group."""
+    for name, cmd in group.commands.items():
+        if hasattr(cmd, "commands"):
+            yield from _commands(cmd, path + (name,))
+        else:
+            yield list(path + (name,)), cmd
+
+
+# Which commands load the construction: one case per leaf command, two where
+# a flag decides.  Per case the name README and the `cli` docstring give it,
+# its argv, and the construction layers it loads
+_E1A25 = ["--epsilon", "0.1", "--alpha", "0.25"]
+LOADS_CONSTRUCTION = {
+    "spectrum_dump": ("spectrum dump", ["spectrum", "dump", *_E1A25], []),
+    "weierstrass_check": ("weierstrass check",
+                          ["weierstrass", "check", *_E1A25, "--modes", "1"],
+                          ["viscowave.weierstrass"]),
+    "multiplier_check": ("multiplier check",
+                         ["multiplier", "check", *_E1A25, "--modes", "1"],
+                         ["viscowave.multiplier"]),
+    "biorth_build": ("biorth build", ["biorth", "build", *_E1A25, "--modes", "1"],
+                     list(CONSTRUCTION)),
+    "biorth_verify": ("biorth verify", ["biorth", "verify", *_E1A25, "--modes", "1"],
+                      list(CONSTRUCTION)),
+    "control_solve_oracle": ("control solve",
+                             ["control", "solve", *_E1A25, "--modes", "2"], []),
+    "control_solve_series": ("control solve --series",
+                             ["control", "solve", "--series", *_E1A25, "--modes", "1"],
+                             list(CONSTRUCTION)),
+    "sweep_epsilon": ("sweep epsilon", ["sweep", "epsilon", "--alpha", "0.25", "--modes", "2",
+                                        "--epsilons", "1e-1,1e-2"], []),
+    "ingham_run": ("ingham run", ["ingham", "run", *_E1A25, "--modes", "1", "--trials", "2"],
+                   list(CONSTRUCTION)),
+    "ingham_run_omega_weight": ("ingham run --omega-weight",
+                                ["ingham", "run", *_E1A25, "--modes", "1", "--trials", "2",
+                                 "--omega-weight", "1"], []),
+}
+
+
+@pytest.mark.parametrize("case", LOADS_CONSTRUCTION)
+def test_commands_import_the_construction_only_to_build_a_family(tmp_path, case):
+    # the Gram oracle, propagation, the spectrum tables and a given Ingham
+    # weight never call the construction, so a fresh process running them
+    # does not import it; the product and multiplier checks load their own
+    # layer alone
+    _, args, loaded = LOADS_CONSTRUCTION[case]
     out = str(tmp_path / "out.csv")
     assert _fresh_modules(_COMMAND_MODULES, *args, "--out", out) == loaded
+
+
+def test_construction_table_covers_every_command():
+    # a new command must declare whether it loads the construction; a
+    # command's argv path is its words before the first flag
+    covered = {tuple(itertools.takewhile(lambda a: not a.startswith("-"), args))
+               for _, args, _ in LOADS_CONSTRUCTION.values()}
+    assert covered == {tuple(path) for path, _ in _commands(main)}
+
+
+def _named(text: str) -> set:
+    """The backquoted names in text, flags left out."""
+    return {n for n in re.findall(r"`([^`]+)`", " ".join(text.split()))
+            if not n.startswith("-")}
+
+
+def test_docs_name_the_commands_that_load_the_construction():
+    import viscowave.cli as cli
+    loads = {name for name, _, loaded in LOADS_CONSTRUCTION.values() if loaded}
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    assert _named(re.search(r"so only (.*?) load the construction", readme)[1]) == loads
+    assert _named(cli.__doc__.split("or the multiplier:", 1)[1]) == loads
 
 
 def test_spectrum_dump_csv(runner, tmp_path):
@@ -100,16 +159,15 @@ def test_spectrum_dump_near_half_alpha(runner, tmp_path, delta):
 
 
 # (argv, CSV columns that must be finite): multiplier check and weierstrass
-# check end in a status word, verify writes only words, and the series row's
-# gram_cond is nan (no Gram matrix on that route; it stays nan, not empty,
-# because the benchmark's series check parses every cell of that row).  Each
-# argv passes eps 0.1 and one mode where the command reads them
+# check end in a status word, and the series row's gram_cond is nan (no Gram
+# matrix on that route; it stays nan, not empty, because the benchmark's
+# series check parses every cell of that row).  Each argv passes eps 0.1
+# and one mode where the command reads them
 _EPS_N1 = ["--epsilon", "0.1", "--modes", "1"]
 NEAR_HALF_COMMANDS = {
     "multiplier_check": (["multiplier", "check", *_EPS_N1], slice(0, -1)),
     "biorth_build": (["biorth", "build", *_EPS_N1], slice(None)),
     "biorth_verify": (["biorth", "verify", *_EPS_N1], slice(None)),
-    "verify": (["verify", "--epsilon", "0.1"], slice(0, 0)),
     "control_solve_series": (["control", "solve", "--series", *_EPS_N1],
                              [0, 1, 2, 3, 4, 6]),
     "ingham_run": (["ingham", "run", *_EPS_N1], slice(None)),
@@ -302,26 +360,6 @@ def test_biorth_verify_eps0_checks_both_families(runner, tmp_path):
     assert meta["zeta_max_deviation"] <= 1e-12
 
 
-def test_verify_sinc_limit_keeps_the_closed_form(runner, tmp_path, monkeypatch):
-    # the closed-form sinc family is the transform path's reference: `verify`
-    # builds it and no other command does
-    import viscowave.biorthogonal as bio
-    built, sinc = [], bio.build_sinc_family
-
-    def count(ms):
-        built.append(sinc(ms))
-        return built[-1]
-
-    monkeypatch.setattr(bio, "build_sinc_family", count)
-    res = _run(runner, ["verify", "--epsilon", "0", "--alpha", "0.25"], tmp_path)
-    assert res.exit_code == 0, res.output
-    assert [fam.kind for fam in built] == ["sinc_limit"]
-    for args in (["biorth", "build"], ["biorth", "verify"], ["control", "solve", "--series"]):
-        assert _run(runner, args + ["--epsilon", "0", "--alpha", "0.25", "--modes", "2"],
-                    tmp_path).exit_code == 0
-    assert len(built) == 1
-
-
 @pytest.mark.parametrize("modes", [4, 8, 16, 32])
 def test_control_solve_oracle_refuses_unresolved_gram(runner, tmp_path, modes):
     # at T 122 the Gram matrix is singular in double precision (N 4, 8) or
@@ -378,7 +416,6 @@ DETERMINISTIC_ARGV = {
                       "--epsilons", "1e-1,1e-2", "--seed", "11"],
     "ingham_run": ["ingham", "run", *_A25, "--modes", "2", "--trials", "5",
                    "--seed", "11"],
-    "verify": ["verify", *_A25, "--seed", "11"],
 }
 
 
@@ -401,6 +438,44 @@ def test_config_file_with_flag_override(runner, tmp_path):
     assert res.exit_code == 0
     lines = (tmp_path / "out.csv").read_text().splitlines()
     assert len(lines) == 4                     # flag overrides file
+
+
+def test_series_config_without_horizon_stretches_like_flags(runner, tmp_path):
+    # a config file that sets no horizon_T gives no horizon: the series
+    # route stretches the default to fit the family's window (T 14), as for
+    # the same problem given by flags, and writes the same bytes
+    ini = tmp_path / "run.ini"
+    ini.write_text("[problem]\nalpha = 0.25\nepsilon = 0.1\nn_modes = 2\n")
+    outs = []
+    for run, args in (("flags", ["--alpha", "0.25", "--epsilon", "0.1", "--modes", "2"]),
+                      ("file", ["--config", str(ini)])):
+        (tmp_path / run).mkdir()
+        res = _run(runner, ["control", "solve", "--series", *args], tmp_path / run)
+        assert res.exit_code == 0, res.output
+        assert res.output == "|v| = 0.167438, final residual = 2.884e-32\n"
+        outs.append([(tmp_path / run / f).read_bytes() for f in ("out.csv", "out.json")])
+    assert outs[0] == outs[1]
+    assert json.loads(outs[1][1])["horizon_auto"] == 14.0
+
+
+def test_series_config_horizon_too_short_exits_2(runner, tmp_path):
+    # a horizon the file gives is the user's, even at the default's value:
+    # too short for the family's window, it is refused and nothing is written
+    ini = tmp_path / "run.ini"
+    ini.write_text("[problem]\nalpha = 0.25\nepsilon = 0.1\nn_modes = 2\n"
+                   "horizon_T = 6.283185307179586\n")
+    res = _run(runner, ["control", "solve", "--series", "--config", str(ini)], tmp_path)
+    assert res.exit_code == 2, res.output
+    assert ("invalid input: horizon 6.283 below family support 11.221; pass --horizon "
+            "at least that large") in res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
+def test_verify_aggregate_is_gone(runner):
+    # each property it checked has its own command or acceptance check
+    res = runner.invoke(main, ["verify"])
+    assert res.exit_code == 2
+    assert "No such command 'verify'" in res.output
 
 
 def test_config_file_unknown_key_is_invalid_input(runner, tmp_path):
@@ -452,7 +527,6 @@ UNREAD_FLAGS = [(command, flag)
                 for flag in (["--seed", "3"], ["--horizon", "9"])] + [
     (["multiplier", "check"], ["--horizon", "9"]),
     (["sweep", "epsilon"], ["--epsilon", "0.1"]),
-    (["verify"], ["--modes", "4"]),
 ]
 
 
@@ -464,23 +538,13 @@ def test_commands_refuse_flags_they_do_not_read(runner, command, flag):
     assert "No such option" in res.output
 
 
-def _commands(group, path=()):
-    """(argv path, command) of every command under the click group."""
-    for name, cmd in group.commands.items():
-        if hasattr(cmd, "commands"):
-            yield from _commands(cmd, path + (name,))
-        else:
-            yield list(path + (name,)), cmd
-
-
 SEEDED = [argv for argv, cmd in _commands(main) if any(p.name == "seed" for p in cmd.params)]
 
 
 @pytest.mark.parametrize("command", SEEDED, ids=["_".join(c) for c in SEEDED])
 def test_negative_seed_is_invalid_input(runner, tmp_path, command):
     # numpy's generator takes no negative seed, so the flag refuses one
-    # before numpy's ValueError can end the command (exit 1) or fail one of
-    # verify's checks
+    # before numpy's ValueError can end the command (exit 1)
     res = runner.invoke(main, command + ["--seed", "-1", "--out", str(tmp_path / "out.csv")])
     assert res.exit_code == 2, res.output
     assert "Invalid value for '--seed'" in res.output
@@ -489,8 +553,7 @@ def test_negative_seed_is_invalid_input(runner, tmp_path, command):
 
 def test_every_seeded_command_is_checked():
     assert sorted(map(tuple, SEEDED)) == [("control", "solve"), ("ingham", "run"),
-                                          ("multiplier", "check"), ("sweep", "epsilon"),
-                                          ("verify",)]
+                                          ("multiplier", "check"), ("sweep", "epsilon")]
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
@@ -546,24 +609,6 @@ def test_sweep_epsilon_weak_limit_row(runner, tmp_path):
     assert meta["weak_limit_residual"] <= 1e-2
 
 
-def test_verify_command(runner, tmp_path):
-    res = _run(runner, ["verify", "--alpha", "0.25", "--epsilon", "0.1"],
-               tmp_path)
-    assert res.exit_code == 0
-    assert res.output.count("pass") >= 6
-
-
-@pytest.mark.parametrize("eps, alpha", [("0", "0.25"), ("0.1", "0")])
-def test_verify_runs_without_weight_inverse(runner, tmp_path, eps, alpha):
-    # phi has no inverse at eps = 0 (the undamped limit) or alpha = 0 (phi
-    # is constant): both are valid configs, so verify skips the weight
-    # round-trip there, as it skips the multiplier checks
-    res = _run(runner, ["verify", "--epsilon", eps, "--alpha", alpha], tmp_path)
-    assert res.exit_code == 0
-    assert "pass  weight round-trip  skipped" in res.output
-    assert res.output.count("pass") == 6
-
-
 # one command per family, each with its own flags; the --out check runs first
 _OUT_COMMANDS = {
     "spectrum": ["spectrum", "dump", "--alpha", "0.25", "--epsilon", "0.1"],
@@ -575,7 +620,6 @@ _OUT_COMMANDS = {
     "control": ["control", "solve", "--alpha", "0.25", "--epsilon", "0.1", "--modes", "1"],
     "sweep": ["sweep", "epsilon", "--alpha", "0.25", "--modes", "1"],
     "ingham": ["ingham", "run", "--alpha", "0.25", "--epsilon", "0.1", "--modes", "1"],
-    "verify": ["verify"],
 }
 
 
@@ -608,15 +652,6 @@ def test_unwritable_out_exits_2_before_any_work(runner, tmp_path, monkeypatch, f
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["locked", "taken.json"]
 
 
-def _leaf_commands(group, prefix=()) -> set:
-    """The full names of the commands under a click group, e.g. "biorth build"."""
-    out = set()
-    for name, cmd in group.commands.items():
-        path = prefix + (name,)
-        out |= _leaf_commands(cmd, path) if hasattr(cmd, "commands") else {" ".join(path)}
-    return out
-
-
 def test_readme_command_table_matches_the_cli():
     # the first column of README's "Command line" table names every command
     # the click tree has, and no other, so a deleted or renamed command
@@ -625,4 +660,4 @@ def test_readme_command_table_matches_the_cli():
     table = readme.split("## Command line", 1)[1].split("| command | flags |", 1)[1]
     rows = table.split("\n\n", 1)[0].strip().splitlines()[1:]   # past the rule
     named = {name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
-    assert named == _leaf_commands(main)
+    assert named == {" ".join(path) for path, _ in _commands(main)}

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import control_values, gauss_legendre, ingham_ratio_quad, seeded_data
+from conftest import (build_sinc_family, control_values, gauss_legendre, ingham_ratio_quad,
+                      seeded_data)
 from viscowave import biorthogonal as bio
 from viscowave import pde
 from viscowave.core import (ConfigError, ModalState, ProblemConfig, exp_sum_norm,
@@ -168,7 +169,7 @@ def test_series_requires_family_coverage(resonant_data):
 def test_series_control_is_exact_off_the_family_window(resonant_data):
     # at eps = 0 the family lives on (-pi, pi); on a longer horizon the
     # control is that window shifted by T/2, and still solves the moments
-    fam = bio.build_sinc_family([-1, 1])
+    fam = build_sinc_family([-1, 1])
     T = 3 * math.pi
     res = synthesize_control_series(resonant_data, fam, T)
     assert res.control.support == pytest.approx((0.5 * math.pi, 2.5 * math.pi))
@@ -181,7 +182,7 @@ def test_series_control_is_exact_off_the_family_window(resonant_data):
 def test_series_refuses_unmirrored_rates(resonant_data):
     # the imaginary-part bound pairs rate j with rate n - j; a family whose
     # index set is not mirror-closed has no such pairing
-    fam = bio.build_sinc_family([-1, 1, 3])
+    fam = build_sinc_family([-1, 1, 3])
     with pytest.raises(ConfigError, match="mirror"):
         synthesize_control_series(resonant_data, fam, TWO_PI)
 
